@@ -25,14 +25,14 @@
 //! usage, I/O, or parse problems.
 
 use ooo_cert::{certify_order, certify_with, Budget, Certificate, Placement, Solved};
-use ooo_core::cost::{LayerCost, TableCost, UnitCost};
+use ooo_core::cost::UnitCost;
 use ooo_core::datapar::CommPolicy;
-use ooo_core::export::ScheduleBundle;
+use ooo_core::export::{BundleEntry, ScheduleBundle};
 use ooo_core::json::{obj, Value};
 use ooo_core::pipeline::Strategy;
-use ooo_core::reverse_k::reverse_first_k;
 use ooo_core::schedule::Schedule;
 use ooo_core::{SimTime, TrainGraph};
+use ooo_tune::job::order_instance;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: ooo-cert order --layers N [--k K] [--sync NS] \
@@ -69,30 +69,14 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_strategy(name: &str) -> Result<Strategy, String> {
-    Ok(match name {
-        "mp" | "modelparallel" => Strategy::ModelParallel,
-        "gpipe" => Strategy::GPipe,
-        "pipedream" => Strategy::PipeDream,
-        "dapple" => Strategy::Dapple,
-        "megatron" => Strategy::MegatronInterleaved { chunks: 2 },
-        "pipe1" => Strategy::OooPipe1,
-        "pipe2" => Strategy::OooPipe2,
-        other => return Err(format!("unknown strategy: {other:?}")),
-    })
-}
-
-fn parse_policy(name: &str) -> Result<CommPolicy, String> {
-    Ok(match name {
-        "fifo" => CommPolicy::FifoCompletion,
-        "bylayer" => CommPolicy::PriorityByLayer,
-        other => return Err(format!("unknown policy: {other:?}")),
-    })
-}
-
 fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     argv.next(); // program name
     let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
+    match mode_word.as_str() {
+        "order" | "bundle" | "pipeline" => {}
+        "--help" | "-h" => return Err(USAGE.to_string()),
+        other => return Err(format!("unknown mode: {other:?}\n{USAGE}")),
+    }
     let need_value = |argv: &mut std::env::Args, flag: &str| {
         argv.next().ok_or_else(|| format!("{flag} needs a value"))
     };
@@ -103,126 +87,78 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     let mut budget = Budget::default();
     let mut json = false;
     let mut out = None;
-
-    let mode = match mode_word.as_str() {
-        "order" => {
-            let mut layers = None;
-            let mut k = 0usize;
-            let mut sync: SimTime = 3;
-            let mut policy = CommPolicy::PriorityByLayer;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--layers" => {
-                        layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-                    }
-                    "--k" => k = parse_usize("--k", need_value(&mut argv, "--k")?)?,
-                    "--sync" => {
-                        sync = parse_usize("--sync", need_value(&mut argv, "--sync")?)? as SimTime
-                    }
-                    "--policy" => policy = parse_policy(&need_value(&mut argv, "--policy")?)?,
-                    "--budget" => {
-                        budget = Budget::nodes(parse_usize(
-                            "--budget",
-                            need_value(&mut argv, "--budget")?,
-                        )? as u64)
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
+    let mut layers = None;
+    let mut k = 0usize;
+    let mut sync: SimTime = 3;
+    let mut policy = CommPolicy::PriorityByLayer;
+    let mut path = String::new();
+    let mut schedule = None;
+    let mut devices = None;
+    let mut strategy = None;
+    let mut group = 1usize;
+    while let Some(arg) = argv.next() {
+        match (mode_word.as_str(), arg.as_str()) {
+            (_, "--budget") => {
+                budget = Budget::nodes(
+                    parse_usize("--budget", need_value(&mut argv, "--budget")?)? as u64
+                )
             }
-            match layers {
-                Some(layers) if layers > 0 && k <= layers => Mode::Order {
-                    layers,
-                    k,
-                    sync,
-                    policy,
-                },
-                _ => return Err(USAGE.to_string()),
+            (_, "--json") => json = true,
+            (_, "--out") => out = Some(need_value(&mut argv, "--out")?),
+            (_, "--help" | "-h") => return Err(USAGE.to_string()),
+            ("order" | "pipeline", "--layers") => {
+                layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
+            }
+            ("order", "--k") => k = parse_usize("--k", need_value(&mut argv, "--k")?)?,
+            ("order", "--sync") => {
+                sync = parse_usize("--sync", need_value(&mut argv, "--sync")?)? as SimTime
+            }
+            ("order" | "bundle", "--policy") => {
+                policy = CommPolicy::parse(&need_value(&mut argv, "--policy")?)?
+            }
+            ("bundle", "--schedule") => schedule = Some(need_value(&mut argv, "--schedule")?),
+            ("bundle", other) if other.starts_with('-') => {
+                return Err(format!("unknown flag: {other}"))
+            }
+            ("bundle", other) if path.is_empty() => path = other.to_string(),
+            ("pipeline", "--devices") => {
+                devices = Some(parse_usize(
+                    "--devices",
+                    need_value(&mut argv, "--devices")?,
+                )?)
+            }
+            ("pipeline", "--strategy") => {
+                strategy = Some(Strategy::parse(&need_value(&mut argv, "--strategy")?)?)
+            }
+            ("pipeline", "--group") => {
+                group = parse_usize("--group", need_value(&mut argv, "--group")?)?
+            }
+            (_, other) => return Err(format!("unexpected argument: {other}")),
+        }
+    }
+    let mode = match (mode_word.as_str(), layers, devices, strategy) {
+        ("order", Some(layers), _, _) if layers > 0 && k <= layers => Mode::Order {
+            layers,
+            k,
+            sync,
+            policy,
+        },
+        ("bundle", ..) if !path.is_empty() => Mode::Bundle {
+            path,
+            schedule,
+            policy,
+        },
+        ("pipeline", Some(layers), Some(devices), Some(strategy))
+            if layers > 0 && devices > 0 && group >= 1 =>
+        {
+            Mode::Pipeline {
+                layers,
+                devices,
+                strategy,
+                group,
             }
         }
-        "bundle" => {
-            let mut path = String::new();
-            let mut schedule = None;
-            let mut policy = CommPolicy::PriorityByLayer;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
-                    "--policy" => policy = parse_policy(&need_value(&mut argv, "--policy")?)?,
-                    "--budget" => {
-                        budget = Budget::nodes(parse_usize(
-                            "--budget",
-                            need_value(&mut argv, "--budget")?,
-                        )? as u64)
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other if other.starts_with('-') => {
-                        return Err(format!("unknown flag: {other}"))
-                    }
-                    other if path.is_empty() => path = other.to_string(),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if path.is_empty() {
-                return Err(USAGE.to_string());
-            }
-            Mode::Bundle {
-                path,
-                schedule,
-                policy,
-            }
-        }
-        "pipeline" => {
-            let mut layers = None;
-            let mut devices = None;
-            let mut strategy = None;
-            let mut group = 1usize;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--layers" => {
-                        layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-                    }
-                    "--devices" => {
-                        devices = Some(parse_usize(
-                            "--devices",
-                            need_value(&mut argv, "--devices")?,
-                        )?)
-                    }
-                    "--strategy" => {
-                        strategy = Some(parse_strategy(&need_value(&mut argv, "--strategy")?)?)
-                    }
-                    "--group" => group = parse_usize("--group", need_value(&mut argv, "--group")?)?,
-                    "--budget" => {
-                        budget = Budget::nodes(parse_usize(
-                            "--budget",
-                            need_value(&mut argv, "--budget")?,
-                        )? as u64)
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            match (layers, devices, strategy) {
-                (Some(layers), Some(devices), Some(strategy))
-                    if layers > 0 && devices > 0 && group >= 1 =>
-                {
-                    Mode::Pipeline {
-                        layers,
-                        devices,
-                        strategy,
-                        group,
-                    }
-                }
-                _ => return Err(USAGE.to_string()),
-            }
-        }
-        "--help" | "-h" => return Err(USAGE.to_string()),
-        other => return Err(format!("unknown mode: {other:?}\n{USAGE}")),
+        _ => return Err(USAGE.to_string()),
     };
     Ok(Args {
         mode,
@@ -353,19 +289,11 @@ fn run_order_mode(
     policy: CommPolicy,
     budget: &Budget,
 ) -> Result<Item, String> {
-    let graph = TrainGraph::data_parallel(layers);
-    let cost = TableCost::uniform(
-        layers,
-        LayerCost {
-            sync_weight: sync,
-            ..LayerCost::default()
-        },
-    );
-    let order = reverse_first_k(&graph, k, None::<(u64, &TableCost)>).map_err(|e| e.to_string())?;
-    let (_, solved) =
-        certify_order(&graph, &order, &cost, policy, budget).map_err(|e| e.to_string())?;
+    let inst = order_instance(layers, k, sync).map_err(|e| e.to_string())?;
+    let (_, solved) = certify_order(&inst.graph, &inst.order, &inst.cost, policy, budget)
+        .map_err(|e| e.to_string())?;
     Ok(Item {
-        name: format!("reverse-first-k(l={layers}, k={k})"),
+        name: inst.name,
         kind: "order",
         placement: Placement::ByClass,
         solved,
@@ -383,49 +311,43 @@ fn run_bundle_mode(
         .map_err(|e| format!("cannot parse {path}: {e}"))?;
     let graph = TrainGraph::new(bundle.graph.clone())
         .map_err(|e| format!("invalid graph configuration: {e}"))?;
-
-    let mut items = Vec::new();
-    for (name, order) in &bundle.orders {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
-        // Backward orders of a data-parallel graph certify against the
-        // link lane the engine would add; anything else certifies as a
-        // flat single-lane schedule.
-        let solved = if graph.config().sync_weight_grads {
-            let backward: Vec<_> = order.iter().copied().filter(|o| o.is_backward()).collect();
-            certify_order(&graph, &backward, &UnitCost, policy, budget).map(|(_, s)| s)
-        } else {
-            let s = Schedule::single_lane(name, order.clone());
-            certify_with(&graph, &s, &UnitCost, Placement::ByClass, budget)
-        };
-        items.push(Item {
-            name: name.clone(),
-            kind: "order",
-            placement: Placement::ByClass,
-            solved: solved.map_err(|e| format!("{name}: {e}"))?,
-        });
+    let entries = bundle.select(wanted)?;
+    if entries.is_empty() {
+        return Err("bundle holds no orders or schedules".to_string());
     }
-    for (name, schedule) in &bundle.schedules {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
-        let solved = certify_with(&graph, schedule, &UnitCost, Placement::ByClass, budget)
-            .map_err(|e| format!("{name}: {e}"))?;
-        items.push(Item {
-            name: name.clone(),
-            kind: "schedule",
-            placement: Placement::ByClass,
-            solved,
-        });
-    }
-    if items.is_empty() {
-        return Err(match wanted {
-            Some(w) => format!("no order or schedule named {w:?} in the bundle"),
-            None => "bundle holds no orders or schedules".to_string(),
-        });
-    }
-    Ok(items)
+    entries
+        .iter()
+        .map(|entry| {
+            let kind = match entry {
+                BundleEntry::Order(..) => "order",
+                BundleEntry::Schedule(..) => "schedule",
+            };
+            // Backward orders of a data-parallel graph certify against
+            // the link lane the engine would add; anything else
+            // certifies as a flat single-lane schedule.
+            let solved = match entry {
+                BundleEntry::Order(_, order) if graph.config().sync_weight_grads => {
+                    let backward: Vec<_> =
+                        order.iter().copied().filter(|o| o.is_backward()).collect();
+                    certify_order(&graph, &backward, &UnitCost, policy, budget).map(|(_, s)| s)
+                }
+                _ => certify_with(
+                    &graph,
+                    &entry.to_schedule(),
+                    &UnitCost,
+                    Placement::ByClass,
+                    budget,
+                ),
+            };
+            let name = entry.name();
+            Ok(Item {
+                name: name.to_string(),
+                kind,
+                placement: Placement::ByClass,
+                solved: solved.map_err(|e| format!("{name}: {e}"))?,
+            })
+        })
+        .collect()
 }
 
 fn run_pipeline_mode(
@@ -440,17 +362,8 @@ fn run_pipeline_mode(
     // per-lane orderings only.
     let solved = certify_with(&graph, &schedule, &UnitCost, Placement::Fixed, budget)
         .map_err(|e| e.to_string())?;
-    let name = match strategy {
-        Strategy::ModelParallel => "model-parallel",
-        Strategy::GPipe => "gpipe",
-        Strategy::PipeDream => "pipedream",
-        Strategy::Dapple => "dapple",
-        Strategy::MegatronInterleaved { .. } => "megatron-interleaved",
-        Strategy::OooPipe1 => "ooo-pipe1",
-        Strategy::OooPipe2 => "ooo-pipe2",
-    };
     Ok(Item {
-        name: format!("{name}(l={layers}, d={devices}, g={group})"),
+        name: format!("{}(l={layers}, d={devices}, g={group})", strategy.label()),
         kind: "pipeline",
         placement: Placement::Fixed,
         solved,

@@ -610,129 +610,6 @@ pub fn run_with_fixed_k(
     })
 }
 
-/// Like [`run`] with the OOO-BytePS system, but the backward order is
-/// chosen by the [`ooo_tune`] autotuner instead of the concave
-/// [`search_optimal_k`] heuristic: reverse-first-k jumps plus free `dW`
-/// relocations, scored by the exact predictor over the statically
-/// reconstructed two-lane schedule (with `S[dW_i]` costed as the
-/// round-trip wire time of this link), gated by the verifier, and
-/// certified against the core data-parallel simulator before the
-/// chunk-level engine simulation runs the winner. Returns the report
-/// together with the tuning outcome; `report.k` is the tuned order's
-/// k-shape when it still is one (0 otherwise).
-///
-/// # Errors
-///
-/// Propagates scheduling errors, plus [`crate::Error::InvalidConfig`]
-/// when tuning or certification fails (which would indicate an engine
-/// bug: reverse-first-k orders are verifier-clean by construction).
-pub fn run_tuned(
-    model: &ModelSpec,
-    per_gpu_batch: usize,
-    gpu: &GpuProfile,
-    topology: &ClusterTopology,
-    gpus: usize,
-) -> Result<(DataParReport, ooo_tune::order::TunedOrder)> {
-    let s = setup(
-        model,
-        per_gpu_batch,
-        gpu,
-        topology,
-        gpus,
-        CommSystem::OooBytePS,
-    );
-    // The tuning cost table mirrors the engine: compute times from the
-    // GPU profile, `S[dW_i]` as the push+pull wire time of this link.
-    let mut tune_cost = s.cost.clone();
-    for (i, &bytes) in s.wire_bytes.iter().enumerate() {
-        tune_cost.layer_mut(LayerId(i + 1)).sync_weight = s.link.transfer_ns(2 * bytes);
-    }
-    let baseline = reverse_first_k::<TableCost>(&s.graph, 0, None)?;
-    let tuned = ooo_tune::order::tune_backward_order(
-        &s.graph,
-        &baseline,
-        Some(0),
-        &tune_cost,
-        ooo_core::datapar::CommPolicy::PriorityByLayer,
-        ooo_tune::order::KFamily::ReverseFirstK,
-        &ooo_tune::TuneOptions::default(),
-    )
-    .map_err(|e| crate::Error::InvalidConfig(format!("autotuning failed: {e}")))?;
-    ooo_tune::order::certify_order(
-        &s.graph,
-        &tuned.order,
-        &tune_cost,
-        ooo_core::datapar::CommPolicy::PriorityByLayer,
-    )
-    .map_err(|e| crate::Error::InvalidConfig(format!("certification failed: {e}")))?;
-    let iter_ns = simulate_iteration(
-        &s.cost,
-        &s.wire_bytes,
-        &tuned.order,
-        &s.link,
-        s.policy,
-        s.tau,
-        &LinkFault::none(),
-        LossHandling::RestartTensor,
-    );
-    let pure_compute: SimTime = s.cost.total_backward() + s.cost.total_forward();
-    Ok((
-        DataParReport {
-            iter_ns,
-            throughput: (per_gpu_batch * gpus) as f64 * 1e9 / iter_ns.max(1) as f64,
-            k: tuned.k.unwrap_or(0),
-            exposed_sync_ns: iter_ns.saturating_sub(pure_compute),
-        },
-        tuned,
-    ))
-}
-
-/// Like [`run_tuned`], but the tuned backward order's two-lane
-/// data-parallel realization is additionally put before the
-/// [`ooo_cert`] exact solver, which either proves it optimal over all
-/// same-class placements, exhibits a strictly better witness, or
-/// returns certified bounds on budget exhaustion. Returns the report,
-/// the tuning outcome, and the certificate.
-///
-/// # Errors
-///
-/// As [`run_tuned`], plus [`crate::Error::InvalidConfig`] when the
-/// certifier rejects the tuned order (which would indicate an engine
-/// bug: tuned orders are valid by construction).
-pub fn run_certified(
-    model: &ModelSpec,
-    per_gpu_batch: usize,
-    gpu: &GpuProfile,
-    topology: &ClusterTopology,
-    gpus: usize,
-    budget: &ooo_cert::Budget,
-) -> Result<(DataParReport, ooo_tune::order::TunedOrder, ooo_cert::Solved)> {
-    let (report, tuned) = run_tuned(model, per_gpu_batch, gpu, topology, gpus)?;
-    // Mirror `run_tuned`'s cost table: compute times from the GPU
-    // profile, `S[dW_i]` as the push+pull wire time of this link.
-    let s = setup(
-        model,
-        per_gpu_batch,
-        gpu,
-        topology,
-        gpus,
-        CommSystem::OooBytePS,
-    );
-    let mut tune_cost = s.cost.clone();
-    for (i, &bytes) in s.wire_bytes.iter().enumerate() {
-        tune_cost.layer_mut(LayerId(i + 1)).sync_weight = s.link.transfer_ns(2 * bytes);
-    }
-    let (_, solved) = ooo_cert::certify_order(
-        &s.graph,
-        &tuned.order,
-        &tune_cost,
-        ooo_core::datapar::CommPolicy::PriorityByLayer,
-        budget,
-    )
-    .map_err(|e| crate::Error::InvalidConfig(format!("certification failed: {e}")))?;
-    Ok((report, tuned, solved))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -958,14 +835,5 @@ mod tests {
             );
             prev = r.throughput;
         }
-    }
-
-    #[test]
-    fn tuned_order_is_no_worse_than_its_baseline() {
-        let m = resnet(50);
-        let (r, tuned) = run_tuned(&m, 64, &v100(), &ClusterTopology::pub_a(), 8).unwrap();
-        assert!(tuned.predicted <= tuned.baseline);
-        assert_eq!(r.k, tuned.k.unwrap_or(0));
-        assert!(r.iter_ns > 0 && r.throughput > 0.0);
     }
 }

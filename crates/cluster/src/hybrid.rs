@@ -291,120 +291,6 @@ pub fn run_combined_best_k(
     )
 }
 
-/// Like [`run_combined_best_k`], but the split depth `k` is chosen by
-/// the [`ooo_tune`] autotuner's exhaustive predictor sweep
-/// ([`ooo_tune::order::best_combined_k`]) instead of the concave
-/// [`ooo_core::combined::choose_split_k`] heuristic: every combined
-/// backward order is statically scored under a cost table whose
-/// `S[dW_i]` is the round-trip wire time of the replica sync link, and
-/// the predictor-optimal `k` drives the engine. The sweep sees the whole
-/// surface, so a non-concave throughput curve cannot trap it in a local
-/// optimum. Returns the report together with the chosen `k` and its
-/// predicted makespan.
-///
-/// # Errors
-///
-/// As [`run_combined`], plus [`crate::Error::InvalidConfig`] when the
-/// predictor sweep fails (which would indicate an engine bug: combined
-/// orders are valid by construction).
-#[allow(clippy::too_many_arguments)]
-pub fn run_combined_tuned(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    intra_link: &LinkSpec,
-    sync_link: &LinkSpec,
-    devices: usize,
-    replicas: usize,
-    iterations: usize,
-) -> Result<(HybridReport, usize, SimTime)> {
-    let l = model.num_layers();
-    let graph = ooo_core::TrainGraph::data_parallel(l);
-    let mut cost = ooo_models::cost::to_table_cost(model, batch, gpu);
-    for (i, layer) in model.layers.iter().enumerate() {
-        let bytes = if replicas <= 1 { 0 } else { layer.param_bytes };
-        cost.layer_mut(ooo_core::op::LayerId(i + 1)).sync_weight = sync_link.transfer_ns(2 * bytes);
-    }
-    let (k, predicted) = ooo_tune::order::best_combined_k(
-        &graph,
-        &cost,
-        ooo_core::datapar::CommPolicy::PriorityByLayer,
-    )
-    .map_err(|e| crate::Error::InvalidConfig(format!("autotuning failed: {e}")))?;
-    let report = run_combined(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        intra_link,
-        sync_link,
-        devices,
-        replicas,
-        k,
-        iterations,
-    )?;
-    Ok((report, k, predicted))
-}
-
-/// Like [`run_combined_tuned`], but the chosen combined backward order
-/// is additionally put before the [`ooo_cert`] exact solver: the
-/// two-lane realization of the tuned order (compute + sync link) is
-/// either proven optimal over all class-legal lane assignments and
-/// orderings, refuted with a strictly better witness schedule, or
-/// bracketed by certified bounds when the node budget runs out.
-/// Returns the report, the chosen `k`, its predicted makespan, and the
-/// certificate.
-///
-/// # Errors
-///
-/// As [`run_combined_tuned`], plus [`crate::Error::InvalidConfig`]
-/// when the certifier rejects the tuned order (which would indicate an
-/// engine bug: combined orders are valid by construction).
-#[allow(clippy::too_many_arguments)]
-pub fn run_combined_certified(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    intra_link: &LinkSpec,
-    sync_link: &LinkSpec,
-    devices: usize,
-    replicas: usize,
-    iterations: usize,
-    budget: &ooo_cert::Budget,
-) -> Result<(HybridReport, usize, SimTime, ooo_cert::Solved)> {
-    let (report, k, predicted) = run_combined_tuned(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        intra_link,
-        sync_link,
-        devices,
-        replicas,
-        iterations,
-    )?;
-    let l = model.num_layers();
-    let graph = ooo_core::TrainGraph::data_parallel(l);
-    let mut cost = ooo_models::cost::to_table_cost(model, batch, gpu);
-    for (i, layer) in model.layers.iter().enumerate() {
-        let bytes = if replicas <= 1 { 0 } else { layer.param_bytes };
-        cost.layer_mut(ooo_core::op::LayerId(i + 1)).sync_weight = sync_link.transfer_ns(2 * bytes);
-    }
-    let order = ooo_core::combined::combined_backward_order(&graph, k)
-        .map_err(|e| crate::Error::InvalidConfig(format!("combined order failed: {e}")))?;
-    let (_, solved) = ooo_cert::certify_order(
-        &graph,
-        &order,
-        &cost,
-        ooo_core::datapar::CommPolicy::PriorityByLayer,
-        budget,
-    )
-    .map_err(|e| crate::Error::InvalidConfig(format!("certification failed: {e}")))?;
-    Ok((report, k, predicted, solved))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,18 +343,5 @@ mod tests {
         let base = run_combined(&m, 96, 4, &gpu, &nv, &eth, 4, 4, 0, 4).unwrap();
         let best = run_combined_best_k(&m, 96, 4, &gpu, &nv, &eth, 4, 4, 4).unwrap();
         assert!(best.throughput >= base.throughput * 0.999);
-    }
-
-    #[test]
-    fn tuned_hybrid_split_matches_the_report() {
-        let m = bert(12, 128);
-        let gpu = GpuProfile::v100();
-        let nv = LinkSpec::nvlink();
-        let eth = LinkSpec::ethernet_10g();
-        let (r, k, predicted) = run_combined_tuned(&m, 96, 4, &gpu, &nv, &eth, 4, 4, 4).unwrap();
-        assert_eq!(r.k, k);
-        assert!(k <= m.num_layers());
-        assert!(predicted > 0);
-        assert!(r.throughput > 0.0);
     }
 }

@@ -65,94 +65,6 @@ pub fn run(
     )
 }
 
-/// Like [`run`] with the OOO-Pipe2 strategy, but the modulo group is
-/// chosen by the [`ooo_tune`] autotuner instead of being passed in: the
-/// op-level schedule is tuned under the exact predictor (regroup moves
-/// across every modulo group plus in-lane `dW` deferrals, verifier-gated
-/// and simulation-certified), and the engine then runs OOO-Pipe2 with
-/// the winning group. Returns the report together with the tuning
-/// outcome, whose `group` is the chosen modulo group.
-///
-/// # Errors
-///
-/// As [`run`], plus [`Error::InvalidConfig`] when tuning or
-/// certification fails (which would indicate an engine bug: op-level
-/// strategy schedules are verifier-clean by construction).
-pub fn run_tuned(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    link: &LinkSpec,
-    devices: usize,
-    iterations: usize,
-) -> Result<(PipelineReport, ooo_tune::pipeline::TunedPipeline)> {
-    let layers = model.num_layers();
-    let tuned = ooo_tune::pipeline::tune_pipeline(
-        layers,
-        devices,
-        Strategy::OooPipe2,
-        1,
-        &ooo_core::cost::UnitCost,
-        &ooo_tune::TuneOptions::default(),
-    )
-    .map_err(|e| Error::InvalidConfig(format!("autotuning failed: {e}")))?;
-    ooo_tune::certify_schedule(&tuned.graph, &tuned.schedule, &ooo_core::cost::UnitCost)
-        .map_err(|e| Error::InvalidConfig(format!("certification failed: {e}")))?;
-    let report = run(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        link,
-        devices,
-        Strategy::OooPipe2,
-        tuned.group,
-        iterations,
-    )?;
-    Ok((report, tuned))
-}
-
-/// Like [`run_tuned`], but the tuned op-level schedule is additionally
-/// put before the [`ooo_cert`] exact solver under fixed device
-/// placement (stage assignment is part of the pipeline strategy, so
-/// only per-lane orderings are searched): it either proves the tuned
-/// orderings optimal, exhibits a strictly better witness, or returns
-/// certified bounds when the node budget runs out. Returns the report,
-/// the tuning outcome, and the certificate.
-///
-/// # Errors
-///
-/// As [`run_tuned`], plus [`Error::InvalidConfig`] when the certifier
-/// rejects the tuned schedule (which would indicate an engine bug:
-/// tuned schedules evaluate by construction).
-#[allow(clippy::too_many_arguments)]
-pub fn run_tuned_certified(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    link: &LinkSpec,
-    devices: usize,
-    iterations: usize,
-    budget: &ooo_cert::Budget,
-) -> Result<(
-    PipelineReport,
-    ooo_tune::pipeline::TunedPipeline,
-    ooo_cert::Solved,
-)> {
-    let (report, tuned) = run_tuned(model, batch, micro_batches, gpu, link, devices, iterations)?;
-    let solved = ooo_cert::certify_with(
-        &tuned.graph,
-        &tuned.schedule,
-        &ooo_core::cost::UnitCost,
-        ooo_cert::Placement::Fixed,
-        budget,
-    )
-    .map_err(|e| Error::InvalidConfig(format!("certification failed: {e}")))?;
-    Ok((report, tuned, solved))
-}
-
 /// Like [`run`] with one pipeline stage straggling: every computation
 /// placed on `straggler_device` runs `factor`× slower (a factor ≤ 1
 /// reproduces [`run`] exactly). This is the per-stage slowdown 2BP-style
@@ -436,15 +348,6 @@ mod tests {
     fn single_gpu_reference_runs() {
         let m = ffnn16(1_024);
         let r = single_gpu_reference(&m, 256, &v100(), 3).unwrap();
-        assert!(r.throughput > 0.0);
-    }
-
-    #[test]
-    fn tuned_pipeline_never_predicts_worse_than_ooo_pipe2() {
-        let m = ffnn16(1_024);
-        let (r, tuned) = run_tuned(&m, 256, 4, &v100(), &LinkSpec::nvlink(), 4, 4).unwrap();
-        assert!(tuned.predicted <= tuned.baseline);
-        assert!(tuned.group >= 1 && tuned.group <= m.num_layers());
         assert!(r.throughput > 0.0);
     }
 }

@@ -454,88 +454,6 @@ pub fn run_ooo_with_sub_order(
     })
 }
 
-/// Runs the OOO-XLA engine with an autotuned sub-stream order: the
-/// multi-region plan of Algorithm 1 is the heuristic baseline, then the
-/// [`ooo_tune`] local search re-orders the sub-stream weight gradients
-/// under the exact makespan predictor (verifier-gated, certified by
-/// simulation) before the GPU simulator runs the winner. Returns the
-/// report together with the tuning outcome (baseline vs tuned predicted
-/// makespan and the move trajectory).
-///
-/// # Errors
-///
-/// Everything [`run`] returns, plus [`Error::InvalidConfig`] when
-/// tuning or certification fails (which would indicate an engine bug:
-/// Algorithm 1's plans are verifier-clean by construction).
-pub fn run_ooo_tuned(
-    model: &ModelSpec,
-    batch: usize,
-    gpu: &GpuProfile,
-) -> Result<(SingleGpuReport, ooo_tune::Tuned)> {
-    let l = model.num_layers();
-    let graph = TrainGraph::single_gpu(l);
-    let kernels = model_kernels(model, batch, gpu);
-    let spec = gpuspec(gpu);
-    let plan = plan_multi_region(model, &kernels, &spec, batch, gpu)?;
-    let (regions, _) = build_regions(model, &kernels, &spec);
-    let baseline = plan.to_schedule(&regions);
-    let cost = to_table_cost(model, batch, gpu);
-    // The sub-stream stays a sub-stream: `run_ooo_with_sub_order` wants
-    // every dW there, so only in-lane re-ordering is allowed. The plan
-    // is partial (updates are implicit in this engine).
-    let opts = ooo_tune::TuneOptions {
-        cross_lane: false,
-        require_complete: false,
-        ..ooo_tune::TuneOptions::default()
-    };
-    let tuned = ooo_tune::tune_schedule(&graph, &baseline, &cost, &opts)
-        .map_err(|e| Error::InvalidConfig(format!("autotuning failed: {e}")))?;
-    ooo_tune::certify_schedule(&graph, &tuned.schedule, &cost)
-        .map_err(|e| Error::InvalidConfig(format!("certification failed: {e}")))?;
-    let sub_order: Vec<Op> = tuned
-        .schedule
-        .lanes
-        .iter()
-        .find(|lane| lane.name == "sub-stream")
-        .map(|lane| lane.ops.clone())
-        .unwrap_or_default();
-    let report = run_ooo_with_sub_order(model, batch, gpu, &sub_order)?;
-    Ok((report, tuned))
-}
-
-/// Like [`run_ooo_tuned`], but the tuned schedule is additionally put
-/// before the [`ooo_cert`] exact solver: under fixed lane placement
-/// (the engine pins every `dW` to the sub-stream) the branch-and-bound
-/// search either proves the tuned per-lane orderings optimal, exhibits
-/// a strictly better witness, or returns certified bounds when the
-/// node budget runs out. Returns the report, the tuning outcome, and
-/// the certificate.
-///
-/// # Errors
-///
-/// As [`run_ooo_tuned`], plus [`Error::InvalidConfig`] when the
-/// certifier rejects the tuned schedule (which would indicate an
-/// engine bug: tuned schedules evaluate by construction).
-pub fn run_ooo_certified(
-    model: &ModelSpec,
-    batch: usize,
-    gpu: &GpuProfile,
-    budget: &ooo_cert::Budget,
-) -> Result<(SingleGpuReport, ooo_tune::Tuned, ooo_cert::Solved)> {
-    let (report, tuned) = run_ooo_tuned(model, batch, gpu)?;
-    let graph = TrainGraph::single_gpu(model.num_layers());
-    let cost = to_table_cost(model, batch, gpu);
-    let solved = ooo_cert::certify_with(
-        &graph,
-        &tuned.schedule,
-        &cost,
-        ooo_cert::Placement::Fixed,
-        budget,
-    )
-    .map_err(|e| Error::InvalidConfig(format!("certification failed: {e}")))?;
-    Ok((report, tuned, solved))
-}
-
 /// Runs Algorithm 1 for a model and returns the sub-stream schedule,
 /// constrained to 1.1x the conventional schedule's peak memory — the
 /// budget the paper uses throughout its single-GPU experiments.
@@ -929,15 +847,5 @@ mod tests {
         let ratio = peak(&ooo) as f64 / peak(&conv) as f64;
         // Algorithm 1 runs under a 1.1x peak budget.
         assert!((0.9..1.2).contains(&ratio), "peak ratio {ratio}");
-    }
-
-    #[test]
-    fn tuned_sub_order_is_certified_and_runs() {
-        let m = mobilenet_v3_large(1.0);
-        let gpu = GpuProfile::v100();
-        let (r, tuned) = run_ooo_tuned(&m, 32, &gpu).unwrap();
-        // The tuner never returns a schedule predicted worse than its input.
-        assert!(tuned.predicted <= tuned.baseline);
-        assert!(r.iter_ns > 0 && r.throughput > 0.0);
     }
 }

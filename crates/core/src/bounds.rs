@@ -19,7 +19,7 @@
 
 use crate::cost::CostModel;
 use crate::graph::TrainGraph;
-use crate::SimTime;
+use crate::{Op, Schedule, SimTime};
 
 /// The critical-path lower bound: the longest cost-weighted dependency
 /// chain in the graph.
@@ -153,7 +153,7 @@ pub fn lower_bound<C: CostModel>(
 pub fn partial_lower_bound<C: CostModel>(
     graph: &TrainGraph,
     cost: &C,
-    scheduled: &[crate::Op],
+    scheduled: &[Op],
     compute_lanes: usize,
     link_lanes: usize,
 ) -> SimTime {
@@ -217,6 +217,39 @@ pub fn partial_lower_bound<C: CostModel>(
         }
     }
     best
+}
+
+/// The compute and link lane counts of `schedule`: lanes running at
+/// least one compute op, and lanes running at least one sync op, each
+/// floored at 1.
+pub fn lane_counts(schedule: &Schedule) -> (usize, usize) {
+    let count = |class: fn(Op) -> bool| {
+        schedule
+            .lanes
+            .iter()
+            .filter(|l| l.ops.iter().any(|&o| class(o)))
+            .count()
+            .max(1)
+    };
+    (count(Op::is_compute), count(Op::is_sync))
+}
+
+/// The certified makespan floor of `schedule`: [`partial_lower_bound`]
+/// over exactly the ops it runs, on its own [`lane_counts`]. Moves that
+/// reorder or relocate ops without adding lanes or ops cannot beat it,
+/// so a schedule that meets it is provably makespan-optimal.
+pub fn schedule_lower_bound<C: CostModel>(
+    graph: &TrainGraph,
+    cost: &C,
+    schedule: &Schedule,
+) -> SimTime {
+    let scheduled: Vec<Op> = schedule
+        .lanes
+        .iter()
+        .flat_map(|l| l.ops.iter().copied())
+        .collect();
+    let (compute, link) = lane_counts(schedule);
+    partial_lower_bound(graph, cost, &scheduled, compute, link)
 }
 
 /// Makespan divided by the lower bound (1.0 = provably optimal).

@@ -32,6 +32,28 @@ pub enum CommPolicy {
     PriorityByLayer,
 }
 
+impl CommPolicy {
+    /// Stable wire name (inverse of [`CommPolicy::parse`]).
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            CommPolicy::FifoCompletion => "fifo",
+            CommPolicy::PriorityByLayer => "bylayer",
+        }
+    }
+
+    /// Parses a wire name (`fifo` or `bylayer`).
+    ///
+    /// # Errors
+    ///
+    /// `unknown policy: "<name>"` for any other name.
+    pub fn parse(name: &str) -> std::result::Result<CommPolicy, String> {
+        [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer]
+            .into_iter()
+            .find(|p| p.wire_name() == name)
+            .ok_or_else(|| format!("unknown policy: {name:?}"))
+    }
+}
+
 /// Resource id of the compute lane in the produced timeline.
 pub const COMPUTE: ResourceId = ResourceId(0);
 /// Resource id of the communication lane in the produced timeline.
@@ -433,6 +455,17 @@ mod tests {
     use super::*;
     use crate::cost::{LayerCost, TableCost};
     use crate::reverse_k::{reverse_first_k, search_optimal_k};
+
+    #[test]
+    fn policy_names_round_trip() {
+        for p in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
+            assert_eq!(CommPolicy::parse(p.wire_name()), Ok(p));
+        }
+        assert_eq!(
+            CommPolicy::parse("lifo"),
+            Err("unknown policy: \"lifo\"".to_string())
+        );
+    }
 
     fn cost(l: usize, sync: SimTime) -> TableCost {
         TableCost::uniform(

@@ -140,6 +140,38 @@ impl ScheduleBundle {
         Ok(bundle)
     }
 
+    /// The entries named `wanted` (every entry when `None`): orders
+    /// first, then schedules, each in name order.
+    ///
+    /// # Errors
+    ///
+    /// `no order or schedule named "<wanted>" in the bundle` when
+    /// `wanted` names no entry. An empty bundle selected with `None` is
+    /// not an error: the caller decides what nothing to do means.
+    pub fn select(
+        &self,
+        wanted: Option<&str>,
+    ) -> std::result::Result<Vec<BundleEntry<'_>>, String> {
+        let orders = self
+            .orders
+            .iter()
+            .map(|(name, order)| BundleEntry::Order(name, order));
+        let schedules = self
+            .schedules
+            .iter()
+            .map(|(name, schedule)| BundleEntry::Schedule(name, schedule));
+        let entries: Vec<_> = orders
+            .chain(schedules)
+            .filter(|e| wanted.is_none_or(|w| w == e.name()))
+            .collect();
+        match wanted {
+            Some(w) if entries.is_empty() => {
+                Err(format!("no order or schedule named {w:?} in the bundle"))
+            }
+            _ => Ok(entries),
+        }
+    }
+
     fn from_value(root: &Value) -> Result<Self> {
         let model = require_str(root, "model")?.to_string();
         let graph = graph_config_from_value(require(root, "graph")?)?;
@@ -157,6 +189,34 @@ impl ScheduleBundle {
             orders,
             schedules,
         })
+    }
+}
+
+/// One named entry of a [`ScheduleBundle`], as yielded by
+/// [`ScheduleBundle::select`].
+#[derive(Debug, Clone, Copy)]
+pub enum BundleEntry<'a> {
+    /// A flat execution order.
+    Order(&'a str, &'a [Op]),
+    /// A multi-lane schedule.
+    Schedule(&'a str, &'a Schedule),
+}
+
+impl BundleEntry<'_> {
+    /// The entry's name in the bundle.
+    pub fn name(&self) -> &str {
+        match self {
+            BundleEntry::Order(name, _) | BundleEntry::Schedule(name, _) => name,
+        }
+    }
+
+    /// The entry as a schedule: a flat order becomes a single lane
+    /// named after the entry; a schedule is cloned as-is.
+    pub fn to_schedule(&self) -> Schedule {
+        match self {
+            BundleEntry::Order(name, order) => Schedule::single_lane(name, order.to_vec()),
+            BundleEntry::Schedule(_, schedule) => (*schedule).clone(),
+        }
     }
 }
 
@@ -355,6 +415,30 @@ mod tests {
     use super::*;
     use crate::cost::UnitCost;
     use crate::reverse_k::reverse_first_k;
+
+    #[test]
+    fn select_yields_orders_then_schedules_and_names_a_miss() {
+        let graph = TrainGraph::single_gpu(3);
+        let mut bundle = ScheduleBundle::new("toy", &graph);
+        bundle
+            .add_order("z-order", &graph, graph.conventional_backprop())
+            .unwrap();
+        bundle
+            .schedules
+            .insert("a-schedule".to_string(), Schedule::new());
+        let names = |wanted| -> Vec<String> {
+            let entries = bundle.select(wanted).unwrap();
+            entries.iter().map(|e| e.name().to_string()).collect()
+        };
+        assert_eq!(names(None), ["z-order", "a-schedule"]);
+        assert_eq!(names(Some("a-schedule")), ["a-schedule"]);
+        assert_eq!(
+            bundle.select(Some("nope")).unwrap_err(),
+            "no order or schedule named \"nope\" in the bundle"
+        );
+        let empty = ScheduleBundle::new("empty", &graph);
+        assert!(empty.select(None).unwrap().is_empty());
+    }
 
     #[test]
     fn round_trip_preserves_orders() {

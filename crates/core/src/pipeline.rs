@@ -108,6 +108,57 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// Every strategy the CLIs and the wire protocol can name
+    /// (Megatron with its default two chunks).
+    const ALL: [Strategy; 7] = [
+        Strategy::ModelParallel,
+        Strategy::GPipe,
+        Strategy::PipeDream,
+        Strategy::Dapple,
+        Strategy::MegatronInterleaved { chunks: 2 },
+        Strategy::OooPipe1,
+        Strategy::OooPipe2,
+    ];
+
+    /// The name table: `(wire name, label)`. The wire name (`pipe2`) is
+    /// what `--strategy` and the `ooo-serve` protocol accept and echo;
+    /// the label (`ooo-pipe2`) names the strategy in rendered output.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Strategy::ModelParallel => ("mp", "model-parallel"),
+            Strategy::GPipe => ("gpipe", "gpipe"),
+            Strategy::PipeDream => ("pipedream", "pipedream"),
+            Strategy::Dapple => ("dapple", "dapple"),
+            Strategy::MegatronInterleaved { .. } => ("megatron", "megatron-interleaved"),
+            Strategy::OooPipe1 => ("pipe1", "ooo-pipe1"),
+            Strategy::OooPipe2 => ("pipe2", "ooo-pipe2"),
+        }
+    }
+
+    /// Stable wire name (inverse of [`Strategy::parse`]).
+    pub fn wire_name(self) -> &'static str {
+        self.names().0
+    }
+
+    /// Human-readable label used in rendered reports.
+    pub fn label(self) -> &'static str {
+        self.names().1
+    }
+
+    /// Parses a wire name; `modelparallel` is accepted as an alias of
+    /// `mp`.
+    ///
+    /// # Errors
+    ///
+    /// `unknown strategy: "<name>"` for any other name.
+    pub fn parse(name: &str) -> std::result::Result<Strategy, String> {
+        let wire = if name == "modelparallel" { "mp" } else { name };
+        Strategy::ALL
+            .into_iter()
+            .find(|s| s.wire_name() == wire)
+            .ok_or_else(|| format!("unknown strategy: {name:?}"))
+    }
+
     /// Whether weight-gradient computations are decoupled from their
     /// layer's output-gradient computation (gradient fast-forwarding).
     pub fn fast_forwarding(self) -> bool {
@@ -894,6 +945,22 @@ mod tests {
 
     fn unit_result(layers: usize, devices: usize, micros: usize, s: Strategy) -> PipelineResult {
         simulate_pipeline(&PipelineConfig::unit(layers, devices, micros, s)).unwrap()
+    }
+
+    #[test]
+    fn strategy_names_round_trip() {
+        for s in Strategy::ALL {
+            assert_eq!(Strategy::parse(s.wire_name()), Ok(s));
+        }
+        assert_eq!(
+            Strategy::parse("modelparallel"),
+            Ok(Strategy::ModelParallel)
+        );
+        assert_eq!(Strategy::OooPipe2.label(), "ooo-pipe2");
+        assert_eq!(
+            Strategy::parse("bogus"),
+            Err("unknown strategy: \"bogus\"".to_string())
+        );
     }
 
     #[test]

@@ -1,25 +1,21 @@
 //! Request handlers: the compute commands, executed on pool workers.
 //!
-//! Each handler mirrors the corresponding one-shot CLI (`ooo-tune
-//! order|bundle|pipeline`, `ooo-cert order`) but returns a
-//! [`Payload`] instead of printing, and threads the request's
+//! The tuning commands run the same [`ooo_tune::job`] as the one-shot
+//! `ooo-tune` CLI, and `cert` certifies the same
+//! [`ooo_tune::job::order_instance`] as `ooo-cert order`; a handler
+//! returns a [`Payload`] instead of printing, and threads the request's
 //! degradation tier, logical budget, and wall-clock deadline into the
 //! search ([`TuneOptions::budget`] / [`TuneOptions::deadline`] /
 //! [`ooo_cert::Budget`]). Every tier returns a certified result —
 //! degradation reduces search effort, never correctness.
 
 use crate::protocol::{strategy_name, Command, FaultDirective, Payload, Status, Tier};
-use ooo_core::cost::{CostModel, LayerCost, TableCost, UnitCost};
 use ooo_core::datapar::CommPolicy;
 use ooo_core::export::ScheduleBundle;
 use ooo_core::json::{obj, Value};
-use ooo_core::pipeline::Strategy;
-use ooo_core::reverse_k::reverse_first_k;
-use ooo_core::schedule::Schedule;
-use ooo_core::{Op, SimTime, TrainGraph};
-use ooo_tune::order::{certify_order, tune_backward_order, KFamily};
-use ooo_tune::pipeline::tune_pipeline;
-use ooo_tune::{certify_schedule, tune_schedule, Error, TuneOptions, Tuned};
+use ooo_core::SimTime;
+use ooo_tune::job::{bundle_job, order_instance, order_job, pipeline_job, Outcome};
+use ooo_tune::{Error, TuneOptions};
 use std::time::Instant;
 
 /// Default branch-and-bound node budget for `cert` requests without an
@@ -33,15 +29,9 @@ fn tune_opts(
     tier: Tier,
     budget: Option<u64>,
     deadline: Option<Instant>,
-    require_complete: bool,
-    target: Option<SimTime>,
     memory_cap: Option<u64>,
 ) -> TuneOptions {
     let base = TuneOptions {
-        require_complete,
-        // An over-cap incumbent scores above any makespan floor, so a
-        // target is only a valid early-exit when no cap is in play.
-        target: if memory_cap.is_some() { None } else { target },
         deadline,
         memory_cap,
         ..TuneOptions::default()
@@ -60,292 +50,85 @@ fn tune_opts(
     }
 }
 
-/// The certified makespan floor of `schedule`'s op subset on its lane
-/// structure; fed to the tuner as its early-termination target.
-fn certified_floor<C: CostModel>(graph: &TrainGraph, schedule: &Schedule, cost: &C) -> SimTime {
-    let scheduled: Vec<Op> = schedule
-        .lanes
-        .iter()
-        .flat_map(|l| l.ops.iter().copied())
-        .collect();
-    let compute = schedule
-        .lanes
-        .iter()
-        .filter(|l| l.ops.iter().any(|o| o.is_compute()))
-        .count()
-        .max(1);
-    let link = schedule
-        .lanes
-        .iter()
-        .filter(|l| l.ops.iter().any(|o| o.is_sync()))
-        .count()
-        .max(1);
-    ooo_core::bounds::partial_lower_bound(graph, cost, &scheduled, compute, link)
+/// One tuned result as a response object (fixed key order — the
+/// response stream is byte-compared across runs). Responses carry the
+/// move count, not the move list.
+fn tuned_fields(o: &Outcome) -> Value {
+    o.to_json(Value::Num(o.moves.len() as f64))
 }
 
-/// One tuned result as a response-object field list (fixed key order —
-/// the response stream is byte-compared across runs).
-#[allow(clippy::too_many_arguments)]
-fn tuned_fields(
-    name: &str,
-    kind: &str,
-    baseline: SimTime,
-    tuned: SimTime,
-    certified: SimTime,
-    floor: SimTime,
-    peak: Option<u64>,
-    cap: Option<u64>,
-    k: Option<usize>,
-    moves: usize,
-    restarts_adopted: usize,
-) -> Value {
-    let opt_num = |n: Option<u64>| match n {
-        Some(n) => Value::Num(n as f64),
-        None => Value::Null,
-    };
-    obj([
-        ("name", name.into()),
-        ("kind", kind.into()),
-        ("baseline_makespan", Value::Num(baseline as f64)),
-        ("tuned_makespan", Value::Num(tuned as f64)),
-        ("certified_makespan", Value::Num(certified as f64)),
-        ("lower_bound", Value::Num(floor as f64)),
-        ("proven_optimal", Value::Bool(certified == floor)),
-        ("improved", Value::Bool(tuned < baseline)),
-        ("peak", opt_num(peak)),
-        ("memory_cap", opt_num(cap)),
-        (
-            "cap_met",
-            match (peak, cap) {
-                (Some(p), Some(c)) => Value::Bool(p <= c),
-                _ => Value::Null,
-            },
-        ),
-        (
-            "k",
-            match k {
-                Some(k) => Value::Num(k as f64),
-                None => Value::Null,
-            },
-        ),
-        ("moves", Value::Num(moves as f64)),
-        ("restarts_adopted", Value::Num(restarts_adopted as f64)),
-    ])
+/// A served result at `tier`.
+fn ok(tier: Tier, result: Value) -> Payload {
+    Payload::new(
+        Status::Ok,
+        [("tier", tier.as_str().into()), ("result", result)],
+    )
 }
 
-/// Maps a tuner error onto a payload: gate refusals become `unsafe`
-/// responses with the fired rule codes, everything else a structured
+/// The fired rule codes of a gate refusal.
+fn diagnostics(report: &ooo_verify::Report) -> Value {
+    Value::Arr(
+        report
+            .rule_codes()
+            .iter()
+            .map(|c| c.to_string().into())
+            .collect(),
+    )
+}
+
+/// Maps a tuning job onto a payload: gate refusals become `unsafe`
+/// responses with the fired rule codes, other errors a structured
 /// `error`.
-fn tune_error(e: Error) -> Payload {
-    match e {
-        Error::Unsafe(report) => Payload::new(
-            Status::Unsafe,
-            [(
-                "diagnostics",
-                Value::Arr(
-                    report
-                        .rule_codes()
-                        .iter()
-                        .map(|c| c.to_string().into())
-                        .collect(),
-                ),
-            )],
-        ),
-        other => Payload::error(other.to_string()),
+fn tuned_payload(tier: Tier, r: Result<Outcome, Error>) -> Payload {
+    match r {
+        Ok(o) => ok(tier, tuned_fields(&o)),
+        Err(Error::Unsafe(report)) => {
+            Payload::new(Status::Unsafe, [("diagnostics", diagnostics(&report))])
+        }
+        Err(e) => Payload::error(e.to_string()),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_order(
-    layers: usize,
-    k: usize,
-    sync: SimTime,
-    policy: CommPolicy,
-    tier: Tier,
-    budget: Option<u64>,
-    deadline: Option<Instant>,
-    memory_cap: Option<u64>,
-) -> Payload {
-    let run = || -> Result<Payload, Error> {
-        let graph = TrainGraph::data_parallel(layers);
-        let cost = TableCost::uniform(
-            layers,
-            LayerCost {
-                sync_weight: sync,
-                ..LayerCost::default()
-            },
-        );
-        let baseline = reverse_first_k(&graph, k, None::<(u64, &TableCost)>)?;
-        let realized = ooo_verify::predict::datapar_schedule(&graph, &baseline, &cost, policy)?;
-        let floor = certified_floor(&graph, &realized, &cost);
-        let tuned = tune_backward_order(
-            &graph,
-            &baseline,
-            Some(k),
-            &cost,
-            policy,
-            KFamily::ReverseFirstK,
-            &tune_opts(tier, budget, deadline, true, Some(floor), memory_cap),
-        )?;
-        let certified = certify_order(&graph, &tuned.order, &cost, policy)?;
-        Ok(Payload::new(
-            Status::Ok,
-            [
-                ("tier", tier.as_str().into()),
-                (
-                    "result",
-                    tuned_fields(
-                        &format!("reverse-first-k(l={layers}, k={k})"),
-                        "order",
-                        tuned.baseline,
-                        tuned.predicted,
-                        certified,
-                        floor,
-                        tuned.peak,
-                        memory_cap,
-                        tuned.k,
-                        tuned.moves.len(),
-                        tuned.restarts_adopted,
-                    ),
-                ),
-            ],
-        ))
-    };
-    run().unwrap_or_else(tune_error)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn tune_one_schedule(
-    graph: &TrainGraph,
-    name: &str,
-    schedule: &Schedule,
-    tier: Tier,
-    budget: Option<u64>,
-    deadline: Option<Instant>,
-    memory_cap: Option<u64>,
-) -> Result<Value, Error> {
-    let floor = certified_floor(graph, schedule, &UnitCost);
-    let tuned: Tuned = tune_schedule(
-        graph,
-        schedule,
-        &UnitCost,
-        &tune_opts(tier, budget, deadline, false, Some(floor), memory_cap),
-    )?;
-    let certified = certify_schedule(graph, &tuned.schedule, &UnitCost)?;
-    Ok(tuned_fields(
-        name,
-        "schedule",
-        tuned.baseline,
-        tuned.predicted,
-        certified,
-        floor,
-        tuned.peak,
-        memory_cap,
-        None,
-        tuned.moves.len(),
-        tuned.restarts_adopted,
-    ))
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Tunes every selected bundle entry. Per-entry refusals and errors
+/// become items of the result list; the response status is that of
+/// the last failed entry (`ok` when none failed).
 fn handle_bundle(
     bundle: &ScheduleBundle,
     wanted: Option<&str>,
     policy: CommPolicy,
     tier: Tier,
-    budget: Option<u64>,
-    deadline: Option<Instant>,
-    memory_cap: Option<u64>,
+    opts: &TuneOptions,
 ) -> Payload {
-    let graph = match TrainGraph::new(bundle.graph.clone()) {
-        Ok(g) => g,
-        Err(e) => return Payload::error(format!("invalid graph configuration: {e}")),
+    let results = match bundle_job(bundle, wanted, policy, opts) {
+        Ok(results) if results.is_empty() => {
+            return Payload::error("bundle holds no orders or schedules")
+        }
+        Ok(results) => results,
+        Err(msg) => return Payload::error(msg),
     };
-    let mut items = Vec::new();
     let mut worst = Status::Ok;
-    let mut push = |r: Result<Value, Error>, name: &str| match r {
-        Ok(v) => items.push(v),
-        Err(Error::Unsafe(report)) => {
-            worst = Status::Unsafe;
-            items.push(obj([
-                ("name", name.into()),
-                ("kind", "unsafe".into()),
-                (
-                    "diagnostics",
-                    Value::Arr(
-                        report
-                            .rule_codes()
-                            .iter()
-                            .map(|c| c.to_string().into())
-                            .collect(),
-                    ),
-                ),
-            ]));
-        }
-        Err(e) => {
-            worst = Status::Error;
-            items.push(obj([
-                ("name", name.into()),
-                ("kind", "error".into()),
-                ("error", e.to_string().into()),
-            ]));
-        }
-    };
-    for (name, order) in &bundle.orders {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
-        let item = if graph.config().sync_weight_grads {
-            let backward: Vec<_> = order.iter().copied().filter(|o| o.is_backward()).collect();
-            ooo_verify::predict::datapar_schedule(&graph, &backward, &UnitCost, policy)
-                .map_err(Error::from)
-                .and_then(|realized| {
-                    let floor = certified_floor(&graph, &realized, &UnitCost);
-                    let t = tune_backward_order(
-                        &graph,
-                        &backward,
-                        None,
-                        &UnitCost,
-                        policy,
-                        KFamily::ReverseFirstK,
-                        &tune_opts(tier, budget, deadline, true, Some(floor), memory_cap),
-                    )?;
-                    let certified = certify_order(&graph, &t.order, &UnitCost, policy)?;
-                    Ok(tuned_fields(
-                        name,
-                        "order",
-                        t.baseline,
-                        t.predicted,
-                        certified,
-                        floor,
-                        t.peak,
-                        memory_cap,
-                        t.k,
-                        t.moves.len(),
-                        t.restarts_adopted,
-                    ))
-                })
-        } else {
-            let s = Schedule::single_lane(name, order.clone());
-            tune_one_schedule(&graph, name, &s, tier, budget, deadline, memory_cap)
-        };
-        push(item, name);
-    }
-    for (name, schedule) in &bundle.schedules {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
-        push(
-            tune_one_schedule(&graph, name, schedule, tier, budget, deadline, memory_cap),
-            name,
-        );
-    }
-    if items.is_empty() {
-        return Payload::error(match wanted {
-            Some(w) => format!("no order or schedule named {w:?} in the bundle"),
-            None => "bundle holds no orders or schedules".to_string(),
-        });
-    }
+    let items = results
+        .into_iter()
+        .map(|(name, r)| match r {
+            Ok(o) => tuned_fields(&o),
+            Err(Error::Unsafe(report)) => {
+                worst = Status::Unsafe;
+                obj([
+                    ("name", name.into()),
+                    ("kind", "unsafe".into()),
+                    ("diagnostics", diagnostics(&report)),
+                ])
+            }
+            Err(e) => {
+                worst = Status::Error;
+                obj([
+                    ("name", name.into()),
+                    ("kind", "error".into()),
+                    ("error", e.to_string().into()),
+                ])
+            }
+        })
+        .collect();
     Payload::new(
         worst,
         [
@@ -353,56 +136,6 @@ fn handle_bundle(
             ("result", Value::Arr(items)),
         ],
     )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_pipeline(
-    layers: usize,
-    devices: usize,
-    strategy: Strategy,
-    group: usize,
-    tier: Tier,
-    budget: Option<u64>,
-    deadline: Option<Instant>,
-    memory_cap: Option<u64>,
-) -> Payload {
-    let run = || -> Result<Payload, Error> {
-        let (pgraph, pschedule) =
-            ooo_core::pipeline::op_level_schedule(layers, devices, strategy, group);
-        let floor = certified_floor(&pgraph, &pschedule, &UnitCost);
-        let tuned = tune_pipeline(
-            layers,
-            devices,
-            strategy,
-            group,
-            &UnitCost,
-            &tune_opts(tier, budget, deadline, true, Some(floor), memory_cap),
-        )?;
-        let certified = certify_schedule(&tuned.graph, &tuned.schedule, &UnitCost)?;
-        Ok(Payload::new(
-            Status::Ok,
-            [
-                ("tier", tier.as_str().into()),
-                (
-                    "result",
-                    tuned_fields(
-                        strategy_name(strategy),
-                        "pipeline",
-                        tuned.baseline,
-                        tuned.predicted,
-                        certified,
-                        floor,
-                        tuned.peak,
-                        memory_cap,
-                        Some(tuned.group),
-                        tuned.moves.len(),
-                        tuned.restarts_adopted,
-                    ),
-                ),
-            ],
-        ))
-    };
-    run().unwrap_or_else(tune_error)
 }
 
 fn handle_cert(
@@ -414,16 +147,8 @@ fn handle_cert(
     budget: Option<u64>,
     deadline: Option<Instant>,
 ) -> Payload {
-    let graph = TrainGraph::data_parallel(layers);
-    let cost = TableCost::uniform(
-        layers,
-        LayerCost {
-            sync_weight: sync,
-            ..LayerCost::default()
-        },
-    );
-    let order = match reverse_first_k(&graph, k, None::<(u64, &TableCost)>) {
-        Ok(o) => o,
+    let inst = match order_instance(layers, k, sync) {
+        Ok(inst) => inst,
         Err(e) => return Payload::error(e.to_string()),
     };
     // The heuristic tier skips the search entirely: a zero-node budget
@@ -436,30 +161,24 @@ fn handle_cert(
     if let Some(d) = deadline {
         cert_budget = cert_budget.with_deadline(d);
     }
-    match ooo_cert::certify_order(&graph, &order, &cost, policy, &cert_budget) {
+    match ooo_cert::certify_order(&inst.graph, &inst.order, &inst.cost, policy, &cert_budget) {
         Ok((_, solved)) => {
             let c = &solved.certificate;
-            Payload::new(
-                Status::Ok,
-                [
-                    ("tier", tier.as_str().into()),
+            ok(
+                tier,
+                obj([
+                    ("name", inst.name.into()),
+                    ("kind", "cert".into()),
+                    ("cert_status", c.status().into()),
                     (
-                        "result",
-                        obj([
-                            ("name", format!("reverse-first-k(l={layers}, k={k})").into()),
-                            ("kind", "cert".into()),
-                            ("cert_status", c.status().into()),
-                            (
-                                "baseline_makespan",
-                                Value::Num(c.baseline_makespan() as f64),
-                            ),
-                            ("best_makespan", Value::Num(c.best_makespan() as f64)),
-                            ("lower_bound", Value::Num(solved.lower_bound as f64)),
-                            ("optimal", Value::Bool(solved.is_optimal())),
-                            ("nodes", Value::Num(solved.nodes as f64)),
-                        ]),
+                        "baseline_makespan",
+                        Value::Num(c.baseline_makespan() as f64),
                     ),
-                ],
+                    ("best_makespan", Value::Num(c.best_makespan() as f64)),
+                    ("lower_bound", Value::Num(solved.lower_bound as f64)),
+                    ("optimal", Value::Bool(solved.is_optimal())),
+                    ("nodes", Value::Num(solved.nodes as f64)),
+                ]),
             )
         }
         Err(e) => Payload::error(e.to_string()),
@@ -472,7 +191,6 @@ fn handle_cert(
 /// The `fault` directive and `attempt` number implement the
 /// deterministic chaos contract: `panic` fires on every attempt,
 /// `flaky` only on the first (so a retry succeeds).
-#[allow(clippy::too_many_arguments)]
 pub fn handle(
     cmd: &Command,
     tier: Tier,
@@ -489,37 +207,34 @@ pub fn handle(
         }
         _ => {}
     }
+    let opts = || tune_opts(tier, budget, deadline, memory_cap);
     match cmd {
         Command::Order {
             layers,
             k,
             sync,
             policy,
-        } => handle_order(
-            *layers, *k, *sync, *policy, tier, budget, deadline, memory_cap,
-        ),
+        } => tuned_payload(tier, order_job(*layers, *k, *sync, *policy, &opts())),
         Command::Bundle {
             bundle,
             schedule,
             policy,
             ..
-        } => handle_bundle(
-            bundle,
-            schedule.as_deref(),
-            *policy,
-            tier,
-            budget,
-            deadline,
-            memory_cap,
-        ),
+        } => handle_bundle(bundle, schedule.as_deref(), *policy, tier, &opts()),
         Command::Pipeline {
             layers,
             devices,
             strategy,
             group,
-        } => handle_pipeline(
-            *layers, *devices, *strategy, *group, tier, budget, deadline, memory_cap,
-        ),
+        } => {
+            // The wire protocol names strategies by their wire name.
+            let r = pipeline_job(*layers, *devices, *strategy, *group, &opts());
+            let r = r.map(|o| Outcome {
+                name: strategy_name(*strategy).to_string(),
+                ..o
+            });
+            tuned_payload(tier, r)
+        }
         Command::Cert {
             layers,
             k,

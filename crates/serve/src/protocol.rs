@@ -272,19 +272,8 @@ impl Payload {
 fn policy_of(v: Option<&Value>) -> Result<CommPolicy, String> {
     match v {
         None => Ok(CommPolicy::PriorityByLayer),
-        Some(Value::Str(s)) => match s.as_str() {
-            "fifo" => Ok(CommPolicy::FifoCompletion),
-            "bylayer" => Ok(CommPolicy::PriorityByLayer),
-            other => Err(format!("unknown policy: {other:?}")),
-        },
+        Some(Value::Str(s)) => CommPolicy::parse(s),
         Some(_) => Err("policy must be a string".to_string()),
-    }
-}
-
-fn policy_name(policy: CommPolicy) -> &'static str {
-    match policy {
-        CommPolicy::FifoCompletion => "fifo",
-        CommPolicy::PriorityByLayer => "bylayer",
     }
 }
 
@@ -292,29 +281,12 @@ fn strategy_of(v: Option<&Value>) -> Result<Strategy, String> {
     let Some(Value::Str(s)) = v else {
         return Err("pipeline requests need a string \"strategy\"".to_string());
     };
-    Ok(match s.as_str() {
-        "mp" | "modelparallel" => Strategy::ModelParallel,
-        "gpipe" => Strategy::GPipe,
-        "pipedream" => Strategy::PipeDream,
-        "dapple" => Strategy::Dapple,
-        "megatron" => Strategy::MegatronInterleaved { chunks: 2 },
-        "pipe1" => Strategy::OooPipe1,
-        "pipe2" => Strategy::OooPipe2,
-        other => return Err(format!("unknown strategy: {other:?}")),
-    })
+    Strategy::parse(s)
 }
 
 /// Stable wire name of a strategy (inverse of the parser).
 pub fn strategy_name(strategy: Strategy) -> &'static str {
-    match strategy {
-        Strategy::ModelParallel => "mp",
-        Strategy::GPipe => "gpipe",
-        Strategy::PipeDream => "pipedream",
-        Strategy::Dapple => "dapple",
-        Strategy::MegatronInterleaved { .. } => "megatron",
-        Strategy::OooPipe1 => "pipe1",
-        Strategy::OooPipe2 => "pipe2",
-    }
+    strategy.wire_name()
 }
 
 fn usize_field(v: &Value, key: &str, default: Option<usize>, max: usize) -> Result<usize, String> {
@@ -499,7 +471,7 @@ impl Request {
                 policy,
             } => format!(
                 "order:v1:layers={layers};k={k};sync={sync};policy={}",
-                policy_name(*policy)
+                policy.wire_name()
             ),
             Command::Cert {
                 layers,
@@ -508,7 +480,7 @@ impl Request {
                 policy,
             } => format!(
                 "cert:v1:layers={layers};k={k};sync={sync};policy={}",
-                policy_name(*policy)
+                policy.wire_name()
             ),
             Command::Pipeline {
                 layers,
@@ -528,7 +500,7 @@ impl Request {
                 "bundle:v1:h={:016x};schedule={};policy={}",
                 ooo_core::hash::fnv64(canonical.as_bytes()),
                 schedule.as_deref().unwrap_or("*"),
-                policy_name(*policy)
+                policy.wire_name()
             ),
             Command::Hold | Command::Release | Command::Stats => return None,
         };

@@ -30,17 +30,13 @@
 //! gate (the tuner refuses unsafe starting points), `2` on usage, I/O,
 //! or parse problems.
 
-use ooo_core::cost::{CostModel, LayerCost, TableCost, UnitCost};
 use ooo_core::datapar::CommPolicy;
 use ooo_core::export::ScheduleBundle;
 use ooo_core::json::{obj, Value};
 use ooo_core::pipeline::Strategy;
-use ooo_core::reverse_k::reverse_first_k;
-use ooo_core::schedule::Schedule;
-use ooo_core::{Op, SimTime, TrainGraph};
-use ooo_tune::order::{certify_order, tune_backward_order, KFamily};
-use ooo_tune::pipeline::tune_pipeline;
-use ooo_tune::{certify_schedule, tune_schedule, AppliedMove, Error, TuneOptions};
+use ooo_core::SimTime;
+use ooo_tune::job::{bundle_job, order_job, pipeline_job, Named, Outcome};
+use ooo_tune::{Error, TuneOptions};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: ooo-tune order --layers N [--k K] [--sync NS] \
@@ -75,46 +71,22 @@ enum Mode {
 
 struct Args {
     mode: Mode,
-    knobs: Knobs,
+    /// Search knobs shared by every mode: `--restarts`, `--window`
+    /// ([`TuneOptions::window`]) and `--memory-cap`
+    /// ([`TuneOptions::memory_cap`]).
+    opts: TuneOptions,
     json: bool,
     out: Option<String>,
-}
-
-/// Search knobs shared by every mode.
-#[derive(Clone, Copy)]
-struct Knobs {
-    restarts: u64,
-    /// Relocation neighborhood cap ([`TuneOptions::window`]); `None`
-    /// keeps the exact full-neighborhood search.
-    window: Option<usize>,
-    /// Peak-memory cap on the objective ([`TuneOptions::memory_cap`]).
-    memory_cap: Option<u64>,
-}
-
-fn parse_strategy(name: &str) -> Result<Strategy, String> {
-    Ok(match name {
-        "mp" | "modelparallel" => Strategy::ModelParallel,
-        "gpipe" => Strategy::GPipe,
-        "pipedream" => Strategy::PipeDream,
-        "dapple" => Strategy::Dapple,
-        "megatron" => Strategy::MegatronInterleaved { chunks: 2 },
-        "pipe1" => Strategy::OooPipe1,
-        "pipe2" => Strategy::OooPipe2,
-        other => return Err(format!("unknown strategy: {other:?}")),
-    })
-}
-
-fn parse_policy(name: &str) -> Result<CommPolicy, String> {
-    Ok(match name {
-        "fifo" => CommPolicy::FifoCompletion,
-        "bylayer" => CommPolicy::PriorityByLayer,
-        other => return Err(format!("unknown policy: {other:?}")),
-    })
 }
 
 fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     argv.next(); // program name
     let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
+    match mode_word.as_str() {
+        "order" | "bundle" | "pipeline" => {}
+        "--help" | "-h" => return Err(USAGE.to_string()),
+        other => return Err(format!("unknown mode: {other:?}\n{USAGE}")),
+    }
     let need_value = |argv: &mut std::env::Args, flag: &str| {
         argv.next().ok_or_else(|| format!("{flag} needs a value"))
     };
@@ -122,216 +94,100 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
         v.parse::<usize>()
             .map_err(|_| format!("{flag}: not a count: {v:?}"))
     };
-    let mut restarts = TuneOptions::default().restarts;
-    let mut window = None;
-    let mut memory_cap = None;
+    let mut opts = TuneOptions::default();
     let mut json = false;
     let mut out = None;
-
-    let mode = match mode_word.as_str() {
-        "order" => {
-            let mut layers = None;
-            let mut k = 0usize;
-            let mut sync: SimTime = 3;
-            let mut policy = CommPolicy::PriorityByLayer;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--layers" => {
-                        layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-                    }
-                    "--k" => k = parse_usize("--k", need_value(&mut argv, "--k")?)?,
-                    "--sync" => {
-                        sync = parse_usize("--sync", need_value(&mut argv, "--sync")?)? as SimTime
-                    }
-                    "--policy" => policy = parse_policy(&need_value(&mut argv, "--policy")?)?,
-                    "--restarts" => {
-                        restarts =
-                            parse_usize("--restarts", need_value(&mut argv, "--restarts")?)? as u64
-                    }
-                    "--window" => {
-                        window = Some(parse_usize("--window", need_value(&mut argv, "--window")?)?)
-                    }
-                    "--memory-cap" => {
-                        let v = need_value(&mut argv, "--memory-cap")?;
-                        memory_cap = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("--memory-cap: not a byte count: {v:?}"))?,
-                        );
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
+    let mut layers = None;
+    let mut k = 0usize;
+    let mut sync: SimTime = 3;
+    let mut policy = CommPolicy::PriorityByLayer;
+    let mut path = String::new();
+    let mut schedule = None;
+    let mut devices = None;
+    let mut strategy = None;
+    let mut group = 1usize;
+    while let Some(arg) = argv.next() {
+        match (mode_word.as_str(), arg.as_str()) {
+            (_, "--restarts") => {
+                opts.restarts =
+                    parse_usize("--restarts", need_value(&mut argv, "--restarts")?)? as u64
             }
-            match layers {
-                Some(layers) if layers > 0 && k <= layers => Mode::Order {
-                    layers,
-                    k,
-                    sync,
-                    policy,
-                },
-                _ => return Err(USAGE.to_string()),
+            (_, "--window") => {
+                opts.window = Some(parse_usize("--window", need_value(&mut argv, "--window")?)?)
+            }
+            (_, "--memory-cap") => {
+                let v = need_value(&mut argv, "--memory-cap")?;
+                opts.memory_cap = Some(
+                    v.parse::<u64>()
+                        .map_err(|_| format!("--memory-cap: not a byte count: {v:?}"))?,
+                );
+            }
+            (_, "--json") => json = true,
+            (_, "--out") => out = Some(need_value(&mut argv, "--out")?),
+            (_, "--help" | "-h") => return Err(USAGE.to_string()),
+            ("order" | "pipeline", "--layers") => {
+                layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
+            }
+            ("order", "--k") => k = parse_usize("--k", need_value(&mut argv, "--k")?)?,
+            ("order", "--sync") => {
+                sync = parse_usize("--sync", need_value(&mut argv, "--sync")?)? as SimTime
+            }
+            ("order" | "bundle", "--policy") => {
+                policy = CommPolicy::parse(&need_value(&mut argv, "--policy")?)?
+            }
+            ("bundle", "--schedule") => schedule = Some(need_value(&mut argv, "--schedule")?),
+            ("bundle", other) if other.starts_with('-') => {
+                return Err(format!("unknown flag: {other}"))
+            }
+            ("bundle", other) if path.is_empty() => path = other.to_string(),
+            ("pipeline", "--devices") => {
+                devices = Some(parse_usize(
+                    "--devices",
+                    need_value(&mut argv, "--devices")?,
+                )?)
+            }
+            ("pipeline", "--strategy") => {
+                strategy = Some(Strategy::parse(&need_value(&mut argv, "--strategy")?)?)
+            }
+            ("pipeline", "--group") => {
+                group = parse_usize("--group", need_value(&mut argv, "--group")?)?
+            }
+            (_, other) => return Err(format!("unexpected argument: {other}")),
+        }
+    }
+    let mode = match (mode_word.as_str(), layers, devices, strategy) {
+        ("order", Some(layers), _, _) if layers > 0 && k <= layers => Mode::Order {
+            layers,
+            k,
+            sync,
+            policy,
+        },
+        ("bundle", ..) if !path.is_empty() => Mode::Bundle {
+            path,
+            schedule,
+            policy,
+        },
+        ("pipeline", Some(layers), Some(devices), Some(strategy))
+            if layers > 0 && devices > 0 && group >= 1 =>
+        {
+            Mode::Pipeline {
+                layers,
+                devices,
+                strategy,
+                group,
             }
         }
-        "bundle" => {
-            let mut path = String::new();
-            let mut schedule = None;
-            let mut policy = CommPolicy::PriorityByLayer;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
-                    "--policy" => policy = parse_policy(&need_value(&mut argv, "--policy")?)?,
-                    "--restarts" => {
-                        restarts =
-                            parse_usize("--restarts", need_value(&mut argv, "--restarts")?)? as u64
-                    }
-                    "--window" => {
-                        window = Some(parse_usize("--window", need_value(&mut argv, "--window")?)?)
-                    }
-                    "--memory-cap" => {
-                        let v = need_value(&mut argv, "--memory-cap")?;
-                        memory_cap = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("--memory-cap: not a byte count: {v:?}"))?,
-                        );
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other if other.starts_with('-') => {
-                        return Err(format!("unknown flag: {other}"))
-                    }
-                    other if path.is_empty() => path = other.to_string(),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if path.is_empty() {
-                return Err(USAGE.to_string());
-            }
-            Mode::Bundle {
-                path,
-                schedule,
-                policy,
-            }
-        }
-        "pipeline" => {
-            let mut layers = None;
-            let mut devices = None;
-            let mut strategy = None;
-            let mut group = 1usize;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--layers" => {
-                        layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-                    }
-                    "--devices" => {
-                        devices = Some(parse_usize(
-                            "--devices",
-                            need_value(&mut argv, "--devices")?,
-                        )?)
-                    }
-                    "--strategy" => {
-                        strategy = Some(parse_strategy(&need_value(&mut argv, "--strategy")?)?)
-                    }
-                    "--group" => group = parse_usize("--group", need_value(&mut argv, "--group")?)?,
-                    "--restarts" => {
-                        restarts =
-                            parse_usize("--restarts", need_value(&mut argv, "--restarts")?)? as u64
-                    }
-                    "--window" => {
-                        window = Some(parse_usize("--window", need_value(&mut argv, "--window")?)?)
-                    }
-                    "--memory-cap" => {
-                        let v = need_value(&mut argv, "--memory-cap")?;
-                        memory_cap = Some(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("--memory-cap: not a byte count: {v:?}"))?,
-                        );
-                    }
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            match (layers, devices, strategy) {
-                (Some(layers), Some(devices), Some(strategy))
-                    if layers > 0 && devices > 0 && group >= 1 =>
-                {
-                    Mode::Pipeline {
-                        layers,
-                        devices,
-                        strategy,
-                        group,
-                    }
-                }
-                _ => return Err(USAGE.to_string()),
-            }
-        }
-        "--help" | "-h" => return Err(USAGE.to_string()),
-        other => return Err(format!("unknown mode: {other:?}\n{USAGE}")),
+        _ => return Err(USAGE.to_string()),
     };
     Ok(Args {
         mode,
-        knobs: Knobs {
-            restarts,
-            window,
-            memory_cap,
-        },
+        opts,
         json,
         out,
     })
 }
 
 /// One tuned (or refused) input, ready for rendering.
-struct Outcome {
-    name: String,
-    kind: &'static str,
-    baseline: SimTime,
-    tuned: SimTime,
-    certified: SimTime,
-    /// Certified lower bound over the scheduled op subset; fed to the
-    /// tuner as its early-termination target.
-    lower_bound: SimTime,
-    /// `true` when the certified makespan meets the lower bound: the
-    /// tuned schedule is provably makespan-optimal for its op set and
-    /// lane structure.
-    proven_optimal: bool,
-    /// Exact static ledger peak of the winner, present iff a memory cap
-    /// was requested; `cap_met` records whether it landed under the cap.
-    peak: Option<u64>,
-    cap: Option<u64>,
-    k: Option<usize>,
-    moves: Vec<AppliedMove>,
-    restarts_adopted: usize,
-}
-
-/// The certified makespan floor of `schedule`'s op subset on its lane
-/// structure ([`ooo_core::bounds::partial_lower_bound`]). The tuner's
-/// moves never add lanes or ops, so no tuned descendant can beat this
-/// bound — reaching it proves optimality and stops the search early.
-fn certified_floor<C: CostModel>(graph: &TrainGraph, schedule: &Schedule, cost: &C) -> SimTime {
-    let scheduled: Vec<Op> = schedule
-        .lanes
-        .iter()
-        .flat_map(|l| l.ops.iter().copied())
-        .collect();
-    let compute = schedule
-        .lanes
-        .iter()
-        .filter(|l| l.ops.iter().any(|o| o.is_compute()))
-        .count()
-        .max(1);
-    let link = schedule
-        .lanes
-        .iter()
-        .filter(|l| l.ops.iter().any(|o| o.is_sync()))
-        .count()
-        .max(1);
-    ooo_core::bounds::partial_lower_bound(graph, cost, &scheduled, compute, link)
-}
-
 enum ItemResult {
     Tuned(Outcome),
     /// The input failed the safety gate; carries the fired rule codes.
@@ -341,60 +197,14 @@ enum ItemResult {
     },
 }
 
-fn outcome_to_json(o: &Outcome) -> Value {
-    obj([
-        ("name", o.name.as_str().into()),
-        ("kind", o.kind.into()),
-        ("baseline_makespan", Value::Num(o.baseline as f64)),
-        ("tuned_makespan", Value::Num(o.tuned as f64)),
-        ("certified_makespan", Value::Num(o.certified as f64)),
-        ("lower_bound", Value::Num(o.lower_bound as f64)),
-        ("proven_optimal", Value::Bool(o.proven_optimal)),
-        ("improved", Value::Bool(o.tuned < o.baseline)),
-        (
-            "peak",
-            match o.peak {
-                Some(p) => Value::Num(p as f64),
-                None => Value::Null,
-            },
-        ),
-        (
-            "memory_cap",
-            match o.cap {
-                Some(c) => Value::Num(c as f64),
-                None => Value::Null,
-            },
-        ),
-        (
-            "cap_met",
-            match (o.peak, o.cap) {
-                (Some(p), Some(c)) => Value::Bool(p <= c),
-                _ => Value::Null,
-            },
-        ),
-        (
-            "k",
-            match o.k {
-                Some(k) => Value::Num(k as f64),
-                None => Value::Null,
-            },
-        ),
-        (
-            "moves",
-            Value::Arr(
-                o.moves
-                    .iter()
-                    .map(|m| Value::Str(format!("{}: {}", m.kind.as_str(), m.description)))
-                    .collect(),
-            ),
-        ),
-        ("restarts_adopted", Value::Num(o.restarts_adopted as f64)),
-    ])
-}
-
 fn item_to_json(r: &ItemResult) -> Value {
     match r {
-        ItemResult::Tuned(o) => outcome_to_json(o),
+        ItemResult::Tuned(o) => o.to_json(Value::Arr(
+            o.moves
+                .iter()
+                .map(|m| Value::Str(format!("{}: {}", m.kind.as_str(), m.description)))
+                .collect(),
+        )),
         ItemResult::Unsafe { name, codes } => obj([
             ("name", name.as_str().into()),
             ("kind", "unsafe".into()),
@@ -416,7 +226,7 @@ fn item_to_human(r: &ItemResult) -> String {
                 o.tuned,
                 o.certified,
                 o.lower_bound,
-                if o.proven_optimal {
+                if o.proven_optimal() {
                     "proven optimal"
                 } else if o.tuned < o.baseline {
                     "improved"
@@ -449,237 +259,42 @@ fn item_to_human(r: &ItemResult) -> String {
     }
 }
 
-fn opts_with(knobs: Knobs, require_complete: bool, target: Option<SimTime>) -> TuneOptions {
-    TuneOptions {
-        restarts: knobs.restarts,
-        window: knobs.window,
-        memory_cap: knobs.memory_cap,
-        require_complete,
-        // An over-cap incumbent scores above any makespan floor, so a
-        // target is only an early-exit when no cap is in play.
-        target: if knobs.memory_cap.is_some() {
-            None
-        } else {
-            target
-        },
-        ..TuneOptions::default()
-    }
-}
-
-/// Error split: gate refusals become exit-1 items, everything else
-/// aborts with exit 2.
-fn push_or_fail(
-    results: &mut Vec<ItemResult>,
-    name: &str,
-    r: Result<Outcome, Error>,
-) -> Result<(), String> {
-    match r {
-        Ok(o) => {
-            results.push(ItemResult::Tuned(o));
-            Ok(())
+/// Runs the job of `mode`: one named result per input.
+fn run(mode: &Mode, opts: &TuneOptions) -> Result<Vec<Named>, String> {
+    Ok(match mode {
+        Mode::Order {
+            layers,
+            k,
+            sync,
+            policy,
+        } => vec![(
+            "order".to_string(),
+            order_job(*layers, *k, *sync, *policy, opts),
+        )],
+        Mode::Bundle {
+            path,
+            schedule,
+            policy,
+        } => {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let bundle = ScheduleBundle::from_json_lenient(&text)
+                .map_err(|e| format!("cannot parse {path}: {e}"))?;
+            let results = bundle_job(&bundle, schedule.as_deref(), *policy, opts)?;
+            if results.is_empty() {
+                return Err("bundle holds no orders or schedules".to_string());
+            }
+            results
         }
-        Err(Error::Unsafe(report)) => {
-            results.push(ItemResult::Unsafe {
-                name: name.to_string(),
-                codes: report.rule_codes().iter().map(|c| c.to_string()).collect(),
-            });
-            Ok(())
-        }
-        Err(e) => Err(format!("{name}: {e}")),
-    }
-}
-
-fn run_order_mode(
-    layers: usize,
-    k: usize,
-    sync: SimTime,
-    policy: CommPolicy,
-    knobs: Knobs,
-) -> Result<Outcome, Error> {
-    let graph = TrainGraph::data_parallel(layers);
-    let cost = TableCost::uniform(
-        layers,
-        LayerCost {
-            sync_weight: sync,
-            ..LayerCost::default()
-        },
-    );
-    let baseline = reverse_first_k(&graph, k, None::<(u64, &TableCost)>)?;
-    let realized = ooo_verify::predict::datapar_schedule(&graph, &baseline, &cost, policy)?;
-    let floor = certified_floor(&graph, &realized, &cost);
-    let tuned = tune_backward_order(
-        &graph,
-        &baseline,
-        Some(k),
-        &cost,
-        policy,
-        KFamily::ReverseFirstK,
-        &opts_with(knobs, true, Some(floor)),
-    )?;
-    let certified = certify_order(&graph, &tuned.order, &cost, policy)?;
-    Ok(Outcome {
-        name: format!("reverse-first-k(l={layers}, k={k})"),
-        kind: "order",
-        baseline: tuned.baseline,
-        tuned: tuned.predicted,
-        certified,
-        lower_bound: floor,
-        proven_optimal: certified == floor,
-        peak: tuned.peak,
-        cap: knobs.memory_cap,
-        k: tuned.k,
-        moves: tuned.moves,
-        restarts_adopted: tuned.restarts_adopted,
-    })
-}
-
-fn run_bundle_mode(
-    path: &str,
-    wanted: Option<&str>,
-    policy: CommPolicy,
-    knobs: Knobs,
-) -> Result<Vec<ItemResult>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let bundle = ScheduleBundle::from_json_lenient(&text)
-        .map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let graph = TrainGraph::new(bundle.graph.clone())
-        .map_err(|e| format!("invalid graph configuration: {e}"))?;
-
-    let mut results = Vec::new();
-    for (name, order) in &bundle.orders {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
-        // Backward orders of a data-parallel graph run against the link
-        // lane the engine would add; anything else is a flat schedule.
-        let item = if graph.config().sync_weight_grads {
-            let backward: Vec<_> = order.iter().copied().filter(|o| o.is_backward()).collect();
-            let cost = UnitCost;
-            ooo_verify::predict::datapar_schedule(&graph, &backward, &cost, policy)
-                .map_err(Error::from)
-                .and_then(|realized| {
-                    let floor = certified_floor(&graph, &realized, &cost);
-                    let t = tune_backward_order(
-                        &graph,
-                        &backward,
-                        None,
-                        &cost,
-                        policy,
-                        KFamily::ReverseFirstK,
-                        &opts_with(knobs, true, Some(floor)),
-                    )?;
-                    let certified = certify_order(&graph, &t.order, &cost, policy)?;
-                    Ok(Outcome {
-                        name: name.clone(),
-                        kind: "order",
-                        baseline: t.baseline,
-                        tuned: t.predicted,
-                        certified,
-                        lower_bound: floor,
-                        proven_optimal: certified == floor,
-                        peak: t.peak,
-                        cap: knobs.memory_cap,
-                        k: t.k,
-                        moves: t.moves,
-                        restarts_adopted: t.restarts_adopted,
-                    })
-                })
-        } else {
-            let s = ooo_core::schedule::Schedule::single_lane(name, order.clone());
-            tune_one_schedule(&graph, name, &s, knobs)
-        };
-        push_or_fail(&mut results, name, item)?;
-    }
-    for (name, schedule) in &bundle.schedules {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
-        let item = tune_one_schedule(&graph, name, schedule, knobs);
-        push_or_fail(&mut results, name, item)?;
-    }
-    if results.is_empty() {
-        return Err(match wanted {
-            Some(w) => format!("no order or schedule named {w:?} in the bundle"),
-            None => "bundle holds no orders or schedules".to_string(),
-        });
-    }
-    Ok(results)
-}
-
-fn tune_one_schedule(
-    graph: &TrainGraph,
-    name: &str,
-    schedule: &ooo_core::schedule::Schedule,
-    knobs: Knobs,
-) -> Result<Outcome, Error> {
-    // Exported schedules may be partial (engines with implicit updates),
-    // so the gate does not demand completeness. The subset lower bound
-    // is still valid — it covers exactly the ops the schedule runs.
-    let floor = certified_floor(graph, schedule, &UnitCost);
-    let tuned = tune_schedule(
-        graph,
-        schedule,
-        &UnitCost,
-        &opts_with(knobs, false, Some(floor)),
-    )?;
-    let certified = certify_schedule(graph, &tuned.schedule, &UnitCost)?;
-    Ok(Outcome {
-        name: name.to_string(),
-        kind: "schedule",
-        baseline: tuned.baseline,
-        tuned: tuned.predicted,
-        certified,
-        lower_bound: floor,
-        proven_optimal: certified == floor,
-        peak: tuned.peak,
-        cap: knobs.memory_cap,
-        k: None,
-        moves: tuned.moves,
-        restarts_adopted: tuned.restarts_adopted,
-    })
-}
-
-fn run_pipeline_mode(
-    layers: usize,
-    devices: usize,
-    strategy: Strategy,
-    group: usize,
-    knobs: Knobs,
-) -> Result<Outcome, Error> {
-    let (pgraph, pschedule) =
-        ooo_core::pipeline::op_level_schedule(layers, devices, strategy, group);
-    let floor = certified_floor(&pgraph, &pschedule, &UnitCost);
-    let tuned = tune_pipeline(
-        layers,
-        devices,
-        strategy,
-        group,
-        &UnitCost,
-        &opts_with(knobs, true, Some(floor)),
-    )?;
-    let certified = certify_schedule(&tuned.graph, &tuned.schedule, &UnitCost)?;
-    let name = match strategy {
-        Strategy::ModelParallel => "model-parallel",
-        Strategy::GPipe => "gpipe",
-        Strategy::PipeDream => "pipedream",
-        Strategy::Dapple => "dapple",
-        Strategy::MegatronInterleaved { .. } => "megatron-interleaved",
-        Strategy::OooPipe1 => "ooo-pipe1",
-        Strategy::OooPipe2 => "ooo-pipe2",
-    };
-    Ok(Outcome {
-        name: name.to_string(),
-        kind: "pipeline",
-        baseline: tuned.baseline,
-        tuned: tuned.predicted,
-        certified,
-        lower_bound: floor,
-        proven_optimal: certified == floor,
-        peak: tuned.peak,
-        cap: knobs.memory_cap,
-        k: Some(tuned.group),
-        moves: tuned.moves,
-        restarts_adopted: tuned.restarts_adopted,
+        Mode::Pipeline {
+            layers,
+            devices,
+            strategy,
+            group,
+        } => vec![(
+            "pipeline".to_string(),
+            pipeline_job(*layers, *devices, *strategy, *group, opts),
+        )],
     })
 }
 
@@ -692,37 +307,28 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut results = Vec::new();
-    let outcome = match &args.mode {
-        Mode::Order {
-            layers,
-            k,
-            sync,
-            policy,
-        } => push_or_fail(
-            &mut results,
-            "order",
-            run_order_mode(*layers, *k, *sync, *policy, args.knobs),
-        ),
-        Mode::Bundle {
-            path,
-            schedule,
-            policy,
-        } => run_bundle_mode(path, schedule.as_deref(), *policy, args.knobs).map(|r| results = r),
-        Mode::Pipeline {
-            layers,
-            devices,
-            strategy,
-            group,
-        } => push_or_fail(
-            &mut results,
-            "pipeline",
-            run_pipeline_mode(*layers, *devices, *strategy, *group, args.knobs),
-        ),
+    let named = match run(&args.mode, &args.opts) {
+        Ok(named) => named,
+        Err(msg) => {
+            eprintln!("ooo-tune: {msg}");
+            return ExitCode::from(2);
+        }
     };
-    if let Err(msg) = outcome {
-        eprintln!("ooo-tune: {msg}");
-        return ExitCode::from(2);
+    // Error split: gate refusals become exit-1 items, everything else
+    // aborts with exit 2.
+    let mut results = Vec::new();
+    for (name, r) in named {
+        match r {
+            Ok(o) => results.push(ItemResult::Tuned(o)),
+            Err(Error::Unsafe(report)) => results.push(ItemResult::Unsafe {
+                name,
+                codes: report.rule_codes().iter().map(|c| c.to_string()).collect(),
+            }),
+            Err(e) => {
+                eprintln!("ooo-tune: {name}: {e}");
+                return ExitCode::from(2);
+            }
+        }
     }
 
     let any_unsafe = results

@@ -1,0 +1,307 @@
+//! The request-level tune→certify step, shared by the `ooo-tune` CLI and
+//! the `ooo-serve` handlers.
+//!
+//! Every job builds its instance, computes the certified makespan floor
+//! of the starting schedule
+//! ([`ooo_core::bounds::schedule_lower_bound`]), tunes toward that
+//! floor, certifies the winner (predicted == simulated, tolerance 0), and
+//! returns one [`Outcome`]. The caller supplies the base
+//! [`TuneOptions`] — search effort, window, deadline, memory cap; a job
+//! sets only `require_complete` and `target`.
+
+use crate::order::{certify_order, tune_backward_order, KFamily};
+use crate::pipeline::tune_pipeline;
+use crate::{certify_schedule, tune_schedule, AppliedMove, Result, TuneOptions};
+use ooo_core::bounds::schedule_lower_bound;
+use ooo_core::cost::{CostModel, LayerCost, TableCost, UnitCost};
+use ooo_core::datapar::CommPolicy;
+use ooo_core::export::{BundleEntry, ScheduleBundle};
+use ooo_core::json::{obj, Value};
+use ooo_core::pipeline::Strategy;
+use ooo_core::reverse_k::reverse_first_k;
+use ooo_core::schedule::Schedule;
+use ooo_core::{Op, SimTime, TrainGraph};
+use ooo_verify::predict::datapar_schedule;
+
+/// One tuned and certified input.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// Instance name (the bundle entry name for bundle jobs).
+    pub name: String,
+    /// `"order"`, `"schedule"` or `"pipeline"`.
+    pub kind: &'static str,
+    /// Predicted makespan of the starting schedule.
+    pub baseline: SimTime,
+    /// Predicted makespan of the winner.
+    pub tuned: SimTime,
+    /// Simulated makespan of the winner (equal to `tuned`).
+    pub certified: SimTime,
+    /// Certified floor of the starting schedule's op subset and lanes;
+    /// the tuner's early-exit target when no memory cap is set.
+    pub lower_bound: SimTime,
+    /// Exact static ledger peak of the winner; present iff a memory cap
+    /// was set.
+    pub peak: Option<u64>,
+    /// The memory cap the search ran under.
+    pub cap: Option<u64>,
+    /// Reverse-first-k depth of an order winner that still has one, or
+    /// the modulo group of a pipeline winner.
+    pub k: Option<usize>,
+    /// The accepted move trajectory from input to winner.
+    pub moves: Vec<AppliedMove>,
+    /// How many restart perturbations were adopted.
+    pub restarts_adopted: usize,
+}
+
+impl Outcome {
+    /// `true` when the certified makespan meets the lower bound: the
+    /// winner is provably makespan-optimal for its op set and lanes.
+    pub fn proven_optimal(&self) -> bool {
+        self.certified == self.lower_bound
+    }
+
+    /// The outcome as a JSON object in its fixed key order, with the
+    /// caller's rendering of [`Outcome::moves`] (the CLI lists them,
+    /// the daemon counts them).
+    pub fn to_json(&self, moves: Value) -> Value {
+        let opt = |n: Option<u64>| n.map_or(Value::Null, |n| Value::Num(n as f64));
+        obj([
+            ("name", self.name.as_str().into()),
+            ("kind", self.kind.into()),
+            ("baseline_makespan", Value::Num(self.baseline as f64)),
+            ("tuned_makespan", Value::Num(self.tuned as f64)),
+            ("certified_makespan", Value::Num(self.certified as f64)),
+            ("lower_bound", Value::Num(self.lower_bound as f64)),
+            ("proven_optimal", Value::Bool(self.proven_optimal())),
+            ("improved", Value::Bool(self.tuned < self.baseline)),
+            ("peak", opt(self.peak)),
+            ("memory_cap", opt(self.cap)),
+            (
+                "cap_met",
+                match (self.peak, self.cap) {
+                    (Some(p), Some(c)) => Value::Bool(p <= c),
+                    _ => Value::Null,
+                },
+            ),
+            ("k", opt(self.k.map(|k| k as u64))),
+            ("moves", moves),
+            ("restarts_adopted", Value::Num(self.restarts_adopted as f64)),
+        ])
+    }
+}
+
+/// One named job result: a bundle entry's name (or the mode name for
+/// single-instance jobs) with its outcome or error.
+pub type Named = (String, Result<Outcome>);
+
+/// A reverse-first-k instance: the data-parallel graph, the uniform
+/// cost table whose `S[dW]` lasts `sync`, and the Algorithm 2 order.
+#[derive(Debug, Clone)]
+pub struct OrderInstance {
+    /// `reverse-first-k(l=<layers>, k=<k>)`.
+    pub name: String,
+    /// Data-parallel graph of `layers` layers.
+    pub graph: TrainGraph,
+    /// Uniform costs with `sync_weight = sync`.
+    pub cost: TableCost,
+    /// The reverse-first-k backward order.
+    pub order: Vec<Op>,
+}
+
+/// Builds the instance of an `order` request (`ooo-tune order`,
+/// `ooo-cert order` and their `ooo-serve` commands).
+///
+/// # Errors
+///
+/// Propagates [`reverse_first_k`] errors.
+pub fn order_instance(layers: usize, k: usize, sync: SimTime) -> ooo_core::Result<OrderInstance> {
+    let graph = TrainGraph::data_parallel(layers);
+    let cost = TableCost::uniform(
+        layers,
+        LayerCost {
+            sync_weight: sync,
+            ..LayerCost::default()
+        },
+    );
+    let order = reverse_first_k(&graph, k, None::<(u64, &TableCost)>)?;
+    Ok(OrderInstance {
+        name: format!("reverse-first-k(l={layers}, k={k})"),
+        graph,
+        cost,
+        order,
+    })
+}
+
+/// The caller's options with the floor as target. An over-cap
+/// incumbent scores above any makespan floor, so the floor is an
+/// early exit only when no memory cap is set.
+fn with_floor(base: &TuneOptions, require_complete: bool, floor: SimTime) -> TuneOptions {
+    TuneOptions {
+        require_complete,
+        target: base.memory_cap.is_none().then_some(floor),
+        ..base.clone()
+    }
+}
+
+/// Tunes a backward order of a data-parallel graph against the link
+/// lane the engine would add.
+fn backward_order_job<C: CostModel + Sync>(
+    name: String,
+    graph: &TrainGraph,
+    order: &[Op],
+    k: Option<usize>,
+    cost: &C,
+    policy: CommPolicy,
+    base: &TuneOptions,
+) -> Result<Outcome> {
+    let realized = datapar_schedule(graph, order, cost, policy)?;
+    let floor = schedule_lower_bound(graph, cost, &realized);
+    let opts = with_floor(base, true, floor);
+    let t = tune_backward_order(graph, order, k, cost, policy, KFamily::ReverseFirstK, &opts)?;
+    let certified = certify_order(graph, &t.order, cost, policy)?;
+    Ok(Outcome {
+        name,
+        kind: "order",
+        baseline: t.baseline,
+        tuned: t.predicted,
+        certified,
+        lower_bound: floor,
+        peak: t.peak,
+        cap: base.memory_cap,
+        k: t.k,
+        moves: t.moves,
+        restarts_adopted: t.restarts_adopted,
+    })
+}
+
+/// Tunes a multi-lane schedule under unit cost. Exported schedules may
+/// be partial (engines with implicit updates), so the gate does not
+/// demand completeness; the subset floor still covers exactly the ops
+/// the schedule runs.
+fn schedule_job(
+    name: String,
+    graph: &TrainGraph,
+    schedule: &Schedule,
+    base: &TuneOptions,
+) -> Result<Outcome> {
+    let floor = schedule_lower_bound(graph, &UnitCost, schedule);
+    let t = tune_schedule(graph, schedule, &UnitCost, &with_floor(base, false, floor))?;
+    let certified = certify_schedule(graph, &t.schedule, &UnitCost)?;
+    Ok(Outcome {
+        name,
+        kind: "schedule",
+        baseline: t.baseline,
+        tuned: t.predicted,
+        certified,
+        lower_bound: floor,
+        peak: t.peak,
+        cap: base.memory_cap,
+        k: None,
+        moves: t.moves,
+        restarts_adopted: t.restarts_adopted,
+    })
+}
+
+/// Tunes and certifies the reverse-first-k order of
+/// [`order_instance`]`(layers, k, sync)`.
+///
+/// # Errors
+///
+/// [`crate::Error::Unsafe`] when the order fails the safety gate, and
+/// the core and certification errors of the tuner.
+pub fn order_job(
+    layers: usize,
+    k: usize,
+    sync: SimTime,
+    policy: CommPolicy,
+    base: &TuneOptions,
+) -> Result<Outcome> {
+    let inst = order_instance(layers, k, sync)?;
+    backward_order_job(
+        inst.name,
+        &inst.graph,
+        &inst.order,
+        Some(k),
+        &inst.cost,
+        policy,
+        base,
+    )
+}
+
+/// Tunes and certifies every entry of `bundle` named `wanted` (all of
+/// them when `None`), in [`ScheduleBundle::select`] order, with one
+/// result per entry. Orders of a data-parallel graph are tuned as
+/// backward orders (their backward subsequence); every other entry as a
+/// flat or multi-lane schedule.
+///
+/// # Errors
+///
+/// The outer error is an unbuildable graph configuration or a `wanted`
+/// name that matches no entry. An empty list is not an error.
+pub fn bundle_job(
+    bundle: &ScheduleBundle,
+    wanted: Option<&str>,
+    policy: CommPolicy,
+    base: &TuneOptions,
+) -> std::result::Result<Vec<Named>, String> {
+    let graph = TrainGraph::new(bundle.graph.clone())
+        .map_err(|e| format!("invalid graph configuration: {e}"))?;
+    let entries = bundle.select(wanted)?;
+    Ok(entries
+        .iter()
+        .map(|entry| {
+            let name = entry.name().to_string();
+            let outcome = match entry {
+                BundleEntry::Order(_, order) if graph.config().sync_weight_grads => {
+                    let backward: Vec<Op> =
+                        order.iter().copied().filter(|o| o.is_backward()).collect();
+                    backward_order_job(
+                        name.clone(),
+                        &graph,
+                        &backward,
+                        None,
+                        &UnitCost,
+                        policy,
+                        base,
+                    )
+                }
+                _ => schedule_job(name.clone(), &graph, &entry.to_schedule(), base),
+            };
+            (name, outcome)
+        })
+        .collect())
+}
+
+/// Tunes and certifies one strategy's op-level pipeline schedule under
+/// unit cost, including modulo regrouping. The outcome is named by the
+/// strategy's [`Strategy::label`] and its `k` is the winning group.
+///
+/// # Errors
+///
+/// As [`order_job`].
+pub fn pipeline_job(
+    layers: usize,
+    devices: usize,
+    strategy: Strategy,
+    group: usize,
+    base: &TuneOptions,
+) -> Result<Outcome> {
+    let (graph, schedule) = ooo_core::pipeline::op_level_schedule(layers, devices, strategy, group);
+    let floor = schedule_lower_bound(&graph, &UnitCost, &schedule);
+    let opts = with_floor(base, true, floor);
+    let t = tune_pipeline(layers, devices, strategy, group, &UnitCost, &opts)?;
+    let certified = certify_schedule(&t.graph, &t.schedule, &UnitCost)?;
+    Ok(Outcome {
+        name: strategy.label().to_string(),
+        kind: "pipeline",
+        baseline: t.baseline,
+        tuned: t.predicted,
+        certified,
+        lower_bound: floor,
+        peak: t.peak,
+        cap: base.memory_cap,
+        k: Some(t.group),
+        moves: t.moves,
+        restarts_adopted: t.restarts_adopted,
+    })
+}

@@ -19,10 +19,9 @@
 //! I/O, or parse problems.
 
 use ooo_core::datapar::CommPolicy;
-use ooo_core::export::ScheduleBundle;
+use ooo_core::export::{BundleEntry, ScheduleBundle};
 use ooo_core::json::{obj, Value};
 use ooo_core::pipeline::Strategy;
-use ooo_core::schedule::Schedule;
 use ooo_core::TrainGraph;
 use ooo_verify::perf::{advise_pipeline, PerfAdvisor, PerfReport};
 use std::process::ExitCode;
@@ -52,19 +51,6 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_strategy(name: &str) -> Result<Strategy, String> {
-    Ok(match name {
-        "mp" | "modelparallel" => Strategy::ModelParallel,
-        "gpipe" => Strategy::GPipe,
-        "pipedream" => Strategy::PipeDream,
-        "dapple" => Strategy::Dapple,
-        "megatron" => Strategy::MegatronInterleaved { chunks: 2 },
-        "pipe1" => Strategy::OooPipe1,
-        "pipe2" => Strategy::OooPipe2,
-        other => return Err(format!("unknown strategy: {other:?}")),
-    })
-}
-
 fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     argv.next(); // program name
     let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
@@ -86,13 +72,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
             while let Some(arg) = argv.next() {
                 match arg.as_str() {
                     "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
-                    "--policy" => {
-                        policy = match need_value(&mut argv, "--policy")?.as_str() {
-                            "fifo" => CommPolicy::FifoCompletion,
-                            "bylayer" => CommPolicy::PriorityByLayer,
-                            other => return Err(format!("unknown policy: {other:?}")),
-                        }
-                    }
+                    "--policy" => policy = CommPolicy::parse(&need_value(&mut argv, "--policy")?)?,
                     "--json" => json = true,
                     "--out" => out = Some(need_value(&mut argv, "--out")?),
                     "--help" | "-h" => return Err(USAGE.to_string()),
@@ -129,7 +109,7 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                         )?)
                     }
                     "--strategy" => {
-                        strategy = Some(parse_strategy(&need_value(&mut argv, "--strategy")?)?)
+                        strategy = Some(Strategy::parse(&need_value(&mut argv, "--strategy")?)?)
                     }
                     "--group" => group = parse_usize("--group", need_value(&mut argv, "--group")?)?,
                     "--json" => json = true,
@@ -263,39 +243,31 @@ fn analyze_bundle(
         .map_err(|e| format!("invalid graph configuration: {e}"))?;
     let advisor = PerfAdvisor::new(&graph);
 
+    let entries = bundle.select(wanted)?;
+    if entries.is_empty() {
+        return Err("bundle holds no orders or schedules".to_string());
+    }
     let mut reports = Vec::new();
-    for (name, order) in &bundle.orders {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
+    for entry in &entries {
+        let name = entry.name();
         // Backward orders of a data-parallel graph run against the link
         // lane the engine would add; anything else is a flat schedule.
         // Exported orders may carry the sync/update/forward tail inline
         // (the simulator contract takes the backward pass alone and
         // appends the rest), so reduce to the backward subsequence first.
-        let report = if graph.config().sync_weight_grads {
-            let backward: Vec<_> = order.iter().copied().filter(|o| o.is_backward()).collect();
-            advisor.analyze_order(&backward, policy)
-        } else {
-            advisor.analyze(&Schedule::single_lane(name, order.clone()))
+        let report = match entry {
+            BundleEntry::Order(_, order) if graph.config().sync_weight_grads => {
+                let backward: Vec<_> = order.iter().copied().filter(|o| o.is_backward()).collect();
+                advisor.analyze_order(&backward, policy)
+            }
+            _ => advisor.analyze(&entry.to_schedule()),
         };
-        let report = report.map_err(|e| format!("order {name:?}: {e}"))?;
-        reports.push((name.clone(), report));
-    }
-    for (name, schedule) in &bundle.schedules {
-        if wanted.is_some_and(|w| w != name) {
-            continue;
-        }
-        let report = advisor
-            .analyze(schedule)
-            .map_err(|e| format!("schedule {name:?}: {e}"))?;
-        reports.push((name.clone(), report));
-    }
-    if reports.is_empty() {
-        return Err(match wanted {
-            Some(w) => format!("no order or schedule named {w:?} in the bundle"),
-            None => "bundle holds no orders or schedules".to_string(),
-        });
+        let kind = match entry {
+            BundleEntry::Order(..) => "order",
+            BundleEntry::Schedule(..) => "schedule",
+        };
+        let report = report.map_err(|e| format!("{kind} {name:?}: {e}"))?;
+        reports.push((name.to_string(), report));
     }
     Ok(reports)
 }
@@ -328,16 +300,7 @@ fn main() -> ExitCode {
             group,
         } => match advise_pipeline(*layers, *devices, *strategy, *group) {
             Ok(r) => {
-                let name = match strategy {
-                    Strategy::ModelParallel => "model-parallel",
-                    Strategy::GPipe => "gpipe",
-                    Strategy::PipeDream => "pipedream",
-                    Strategy::Dapple => "dapple",
-                    Strategy::MegatronInterleaved { .. } => "megatron-interleaved",
-                    Strategy::OooPipe1 => "ooo-pipe1",
-                    Strategy::OooPipe2 => "ooo-pipe2",
-                };
-                vec![(name.to_string(), r)]
+                vec![(strategy.label().to_string(), r)]
             }
             Err(e) => {
                 eprintln!("ooo-advise: pipeline analysis failed: {e}");

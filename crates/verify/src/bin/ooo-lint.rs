@@ -104,20 +104,16 @@ fn main() -> ExitCode {
 
     // Flat orders become single-lane schedules; multi-lane schedules are
     // checked as-is.
-    let mut targets: Vec<(String, Schedule)> = Vec::new();
-    for (name, order) in &bundle.orders {
-        targets.push((name.clone(), Schedule::single_lane(name, order.clone())));
-    }
-    for (name, schedule) in &bundle.schedules {
-        targets.push((name.clone(), schedule.clone()));
-    }
-    if let Some(wanted) = &args.schedule {
-        targets.retain(|(name, _)| name == wanted);
-        if targets.is_empty() {
-            eprintln!("ooo-lint: no order or schedule named {wanted:?} in the bundle");
+    let targets: Vec<(String, Schedule)> = match bundle.select(args.schedule.as_deref()) {
+        Ok(entries) => entries
+            .iter()
+            .map(|e| (e.name().to_string(), e.to_schedule()))
+            .collect(),
+        Err(msg) => {
+            eprintln!("ooo-lint: {msg}");
             return ExitCode::from(2);
         }
-    }
+    };
 
     let verifier = Verifier::new(&graph).with_config(VerifyConfig {
         require_complete: !args.partial,

@@ -186,22 +186,11 @@ fn bundle_targets(
     bundle: &ScheduleBundle,
     wanted: Option<&str>,
 ) -> Result<Vec<(String, Schedule)>, String> {
-    let mut targets: Vec<(String, Schedule)> = Vec::new();
-    for (name, order) in &bundle.orders {
-        targets.push((name.clone(), Schedule::single_lane(name, order.clone())));
-    }
-    for (name, schedule) in &bundle.schedules {
-        targets.push((name.clone(), schedule.clone()));
-    }
-    if let Some(wanted) = wanted {
-        targets.retain(|(name, _)| name == wanted);
-        if targets.is_empty() {
-            return Err(format!(
-                "no order or schedule named {wanted:?} in the bundle"
-            ));
-        }
-    }
-    Ok(targets)
+    Ok(bundle
+        .select(wanted)?
+        .iter()
+        .map(|e| (e.name().to_string(), e.to_schedule()))
+        .collect())
 }
 
 fn run<C: CostModel>(

@@ -144,7 +144,7 @@ pub struct PerfReport {
     /// Combined lower bound for the inferred lane counts.
     pub lower_bound: SimTime,
     /// Certified lower bound over the *scheduled* op subset
-    /// ([`bounds::partial_lower_bound`]): valid for partial schedules
+    /// ([`bounds::schedule_lower_bound`]): valid for partial schedules
     /// too, and equal to [`PerfReport::lower_bound`] when the schedule
     /// is complete.
     pub scheduled_lower_bound: SimTime,
@@ -222,31 +222,9 @@ impl<'g, C: CostModel> PerfAdvisor<'g, C> {
     pub fn analyze(&self, schedule: &Schedule) -> Result<PerfReport, Error> {
         let prediction = predict_makespan(self.graph, schedule, &self.cost)?;
         let complete = schedule.num_ops() == self.graph.len();
-        let compute_lanes = schedule
-            .lanes
-            .iter()
-            .filter(|l| l.ops.iter().any(|o| o.is_compute()))
-            .count()
-            .max(1);
-        let link_lanes = schedule
-            .lanes
-            .iter()
-            .filter(|l| l.ops.iter().any(|o| o.is_sync()))
-            .count()
-            .max(1);
+        let (compute_lanes, link_lanes) = bounds::lane_counts(schedule);
         let lower = bounds::lower_bound(self.graph, &self.cost, compute_lanes, link_lanes);
-        let scheduled: Vec<Op> = schedule
-            .lanes
-            .iter()
-            .flat_map(|l| l.ops.iter().copied())
-            .collect();
-        let scheduled_lower = bounds::partial_lower_bound(
-            self.graph,
-            &self.cost,
-            &scheduled,
-            compute_lanes,
-            link_lanes,
-        );
+        let scheduled_lower = bounds::schedule_lower_bound(self.graph, &self.cost, schedule);
         let gap = complete.then(|| {
             bounds::optimality_gap(
                 self.graph,

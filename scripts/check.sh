@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench build (its own workspace, so --workspace never compiles it)"
+cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "==> ooo-chaos smoke campaign (determinism + invariants)"
 cargo build -q -p ooo-faults --bin ooo-chaos
 ./target/debug/ooo-chaos run --seed 42 --scenarios 5 --json --out /tmp/ooo-chaos-a.json

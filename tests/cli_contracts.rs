@@ -7,14 +7,19 @@
 //!   errors;
 //! * graceful failure — never a panic — on malformed, empty, and
 //!   deeply-nested JSON inputs;
-//! * byte-identical output across double runs of the same invocation.
+//! * byte-identical output across double runs of the same invocation;
+//! * for `ooo-tune`, `ooo-cert` and `ooo-serve`: golden output bytes
+//!   (`tests/fixtures/cli_golden/`), and agreement between each CLI and
+//!   the daemon on the same work.
 //!
 //! `tournament-bench` follows the bench-binary convention instead —
 //! a bare invocation runs the full bracket and exits 0 — so it gets
 //! its own contract test covering flag validation and determinism.
 
 use ooo_backprop::core::export::ScheduleBundle;
+use ooo_backprop::core::json::Value;
 use ooo_backprop::core::op::{LayerId, Op};
+use ooo_backprop::core::pipeline::Strategy;
 use ooo_backprop::core::schedule::Schedule;
 use ooo_backprop::core::TrainGraph;
 use std::path::PathBuf;
@@ -496,5 +501,310 @@ fn double_runs_are_byte_identical() {
             "{name} {args:?} not byte-deterministic"
         );
         assert_eq!(code(&first), code(&second), "{name} exit code changed");
+    }
+}
+
+/// Directory of the golden fixtures and their input bundles.
+const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cli_golden");
+
+/// Golden outputs of the tune and certify front ends: `(fixture,
+/// invocation, exit code)`. A `.json` fixture holds the invocation's
+/// stdout, an `.err` fixture its stderr; `{F}` in an invocation is the
+/// fixture directory.
+const GOLDEN: [(&str, &str, i32); 19] = [
+    (
+        "tune_order.json",
+        "ooo-tune order --layers 8 --k 0 --sync 3 --json",
+        0,
+    ),
+    (
+        "tune_order_cap.json",
+        "ooo-tune order --layers 8 --k 0 --sync 3 --memory-cap 999999999 --json",
+        0,
+    ),
+    (
+        "tune_order_tight_cap.json",
+        "ooo-tune order --layers 6 --k 2 --memory-cap 1 --json",
+        0,
+    ),
+    (
+        "tune_bundle_clean.json",
+        "ooo-tune bundle {F}/clean_bundle.json --json",
+        0,
+    ),
+    (
+        "tune_bundle_unsafe.json",
+        "ooo-tune bundle {F}/unsafe_bundle.json --json",
+        1,
+    ),
+    (
+        "tune_bundle_datapar.json",
+        "ooo-tune bundle {F}/datapar_bundle.json --json",
+        0,
+    ),
+    (
+        "tune_bundle_datapar_one.json",
+        "ooo-tune bundle {F}/datapar_bundle.json --schedule reverse_first_2 --policy fifo --json",
+        0,
+    ),
+    (
+        "tune_pipeline_gpipe.json",
+        "ooo-tune pipeline --layers 8 --devices 4 --strategy gpipe --json",
+        0,
+    ),
+    (
+        "tune_pipeline_pipe2.json",
+        "ooo-tune pipeline --layers 8 --devices 4 --strategy pipe2 --json",
+        0,
+    ),
+    (
+        "tune_pipeline_megatron.json",
+        "ooo-tune pipeline --layers 8 --devices 4 --strategy megatron --json",
+        0,
+    ),
+    (
+        "cert_order.json",
+        "ooo-cert order --layers 3 --k 0 --sync 2 --json",
+        1,
+    ),
+    (
+        "cert_bundle_clean.json",
+        "ooo-cert bundle {F}/clean_bundle.json --json",
+        0,
+    ),
+    (
+        "cert_bundle_unsafe.err",
+        "ooo-cert bundle {F}/unsafe_bundle.json --json",
+        2,
+    ),
+    (
+        "cert_bundle_datapar.json",
+        "ooo-cert bundle {F}/datapar_bundle.json --json",
+        0,
+    ),
+    (
+        "cert_pipeline_gpipe.json",
+        "ooo-cert pipeline --layers 4 --devices 2 --strategy gpipe --json",
+        1,
+    ),
+    (
+        "tune_unknown_strategy.err",
+        "ooo-tune pipeline --layers 4 --devices 2 --strategy bogus",
+        2,
+    ),
+    (
+        "cert_unknown_policy.err",
+        "ooo-cert order --layers 4 --policy bogus",
+        2,
+    ),
+    (
+        "tune_missing_entry.err",
+        "ooo-tune bundle {F}/clean_bundle.json --schedule nope",
+        2,
+    ),
+    (
+        "cert_missing_entry.err",
+        "ooo-cert bundle {F}/clean_bundle.json --schedule nope",
+        2,
+    ),
+];
+
+fn golden(file: &str) -> Vec<u8> {
+    std::fs::read(format!("{GOLDEN_DIR}/{file}"))
+        .unwrap_or_else(|e| panic!("golden fixture {file}: {e}"))
+}
+
+/// The tune and certify front ends reproduce their golden outputs byte
+/// for byte: `ooo-tune` and `ooo-cert` in every mode (including gate
+/// refusals, memory caps and usage errors), and the `ooo-serve`
+/// daemon's response stream for the smoke-test request file of
+/// `scripts/check.sh`. The input bundles are the ones this file builds.
+#[test]
+fn tune_and_cert_outputs_match_golden_bytes() {
+    assert_eq!(
+        golden("clean_bundle.json"),
+        clean_bundle_json().into_bytes()
+    );
+    assert_eq!(
+        golden("unsafe_bundle.json"),
+        unsafe_bundle_json().into_bytes()
+    );
+    for (fixture, invocation, want_code) in GOLDEN {
+        let invocation = invocation.replace("{F}", GOLDEN_DIR);
+        let mut words = invocation.split_whitespace();
+        let name = words.next().expect("tool name");
+        let args: Vec<&str> = words.collect();
+        let out = run(name, &args);
+        assert_no_panic(name, &out);
+        assert_eq!(code(&out), want_code, "{invocation}");
+        let got = if fixture.ends_with(".err") {
+            &out.stderr
+        } else {
+            &out.stdout
+        };
+        assert!(
+            *got == golden(fixture),
+            "{invocation} differs from {fixture}:\n{}",
+            String::from_utf8_lossy(got)
+        );
+    }
+    let requests = String::from_utf8(golden("serve_requests.jsonl")).unwrap();
+    let out = run_with_stdin("ooo-serve", &["--daemon"], &requests);
+    assert_eq!(code(&out), 0, "ooo-serve --daemon");
+    assert!(
+        out.stdout == golden("serve_daemon.jsonl"),
+        "ooo-serve --daemon differs from serve_daemon.jsonl:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// Runs a CLI with `--json` and parses its stdout; a single-document
+/// output becomes a one-element list.
+fn cli_docs(name: &str, args: &[&str]) -> Vec<Value> {
+    let out = run(name, args);
+    assert_no_panic(name, &out);
+    let doc = Value::parse(&String::from_utf8_lossy(&out.stdout))
+        .unwrap_or_else(|e| panic!("{name} {args:?}: bad JSON: {e}"));
+    match doc {
+        Value::Arr(items) => items,
+        one => vec![one],
+    }
+}
+
+/// Sends one request to `ooo-serve --oneshot` and returns its `result`
+/// as a list (bundle results already are one).
+fn serve_results(request: &str) -> Vec<Value> {
+    let out = run_with_stdin("ooo-serve", &["--oneshot"], &format!("{request}\n"));
+    assert_no_panic("ooo-serve", &out);
+    let doc = Value::parse(&String::from_utf8_lossy(&out.stdout)).expect("serve JSON");
+    match doc.get("result") {
+        Some(Value::Arr(items)) => items.clone(),
+        Some(one) => vec![one.clone()],
+        None => panic!("{request}: no result in {}", doc.to_compact()),
+    }
+}
+
+/// Asserts that a CLI item and a serve item agree on every key they
+/// share. The CLI lists the moves where serve counts them, and names a
+/// pipeline by its label where serve uses the wire name.
+fn assert_agree(what: &str, cli: &Value, serve: &Value) {
+    let fields = serve.as_obj().expect("serve result object");
+    let mut shared = 0;
+    for (key, want) in fields {
+        let Some(got) = cli.get(key) else { continue };
+        shared += 1;
+        match key.as_str() {
+            "moves" => assert_eq!(
+                got.as_arr().map(<[Value]>::len),
+                want.as_usize(),
+                "{what}: moves"
+            ),
+            "name" if cli.get("kind").and_then(Value::as_str) == Some("pipeline") => {
+                let strategy = Strategy::parse(want.as_str().unwrap()).unwrap();
+                assert_eq!(got.as_str(), Some(strategy.label()), "{what}: name");
+            }
+            _ => assert_eq!(got, want, "{what}: {key}"),
+        }
+    }
+    assert!(shared >= 3, "{what}: only {shared} shared keys");
+}
+
+/// ROADMAP 2(b): the CLI front ends and the daemon agree. At tier
+/// `full` with no budget, `ooo-tune … --json` and `ooo-serve --oneshot`
+/// return the same order, pipeline and bundle results (including gate
+/// refusals and memory caps), and `ooo-cert order` and `{"cmd":"cert"}`
+/// the same certificate.
+#[test]
+fn cli_and_serve_agree() {
+    let datapar = String::from_utf8(golden("datapar_bundle.json")).unwrap();
+    let datapar = Value::parse(&datapar).unwrap().to_compact();
+    let unsafe_b = Value::parse(&unsafe_bundle_json()).unwrap().to_compact();
+    let clean_path = format!("{GOLDEN_DIR}/clean_bundle.json");
+    let clean = Value::parse(&clean_bundle_json()).unwrap().to_compact();
+    let unsafe_path = format!("{GOLDEN_DIR}/unsafe_bundle.json");
+    let datapar_path = format!("{GOLDEN_DIR}/datapar_bundle.json");
+    let cases: Vec<(Vec<&str>, String)> = vec![
+        (
+            vec!["order", "--layers", "8", "--k", "0", "--sync", "3"],
+            r#"{"cmd":"order","layers":8,"k":0,"sync":3,"tier":"full"}"#.to_string(),
+        ),
+        (
+            vec!["order", "--layers", "6", "--k", "2", "--policy", "fifo"],
+            r#"{"cmd":"order","layers":6,"k":2,"policy":"fifo","tier":"full"}"#.to_string(),
+        ),
+        (
+            vec!["order", "--layers", "6", "--k", "2", "--memory-cap", "1"],
+            r#"{"cmd":"order","layers":6,"k":2,"memory_cap_bytes":1,"tier":"full"}"#.to_string(),
+        ),
+        (
+            vec![
+                "pipeline",
+                "--layers",
+                "8",
+                "--devices",
+                "4",
+                "--strategy",
+                "gpipe",
+            ],
+            r#"{"cmd":"pipeline","layers":8,"devices":4,"strategy":"gpipe","tier":"full"}"#
+                .to_string(),
+        ),
+        (
+            vec![
+                "pipeline",
+                "--layers",
+                "8",
+                "--devices",
+                "4",
+                "--strategy",
+                "pipe2",
+                "--group",
+                "2",
+            ],
+            r#"{"cmd":"pipeline","layers":8,"devices":4,"strategy":"pipe2","group":2,"tier":"full"}"#
+                .to_string(),
+        ),
+        (
+            vec!["bundle", &datapar_path],
+            format!(r#"{{"cmd":"bundle","bundle":{datapar},"tier":"full"}}"#),
+        ),
+        (
+            vec!["bundle", &clean_path],
+            format!(r#"{{"cmd":"bundle","bundle":{clean},"tier":"full"}}"#),
+        ),
+        (
+            vec!["bundle", &unsafe_path],
+            format!(r#"{{"cmd":"bundle","bundle":{unsafe_b},"tier":"full"}}"#),
+        ),
+    ];
+    for (args, request) in &cases {
+        let mut args = args.clone();
+        args.push("--json");
+        let cli = cli_docs("ooo-tune", &args);
+        let serve = serve_results(request);
+        assert_eq!(cli.len(), serve.len(), "ooo-tune {args:?}: result count");
+        for (c, s) in cli.iter().zip(&serve) {
+            assert_agree(&format!("ooo-tune {args:?}"), c, s);
+        }
+    }
+
+    let cli = cli_docs(
+        "ooo-cert",
+        &[
+            "order", "--layers", "3", "--k", "0", "--sync", "2", "--json",
+        ],
+    );
+    let serve = serve_results(r#"{"cmd":"cert","layers":3,"k":0,"sync":2,"tier":"full"}"#);
+    let (cli, serve) = (&cli[0], &serve[0]);
+    assert_eq!(cli.get("status"), serve.get("cert_status"), "cert status");
+    for key in [
+        "name",
+        "baseline_makespan",
+        "best_makespan",
+        "lower_bound",
+        "optimal",
+        "nodes",
+    ] {
+        assert_eq!(cli.get(key), serve.get(key), "cert {key}");
     }
 }
