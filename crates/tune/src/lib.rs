@@ -37,6 +37,16 @@
 //! (which restarts the seed sweep). The loop ends when a full seed sweep
 //! fails to improve — which makes tuning a *fixpoint*: re-tuning a tuned
 //! schedule replays exactly that failed sweep and changes nothing.
+//!
+//! # Scoring
+//!
+//! Neighborhoods are enumerated as move descriptors and scored against
+//! one [`DeltaEval`] of the incumbent per scan: each relocation is a
+//! [`DeltaEval::probe`] that re-times only the affected cone and restores
+//! the incumbent from an undo log. Perturbations score only the
+//! candidates they draw. A candidate is cloned and described only when
+//! it is gated, accepted or drawn, and under a memory cap its ledger is
+//! built only when its raw makespan is below the score it must beat.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,6 +64,7 @@ use ooo_verify::{Report, Verifier, VerifyConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Failures of a tuning run.
 #[derive(Debug)]
@@ -163,8 +174,10 @@ pub struct TuneOptions {
     /// makespan, so the search minimizes makespan subject to `peak <=
     /// cap` — an over-cap incumbent first descends into the feasible
     /// region (any under-cap candidate beats any over-cap one), then
-    /// minimizes makespan inside it. Scoring needs the full ledger per
-    /// candidate, so a cap disables the delta-evaluation fast path.
+    /// minimizes makespan inside it. Candidates are still scored on the
+    /// delta-evaluation path; the ledger (the costly part) is built only
+    /// for candidates whose raw makespan is below the score they must
+    /// beat, since the penalty can only raise a score.
     pub memory_cap: Option<u64>,
     /// Optional certified target makespan (a proven lower bound, e.g.
     /// from `ooo_core::bounds::lower_bound` or an `ooo-cert`
@@ -186,7 +199,7 @@ pub struct TuneOptions {
     /// need a window to keep the neighborhood linear.
     pub window: Option<usize>,
     /// Optional deterministic work budget, counted in neighborhood
-    /// scans (one scan = one `scored_candidates` enumeration). When the
+    /// scans (one scan = one enumeration of a neighborhood). When the
     /// budget runs out the search stops and returns the best state found
     /// so far — always a valid, verify-clean schedule, since only
     /// gate-clean moves are ever accepted. `Some(0)` returns the input
@@ -275,65 +288,69 @@ impl Tuned {
 /// class.
 pub(crate) const MEMORY_CAP_PENALTY: SimTime = 1 << 40;
 
-/// Penalized objective: the raw makespan, plus [`MEMORY_CAP_PENALTY`]
-/// when the exact ledger peak exceeds `cap`. `None` (no cap, or the
-/// ledger cannot be built) leaves the makespan alone / fails the state.
-pub(crate) fn capped_score(
-    makespan: SimTime,
-    cap: Option<u64>,
-    peak: impl FnOnce() -> Option<u64>,
-) -> Option<SimTime> {
-    match cap {
-        None => Some(makespan),
-        Some(cap) => {
-            let p = peak()?;
-            Some(if p > cap {
-                makespan.saturating_add(MEMORY_CAP_PENALTY)
-            } else {
-                makespan
-            })
-        }
-    }
-}
-
 /// A tunable search space: states scored by the exact predictor and
 /// gated by the safety analyzer. Implementations enumerate the ooo-legal
-/// neighborhood of a state deterministically.
+/// neighborhood of a state deterministically, as cheap move descriptors:
+/// a candidate is only materialized (cloned, described) when the search
+/// puts it through the gate.
 pub(crate) trait SearchSpace: Sync {
     /// One point of the space.
     type State: Clone + Send;
-
-    /// Predicted makespan, or `None` when the state does not evaluate
-    /// (e.g. an illegal placement the predictor rejects).
-    fn score(&self, state: &Self::State) -> Option<SimTime>;
+    /// One candidate move out of a state.
+    type Move;
+    /// Per-state scoring context, built once per neighborhood scan (for
+    /// relocation moves, a [`DeltaEval`] carrying the state's timing).
+    type Scorer;
 
     /// The `ooo-verify` gate: `true` iff the state produces zero
     /// diagnostics.
     fn clean(&self, state: &Self::State) -> bool;
 
-    /// The legal neighborhood, in a deterministic enumeration order,
-    /// each with a human-readable move description.
-    fn candidates(&self, state: &Self::State) -> Vec<(Self::State, String)>;
+    /// The legal neighborhood, in a deterministic enumeration order, with
+    /// moves that reproduce `state` left out.
+    fn moves(&self, state: &Self::State) -> Vec<Self::Move>;
 
-    /// The neighborhood with each candidate's score attached, computed
-    /// the cheapest way the space knows. The default scores every
-    /// candidate with a full [`SearchSpace::score`] pass; spaces whose
-    /// moves are schedule relocations override this with incremental
-    /// delta evaluation ([`ooo_verify::predict::DeltaEval`]), which
-    /// re-scores only the affected cone per candidate. Overrides must
-    /// return the same candidates, order, and scores as the default.
-    fn scored_candidates(
+    /// The scoring context of `state`.
+    fn scorer(&self, state: &Self::State) -> Self::Scorer;
+
+    /// The (memory-capped) predicted makespan of `mv` applied to `state`,
+    /// when it is below `cutoff`. `None` means the candidate scores at or
+    /// above `cutoff` or does not evaluate (e.g. it deadlocks the lanes).
+    /// Scores below the cutoff are exact — the same number a full
+    /// [`predict_makespan`] (and ledger) pass over the materialized
+    /// candidate gives — which is all the `(score, index)` ranking needs:
+    /// greedy descent passes the incumbent's score as the cutoff, restart
+    /// perturbations `SimTime::MAX`.
+    fn score(
         &self,
+        scorer: &mut Self::Scorer,
         state: &Self::State,
-    ) -> Vec<(Self::State, String, Option<SimTime>)> {
-        self.candidates(state)
-            .into_iter()
-            .map(|(st, d)| {
-                let m = self.score(&st);
-                (st, d, m)
-            })
-            .collect()
-    }
+        mv: &Self::Move,
+        cutoff: SimTime,
+    ) -> Option<SimTime>;
+
+    /// Materializes `mv` applied to `state`, with a human-readable
+    /// description of the move.
+    fn apply(&self, state: &Self::State, mv: &Self::Move) -> (Self::State, String);
+}
+
+/// The penalized score of a candidate whose raw makespan `raw` is
+/// already below `cutoff`, when it stays below: the raw makespan, plus
+/// [`MEMORY_CAP_PENALTY`] when the exact ledger peak exceeds `cap`. The
+/// penalty only raises a score, so the ledger — the costly part — is
+/// built only here, for candidates that can still rank. `None` when the
+/// score reaches the cutoff or the ledger cannot be built.
+pub(crate) fn capped_below(
+    raw: SimTime,
+    cutoff: SimTime,
+    cap: Option<u64>,
+    peak: impl FnOnce() -> Option<u64>,
+) -> Option<SimTime> {
+    let score = match cap {
+        Some(cap) if peak()? > cap => raw.saturating_add(MEMORY_CAP_PENALTY),
+        _ => raw,
+    };
+    (score < cutoff).then_some(score)
 }
 
 /// Cooperative cancellation state for one search (or one restart
@@ -392,17 +409,21 @@ fn greedy<S: SearchSpace>(
             break;
         }
         budget.charge();
-        let cands = space.scored_candidates(&cur);
+        let cands = space.moves(&cur);
+        let mut scorer = space.scorer(&cur);
         let mut scored: Vec<(SimTime, usize)> = cands
             .iter()
             .enumerate()
-            .filter_map(|(i, (_, _, m))| m.map(|m| (m, i)))
-            .filter(|&(m, _)| m < cur_m)
+            .filter_map(|(i, mv)| space.score(&mut scorer, &cur, mv, cur_m).map(|m| (m, i)))
             .collect();
         scored.sort_unstable();
-        let accepted = scored.into_iter().find(|&(_, i)| space.clean(&cands[i].0));
-        let Some((m, i)) = accepted else { break };
-        let (state, description, _) = cands[i].clone();
+        let accepted = scored.into_iter().find_map(|(m, i)| {
+            let (state, description) = space.apply(&cur, &cands[i]);
+            space.clean(&state).then_some((state, description, m))
+        });
+        let Some((state, description, m)) = accepted else {
+            break;
+        };
         moves.push(AppliedMove {
             kind: MoveKind::Greedy,
             description,
@@ -433,22 +454,27 @@ fn perturb<S: SearchSpace>(
             break;
         }
         budget.charge();
-        let cands = space.scored_candidates(&state);
+        let cands = space.moves(&state);
         if cands.is_empty() {
             break;
         }
+        // Only the drawn candidates are scored: the draw sequence and each
+        // draw's outcome are those of scoring the whole neighborhood.
+        let mut scorer = space.scorer(&state);
         let mut picked = None;
         for _ in 0..16 {
             let i = rng.gen_range(0..cands.len());
-            if let Some(m) = cands[i].2 {
-                if space.clean(&cands[i].0) {
-                    picked = Some((i, m));
+            if let Some(m) = space.score(&mut scorer, &state, &cands[i], SimTime::MAX) {
+                let (next, description) = space.apply(&state, &cands[i]);
+                if space.clean(&next) {
+                    picked = Some((next, description, m));
                     break;
                 }
             }
         }
-        let Some((i, m)) = picked else { break };
-        let (next, description, _) = cands[i].clone();
+        let Some((next, description, m)) = picked else {
+            break;
+        };
         moves.push(AppliedMove {
             kind: MoveKind::Perturb,
             description,
@@ -573,100 +599,157 @@ struct ScheduleSpace<'g, C: CostModel> {
     memory_cap: Option<u64>,
 }
 
-impl<C: CostModel + Sync> SearchSpace for ScheduleSpace<'_, C> {
+impl<'g, C: CostModel + Sync> SearchSpace for ScheduleSpace<'g, C> {
     type State = Schedule;
-
-    fn score(&self, state: &Schedule) -> Option<SimTime> {
-        let m = predict_makespan(self.graph, state, self.cost)
-            .ok()
-            .map(|p| p.makespan())?;
-        capped_score(m, self.memory_cap, || {
-            schedule_peak(self.graph, state, self.cost).ok()
-        })
-    }
+    type Move = Relocation;
+    type Scorer = DeltaEval<'g>;
 
     fn clean(&self, state: &Schedule) -> bool {
         self.verifier.verify(state).is_clean()
     }
 
-    fn candidates(&self, state: &Schedule) -> Vec<(Schedule, String)> {
-        schedule_moves(self.graph, state, self.cross_lane, self.window)
+    fn moves(&self, state: &Schedule) -> Vec<Relocation> {
+        schedule_relocations(self.graph, state, self.cross_lane, self.window)
     }
 
-    /// Delta-evaluated scoring: see [`delta_scored_schedule_moves`].
-    /// Under a memory cap every candidate needs its full ledger, which
-    /// the makespan-only delta probe cannot provide, so the cap falls
-    /// back to full scoring.
-    fn scored_candidates(&self, state: &Schedule) -> Vec<(Schedule, String, Option<SimTime>)> {
-        if self.memory_cap.is_some() {
-            return self
-                .candidates(state)
-                .into_iter()
-                .map(|(st, d)| {
-                    let m = self.score(&st);
-                    (st, d, m)
-                })
-                .collect();
-        }
-        delta_scored_schedule_moves(self.graph, self.cost, state, self.cross_lane, self.window)
+    fn scorer(&self, state: &Schedule) -> DeltaEval<'g> {
+        DeltaEval::new(self.graph, state, self.cost).expect(SEARCH_STATES_EVALUATE)
+    }
+
+    fn score(
+        &self,
+        de: &mut DeltaEval<'g>,
+        state: &Schedule,
+        mv: &Relocation,
+        cutoff: SimTime,
+    ) -> Option<SimTime> {
+        score_relocation(
+            self.graph,
+            self.cost,
+            self.memory_cap,
+            de,
+            state,
+            mv,
+            cutoff,
+        )
+    }
+
+    fn apply(&self, state: &Schedule, mv: &Relocation) -> (Schedule, String) {
+        (mv.apply(state), mv.describe(state))
     }
 }
 
-/// Scores every `dW`-class relocation of `state` with one [`DeltaEval`]
-/// carrying the incumbent's exact timing state: each candidate is probed
-/// with [`DeltaEval::relocate_many`] (re-scoring only the affected cone)
-/// and reverted. Candidates, order, and scores are identical to scoring
-/// each materialized schedule with a full [`predict_makespan`] pass —
-/// only the work per candidate shrinks. Shared by the bundle space above
-/// and the pipeline space's in-lane moves.
-pub(crate) fn delta_scored_schedule_moves<C: CostModel>(
+/// Why a search state always seeds a [`DeltaEval`]: the input passed the
+/// predictor before the search started, and every later state was scored
+/// — so it evaluated — before it was accepted.
+pub(crate) const SEARCH_STATES_EVALUATE: &str =
+    "search states evaluate: each was scored before it was accepted";
+
+/// Scores one relocation of `state` below `cutoff` (see
+/// [`SearchSpace::score`]): a [`DeltaEval::probe`] on the incumbent's
+/// evaluator, which re-times only the affected cone. Under a memory cap
+/// the candidate is materialized for its ledger only when its raw
+/// makespan is below the cutoff. Shared by the bundle space above and the
+/// pipeline space's in-lane moves.
+pub(crate) fn score_relocation<C: CostModel>(
     graph: &TrainGraph,
     cost: &C,
+    memory_cap: Option<u64>,
+    de: &mut DeltaEval<'_>,
     state: &Schedule,
-    cross_lane: bool,
-    window: Option<usize>,
-) -> Vec<(Schedule, String, Option<SimTime>)> {
-    let Ok(mut de) = DeltaEval::new(graph, state, cost) else {
-        // An incumbent the predictor rejects never arises from the
-        // search itself; fall back to the default path for safety.
-        return schedule_moves(graph, state, cross_lane, window)
-            .into_iter()
-            .map(|(st, d)| {
-                let m = predict_makespan(graph, &st, cost)
-                    .ok()
-                    .map(|p| p.makespan());
-                (st, d, m)
-            })
-            .collect();
-    };
-    let mut out = Vec::new();
-    for (batch, description) in schedule_move_batches(graph, state, cross_lane, window) {
-        let next = apply_move_batch(state, &batch);
-        if next == *state {
-            continue;
-        }
-        let origins: Vec<(ooo_core::Op, usize, usize)> = batch
-            .iter()
-            .map(|&(op, _, _)| {
-                let (l, p) = de.position_of(op).expect("moved op is scheduled");
-                (op, l, p)
-            })
-            .collect();
-        let m = de.relocate_many(&batch).ok();
-        if m.is_some() {
-            de.relocate_many(&origins)
-                .expect("reverting to the incumbent cannot deadlock");
-        }
-        out.push((next, description, m));
-    }
-    out
+    mv: &Relocation,
+    cutoff: SimTime,
+) -> Option<SimTime> {
+    let (batch, len) = mv.batch();
+    let raw = de.probe(&batch[..len]).ok().filter(|&m| m < cutoff)?;
+    capped_below(raw, cutoff, memory_cap, || {
+        schedule_peak(graph, &mv.apply(state), cost).ok()
+    })
 }
 
-/// One relocation batch: every `(op, target lane, target position)` is
-/// applied atomically, positions addressing the final lane contents in
-/// ascending `(lane, position)` order — the same semantics as
-/// [`DeltaEval::relocate_many`].
-pub(crate) type MoveBatch = Vec<(ooo_core::Op, usize, usize)>;
+/// A whole-state replacement move (a k-jump, a regroup). Its target does
+/// not depend on the incumbent, so the target and its raw makespan are
+/// computed once per tuning run, and its ledger peak at most once.
+pub(crate) struct Jump<T> {
+    /// The move's label (`k`, modulo group).
+    pub(crate) label: usize,
+    /// The state the move jumps to.
+    pub(crate) target: T,
+    /// Raw predicted makespan; `None` when the target does not evaluate.
+    raw: Option<SimTime>,
+    peak: OnceLock<Option<u64>>,
+}
+
+impl<T> Jump<T> {
+    pub(crate) fn new(label: usize, target: T, raw: Option<SimTime>) -> Self {
+        Jump {
+            label,
+            target,
+            raw,
+            peak: OnceLock::new(),
+        }
+    }
+
+    /// The jump's capped score below `cutoff` (see
+    /// [`SearchSpace::score`]); `peak` computes the target's ledger peak
+    /// the first time a cap needs it.
+    pub(crate) fn score(
+        &self,
+        cutoff: SimTime,
+        cap: Option<u64>,
+        peak: impl FnOnce(&T) -> Option<u64>,
+    ) -> Option<SimTime> {
+        let raw = self.raw.filter(|&m| m < cutoff)?;
+        capped_below(raw, cutoff, cap, || {
+            *self.peak.get_or_init(|| peak(&self.target))
+        })
+    }
+}
+
+/// One relocation of a `dW`-class op: `op` — together with its `U_i`
+/// when `block` — moves to position `to` of lane `lane`. The batch
+/// semantics are [`DeltaEval::relocate_many`]'s (see
+/// [`apply_move_batch`]); a block lands as `[dW_i, U_i]` at `to`,
+/// `to + 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Relocation {
+    op: ooo_core::Op,
+    block: bool,
+    lane: usize,
+    to: usize,
+}
+
+impl Relocation {
+    /// The move as a relocation batch: the first `len` entries of the
+    /// array.
+    fn batch(&self) -> ([(ooo_core::Op, usize, usize); 2], usize) {
+        let first = (self.op, self.lane, self.to);
+        match (self.block, self.op) {
+            (true, ooo_core::Op::WeightGrad(layer)) => (
+                [first, (ooo_core::Op::Update(layer), self.lane, self.to + 1)],
+                2,
+            ),
+            _ => ([first; 2], 1),
+        }
+    }
+
+    /// The move applied to a clone of `state`.
+    fn apply(&self, state: &Schedule) -> Schedule {
+        let (batch, len) = self.batch();
+        apply_move_batch(state, &batch[..len])
+    }
+
+    /// `move <op>[+<update>] to <lane>:<position>`.
+    fn describe(&self, state: &Schedule) -> String {
+        let lane = &state.lanes[self.lane].name;
+        let (batch, len) = self.batch();
+        if len == 2 {
+            format!("move {}+{} to {lane}:{}", batch[0].0, batch[1].0, self.to)
+        } else {
+            format!("move {} to {lane}:{}", self.op, self.to)
+        }
+    }
+}
 
 /// `true` when target position `to` falls inside the relocation window
 /// around current position `pi` (`None` admits everything).
@@ -677,14 +760,14 @@ fn in_window(window: Option<usize>, pi: usize, to: usize) -> bool {
     }
 }
 
-/// Enumerates every relocation of a `dW`-class op as a move descriptor:
-/// all in-lane target positions, plus (when `cross_lane`) every
-/// insertion point of every other lane. A `dW_i` whose `U_i` sits on the
-/// same lane additionally moves as a `[dW_i, U_i]` block — relocating
-/// the gradient alone would always violate the update's dependency, so
-/// deferring a weight gradient past its own update needs the pair to
-/// travel together. Descriptors may reproduce the input state; appliers
-/// filter identities.
+/// Enumerates every relocation of a `dW`-class op: all in-lane target
+/// positions, plus (when `cross_lane`) every insertion point of every
+/// other lane. A `dW_i` whose `U_i` sits on the same lane additionally
+/// moves as a `[dW_i, U_i]` block — relocating the gradient alone would
+/// always violate the update's dependency, so deferring a weight
+/// gradient past its own update needs the pair to travel together. The
+/// one move that reproduces the input — a block already in place put
+/// back where it is — is left out.
 ///
 /// Enumeration order is the repository-wide tie-break key
 /// ([`ooo_core::schedule::ReadyQueue`]): moved ops in ascending dense
@@ -692,21 +775,19 @@ fn in_window(window: Option<usize>, pi: usize, to: usize) -> bool {
 /// accepts equal-score candidates by enumeration index, so this order is
 /// what makes ties resolve to the smallest op id — independent of where
 /// the op happens to sit in the incumbent's lanes, and therefore
-/// identical for every schedule that reaches the same search state
-/// (including the memory-capped full-scoring path, which shares this
-/// enumerator with the delta path).
+/// identical for every schedule that reaches the same search state.
 ///
 /// `window` (see [`TuneOptions::window`]) restricts target positions to
 /// within that many slots of the op's current position — on every lane,
 /// using the same index band — turning the O(ops × positions)
 /// neighborhood linear for thousand-stage schedules. `None` keeps the
 /// exhaustive enumeration.
-pub(crate) fn schedule_move_batches(
+pub(crate) fn schedule_relocations(
     graph: &TrainGraph,
     state: &Schedule,
     cross_lane: bool,
     window: Option<usize>,
-) -> Vec<(MoveBatch, String)> {
+) -> Vec<Relocation> {
     use ooo_core::Op;
     let mut out = Vec::new();
     let mut movers: Vec<(usize, usize, usize, Op)> = Vec::new();
@@ -722,104 +803,70 @@ pub(crate) fn schedule_move_batches(
     movers.sort_unstable();
     for (_, li, pi, op) in movers {
         let lane = &state.lanes[li];
+        let mut push = |block: bool, lj: usize, to: usize| {
+            if in_window(window, pi, to) {
+                out.push(Relocation {
+                    op,
+                    block,
+                    lane: lj,
+                    to,
+                });
+            }
+        };
         // In-lane: every position of the reduced lane except the
         // identity.
-        for to in 0..lane.ops.len() {
-            if to == pi || !in_window(window, pi, to) {
-                continue;
-            }
-            out.push((
-                vec![(op, li, to)],
-                format!("move {op} to {}:{to}", lane.name),
-            ));
+        for to in (0..lane.ops.len()).filter(|&to| to != pi) {
+            push(false, li, to);
         }
-        if cross_lane {
-            for (lj, other) in state.lanes.iter().enumerate() {
-                if lj == li {
-                    continue;
-                }
-                for to in 0..=other.ops.len() {
-                    if !in_window(window, pi, to) {
-                        continue;
-                    }
-                    out.push((
-                        vec![(op, lj, to)],
-                        format!("move {op} to {}:{to}", other.name),
-                    ));
-                }
+        let others = || {
+            state
+                .lanes
+                .iter()
+                .enumerate()
+                .filter(move |&(lj, _)| cross_lane && lj != li)
+        };
+        for (lj, other) in others() {
+            for to in 0..=other.ops.len() {
+                push(false, lj, to);
             }
         }
         // Block moves: `[dW_i, U_i]` as one unit.
         let Op::WeightGrad(layer) = op else { continue };
-        let update = Op::Update(layer);
-        if !lane.ops.contains(&update) {
+        let Some(upos) = lane.ops.iter().position(|&o| o == Op::Update(layer)) else {
             continue;
-        }
+        };
         for to in 0..=lane.ops.len().saturating_sub(2) {
-            if !in_window(window, pi, to) {
-                continue;
+            if !(to == pi && upos == pi + 1) {
+                push(true, li, to);
             }
-            out.push((
-                vec![(op, li, to), (update, li, to + 1)],
-                format!("move {op}+{update} to {}:{to}", lane.name),
-            ));
         }
-        if cross_lane {
-            for (lj, other) in state.lanes.iter().enumerate() {
-                if lj == li {
-                    continue;
-                }
-                for to in 0..=other.ops.len() {
-                    if !in_window(window, pi, to) {
-                        continue;
-                    }
-                    out.push((
-                        vec![(op, lj, to), (update, lj, to + 1)],
-                        format!("move {op}+{update} to {}:{to}", other.name),
-                    ));
-                }
+        for (lj, other) in others() {
+            for to in 0..=other.ops.len() {
+                push(true, lj, to);
             }
         }
     }
     out
 }
 
-/// Applies a move batch to a plain [`Schedule`] clone, mirroring
-/// [`DeltaEval::relocate_many`]: remove every moved op, then insert at
-/// the target coordinates in ascending `(lane, position)` order,
-/// clamped to the lane length.
-pub(crate) fn apply_move_batch(state: &Schedule, batch: &MoveBatch) -> Schedule {
+/// Applies a relocation batch to a plain [`Schedule`] clone, mirroring
+/// [`DeltaEval::relocate_many`]: every `(op, lane, position)` is removed
+/// from the schedule, then inserted at the target coordinates in
+/// ascending `(lane, position)` order, clamped to the lane length.
+pub fn apply_move_batch(state: &Schedule, batch: &[(ooo_core::Op, usize, usize)]) -> Schedule {
     let mut next = state.clone();
     for &(op, _, _) in batch {
         for lane in &mut next.lanes {
             lane.ops.retain(|&o| o != op);
         }
     }
-    let mut inserts = batch.clone();
+    let mut inserts = batch.to_vec();
     inserts.sort_unstable_by_key(|&(_, l, p)| (l, p));
     for (op, l, p) in inserts {
         let ops = &mut next.lanes[l].ops;
         ops.insert(p.min(ops.len()), op);
     }
     next
-}
-
-/// Enumerates every `dW`-class relocation as a materialized schedule;
-/// see [`schedule_move_batches`] for the move set. Identity moves are
-/// filtered out.
-pub(crate) fn schedule_moves(
-    graph: &TrainGraph,
-    state: &Schedule,
-    cross_lane: bool,
-    window: Option<usize>,
-) -> Vec<(Schedule, String)> {
-    schedule_move_batches(graph, state, cross_lane, window)
-        .into_iter()
-        .filter_map(|(batch, description)| {
-            let next = apply_move_batch(state, &batch);
-            (next != *state).then_some((next, description))
-        })
-        .collect()
 }
 
 /// Tunes a multi-lane schedule in place: greedy + seeded-restart search
@@ -980,24 +1027,95 @@ mod tests {
         assert!(tuned.moves.is_empty());
     }
 
+    /// Everything a tuning run reports, for parallel-vs-sequential
+    /// comparisons: the result's debug rendering, the predicted makespan,
+    /// the move trajectory, `restarts_adopted` and the peak.
+    type Run = (String, SimTime, Vec<String>, usize, Option<u64>);
+
+    fn run_of(
+        result: impl fmt::Debug,
+        predicted: SimTime,
+        moves: &[AppliedMove],
+        restarts_adopted: usize,
+        peak: Option<u64>,
+    ) -> Run {
+        let trajectory = moves
+            .iter()
+            .map(|m| format!("{} {} {}", m.kind.as_str(), m.description, m.predicted))
+            .collect();
+        let result = format!("{result:?}");
+        (result, predicted, trajectory, restarts_adopted, peak)
+    }
+
+    /// Parallel restart sweeps adopt exactly the sequential sweep's winner
+    /// under every budget, on every search space: the bundle space, the
+    /// order space under a binding memory cap (its lazily built ledgers
+    /// and k-jump table are shared by the restart threads), and the
+    /// pipeline space (its regroup table likewise).
     #[test]
     fn budgeted_tuning_is_deterministic_parallel_or_not() {
         let (graph, baseline) = lazy_two_lane(6);
-        for budget in [1u64, 3, 7, 100] {
-            let par = TuneOptions {
-                budget: Some(budget),
-                parallel: true,
-                ..TuneOptions::default()
-            };
-            let seq = TuneOptions {
-                parallel: false,
-                ..par.clone()
-            };
-            let a = tune_schedule(&graph, &baseline, &UnitCost, &par).unwrap();
-            let b = tune_schedule(&graph, &baseline, &UnitCost, &seq).unwrap();
-            assert_eq!(a.schedule, b.schedule, "budget {budget}");
-            assert_eq!(a.predicted, b.predicted, "budget {budget}");
-            assert_eq!(a.moves.len(), b.moves.len(), "budget {budget}");
+        let inst = job::order_instance(12, 0, 3).unwrap();
+        let runs: [&dyn Fn(&TuneOptions) -> Run; 3] = [
+            &|opts| {
+                let t = tune_schedule(&graph, &baseline, &UnitCost, opts).unwrap();
+                run_of(
+                    &t.schedule,
+                    t.predicted,
+                    &t.moves,
+                    t.restarts_adopted,
+                    t.peak,
+                )
+            },
+            &|opts| {
+                let opts = TuneOptions {
+                    memory_cap: Some(15),
+                    ..opts.clone()
+                };
+                let t = order::tune_backward_order(
+                    &inst.graph,
+                    &inst.order,
+                    Some(0),
+                    &inst.cost,
+                    ooo_core::datapar::CommPolicy::PriorityByLayer,
+                    order::KFamily::ReverseFirstK,
+                    &opts,
+                )
+                .unwrap();
+                run_of(&t.order, t.predicted, &t.moves, t.restarts_adopted, t.peak)
+            },
+            &|opts| {
+                let t = pipeline::tune_pipeline(
+                    12,
+                    4,
+                    ooo_core::pipeline::Strategy::GPipe,
+                    1,
+                    &UnitCost,
+                    opts,
+                )
+                .unwrap();
+                run_of(
+                    &t.schedule,
+                    t.predicted,
+                    &t.moves,
+                    t.restarts_adopted,
+                    t.peak,
+                )
+            },
+        ];
+        for (space, run) in runs.iter().enumerate() {
+            for budget in [Some(1u64), Some(3), Some(7), Some(100), None] {
+                let par = TuneOptions {
+                    budget,
+                    parallel: true,
+                    ..TuneOptions::default()
+                };
+                let seq = TuneOptions {
+                    parallel: false,
+                    ..par.clone()
+                };
+                assert_eq!(run(&par), run(&seq), "space {space}, budget {budget:?}");
+            }
         }
     }
 
@@ -1112,9 +1230,9 @@ mod tests {
         swapped.add_lane("sub", baseline.lanes[1].ops.clone());
         swapped.add_lane("main", baseline.lanes[0].ops.clone());
         let ids = |s: &Schedule| -> Vec<usize> {
-            schedule_move_batches(&graph, s, true, None)
+            schedule_relocations(&graph, s, true, None)
                 .iter()
-                .map(|(batch, _)| graph.op_index(batch[0].0).unwrap())
+                .map(|r| graph.op_index(r.op).unwrap())
                 .collect()
         };
         let a = ids(&baseline);
@@ -1125,8 +1243,8 @@ mod tests {
         assert_eq!(a, b, "enumeration depends on lane placement");
     }
 
-    /// A slack memory cap switches scoring to the full-ledger path but
-    /// must not change the search: same enumerator, same scores, same
+    /// A slack memory cap adds ledger checks to scoring but must not
+    /// change the search: same enumerator, same scores, same
     /// `(score, enumeration index)` tie-breaks — byte-identical winner.
     #[test]
     fn slack_memory_cap_is_trajectory_invariant() {

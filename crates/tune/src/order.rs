@@ -13,12 +13,18 @@
 //! [`ooo_verify::predict::datapar_schedule`] and evaluates it with the
 //! exact predictor; the safety gate verifies that same reconstruction.
 
-use crate::{local_search, AppliedMove, Error, Result, SearchSpace, TuneOptions};
+use crate::{
+    local_search, AppliedMove, Error, Jump, Result, SearchSpace, TuneOptions,
+    SEARCH_STATES_EVALUATE,
+};
 use ooo_core::cost::CostModel;
-use ooo_core::datapar::{simulate_data_parallel, CommPolicy};
+use ooo_core::datapar::{plan_sync_service, simulate_data_parallel, CommPolicy};
+use ooo_core::op::LayerId;
+use ooo_core::schedule::Schedule;
 use ooo_core::{Op, SimTime, TrainGraph};
 use ooo_verify::predict::{datapar_schedule, predict_makespan, DeltaEval};
 use ooo_verify::Verifier;
+use std::sync::OnceLock;
 
 /// Which family of whole-order jumps the k-move draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +72,14 @@ struct OrderState {
     k: Option<usize>,
 }
 
+/// A candidate move of the order space.
+enum OrderMove {
+    /// Jump to entry `i` of the k-jump table.
+    KJump(usize),
+    /// Move the `dW` at position `from` to position `to`.
+    Relocate { op: Op, from: usize, to: usize },
+}
+
 struct OrderSpace<'g, C: CostModel> {
     graph: &'g TrainGraph,
     cost: &'g C,
@@ -74,6 +88,22 @@ struct OrderSpace<'g, C: CostModel> {
     verifier: Verifier<'g, &'g C>,
     window: Option<usize>,
     memory_cap: Option<u64>,
+    k_jumps: OnceLock<Vec<Jump<Vec<Op>>>>,
+}
+
+/// The incumbent's scoring context: its realized schedule's evaluator
+/// plus what it takes to tell whether a relocation reorders the link
+/// lane.
+struct OrderScorer<'g> {
+    de: DeltaEval<'g>,
+    /// Sequential finish time of each backward position.
+    finish: Vec<SimTime>,
+    /// Sequential finish of each layer's `dW` (index 0 unused).
+    dw_finish: Vec<SimTime>,
+    /// The link lane's service order (layers), when the graph syncs.
+    link: Option<Vec<usize>>,
+    /// Work buffer for a candidate's `dw_finish`.
+    buf: Vec<SimTime>,
 }
 
 impl<C: CostModel> OrderSpace<'_, C> {
@@ -87,66 +117,105 @@ impl<C: CostModel> OrderSpace<'_, C> {
         }
     }
 
-    /// k-jump candidates: whole-order replacements, one per depth.
-    fn k_jumps(&self, state: &OrderState) -> Vec<(OrderState, String)> {
-        let mut out = Vec::new();
-        for k in 0..=self.graph.layers() {
-            let Some(order) = self.family_order(k) else {
-                break;
-            };
-            if order == state.order {
-                continue;
-            }
-            let label = match self.family {
-                KFamily::None => unreachable!("family_order returned Some"),
-                KFamily::ReverseFirstK => format!("set reverse-first-k k={k}"),
-                KFamily::Combined => format!("set combined split k={k}"),
-            };
-            out.push((OrderState { order, k: Some(k) }, label));
-        }
-        out
+    /// The realized two-lane schedule of `order` and its raw predicted
+    /// makespan.
+    fn realize(&self, order: &[Op]) -> Option<(Schedule, SimTime)> {
+        let s = datapar_schedule(self.graph, order, self.cost, self.policy).ok()?;
+        let m = predict_makespan(self.graph, &s, self.cost).ok()?.makespan();
+        Some((s, m))
     }
 
-    /// `dW` relocation candidates within the flat order, with the raw
-    /// `(op, to)` coordinates attached for delta probing. Restricted to
-    /// [`TuneOptions::window`] around each op's current position.
-    fn relocations(&self, state: &OrderState) -> Vec<(OrderState, String, Op, usize)> {
-        let mut out = Vec::new();
-        for (pi, &op) in state.order.iter().enumerate() {
-            if !op.is_weight_grad() {
-                continue;
-            }
-            for to in 0..state.order.len() {
-                if to == pi || self.window.is_some_and(|w| to.abs_diff(pi) > w) {
-                    continue;
+    fn peak(&self, order: &[Op]) -> Option<u64> {
+        let s = datapar_schedule(self.graph, order, self.cost, self.policy).ok()?;
+        ooo_verify::mem::schedule_peak(self.graph, &s, self.cost).ok()
+    }
+
+    /// The k-jump targets, one per depth, each scored once on the first
+    /// neighborhood scan that needs them.
+    fn k_jumps(&self) -> &[Jump<Vec<Op>>] {
+        self.k_jumps.get_or_init(|| {
+            (0..=self.graph.layers())
+                .map_while(|k| self.family_order(k).map(|order| (k, order)))
+                .map(|(k, order)| {
+                    let raw = self.realize(&order).map(|(_, m)| m);
+                    Jump::new(k, order, raw)
+                })
+                .collect()
+        })
+    }
+
+    /// The link lane's service order for per-layer `dW` finish times.
+    fn link_order(&self, dw_finish: &[SimTime]) -> Vec<usize> {
+        plan_sync_service(dw_finish, self.policy, |i| {
+            self.cost.duration(Op::SyncWeightGrad(LayerId(i)))
+        })
+        .into_iter()
+        .map(|(pick, _, _)| pick)
+        .collect()
+    }
+
+    /// `order` with the `dW` at `from` moved to `to`.
+    fn relocated(order: &[Op], from: usize, to: usize) -> Vec<Op> {
+        let mut next = order.to_vec();
+        let op = next.remove(from);
+        next.insert(to, op);
+        next
+    }
+
+    /// Raw makespan of the relocation below `cutoff`. The realized
+    /// schedule of the relocated order runs the incumbent's compute lane
+    /// with one `dW` moved. When the link lane's service order is
+    /// unchanged too — decided from the shifted `dW` finish times alone,
+    /// without realizing the candidate — the candidate differs from the
+    /// incumbent's realization by that one compute-lane relocation and is
+    /// probed on the incumbent's [`DeltaEval`]. Otherwise it falls back to
+    /// realizing the order and a full [`predict_makespan`] pass. The score
+    /// is the exact predictor on the identical realized schedule either
+    /// way.
+    fn relocation_raw(
+        &self,
+        sc: &mut OrderScorer<'_>,
+        order: &[Op],
+        (op, from, to): (Op, usize, usize),
+        cutoff: SimTime,
+    ) -> Option<SimTime> {
+        if let Some(link) = &sc.link {
+            let d = self.cost.duration(op);
+            let buf = &mut sc.buf;
+            buf.clone_from(&sc.dw_finish);
+            let mut shift = |range: std::ops::Range<usize>, up: bool| {
+                for &o in &order[range] {
+                    if let Op::WeightGrad(LayerId(i)) = o {
+                        buf[i] = if up { buf[i] + d } else { buf[i] - d };
+                    }
                 }
-                let mut order = state.order.clone();
-                order.remove(pi);
-                order.insert(to.min(order.len()), op);
-                out.push((
-                    OrderState { order, k: None },
-                    format!("move {op} to position {to}"),
-                    op,
-                    to,
-                ));
+            };
+            let own = if from < to {
+                shift(from + 1..to + 1, false);
+                sc.finish[to]
+            } else {
+                shift(to..from, true);
+                to.checked_sub(1).map_or(0, |p| sc.finish[p]) + d
+            };
+            if let Op::WeightGrad(LayerId(i)) = op {
+                buf[i] = own;
+            }
+            if self.link_order(buf) != *link {
+                return self
+                    .realize(&Self::relocated(order, from, to))
+                    .map(|(_, m)| m)
+                    .filter(|&m| m < cutoff);
             }
         }
-        out
+        let (lane, _) = sc.de.position_of(op).expect("dW is scheduled");
+        sc.de.probe(&[(op, lane, to)]).ok().filter(|&m| m < cutoff)
     }
 }
 
-impl<C: CostModel + Sync> SearchSpace for OrderSpace<'_, C> {
+impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
     type State = OrderState;
-
-    fn score(&self, state: &OrderState) -> Option<SimTime> {
-        let s = datapar_schedule(self.graph, &state.order, self.cost, self.policy).ok()?;
-        let m = predict_makespan(self.graph, &s, self.cost)
-            .ok()
-            .map(|p| p.makespan())?;
-        crate::capped_score(m, self.memory_cap, || {
-            ooo_verify::mem::schedule_peak(self.graph, &s, self.cost).ok()
-        })
-    }
+    type Move = OrderMove;
+    type Scorer = OrderScorer<'g>;
 
     fn clean(&self, state: &OrderState) -> bool {
         match datapar_schedule(self.graph, &state.order, self.cost, self.policy) {
@@ -155,80 +224,110 @@ impl<C: CostModel + Sync> SearchSpace for OrderSpace<'_, C> {
         }
     }
 
-    fn candidates(&self, state: &OrderState) -> Vec<(OrderState, String)> {
-        let mut out = self.k_jumps(state);
-        out.extend(
-            self.relocations(state)
-                .into_iter()
-                .map(|(st, d, _, _)| (st, d)),
-        );
+    /// k-jumps to every family order other than the incumbent, then every
+    /// `dW` relocation within the flat order, restricted to
+    /// [`TuneOptions::window`] around each op's current position.
+    fn moves(&self, state: &OrderState) -> Vec<OrderMove> {
+        let mut out: Vec<OrderMove> = self
+            .k_jumps()
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| j.target != state.order)
+            .map(|(i, _)| OrderMove::KJump(i))
+            .collect();
+        for (from, &op) in state.order.iter().enumerate() {
+            if !op.is_weight_grad() {
+                continue;
+            }
+            for to in 0..state.order.len() {
+                if to == from || self.window.is_some_and(|w| to.abs_diff(from) > w) {
+                    continue;
+                }
+                out.push(OrderMove::Relocate { op, from, to });
+            }
+        }
         out
     }
 
-    /// Delta-probed scoring. k-jumps replace the whole order and are
-    /// scored with the full predictor pass. A `dW` relocation whose
-    /// realized *link service order* is unchanged differs from the
-    /// incumbent's realized schedule by exactly one compute-lane
-    /// relocation, so it is probed with [`DeltaEval::relocate_many`]
-    /// (cone-only rescoring) and reverted; when the relocation reorders
-    /// the link lane, the candidate falls back to the full pass. Scores
-    /// are identical either way — the probe is the exact predictor on
-    /// the identical realized schedule.
-    fn scored_candidates(&self, state: &OrderState) -> Vec<(OrderState, String, Option<SimTime>)> {
-        // A memory cap needs the full ledger per candidate; the
-        // makespan-only delta probe cannot supply it.
-        if self.memory_cap.is_some() {
-            return self
-                .candidates(state)
-                .into_iter()
-                .map(|(st, d)| {
-                    let m = self.score(&st);
-                    (st, d, m)
-                })
-                .collect();
-        }
-        let mut out: Vec<(OrderState, String, Option<SimTime>)> = self
-            .k_jumps(state)
-            .into_iter()
-            .map(|(st, d)| {
-                let m = self.score(&st);
-                (st, d, m)
+    fn scorer(&self, state: &OrderState) -> OrderScorer<'g> {
+        let de = datapar_schedule(self.graph, &state.order, self.cost, self.policy)
+            .and_then(|s0| DeltaEval::new(self.graph, &s0, self.cost))
+            .expect(SEARCH_STATES_EVALUATE);
+        let mut t: SimTime = 0;
+        let finish: Vec<SimTime> = state
+            .order
+            .iter()
+            .map(|&op| {
+                t += self.cost.duration(op);
+                t
             })
             .collect();
-        let relocations = self.relocations(state);
-        let incumbent = datapar_schedule(self.graph, &state.order, self.cost, self.policy).ok();
-        let mut de = incumbent
-            .as_ref()
-            .and_then(|s0| DeltaEval::new(self.graph, s0, self.cost).ok());
-        for (st, d, op, to) in relocations {
-            let m = match (&incumbent, &mut de) {
-                (Some(s0), Some(de)) => {
-                    match datapar_schedule(self.graph, &st.order, self.cost, self.policy) {
-                        Ok(s1)
-                            if s1.lanes.len() == s0.lanes.len()
-                                && (s1.lanes.len() < 2 || s1.lanes[1].ops == s0.lanes[1].ops) =>
-                        {
-                            // Link order unchanged: probe the single
-                            // compute-lane relocation and revert.
-                            let (lane, pos) = de.position_of(op).expect("dW is scheduled");
-                            let probe = de.relocate_many(&[(op, lane, to)]).ok();
-                            if probe.is_some() {
-                                de.relocate_many(&[(op, lane, pos)])
-                                    .expect("reverting to the incumbent cannot deadlock");
-                            }
-                            probe
-                        }
-                        Ok(s1) => predict_makespan(self.graph, &s1, self.cost)
-                            .ok()
-                            .map(|p| p.makespan()),
-                        Err(_) => None,
-                    }
-                }
-                _ => self.score(&st),
-            };
-            out.push((st, d, m));
+        let mut dw_finish = vec![0; self.graph.layers() + 1];
+        for (&op, &f) in state.order.iter().zip(&finish) {
+            if let Op::WeightGrad(LayerId(i)) = op {
+                dw_finish[i] = f;
+            }
         }
-        out
+        let link = self
+            .graph
+            .contains(Op::SyncWeightGrad(LayerId(1)))
+            .then(|| self.link_order(&dw_finish));
+        OrderScorer {
+            de,
+            finish,
+            dw_finish,
+            link,
+            buf: Vec::new(),
+        }
+    }
+
+    /// k-jumps carry their scores from the k-jump table; relocations are
+    /// scored by [`OrderSpace::relocation_raw`]. Under a memory cap a
+    /// candidate is realized for its ledger only when its raw makespan is
+    /// below the cutoff.
+    fn score(
+        &self,
+        sc: &mut OrderScorer<'g>,
+        state: &OrderState,
+        mv: &OrderMove,
+        cutoff: SimTime,
+    ) -> Option<SimTime> {
+        match *mv {
+            OrderMove::KJump(i) => {
+                self.k_jumps()[i].score(cutoff, self.memory_cap, |order| self.peak(order))
+            }
+            OrderMove::Relocate { op, from, to } => {
+                let raw = self.relocation_raw(sc, &state.order, (op, from, to), cutoff)?;
+                crate::capped_below(raw, cutoff, self.memory_cap, || {
+                    self.peak(&Self::relocated(&state.order, from, to))
+                })
+            }
+        }
+    }
+
+    fn apply(&self, state: &OrderState, mv: &OrderMove) -> (OrderState, String) {
+        match *mv {
+            OrderMove::KJump(i) => {
+                let j = &self.k_jumps()[i];
+                let label = match self.family {
+                    KFamily::None => unreachable!("no k-jumps without a family"),
+                    KFamily::ReverseFirstK => format!("set reverse-first-k k={}", j.label),
+                    KFamily::Combined => format!("set combined split k={}", j.label),
+                };
+                let next = OrderState {
+                    order: j.target.clone(),
+                    k: Some(j.label),
+                };
+                (next, label)
+            }
+            OrderMove::Relocate { op, from, to } => (
+                OrderState {
+                    order: Self::relocated(&state.order, from, to),
+                    k: None,
+                },
+                format!("move {op} to position {to}"),
+            ),
+        }
     }
 }
 
@@ -276,6 +375,7 @@ pub fn tune_backward_order<C: CostModel + Sync>(
         verifier,
         window: opts.window,
         memory_cap: opts.memory_cap,
+        k_jumps: OnceLock::new(),
     };
     let init = OrderState {
         order: baseline.to_vec(),

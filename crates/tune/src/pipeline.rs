@@ -10,13 +10,17 @@
 //! ignores the group the regroup moves are no-ops and greedy descent
 //! simply never accepts them.
 
-use crate::{local_search, AppliedMove, Error, Result, SearchSpace, TuneOptions};
+use crate::{
+    local_search, schedule_relocations, score_relocation, AppliedMove, Error, Jump, Relocation,
+    Result, SearchSpace, TuneOptions, SEARCH_STATES_EVALUATE,
+};
 use ooo_core::cost::CostModel;
 use ooo_core::pipeline::{op_level_schedule, Strategy};
 use ooo_core::schedule::Schedule;
 use ooo_core::{SimTime, TrainGraph};
-use ooo_verify::predict::predict_makespan;
+use ooo_verify::predict::{predict_makespan, DeltaEval};
 use ooo_verify::Verifier;
+use std::sync::OnceLock;
 
 /// The outcome of tuning one op-level pipeline schedule.
 #[derive(Debug, Clone)]
@@ -53,6 +57,14 @@ struct PipeState {
     group: usize,
 }
 
+/// A candidate move of the pipeline space.
+enum PipeMove {
+    /// Jump to entry `i` of the regroup table.
+    Regroup(usize),
+    /// An in-lane `dW`-class relocation.
+    Relocate(Relocation),
+}
+
 struct PipeSpace<'g, C: CostModel> {
     graph: &'g TrainGraph,
     cost: &'g C,
@@ -62,106 +74,106 @@ struct PipeSpace<'g, C: CostModel> {
     strategy: Strategy,
     window: Option<usize>,
     memory_cap: Option<u64>,
+    regroups: OnceLock<Vec<Jump<Schedule>>>,
 }
 
 impl<C: CostModel> PipeSpace<'_, C> {
-    /// Regroup candidates: re-render the strategy under every other
-    /// modulo group.
-    fn regroups(&self, state: &PipeState) -> Vec<(PipeState, String)> {
-        let mut out = Vec::new();
-        for group in 1..=self.layers {
-            if group == state.group {
-                continue;
-            }
-            let (_, schedule) = op_level_schedule(self.layers, self.devices, self.strategy, group);
-            if schedule == state.schedule {
-                continue;
-            }
-            out.push((
-                PipeState { schedule, group },
-                format!("regroup modulo {group}"),
-            ));
-        }
-        out
+    /// The strategy rendered under every modulo group, each scored once,
+    /// on the first neighborhood scan that needs them.
+    fn regroups(&self) -> &[Jump<Schedule>] {
+        self.regroups.get_or_init(|| {
+            (1..=self.layers)
+                .map(|group| {
+                    let (_, schedule) =
+                        op_level_schedule(self.layers, self.devices, self.strategy, group);
+                    let raw = predict_makespan(self.graph, &schedule, self.cost)
+                        .ok()
+                        .map(|p| p.makespan());
+                    Jump::new(group, schedule, raw)
+                })
+                .collect()
+        })
     }
 }
 
-impl<C: CostModel + Sync> SearchSpace for PipeSpace<'_, C> {
+impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
     type State = PipeState;
-
-    fn score(&self, state: &PipeState) -> Option<SimTime> {
-        let m = predict_makespan(self.graph, &state.schedule, self.cost)
-            .ok()
-            .map(|p| p.makespan())?;
-        crate::capped_score(m, self.memory_cap, || {
-            ooo_verify::mem::schedule_peak(self.graph, &state.schedule, self.cost).ok()
-        })
-    }
+    type Move = PipeMove;
+    type Scorer = DeltaEval<'g>;
 
     fn clean(&self, state: &PipeState) -> bool {
         self.verifier.verify(&state.schedule).is_clean()
     }
 
-    fn candidates(&self, state: &PipeState) -> Vec<(PipeState, String)> {
-        let mut out = self.regroups(state);
-        // In-lane dW-class relocations; ops stay on their device.
-        for (next, description) in
-            crate::schedule_moves(self.graph, &state.schedule, false, self.window)
-        {
-            out.push((
-                PipeState {
-                    schedule: next,
-                    group: state.group,
-                },
-                description,
-            ));
-        }
+    /// Regroups to every other modulo group whose rendering differs from
+    /// the incumbent, then the in-lane relocations (an op may not change
+    /// devices).
+    fn moves(&self, state: &PipeState) -> Vec<PipeMove> {
+        let mut out: Vec<PipeMove> = self
+            .regroups()
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| j.label != state.group && j.target != state.schedule)
+            .map(|(i, _)| PipeMove::Regroup(i))
+            .collect();
+        out.extend(
+            schedule_relocations(self.graph, &state.schedule, false, self.window)
+                .into_iter()
+                .map(PipeMove::Relocate),
+        );
         out
     }
 
-    /// Regroup candidates replace the whole schedule and get the full
-    /// predictor pass; the in-lane relocations are delta-scored with one
-    /// [`ooo_verify::predict::DeltaEval`] over the incumbent
-    /// ([`crate::delta_scored_schedule_moves`]) — cone-only rescoring
-    /// per candidate, identical scores.
-    fn scored_candidates(&self, state: &PipeState) -> Vec<(PipeState, String, Option<SimTime>)> {
-        // A memory cap needs the full ledger per candidate; the
-        // makespan-only delta probe cannot supply it.
-        if self.memory_cap.is_some() {
-            return self
-                .candidates(state)
-                .into_iter()
-                .map(|(st, d)| {
-                    let m = self.score(&st);
-                    (st, d, m)
-                })
-                .collect();
+    fn scorer(&self, state: &PipeState) -> DeltaEval<'g> {
+        DeltaEval::new(self.graph, &state.schedule, self.cost).expect(SEARCH_STATES_EVALUATE)
+    }
+
+    /// Regroups replace the whole schedule and carry their scores from
+    /// the regroup table; relocations are delta-probed against the
+    /// incumbent ([`score_relocation`]).
+    fn score(
+        &self,
+        de: &mut DeltaEval<'g>,
+        state: &PipeState,
+        mv: &PipeMove,
+        cutoff: SimTime,
+    ) -> Option<SimTime> {
+        match mv {
+            PipeMove::Regroup(i) => self.regroups()[*i].score(cutoff, self.memory_cap, |s| {
+                ooo_verify::mem::schedule_peak(self.graph, s, self.cost).ok()
+            }),
+            PipeMove::Relocate(r) => score_relocation(
+                self.graph,
+                self.cost,
+                self.memory_cap,
+                de,
+                &state.schedule,
+                r,
+                cutoff,
+            ),
         }
-        let mut out: Vec<(PipeState, String, Option<SimTime>)> = self
-            .regroups(state)
-            .into_iter()
-            .map(|(st, d)| {
-                let m = self.score(&st);
-                (st, d, m)
-            })
-            .collect();
-        for (next, description, m) in crate::delta_scored_schedule_moves(
-            self.graph,
-            self.cost,
-            &state.schedule,
-            false,
-            self.window,
-        ) {
-            out.push((
+    }
+
+    fn apply(&self, state: &PipeState, mv: &PipeMove) -> (PipeState, String) {
+        match mv {
+            PipeMove::Regroup(i) => {
+                let j = &self.regroups()[*i];
+                (
+                    PipeState {
+                        schedule: j.target.clone(),
+                        group: j.label,
+                    },
+                    format!("regroup modulo {}", j.label),
+                )
+            }
+            PipeMove::Relocate(r) => (
                 PipeState {
-                    schedule: next,
+                    schedule: r.apply(&state.schedule),
                     group: state.group,
                 },
-                description,
-                m,
-            ));
+                r.describe(&state.schedule),
+            ),
         }
-        out
     }
 }
 
@@ -209,6 +221,7 @@ pub fn tune_pipeline<C: CostModel + Sync>(
         strategy,
         window: opts.window,
         memory_cap: opts.memory_cap,
+        regroups: OnceLock::new(),
     };
     let init = PipeState {
         schedule: baseline,

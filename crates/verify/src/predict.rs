@@ -15,7 +15,14 @@
 //! resolves event by event — so for any fixed schedule the prediction
 //! matches the simulated timeline **exactly** (tolerance 0). Dependencies
 //! outside the schedule are treated as finished at time zero, supporting
-//! the partial schedules of reverse first-k scheduling.
+//! the partial schedules of reverse first-k scheduling. The pass indexes
+//! ops through the graph's dense op ids, so it builds no per-call op map
+//! or edge tables.
+//!
+//! [`DeltaEval`] keeps that timing state for a schedule under edit and
+//! re-times only the cone an edit affects. [`DeltaEval::probe`] scores a
+//! relocation batch without keeping it, restoring the prior state from
+//! the pass's undo log — the tuner's per-candidate score.
 //!
 //! [`datapar_schedule`] statically reconstructs the two-lane schedule
 //! realized by [`ooo_core::datapar::simulate_data_parallel`] for a given
@@ -28,6 +35,7 @@ use ooo_core::op::LayerId;
 use ooo_core::schedule::Schedule;
 use ooo_core::{Error, Op, SimTime, TrainGraph};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// One scheduled operation with its predicted interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,7 +57,9 @@ pub struct PredictedOp {
 pub struct Prediction {
     lane_names: Vec<String>,
     ops: Vec<PredictedOp>,
-    index: HashMap<Op, usize>,
+    /// Op → node index, built on the first [`Prediction::start_of`] /
+    /// [`Prediction::finish_of`]: scoring callers only read the makespan.
+    index: OnceLock<HashMap<Op, usize>>,
     /// For each op (by node index), the node whose finish bound its start
     /// (`None` for ops starting at time zero).
     binding: Vec<Option<usize>>,
@@ -73,14 +83,25 @@ impl Prediction {
         &self.lane_names
     }
 
+    fn node_of(&self, op: Op) -> Option<&PredictedOp> {
+        let index = self.index.get_or_init(|| {
+            self.ops
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.op, i))
+                .collect()
+        });
+        index.get(&op).map(|&i| &self.ops[i])
+    }
+
     /// Predicted start time of `op`, if scheduled.
     pub fn start_of(&self, op: Op) -> Option<SimTime> {
-        self.index.get(&op).map(|&i| self.ops[i].start)
+        self.node_of(op).map(|p| p.start)
     }
 
     /// Predicted finish time of `op`, if scheduled.
     pub fn finish_of(&self, op: Op) -> Option<SimTime> {
-        self.index.get(&op).map(|&i| self.ops[i].end)
+        self.node_of(op).map(|p| p.end)
     }
 
     /// Total predicted busy time of lane `lane`.
@@ -129,8 +150,17 @@ impl Prediction {
     }
 }
 
+/// Marks a graph op that is not in the schedule being predicted.
+const UNSCHEDULED: usize = usize::MAX;
+
 /// Statically evaluates `schedule` under `cost`: a single topological
 /// pass over the union of lane program order and dependency edges.
+///
+/// Nodes are addressed through the graph's dense op indices
+/// ([`TrainGraph::op_index`], [`TrainGraph::dep_indices`]): a node's
+/// union-graph predecessors are its lane predecessor and its scheduled
+/// dependencies, its successors its lane successor and its scheduled
+/// dependents, so the pass needs no per-call op map or edge tables.
 ///
 /// # Errors
 ///
@@ -142,16 +172,19 @@ pub fn predict_makespan<C: CostModel>(
     schedule: &Schedule,
     cost: &C,
 ) -> Result<Prediction, Error> {
-    let mut index: HashMap<Op, usize> = HashMap::new();
-    let mut nodes: Vec<PredictedOp> = Vec::new();
+    let total: usize = schedule.lanes.iter().map(|l| l.ops.len()).sum();
+    // Node index (lane-major) of every scheduled op, by dense op index.
+    let mut node_of: Vec<usize> = vec![UNSCHEDULED; graph.len()];
+    let mut ids: Vec<usize> = Vec::with_capacity(total);
+    let mut nodes: Vec<PredictedOp> = Vec::with_capacity(total);
     for (li, lane) in schedule.lanes.iter().enumerate() {
         for (pos, &op) in lane.ops.iter().enumerate() {
-            if !graph.contains(op) {
-                return Err(Error::UnknownOp(op));
-            }
-            if index.insert(op, nodes.len()).is_some() {
+            let v = graph.op_index(op).ok_or(Error::UnknownOp(op))?;
+            if node_of[v] != UNSCHEDULED {
                 return Err(Error::DuplicateOp(op));
             }
+            node_of[v] = nodes.len();
+            ids.push(v);
             nodes.push(PredictedOp {
                 op,
                 lane: li,
@@ -162,47 +195,53 @@ pub fn predict_makespan<C: CostModel>(
         }
     }
 
-    // Union-graph predecessors: the lane predecessor plus every
-    // *scheduled* dependency (outside deps are complete at time zero).
+    // Union-graph in-degree: the lane predecessor plus every *scheduled*
+    // dependency (outside deps are complete at time zero). Nodes are
+    // lane-major, so node `i`'s lane predecessor is `i - 1` whenever its
+    // position is nonzero.
     let n = nodes.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, node) in nodes.iter().enumerate() {
-        if node.index > 0 {
-            preds[i].push(i - 1);
-        }
-        for dep in graph.deps(node.op)? {
-            if let Some(&d) = index.get(&dep) {
-                preds[i].push(d);
-            }
-        }
-    }
-    let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, ps) in preds.iter().enumerate() {
-        for &p in ps {
-            succs[p].push(i);
-        }
-    }
+    let mut indeg: Vec<usize> = (0..n)
+        .map(|i| {
+            let scheduled_deps = graph
+                .dep_indices(ids[i])
+                .iter()
+                .filter(|&&d| node_of[d] != UNSCHEDULED)
+                .count();
+            usize::from(nodes[i].index > 0) + scheduled_deps
+        })
+        .collect();
 
     let mut binding: Vec<Option<usize>> = vec![None; n];
     let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut done = 0usize;
     while let Some(i) = queue.pop() {
         done += 1;
+        // The first predecessor reaching the maximum finish becomes the
+        // binding one (lane predecessor first, then deps in graph order).
         let mut start: SimTime = 0;
-        for &p in &preds[i] {
-            // The first predecessor reaching the maximum finish becomes
-            // the binding one (preds order is deterministic: lane
-            // predecessor first, then deps in graph order).
-            let f = nodes[p].end;
-            if f > start {
-                start = f;
+        if nodes[i].index > 0 && nodes[i - 1].end > start {
+            start = nodes[i - 1].end;
+            binding[i] = Some(i - 1);
+        }
+        for &d in graph.dep_indices(ids[i]) {
+            if node_of[d] == UNSCHEDULED {
+                continue;
+            }
+            let p = node_of[d];
+            if nodes[p].end > start {
+                start = nodes[p].end;
                 binding[i] = Some(p);
             }
         }
         nodes[i].start = start;
         nodes[i].end = start + cost.duration(nodes[i].op);
-        for &s in &succs[i] {
+        let lane_succ = (i + 1 < n && nodes[i + 1].index > 0).then_some(i + 1);
+        let dependents = graph
+            .dependent_indices(ids[i])
+            .iter()
+            .filter(|&&s| node_of[s] != UNSCHEDULED)
+            .map(|&s| node_of[s]);
+        for s in lane_succ.into_iter().chain(dependents) {
             indeg[s] -= 1;
             if indeg[s] == 0 {
                 queue.push(s);
@@ -216,10 +255,10 @@ pub fn predict_makespan<C: CostModel>(
         let blocked = (0..n).find(|&i| indeg[i] > 0).expect("cycle exists");
         let op = nodes[blocked].op;
         let missing = graph
-            .deps(op)?
-            .into_iter()
-            .find(|d| index.get(d).is_some_and(|&di| indeg[di] > 0))
-            .unwrap_or(op);
+            .dep_indices(ids[blocked])
+            .iter()
+            .find(|&&d| node_of[d] != UNSCHEDULED && indeg[node_of[d]] > 0)
+            .map_or(op, |&d| graph.ops()[d]);
         return Err(Error::DependencyViolation {
             op,
             missing_dep: missing,
@@ -230,7 +269,7 @@ pub fn predict_makespan<C: CostModel>(
     Ok(Prediction {
         lane_names: schedule.lanes.iter().map(|l| l.name.clone()).collect(),
         ops: nodes,
-        index,
+        index: OnceLock::new(),
         binding,
         makespan,
     })
@@ -314,6 +353,70 @@ const UNPLACED: NodeState = NodeState {
     end: 0,
 };
 
+/// Reusable work buffers of a [`DeltaEval`]. Marks are epoch-stamped, so
+/// starting a cone pass clears nothing; once the buffers have grown to
+/// the largest cone seen, edits and probes run without allocating.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    epoch: u32,
+    /// Node `v` is in the current cone iff `in_cone[v] == epoch`.
+    in_cone: Vec<u32>,
+    /// `indeg[v]` belongs to the current pass iff `counted[v] == epoch`.
+    counted: Vec<u32>,
+    /// In-cone union-graph predecessors not yet re-timed.
+    indeg: Vec<u32>,
+    seeds: Vec<usize>,
+    cone: Vec<usize>,
+    stack: Vec<usize>,
+    queue: Vec<usize>,
+    /// `(node, start, end)` before the current pass re-timed the node.
+    undo: Vec<(usize, SimTime, SimTime)>,
+    /// The validated batch: `(node, target lane, target position)`.
+    batch: Vec<(usize, usize, usize)>,
+    /// Per moved node, before the edit: `(node, lane, lane predecessor,
+    /// lane successor)`.
+    before: Vec<(usize, usize, Option<usize>, Option<usize>)>,
+    /// Structural log of the current edit, `(lane, position, node)`:
+    /// removals in the order applied (descending), then insertions in
+    /// the order applied (ascending).
+    removed: Vec<(usize, usize, usize)>,
+    inserted: Vec<(usize, usize, usize)>,
+    /// Per touched lane: `(lane, first, last)` positions whose node may
+    /// have changed (`last == usize::MAX`: through the end of the lane).
+    spans: Vec<(usize, usize, usize)>,
+}
+
+impl Scratch {
+    fn sized(n: usize) -> Self {
+        Scratch {
+            in_cone: vec![0; n],
+            counted: vec![0; n],
+            indeg: vec![0; n],
+            ..Scratch::default()
+        }
+    }
+
+    /// Starts a new pass: every mark of the previous ones goes stale.
+    fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.in_cone.fill(0);
+            self.counted.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Pushes `v` on the DFS stack, zeroing its in-cone predecessor
+    /// count the first time this pass reaches it.
+    fn reach(&mut self, v: usize) {
+        if self.counted[v] != self.epoch {
+            self.counted[v] = self.epoch;
+            self.indeg[v] = 0;
+        }
+        self.stack.push(v);
+    }
+}
+
 /// Incremental (delta) makespan evaluator over the union graph.
 ///
 /// Maintains the exact [`predict_makespan`] timing state for a mutable
@@ -328,11 +431,13 @@ const UNPLACED: NodeState = NodeState {
 /// Edits are all-or-nothing: an edit that would deadlock the lanes
 /// (create a union-graph cycle) is rolled back structurally and timing-
 /// wise, and reported as [`Error::DependencyViolation`].
+/// [`DeltaEval::probe`] scores a relocation batch without keeping it.
 ///
 /// The evaluator keeps two work counters — [`DeltaEval::rescored`]
 /// (nodes actually re-scored) and [`DeltaEval::full_equivalent`] (nodes
 /// a full re-evaluation would have scored per edit) — whose ratio is the
-/// delta-evaluation speedup reported by the bench layer.
+/// delta-evaluation speedup reported by the bench layer. Probes count in
+/// neither.
 #[derive(Debug, Clone)]
 pub struct DeltaEval<'g> {
     graph: &'g TrainGraph,
@@ -345,6 +450,7 @@ pub struct DeltaEval<'g> {
     makespan: SimTime,
     rescored: u64,
     full_equivalent: u64,
+    scratch: Scratch,
 }
 
 impl<'g> DeltaEval<'g> {
@@ -366,6 +472,7 @@ impl<'g> DeltaEval<'g> {
             makespan: 0,
             rescored: 0,
             full_equivalent: 0,
+            scratch: Scratch::sized(n),
         }
     }
 
@@ -399,16 +506,12 @@ impl<'g> DeltaEval<'g> {
                 de.scheduled += 1;
             }
         }
-        let seeds: Vec<usize> = de
-            .lanes
-            .iter()
-            .flatten()
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let mut seeds = std::mem::take(&mut de.scratch.seeds);
+        seeds.extend(de.lanes.iter().flatten().copied());
+        seeds.sort_unstable();
+        de.scratch.seeds = seeds;
         de.full_equivalent += de.scheduled as u64;
-        if let Err(blocked) = de.recompute_cone(&seeds) {
+        if let Err(blocked) = de.recompute_cone() {
             return Err(de.deadlock_error(blocked));
         }
         Ok(de)
@@ -517,7 +620,9 @@ impl<'g> DeltaEval<'g> {
         self.lanes[lane].push(v);
         self.scheduled += 1;
         self.full_equivalent += self.scheduled as u64;
-        if let Err(blocked) = self.recompute_cone(&[v]) {
+        self.scratch.seeds.clear();
+        self.scratch.seeds.push(v);
+        if let Err(blocked) = self.recompute_cone() {
             let err = self.deadlock_error(blocked);
             self.lanes[lane].pop();
             self.nodes[v] = UNPLACED;
@@ -538,16 +643,18 @@ impl<'g> DeltaEval<'g> {
         // Removing a node can only relax its union-graph successors; the
         // popped node was last on its lane, so only graph dependents of
         // `v` that are still scheduled can change.
-        let seeds: Vec<usize> = self
-            .graph
-            .dependent_indices(v)
-            .iter()
-            .copied()
-            .filter(|&d| self.nodes[d].scheduled)
-            .collect();
+        let nodes = &self.nodes;
+        self.scratch.seeds.clear();
+        self.scratch.seeds.extend(
+            self.graph
+                .dependent_indices(v)
+                .iter()
+                .copied()
+                .filter(|&d| nodes[d].scheduled),
+        );
         self.full_equivalent += self.scheduled as u64;
-        if !seeds.is_empty() {
-            self.recompute_cone(&seeds)
+        if !self.scratch.seeds.is_empty() {
+            self.recompute_cone()
                 .expect("removal cannot create a cycle");
         }
         self.refresh_makespan();
@@ -576,77 +683,11 @@ impl<'g> DeltaEval<'g> {
         if moves.is_empty() {
             return Ok(self.makespan);
         }
-        let mut ids: Vec<(usize, usize, usize)> = Vec::with_capacity(moves.len());
-        for &(op, to_lane, to_pos) in moves {
-            let v = self.graph.op_index(op).ok_or(Error::UnknownOp(op))?;
-            if !self.nodes[v].scheduled {
-                return Err(Error::UnknownOp(op));
-            }
-            if ids.iter().any(|&(w, _, _)| w == v) {
-                return Err(Error::DuplicateOp(op));
-            }
-            if to_lane >= self.lanes.len() {
-                return Err(Error::InvalidConfig(format!(
-                    "lane {to_lane} out of range ({} lanes)",
-                    self.lanes.len()
-                )));
-            }
-            ids.push((v, to_lane, to_pos));
-        }
-
-        // Snapshot every lane the batch touches, for rollback and for
-        // the precise predecessor-changed seed computation.
-        let mut touched: Vec<usize> = ids
-            .iter()
-            .flat_map(|&(v, to_lane, _)| [self.nodes[v].lane, to_lane])
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let saved: Vec<(usize, Vec<usize>)> = touched
-            .iter()
-            .map(|&l| (l, self.lanes[l].clone()))
-            .collect();
-
-        // Structural edit: remove all, then insert in ascending target
-        // order so each requested position addresses the final contents.
-        for &(v, _, _) in &ids {
-            let (l, p) = (self.nodes[v].lane, self.nodes[v].pos);
-            self.lane_remove(l, p);
-        }
-        let mut inserts = ids.clone();
-        inserts.sort_unstable_by_key(|&(_, l, p)| (l, p));
-        for &(v, l, p) in &inserts {
-            let p = p.min(self.lanes[l].len());
-            self.lane_insert(l, p, v);
-        }
-
-        // Seeds: exactly the ops whose lane predecessor changed.
-        let mut seeds: Vec<usize> = Vec::new();
-        for (l, old) in &saved {
-            let mut old_pred: HashMap<usize, Option<usize>> = HashMap::new();
-            for (p, &v) in old.iter().enumerate() {
-                old_pred.insert(v, (p > 0).then(|| old[p - 1]));
-            }
-            for (p, &v) in self.lanes[*l].iter().enumerate() {
-                let new_pred = (p > 0).then(|| self.lanes[*l][p - 1]);
-                if old_pred.get(&v) != Some(&new_pred) {
-                    seeds.push(v);
-                }
-            }
-        }
-        seeds.sort_unstable();
-        seeds.dedup();
-
+        self.edit(moves)?;
         self.full_equivalent += self.scheduled as u64;
-        if let Err(blocked) = self.recompute_cone(&seeds) {
+        if let Err(blocked) = self.recompute_cone() {
             let err = self.deadlock_error(blocked);
-            for (l, old) in saved {
-                for (p, &v) in old.iter().enumerate() {
-                    self.nodes[v].lane = l;
-                    self.nodes[v].pos = p;
-                }
-                self.lanes[l] = old;
-            }
+            self.unedit();
             // Times of rolled-back nodes were restored by the failed
             // cone pass itself; only the makespan cache needs a refresh.
             self.refresh_makespan();
@@ -660,20 +701,164 @@ impl<'g> DeltaEval<'g> {
         self.relocate_many(&[(op, lane, pos)])
     }
 
-    fn lane_remove(&mut self, lane: usize, pos: usize) -> usize {
-        let v = self.lanes[lane].remove(pos);
-        for (p, &w) in self.lanes[lane].iter().enumerate().skip(pos) {
-            self.nodes[w].pos = p;
+    /// Scores the relocation batch `moves` (the semantics of
+    /// [`DeltaEval::relocate_many`]) without keeping it: the batch is
+    /// applied, its cone re-timed, the makespan read off, and the exact
+    /// prior state — lanes, times, makespan, counters — restored from the
+    /// pass's undo log, with no second cone pass. Returns the makespan
+    /// the batch would have.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeltaEval::relocate_many`].
+    pub fn probe(&mut self, moves: &[(Op, usize, usize)]) -> Result<SimTime, Error> {
+        if moves.is_empty() {
+            return Ok(self.makespan);
         }
-        v
+        self.edit(moves)?;
+        let out = match self.cone_pass() {
+            (_, Err(blocked)) => Err(self.deadlock_error(blocked)),
+            (_, Ok(())) => Ok(self.lane_makespan()),
+        };
+        for &(v, start, end) in &self.scratch.undo {
+            self.nodes[v].start = start;
+            self.nodes[v].end = end;
+        }
+        self.unedit();
+        out
     }
 
-    fn lane_insert(&mut self, lane: usize, pos: usize, v: usize) {
-        self.lanes[lane].insert(pos, v);
-        self.nodes[v].lane = lane;
-        for (p, &w) in self.lanes[lane].iter().enumerate().skip(pos) {
-            self.nodes[w].pos = p;
+    /// Validates `moves` into the scratch batch, applies it structurally
+    /// (logged for [`DeltaEval::unedit`]), and leaves exactly the ops
+    /// whose lane predecessor changed in the scratch seeds.
+    fn edit(&mut self, moves: &[(Op, usize, usize)]) -> Result<(), Error> {
+        let DeltaEval {
+            graph,
+            lanes,
+            nodes,
+            scratch: s,
+            ..
+        } = self;
+        s.batch.clear();
+        for &(op, to_lane, to_pos) in moves {
+            let v = graph.op_index(op).ok_or(Error::UnknownOp(op))?;
+            if !nodes[v].scheduled {
+                return Err(Error::UnknownOp(op));
+            }
+            if s.batch.iter().any(|&(w, _, _)| w == v) {
+                return Err(Error::DuplicateOp(op));
+            }
+            if to_lane >= lanes.len() {
+                return Err(Error::InvalidConfig(format!(
+                    "lane {to_lane} out of range ({} lanes)",
+                    lanes.len()
+                )));
+            }
+            s.batch.push((v, to_lane, to_pos));
         }
+
+        s.before.clear();
+        s.removed.clear();
+        for &(v, _, _) in &s.batch {
+            let st = nodes[v];
+            let lane = &lanes[st.lane];
+            let pred = (st.pos > 0).then(|| lane[st.pos - 1]);
+            s.before
+                .push((v, st.lane, pred, lane.get(st.pos + 1).copied()));
+            s.removed.push((st.lane, st.pos, v));
+        }
+        // Remove from the back so every logged position stays valid,
+        // then insert in ascending target order so each requested
+        // position addresses the final contents.
+        s.removed.sort_unstable_by(|a, b| b.cmp(a));
+        for &(l, p, _) in &s.removed {
+            lanes[l].remove(p);
+        }
+        s.batch.sort_unstable_by_key(|&(_, l, p)| (l, p));
+        s.inserted.clear();
+        for &(v, l, p) in &s.batch {
+            let p = p.min(lanes[l].len());
+            lanes[l].insert(p, v);
+            nodes[v].lane = l;
+            s.inserted.push((l, p, v));
+        }
+        // Per touched lane, the positions whose node may have changed:
+        // from the first slot an op left or entered to the last (a later
+        // insert at or before an earlier one's slot shifts it right, at
+        // most once per insert into the lane), or to the lane's end when
+        // its length changed.
+        s.spans.clear();
+        for &(l, _, _) in s.removed.iter().chain(&s.inserted) {
+            if s.spans.iter().any(|span| span.0 == l) {
+                continue;
+            }
+            let removed = s.removed.iter().filter(|r| r.0 == l);
+            let inserted = s.inserted.iter().filter(|i| i.0 == l);
+            let shift = inserted.clone().count().saturating_sub(1);
+            let first = removed.clone().chain(inserted.clone()).map(|r| r.1).min();
+            let last = removed
+                .clone()
+                .map(|r| r.1)
+                .chain(inserted.clone().map(|i| i.1 + shift))
+                .max();
+            let (Some(first), Some(mut last)) = (first, last) else {
+                continue;
+            };
+            if removed.count() != inserted.count() {
+                last = usize::MAX;
+            }
+            s.spans.push((l, first, last));
+        }
+        renumber(lanes, nodes, &s.spans);
+
+        // A node's lane predecessor can only change if it moved, lost its
+        // old predecessor to the batch, or gained a moved one.
+        let pred_of = |v: usize| {
+            let st = nodes[v];
+            (st.pos > 0).then(|| lanes[st.lane][st.pos - 1])
+        };
+        let moved = |w: usize| s.batch.iter().any(|&(v, _, _)| v == w);
+        s.seeds.clear();
+        for &(v, lane, pred, _) in &s.before {
+            if nodes[v].lane != lane || pred_of(v) != pred {
+                s.seeds.push(v);
+            }
+        }
+        for &(m, _, _, succ) in &s.before {
+            if let Some(w) = succ.filter(|&w| !moved(w)) {
+                if pred_of(w) != Some(m) {
+                    s.seeds.push(w);
+                }
+            }
+            let st = nodes[m];
+            if let Some(&w) = lanes[st.lane].get(st.pos + 1) {
+                let old_pred = s.before.iter().find(|b| b.3 == Some(w)).map(|b| b.0);
+                if !moved(w) && (old_pred.is_none() || pred_of(w) != old_pred) {
+                    s.seeds.push(w);
+                }
+            }
+        }
+        s.seeds.sort_unstable();
+        s.seeds.dedup();
+        Ok(())
+    }
+
+    /// Reverts the structural edit of the last [`DeltaEval::edit`].
+    fn unedit(&mut self) {
+        let DeltaEval {
+            lanes,
+            nodes,
+            scratch: s,
+            ..
+        } = self;
+        for &(l, p, _) in s.inserted.iter().rev() {
+            lanes[l].remove(p);
+        }
+        for &(l, p, v) in s.removed.iter().rev() {
+            lanes[l].insert(p, v);
+            nodes[v].lane = l;
+        }
+        renumber(lanes, nodes, &s.spans);
     }
 
     fn start_bound(&self, v: usize) -> SimTime {
@@ -690,113 +875,115 @@ impl<'g> DeltaEval<'g> {
         start
     }
 
-    /// Re-scores the union-graph descendants of `seeds` (inclusive) in
-    /// topological order. On a cycle, restores the previous times of
-    /// every cone node and returns one blocked node.
-    fn recompute_cone(&mut self, seeds: &[usize]) -> Result<(), usize> {
-        // Collect the cone: DFS over union-graph successors.
-        let mut in_cone = vec![false; self.nodes.len()];
-        let mut cone: Vec<usize> = Vec::new();
-        let mut stack: Vec<usize> = seeds
-            .iter()
-            .copied()
-            .filter(|&v| self.nodes[v].scheduled)
-            .collect();
-        while let Some(v) = stack.pop() {
-            if in_cone[v] {
-                continue;
-            }
-            in_cone[v] = true;
-            cone.push(v);
-            let st = self.nodes[v];
-            if st.pos + 1 < self.lanes[st.lane].len() {
-                stack.push(self.lanes[st.lane][st.pos + 1]);
-            }
-            for &d in self.graph.dependent_indices(v) {
-                if self.nodes[d].scheduled {
-                    stack.push(d);
-                }
-            }
-        }
-        if cone.is_empty() {
-            self.refresh_makespan();
-            return Ok(());
-        }
-        let undo: Vec<(usize, SimTime, SimTime)> = cone
-            .iter()
-            .map(|&v| (v, self.nodes[v].start, self.nodes[v].end))
-            .collect();
-
-        // Kahn over cone-internal edges; predecessors outside the cone
-        // already carry final times.
-        let mut indeg: HashMap<usize, usize> = HashMap::with_capacity(cone.len());
-        for &v in &cone {
-            let st = self.nodes[v];
-            let mut d = 0;
-            if st.pos > 0 && in_cone[self.lanes[st.lane][st.pos - 1]] {
-                d += 1;
-            }
-            d += self
-                .graph
-                .dep_indices(v)
-                .iter()
-                .filter(|&&p| self.nodes[p].scheduled && in_cone[p])
-                .count();
-            indeg.insert(v, d);
-        }
-        let mut queue: Vec<usize> = cone.iter().copied().filter(|v| indeg[v] == 0).collect();
-        let mut done = 0usize;
-        while let Some(v) = queue.pop() {
-            done += 1;
-            let start = self.start_bound(v);
-            self.nodes[v].start = start;
-            self.nodes[v].end = start + self.dur[v];
-            let st = self.nodes[v];
-            if st.pos + 1 < self.lanes[st.lane].len() {
-                let s = self.lanes[st.lane][st.pos + 1];
-                if in_cone[s] {
-                    let d = indeg.get_mut(&s).expect("cone node");
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(s);
-                    }
-                }
-            }
-            for &s in self.graph.dependent_indices(v) {
-                if self.nodes[s].scheduled && in_cone[s] {
-                    let d = indeg.get_mut(&s).expect("cone node");
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(s);
-                    }
-                }
-            }
-        }
+    /// Re-scores the union-graph descendants of the scratch seeds
+    /// (inclusive) and counts the work. On a cycle, the previous times
+    /// of every cone node are restored and one blocked node returned.
+    fn recompute_cone(&mut self) -> Result<(), usize> {
+        let (done, pass) = self.cone_pass();
         self.rescored += done as u64;
-        if done < cone.len() {
-            for (v, start, end) in undo {
-                self.nodes[v].start = start;
-                self.nodes[v].end = end;
-            }
-            let blocked = cone
-                .iter()
-                .copied()
-                .find(|v| indeg[v] > 0)
-                .expect("cycle exists");
-            return Err(blocked);
-        }
+        pass?;
         self.refresh_makespan();
         Ok(())
     }
 
-    fn refresh_makespan(&mut self) {
-        // The last op of each lane carries the lane's maximum finish.
-        self.makespan = self
-            .lanes
+    /// One cone pass from the scratch seeds in topological (Kahn) order,
+    /// logging every node's prior times in the scratch undo list before
+    /// re-timing it. Returns the number of cone nodes re-timed and, when
+    /// the lanes deadlock, one blocked node — after restoring every time
+    /// the pass wrote.
+    fn cone_pass(&mut self) -> (usize, Result<(), usize>) {
+        let mut s = std::mem::take(&mut self.scratch);
+        s.next_epoch();
+        let epoch = s.epoch;
+        s.cone.clear();
+        s.undo.clear();
+        s.queue.clear();
+        s.stack.clear();
+        // Collect the cone: DFS over union-graph successors, counting
+        // each cone node's in-cone predecessors on the way.
+        for i in 0..s.seeds.len() {
+            let v = s.seeds[i];
+            if self.nodes[v].scheduled {
+                s.reach(v);
+            }
+        }
+        while let Some(v) = s.stack.pop() {
+            if s.in_cone[v] == epoch {
+                continue;
+            }
+            s.in_cone[v] = epoch;
+            s.cone.push(v);
+            let st = self.nodes[v];
+            if let Some(&w) = self.lanes[st.lane].get(st.pos + 1) {
+                s.reach(w);
+                s.indeg[w] += 1;
+            }
+            for &d in self.graph.dependent_indices(v) {
+                if self.nodes[d].scheduled {
+                    s.reach(d);
+                    s.indeg[d] += 1;
+                }
+            }
+        }
+
+        // Kahn over cone-internal edges; predecessors outside the cone
+        // already carry final times.
+        s.queue
+            .extend(s.cone.iter().copied().filter(|&v| s.indeg[v] == 0));
+        while let Some(v) = s.queue.pop() {
+            let start = self.start_bound(v);
+            let node = &mut self.nodes[v];
+            s.undo.push((v, node.start, node.end));
+            node.start = start;
+            node.end = start + self.dur[v];
+            let st = *node;
+            if let Some(&w) = self.lanes[st.lane].get(st.pos + 1) {
+                s.indeg[w] -= 1;
+                if s.indeg[w] == 0 {
+                    s.queue.push(w);
+                }
+            }
+            for &d in self.graph.dependent_indices(v) {
+                if self.nodes[d].scheduled {
+                    s.indeg[d] -= 1;
+                    if s.indeg[d] == 0 {
+                        s.queue.push(d);
+                    }
+                }
+            }
+        }
+        let done = s.undo.len();
+        let mut pass = Ok(());
+        if done < s.cone.len() {
+            for &(v, start, end) in &s.undo {
+                self.nodes[v].start = start;
+                self.nodes[v].end = end;
+            }
+            s.undo.clear();
+            let blocked = s
+                .cone
+                .iter()
+                .copied()
+                .find(|&v| s.indeg[v] > 0)
+                .expect("cycle exists");
+            pass = Err(blocked);
+        }
+        self.scratch = s;
+        (done, pass)
+    }
+
+    /// Latest finish across all lanes: the last op of each lane carries
+    /// the lane's maximum finish.
+    fn lane_makespan(&self) -> SimTime {
+        self.lanes
             .iter()
             .filter_map(|l| l.last().map(|&v| self.nodes[v].end))
             .max()
-            .unwrap_or(0);
+            .unwrap_or(0)
+    }
+
+    fn refresh_makespan(&mut self) {
+        self.makespan = self.lane_makespan();
     }
 
     fn deadlock_error(&self, blocked: usize) -> Error {
@@ -812,6 +999,18 @@ impl<'g> DeltaEval<'g> {
         Error::DependencyViolation {
             op,
             missing_dep: missing,
+        }
+    }
+}
+
+/// Rewrites the stored position of every node inside the given lane
+/// spans (`(lane, first, last)`, `last` clamped to the lane's end).
+fn renumber(lanes: &[Vec<usize>], nodes: &mut [NodeState], spans: &[(usize, usize, usize)]) {
+    for &(l, first, last) in spans {
+        let lane = &lanes[l];
+        let last = last.min(lane.len().saturating_sub(1));
+        for (p, &w) in lane.iter().enumerate().take(last + 1).skip(first) {
+            nodes[w].pos = p;
         }
     }
 }

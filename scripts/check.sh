@@ -55,6 +55,23 @@ rc=0; ./target/debug/ooo-tune order --layers 8 --k 0 --sync 3 \
 grep -q '"cap_met": true' /tmp/ooo-tune-cap.json \
   || { echo "ooo-tune: a generous memory cap should be reported met"; exit 1; }
 rm -f /tmp/ooo-tune-cap.json
+# A binding cap (the heuristic's own ledger peak, which the uncapped tune
+# exceeds) and a capless pipeline tune, each run twice with parallel
+# restart threads: the lazily scored candidates must give the same bytes.
+for args in "order --layers 12 --k 0 --sync 3 --memory-cap 15" \
+            "pipeline --strategy gpipe --layers 16 --devices 4"; do
+  for run in a b; do
+    rc=0; ./target/debug/ooo-tune $args --restarts 3 --json --out /tmp/ooo-tune-$run.json || rc=$?
+    [ "$rc" -eq 0 ] || { echo "ooo-tune $args: unexpected exit $rc"; exit 1; }
+  done
+  cmp /tmp/ooo-tune-a.json /tmp/ooo-tune-b.json \
+    || { echo "ooo-tune $args: parallel restarts produced different reports"; exit 1; }
+  case "$args" in
+    *memory-cap*) grep -q '"cap_met": true' /tmp/ooo-tune-a.json \
+      || { echo "ooo-tune $args: the binding cap should still be met"; exit 1; } ;;
+  esac
+done
+rm -f /tmp/ooo-tune-a.json /tmp/ooo-tune-b.json
 
 echo "==> ooo-memcheck smoke (exit-code contract + determinism)"
 cargo build -q -p ooo-verify --bin ooo-memcheck

@@ -511,7 +511,7 @@ const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cl
 /// invocation, exit code)`. A `.json` fixture holds the invocation's
 /// stdout, an `.err` fixture its stderr; `{F}` in an invocation is the
 /// fixture directory.
-const GOLDEN: [(&str, &str, i32); 19] = [
+const GOLDEN: [(&str, &str, i32); 22] = [
     (
         "tune_order.json",
         "ooo-tune order --layers 8 --k 0 --sync 3 --json",
@@ -525,6 +525,13 @@ const GOLDEN: [(&str, &str, i32); 19] = [
     (
         "tune_order_tight_cap.json",
         "ooo-tune order --layers 6 --k 2 --memory-cap 1 --json",
+        0,
+    ),
+    // The heuristic's own ledger peak: the uncapped tune's first move
+    // would raise it, so the cap binds and is still met.
+    (
+        "tune_order_binding_cap.json",
+        "ooo-tune order --layers 12 --k 0 --sync 3 --memory-cap 15 --json",
         0,
     ),
     (
@@ -560,6 +567,17 @@ const GOLDEN: [(&str, &str, i32); 19] = [
     (
         "tune_pipeline_megatron.json",
         "ooo-tune pipeline --layers 8 --devices 4 --strategy megatron --json",
+        0,
+    ),
+    (
+        "tune_pipeline_pipe2_window.json",
+        "ooo-tune pipeline --layers 24 --devices 4 --strategy pipe2 --window 2 --json",
+        0,
+    ),
+    // Binding: the uncapped tune reaches makespan 26 at peak 18.
+    (
+        "tune_pipeline_gpipe_cap.json",
+        "ooo-tune pipeline --layers 12 --devices 4 --strategy gpipe --memory-cap 16 --json",
         0,
     ),
     (

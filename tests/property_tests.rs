@@ -3,6 +3,7 @@
 //! schedules must cover all operations exactly once, memory accounting
 //! must balance, and simulators must respect conservation laws.
 
+use ooo_backprop::cluster::strategy::{zoo, Shape};
 use ooo_backprop::core::cost::{LayerCost, TableCost, UnitCost};
 use ooo_backprop::core::datapar::{reverse_k_makespan, CommPolicy};
 use ooo_backprop::core::memory::memory_profile;
@@ -16,8 +17,12 @@ use ooo_backprop::core::pipeline::{
 use ooo_backprop::core::reverse_k::reverse_first_k;
 use ooo_backprop::core::schedule::{validate_order, validate_partial_order, Schedule};
 use ooo_backprop::core::TrainGraph;
+use ooo_backprop::tune::apply_move_batch;
+use ooo_backprop::verify::predict::{predict_makespan, DeltaEval};
 use ooo_backprop::verify::{Verifier, VerifyConfig};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -296,5 +301,138 @@ proptest! {
         for (a, b) in grads.iter().flatten().zip(base.1.iter().flatten()) {
             prop_assert_eq!(a.data(), b.data());
         }
+    }
+}
+
+/// Everything a probe must leave untouched: the placement, every op's
+/// recorded position, start and finish, the makespan and both work
+/// counters.
+type DeltaState = (
+    Schedule,
+    Vec<(Option<(usize, usize)>, Option<u64>, Option<u64>)>,
+    u64,
+    u64,
+    u64,
+);
+
+fn delta_state(graph: &TrainGraph, de: &DeltaEval<'_>) -> DeltaState {
+    let times = graph
+        .ops()
+        .iter()
+        .map(|&op| (de.position_of(op), de.start_of(op), de.finish_of(op)))
+        .collect();
+    (
+        de.to_schedule(),
+        times,
+        de.makespan(),
+        de.rescored(),
+        de.full_equivalent(),
+    )
+}
+
+/// A random relocation batch over `schedule`: one to three distinct ops
+/// of any class (so many batches deadlock the lanes), sometimes a
+/// `[dW_i, U_i]` block, to random lanes and positions (some past the
+/// lane end, which the batch semantics clamp).
+fn random_batch(schedule: &Schedule, rng: &mut StdRng) -> Vec<(Op, usize, usize)> {
+    let ops: Vec<Op> = schedule.lanes.iter().flat_map(|l| l.ops.clone()).collect();
+    let lanes = schedule.lanes.len();
+    let mut batch: Vec<(Op, usize, usize)> = Vec::new();
+    for _ in 0..rng.gen_range(1usize..=3) {
+        let op = ops[rng.gen_range(0..ops.len())];
+        if batch.iter().any(|&(o, _, _)| o == op) {
+            continue;
+        }
+        let lane = rng.gen_range(0..lanes);
+        let pos = rng.gen_range(0..=schedule.lanes[lane].ops.len() + 1);
+        batch.push((op, lane, pos));
+        if let Op::WeightGrad(layer) = op {
+            let update = Op::Update(layer);
+            if rng.gen_bool(0.5)
+                && ops.contains(&update)
+                && batch.iter().all(|&(o, _, _)| o != update)
+            {
+                batch.push((update, lane, pos + 1));
+            }
+        }
+    }
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `DeltaEval::probe` over zoo schedules: whatever the batch — legal,
+    /// deadlocking, malformed — the evaluator afterwards is exactly as
+    /// before (placement, every start and finish, makespan, counters).
+    /// A batch that evaluates probes to exactly the full prediction of
+    /// the materialized schedule, so it is below any cutoff exactly when
+    /// the full score is; a batch that deadlocks the lanes is an error.
+    /// Some legal batches are then kept with `relocate_many`, so later
+    /// probes start from edited states.
+    #[test]
+    fn delta_probe_restores_state_and_scores_exactly(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let l = rng.gen_range(2usize..10);
+        let devices = rng.gen_range(2usize..=4);
+        let mut cost = TableCost::uniform(l, LayerCost::default());
+        for i in 1..=l {
+            let c = cost.layer_mut(LayerId(i));
+            c.forward = rng.gen_range(1..6);
+            c.output_grad = rng.gen_range(1..6);
+            c.weight_grad = rng.gen_range(1..6);
+            c.update = rng.gen_range(1..4);
+            c.sync_weight = rng.gen_range(1..8);
+            c.sync_output = rng.gen_range(1..5);
+        }
+        let shapes = [
+            Shape::SingleGpu { layers: l },
+            Shape::DataParallel { layers: l },
+            Shape::Pipeline { layers: l, devices },
+        ];
+        let (mut below, mut above, mut deadlocks) = (0usize, 0usize, 0usize);
+        for shape in shapes {
+            for strategy in zoo() {
+                if !strategy.applicable(shape) {
+                    continue;
+                }
+                let g = strategy.generate(shape, &cost).unwrap();
+                let mut de = DeltaEval::new(&g.graph, &g.schedule, &cost).unwrap();
+                let cutoff = de.makespan();
+                for _ in 0..12 {
+                    let schedule = de.to_schedule();
+                    for (li, lane) in schedule.lanes.iter().enumerate() {
+                        for (pi, &op) in lane.ops.iter().enumerate() {
+                            prop_assert_eq!(de.position_of(op), Some((li, pi)));
+                        }
+                    }
+                    let batch = random_batch(&schedule, &mut rng);
+                    let before = delta_state(&g.graph, &de);
+                    let probed = de.probe(&batch);
+                    prop_assert_eq!(delta_state(&g.graph, &de), before);
+                    let next = apply_move_batch(&de.to_schedule(), &batch);
+                    match predict_makespan(&g.graph, &next, &cost) {
+                        Ok(full) => {
+                            prop_assert_eq!(probed.ok(), Some(full.makespan()));
+                            if full.makespan() < cutoff {
+                                below += 1;
+                            } else {
+                                above += 1;
+                            }
+                            if rng.gen_bool(0.3) {
+                                de.relocate_many(&batch).unwrap();
+                                prop_assert_eq!(de.to_schedule(), next);
+                                prop_assert_eq!(de.makespan(), full.makespan());
+                            }
+                        }
+                        Err(_) => {
+                            deadlocks += 1;
+                            prop_assert!(probed.is_err(), "a deadlocking batch probed Ok");
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(above > 0 && deadlocks > 0, "{below} below, {above} above, {deadlocks} deadlocks");
     }
 }
