@@ -2,8 +2,7 @@
 //! (sub-stream ordering policies, modulo group sizes, k-sweep points).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ooo_cluster::ablation::{modulo_group_sweep, straggler_network, sub_order_ablation};
-use ooo_cluster::datapar::run_with_fixed_k;
+use ooo_cluster::ablation::{k_sweep, modulo_group_sweep, straggler_network, sub_order_ablation};
 use ooo_models::zoo::{bert, densenet121, resnet};
 use ooo_models::GpuProfile;
 use ooo_netsim::link::LinkSpec;
@@ -25,7 +24,7 @@ fn bench_ablations(c: &mut Criterion) {
     group.bench_function("k_point/resnet50_16gpu_k40", |b| {
         let m = resnet(50);
         let topo = ClusterTopology::pub_a();
-        b.iter(|| run_with_fixed_k(&m, 128, &gpu, &topo, 16, 40).unwrap())
+        b.iter(|| k_sweep(&m, 128, &gpu, &topo, 16, &[40]).unwrap())
     });
     group.bench_function("straggler/resnet50_16gpu_3x", |b| {
         let m = resnet(50);

@@ -6,7 +6,7 @@
 //! factor, crossover locations) are the reproduction targets.
 
 use crate::FigureReport;
-use ooo_cluster::ablation::{modulo_group_sweep, straggler_network, sub_order_ablation};
+use ooo_cluster::ablation::{k_sweep, modulo_group_sweep, straggler_network, sub_order_ablation};
 use ooo_cluster::analysis::{region_anatomy, sync_budget};
 use ooo_cluster::datapar::{self, CommSystem};
 use ooo_cluster::hybrid::{run_combined, run_combined_best_k};
@@ -870,8 +870,20 @@ pub fn ablations() -> FigureReport {
 
     lines.push("--- k sweep, ResNet-50, 16x V100 (concavity) ---".to_string());
     let ks = [0usize, 10, 20, 40, 80, 160];
-    let sweep = crate::figures::k_sweep_rows(&ks, &gpu);
-    lines.push(format!("  {}", sweep.join("  ")));
+    let sweep = k_sweep(
+        &zoo::resnet(50),
+        128,
+        &gpu,
+        &ClusterTopology::pub_a(),
+        16,
+        &ks,
+    )
+    .expect("k sweep");
+    let row: Vec<String> = sweep
+        .iter()
+        .map(|(k, t)| format!("k={k}: {t:.0}"))
+        .collect();
+    lines.push(format!("  {}", row.join("  ")));
 
     lines.push("--- straggler network (inter-node bandwidth / N) ---".to_string());
     for factor in [1.0f64, 2.0, 4.0] {
@@ -898,20 +910,6 @@ pub fn ablations() -> FigureReport {
         paper: "multi-stream w/o re-ordering 1.39x vs 1.54x full (Sec 8.2); grouping on Ethernet (Sec 8.4)",
         lines,
     }
-}
-
-/// Helper for the k-sweep rows.
-fn k_sweep_rows(ks: &[usize], gpu: &GpuProfile) -> Vec<String> {
-    let m = zoo::resnet(50);
-    let topo = ClusterTopology::pub_a();
-    ks.iter()
-        .map(|&k| {
-            let t = ooo_cluster::datapar::run_with_fixed_k(&m, 128, gpu, &topo, 16, k)
-                .map(|r| r.throughput)
-                .unwrap_or(0.0);
-            format!("k={k}: {t:.0}")
-        })
-        .collect()
 }
 
 /// Section 8.2 discussion: R2 vs R5 anatomy.
@@ -1015,15 +1013,17 @@ pub fn tracemetrics() -> FigureReport {
             }
         }
     };
-    let (_, tl) = single::run_traced(&zoo::resnet(50), 64, &gpu, Engine::OooXla).expect("single");
-    add("ResNet-50 b64 OOO-XLA", &tl);
-    let (_, tl) = datapar::run_traced(
+    let r = single::run(&zoo::resnet(50), 64, &gpu, Engine::OooXla).expect("single");
+    add("ResNet-50 b64 OOO-XLA", &r.trace.to_timeline("single"));
+    let (_, tl) = datapar::run_fault_injected(
         &zoo::resnet(50),
         128,
         &gpu,
         &ClusterTopology::pub_a(),
         16,
         CommSystem::OooBytePS,
+        &datapar::FaultEnv::none(),
+        None,
     )
     .expect("datapar");
     add("ResNet-50 b128 OOO-BytePS x16", &tl);

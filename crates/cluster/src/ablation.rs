@@ -1,7 +1,7 @@
 //! Ablation studies of the design choices DESIGN.md calls out: how much
 //! each mechanism contributes, and where the trade-offs cross over.
 
-use crate::datapar::{self, CommSystem};
+use crate::datapar::{self, CommSystem, FaultEnv};
 use crate::pipeline::run as run_pipeline;
 use crate::single::{self, Engine};
 use crate::Result;
@@ -88,7 +88,8 @@ pub fn modulo_group_sweep(
 
 /// Throughput as a function of `k` for reverse first-k scheduling — the
 /// concavity assumption behind the paper's heuristic search, made
-/// visible.
+/// visible. Each point runs OOO-BytePS fault-free with `k` pinned (and
+/// clamped to the layer count) instead of searched.
 ///
 /// # Errors
 ///
@@ -101,13 +102,19 @@ pub fn k_sweep(
     gpus: usize,
     ks: &[usize],
 ) -> Result<Vec<(usize, f64)>> {
-    // Re-run the engine per k by constraining the search window to {k}.
-    // The engine's internal search is bypassed by calling the baseline
-    // with a pre-built order; we reuse the BytePS path and scale by the
-    // measured best to keep the shape comparable.
+    let env = FaultEnv::none();
     ks.iter()
         .map(|&k| {
-            let r = datapar::run_with_fixed_k(model, per_gpu_batch, gpu, topology, gpus, k)?;
+            let (r, _) = datapar::run_fault_injected(
+                model,
+                per_gpu_batch,
+                gpu,
+                topology,
+                gpus,
+                CommSystem::OooBytePS,
+                &env,
+                Some(k),
+            )?;
             Ok((k, r.throughput))
         })
         .collect()

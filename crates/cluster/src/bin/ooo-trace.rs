@@ -154,8 +154,11 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
                 "ooo-xla" => single::Engine::OooXla,
                 other => return Err(format!("unknown engine: {other}")),
             };
-            single::run_traced(&model, args.batch, &gpu, engine)
-                .map(|(_, tl)| tl)
+            single::run(&model, args.batch, &gpu, engine)
+                .map(|r| {
+                    r.trace
+                        .to_timeline(&format!("single/{}/{}", engine.name(), model.name))
+                })
                 .map_err(|e| format!("single-GPU simulation failed: {e}"))
         }
         "datapar" => {
@@ -165,15 +168,21 @@ fn build_timeline(args: &Args) -> Result<Timeline, String> {
                 "ooo-byteps" => datapar::CommSystem::OooBytePS,
                 other => return Err(format!("unknown comm system: {other}")),
             };
-            datapar::run_traced(
+            datapar::run_fault_injected(
                 &model,
                 args.batch,
                 &gpu,
                 &ClusterTopology::pub_a(),
                 args.gpus,
                 comm,
+                &datapar::FaultEnv::none(),
+                None,
             )
-            .map(|(_, tl)| tl)
+            .map(|(_, mut tl)| {
+                // A fault-free run is not named as faulted.
+                tl.name = format!("datapar/{}/{}gpus", comm.name(), args.gpus);
+                tl
+            })
             .map_err(|e| format!("data-parallel simulation failed: {e}"))
         }
         "pipeline" => {

@@ -81,146 +81,101 @@ fn effective_link(topology: &ClusterTopology, gpus: usize, overhead_ns: SimTime)
     }
 }
 
-/// Simulates one iteration with a fixed backward order. Returns the
-/// iteration time.
+/// Simulates one iteration with a fixed backward order under `env` and
+/// returns its time. With `trace` naming a timeline it also renders the
+/// iteration: a `compute` lane (backward ops, sync-gated forward ops,
+/// explicit stall spans where the forward pass waits on parameters) and
+/// `uplink`/`downlink` lanes carrying the push and pull queues' service
+/// intervals. Untraced runs build no spans.
 ///
 /// Parameter-server traffic is full duplex: gradients are *pushed* on the
 /// uplink queue and updated parameters *pulled* on the downlink queue;
 /// a layer's pull becomes ready when its push (and the server's
 /// aggregation) completes. Both queues are chunk-preemptive priority
 /// queues keyed by layer index.
-#[allow(clippy::too_many_arguments)]
 fn simulate_iteration(
-    cost: &TableCost,
-    wire_bytes: &[u64],
+    s: &Setup,
     order: &[Op],
-    link: &LinkSpec,
-    policy: Policy,
-    agg_latency_ns: SimTime,
-    fault: &LinkFault,
-    loss: LossHandling,
-) -> SimTime {
-    let l = cost.layers();
+    env: &FaultEnv,
+    trace: Option<&str>,
+) -> (SimTime, Option<Timeline>) {
+    let l = s.cost.layers();
+    let mut compute: Vec<Span> = Vec::new();
+    let op_span = |op: Op, start: SimTime, d: SimTime| {
+        let mut span = Span::new(op.to_string(), "compute", start, start + d);
+        if let Some(layer) = op.layer() {
+            span.args.push(("layer".into(), layer.0 as f64));
+        }
+        span
+    };
     // 1. Backward compute, sequential in the given order.
     let mut t: SimTime = 0;
     let mut dw_finish = vec![0u64; l + 1];
     for &op in order {
-        t += cost.duration(op);
+        let d = s.cost.duration(op);
+        if trace.is_some() {
+            compute.push(op_span(op, t, d));
+        }
+        t += d;
         if let Op::WeightGrad(LayerId(i)) = op {
             dw_finish[i] = t;
         }
     }
     let backward_end = t;
+    let queue = |ready: &dyn Fn(usize) -> SimTime| {
+        let requests: Vec<CommRequest> = (1..=l)
+            .map(|i| CommRequest {
+                id: i,
+                bytes: s.wire_bytes[i - 1],
+                ready_ns: ready(i),
+                priority: i as i64,
+            })
+            .collect();
+        simulate_queue_faulty(
+            &s.link,
+            CHUNK_BYTES,
+            s.policy,
+            &requests,
+            &env.link_fault,
+            env.loss,
+        )
+    };
     // 2. Push queue on the uplink.
-    let push: Vec<CommRequest> = (1..=l)
-        .map(|i| CommRequest {
-            id: i,
-            bytes: wire_bytes[i - 1],
-            ready_ns: dw_finish[i],
-            priority: i as i64,
-        })
-        .collect();
-    let (push_done, _) = simulate_queue_faulty(link, CHUNK_BYTES, policy, &push, fault, loss);
+    let (push_done, push_iv) = queue(&|i| dw_finish[i]);
     // 3. Pull queue on the downlink, gated per layer on the push.
-    let pull: Vec<CommRequest> = (1..=l)
-        .map(|i| CommRequest {
-            id: i,
-            bytes: wire_bytes[i - 1],
-            ready_ns: finish_of(&push_done, i).unwrap_or(0),
-            priority: i as i64,
-        })
-        .collect();
-    let (pull_done, _) = simulate_queue_faulty(link, CHUNK_BYTES, policy, &pull, fault, loss);
+    let (pull_done, pull_iv) = queue(&|i| finish_of(&push_done, i).unwrap_or(0));
     // 4. Forward pass gated per layer on its pulled parameters. Each
     //    synchronization additionally carries the aggregation latency
     //    tail (end-to-end, pipelined across tensors — it delays
     //    completion but does not occupy the wire).
     let mut t = backward_end;
     for i in 1..=l {
-        let sync = finish_of(&pull_done, i)
-            .unwrap_or(0)
-            .saturating_add(agg_latency_ns);
-        t = t.max(sync) + cost.duration(Op::Forward(LayerId(i)));
-    }
-    t
-}
-
-/// [`simulate_iteration`] with full tracing: rebuilds the same iteration
-/// and renders it as a [`Timeline`] with a `compute` lane (backward ops,
-/// sync-gated forward ops, explicit stall spans where the forward pass
-/// waits on parameters) and `uplink`/`downlink` lanes carrying the push
-/// and pull queues' service intervals.
-#[allow(clippy::too_many_arguments)]
-fn simulate_iteration_traced(
-    cost: &TableCost,
-    wire_bytes: &[u64],
-    order: &[Op],
-    link: &LinkSpec,
-    policy: Policy,
-    agg_latency_ns: SimTime,
-    fault: &LinkFault,
-    loss: LossHandling,
-    name: &str,
-) -> (SimTime, Timeline) {
-    let l = cost.layers();
-    let mut tl = Timeline::new(name);
-    let mut compute: Vec<Span> = Vec::new();
-    let mut t: SimTime = 0;
-    let mut dw_finish = vec![0u64; l + 1];
-    for &op in order {
-        let d = cost.duration(op);
-        let mut span = Span::new(op.to_string(), "compute", t, t + d);
-        if let Some(layer) = op.layer() {
-            span.args.push(("layer".into(), layer.0 as f64));
-        }
-        compute.push(span);
-        t += d;
-        if let Op::WeightGrad(LayerId(i)) = op {
-            dw_finish[i] = t;
-        }
-    }
-    let backward_end = t;
-    let push: Vec<CommRequest> = (1..=l)
-        .map(|i| CommRequest {
-            id: i,
-            bytes: wire_bytes[i - 1],
-            ready_ns: dw_finish[i],
-            priority: i as i64,
-        })
-        .collect();
-    let (push_done, push_iv) = simulate_queue_faulty(link, CHUNK_BYTES, policy, &push, fault, loss);
-    let pull: Vec<CommRequest> = (1..=l)
-        .map(|i| CommRequest {
-            id: i,
-            bytes: wire_bytes[i - 1],
-            ready_ns: finish_of(&push_done, i).unwrap_or(0),
-            priority: i as i64,
-        })
-        .collect();
-    let (pull_done, pull_iv) = simulate_queue_faulty(link, CHUNK_BYTES, policy, &pull, fault, loss);
-    let mut t = backward_end;
-    for i in 1..=l {
-        let sync = finish_of(&pull_done, i)
-            .unwrap_or(0)
-            .saturating_add(agg_latency_ns);
+        let sync = finish_of(&pull_done, i).unwrap_or(0).saturating_add(s.tau);
         if sync > t {
-            compute.push(Span::new(format!("wait S[dW{i}]"), CAT_STALL, t, sync));
+            if trace.is_some() {
+                compute.push(Span::new(format!("wait S[dW{i}]"), CAT_STALL, t, sync));
+            }
             t = sync;
         }
-        let d = cost.duration(Op::Forward(LayerId(i)));
-        let mut span = Span::new(Op::Forward(LayerId(i)).to_string(), "compute", t, t + d);
-        span.args.push(("layer".into(), i as f64));
-        compute.push(span);
+        let op = Op::Forward(LayerId(i));
+        let d = s.cost.duration(op);
+        if trace.is_some() {
+            compute.push(op_span(op, t, d));
+        }
         t += d;
     }
-    tl.lane_mut("compute").spans = compute;
-    tl.lanes.push(intervals_to_lane("uplink", &push_iv, |i| {
-        format!("push S[dW{i}]")
-    }));
-    tl.lanes.push(intervals_to_lane("downlink", &pull_iv, |i| {
-        format!("pull S[dW{i}]")
-    }));
-    (t, tl)
+    let timeline = trace.map(|name| {
+        let mut tl = Timeline::new(name);
+        tl.lane_mut("compute").spans = compute;
+        tl.lanes.push(intervals_to_lane("uplink", &push_iv, |i| {
+            format!("push S[dW{i}]")
+        }));
+        tl.lanes.push(intervals_to_lane("downlink", &pull_iv, |i| {
+            format!("pull S[dW{i}]")
+        }));
+        tl
+    });
+    (t, timeline)
 }
 
 /// Per-tensor aggregation-latency tail: the time between a worker's push
@@ -241,9 +196,9 @@ fn aggregation_latency_ns(topology: &ClusterTopology, gpus: usize) -> SimTime {
     }
 }
 
-/// The shared per-configuration state of [`run`] and [`run_traced`]:
-/// cost table, dependency graph, wire volumes, queue discipline, link
-/// and aggregation tail.
+/// The per-configuration state of one run: cost table (stretched by the
+/// environment's straggler factor), dependency graph, wire volumes, queue
+/// discipline, link (degraded by the environment) and aggregation tail.
 struct Setup {
     cost: TableCost,
     graph: TrainGraph,
@@ -260,8 +215,12 @@ fn setup(
     topology: &ClusterTopology,
     gpus: usize,
     system: CommSystem,
+    env: &FaultEnv,
 ) -> Setup {
-    let cost = to_table_cost(model, per_gpu_batch, gpu);
+    let mut cost = to_table_cost(model, per_gpu_batch, gpu);
+    if live(env.compute_factor) {
+        stretch(&mut cost, env.compute_factor);
+    }
     let l = cost.layers();
     let graph = TrainGraph::data_parallel(l);
     let n = gpus.max(1) as f64;
@@ -282,7 +241,10 @@ fn setup(
         CommSystem::Horovod => (Policy::Fifo, HOROVOD_TENSOR_OVERHEAD_NS),
         CommSystem::BytePS | CommSystem::OooBytePS => (Policy::Priority, BYTEPS_TENSOR_OVERHEAD_NS),
     };
-    let link = effective_link(topology, gpus, overhead);
+    let mut link = effective_link(topology, gpus, overhead);
+    if live(env.degrade_factor) {
+        link = link.degraded(env.degrade_factor);
+    }
     let tau = aggregation_latency_ns(topology, gpus)
         * match system {
             // Horovod's negotiate-then-allreduce protocol roughly doubles
@@ -313,92 +275,19 @@ pub fn run(
     gpus: usize,
     system: CommSystem,
 ) -> Result<DataParReport> {
-    let s = setup(model, per_gpu_batch, gpu, topology, gpus, system);
-    let l = s.cost.layers();
-    let eval = |k: usize| -> Result<SimTime> {
-        let order = reverse_first_k::<TableCost>(&s.graph, k, None)?;
-        // Debug builds re-check the backward order with the static
-        // analyzer (partial: the order covers only the backward pass).
-        crate::checks::order_lazy(
-            || (s.graph.clone(), order.clone()),
-            false,
-            "reverse first-k order",
-        );
-        crate::checks::advise_lazy(
-            || {
-                (
-                    s.graph.clone(),
-                    ooo_core::Schedule::single_lane("gpu", order.clone()),
-                )
-            },
-            "reverse first-k order",
-        );
-        Ok(simulate_iteration(
-            &s.cost,
-            &s.wire_bytes,
-            &order,
-            &s.link,
-            s.policy,
-            s.tau,
-            &LinkFault::none(),
-            LossHandling::RestartTensor,
-        ))
-    };
-
-    let (k, iter_ns) = match system {
-        CommSystem::Horovod | CommSystem::BytePS => (0, eval(0)?),
-        CommSystem::OooBytePS => {
-            let best_k = search_optimal_k(l, |k| {
-                eval(k)
-                    .map(|t| 1e9 / t.max(1) as f64)
-                    .unwrap_or(f64::NEG_INFINITY)
-            });
-            (best_k, eval(best_k)?)
-        }
-    };
-
-    let pure_compute: SimTime = s.cost.total_backward() + s.cost.total_forward();
-    Ok(DataParReport {
-        iter_ns,
-        throughput: (per_gpu_batch * gpus) as f64 * 1e9 / iter_ns.max(1) as f64,
-        k,
-        exposed_sync_ns: iter_ns.saturating_sub(pure_compute),
-    })
-}
-
-/// Like [`run`], additionally returning the traced [`Timeline`] of one
-/// steady-state iteration at the chosen `k`: a `compute` lane with
-/// explicit stall spans where the forward pass waits on parameter
-/// synchronization, plus `uplink`/`downlink` lanes showing per-transfer
-/// link occupancy.
-///
-/// # Errors
-///
-/// Propagates scheduling errors (invalid `k`, malformed orders).
-pub fn run_traced(
-    model: &ModelSpec,
-    per_gpu_batch: usize,
-    gpu: &GpuProfile,
-    topology: &ClusterTopology,
-    gpus: usize,
-    system: CommSystem,
-) -> Result<(DataParReport, Timeline)> {
-    let report = run(model, per_gpu_batch, gpu, topology, gpus, system)?;
-    let s = setup(model, per_gpu_batch, gpu, topology, gpus, system);
-    let order = reverse_first_k::<TableCost>(&s.graph, report.k, None)?;
-    let name = format!("datapar/{}/{}gpus", system.name(), gpus);
-    let (_, timeline) = simulate_iteration_traced(
-        &s.cost,
-        &s.wire_bytes,
-        &order,
-        &s.link,
-        s.policy,
-        s.tau,
-        &LinkFault::none(),
-        LossHandling::RestartTensor,
-        &name,
-    );
-    Ok((report, timeline))
+    let env = FaultEnv::none();
+    let (report, _) = iterate(
+        model,
+        per_gpu_batch,
+        gpu,
+        topology,
+        gpus,
+        system,
+        &env,
+        None,
+        None,
+    )?;
+    Ok(report)
 }
 
 /// A deterministic fault environment for one data-parallel run: a
@@ -433,41 +322,43 @@ impl FaultEnv {
 
     /// Whether this environment can perturb a run at all.
     pub fn is_noop(&self) -> bool {
-        let live = |f: f64| f > 1.0 && f.is_finite();
         !live(self.compute_factor) && !live(self.degrade_factor) && self.link_fault.is_noop()
     }
 }
 
-/// A copy of `cost` with every compute duration stretched by `factor`
-/// (straggler injection). Factors ≤ 1 return the table unchanged, so a
-/// no-op environment reproduces the fault-free arithmetic exactly.
-fn scaled_cost(cost: &TableCost, factor: f64) -> TableCost {
-    if factor <= 1.0 || !factor.is_finite() {
-        return cost.clone();
-    }
+/// Whether a slowdown factor perturbs anything: factors ≤ 1 (and
+/// non-finite ones) are ignored, so a no-op environment reproduces the
+/// fault-free arithmetic exactly.
+fn live(factor: f64) -> bool {
+    factor > 1.0 && factor.is_finite()
+}
+
+/// Stretches every compute duration of `cost` by `factor` (straggler
+/// injection).
+fn stretch(cost: &mut TableCost, factor: f64) {
     let scale = |t: SimTime| (t as f64 * factor) as SimTime;
-    let mut c = cost.clone();
-    c.loss = scale(c.loss);
-    for i in 1..=c.layers() {
-        let lc = c.layer_mut(LayerId(i));
+    cost.loss = scale(cost.loss);
+    for i in 1..=cost.layers() {
+        let lc = cost.layer_mut(LayerId(i));
         lc.forward = scale(lc.forward);
         lc.output_grad = scale(lc.output_grad);
         lc.weight_grad = scale(lc.weight_grad);
         lc.update = scale(lc.update);
     }
-    c
 }
 
 /// Runs one data-parallel configuration under a [`FaultEnv`], returning
-/// the report and the traced timeline of the faulted iteration.
+/// the report and the traced timeline of the faulted iteration, named
+/// `datapar/<system>/<gpus>gpus/faulted`.
 ///
-/// `fixed_k` pins the reverse first-k depth (e.g. the stale `k` tuned on
-/// healthy hardware — the no-recovery stance); `None` re-runs
-/// `search_optimal_k` against the *faulted* costs, which is the
-/// re-tuning recovery policy. Baseline systems always use `k = 0`.
+/// `fixed_k` pins the reverse first-k depth of OOO-BytePS (e.g. the
+/// stale `k` tuned on healthy hardware — the no-recovery stance, or one
+/// point of a `k` sweep); `None` re-runs `search_optimal_k` against the
+/// *faulted* costs, which is the re-tuning recovery policy. Baseline
+/// systems always use `k = 0`.
 ///
-/// With `env.is_noop()` and `fixed_k: None` this reproduces
-/// [`run_traced`] exactly.
+/// With `env.is_noop()` and `fixed_k: None` the report equals [`run`]'s
+/// and the timeline is the iteration `run` simulated.
 ///
 /// # Errors
 ///
@@ -483,18 +374,50 @@ pub fn run_fault_injected(
     env: &FaultEnv,
     fixed_k: Option<usize>,
 ) -> Result<(DataParReport, Timeline)> {
-    let mut s = setup(model, per_gpu_batch, gpu, topology, gpus, system);
-    s.cost = scaled_cost(&s.cost, env.compute_factor);
-    if env.degrade_factor > 1.0 && env.degrade_factor.is_finite() {
-        s.link = s.link.degraded(env.degrade_factor);
-    }
+    let name = format!("datapar/{}/{}gpus/faulted", system.name(), gpus);
+    let (report, timeline) = iterate(
+        model,
+        per_gpu_batch,
+        gpu,
+        topology,
+        gpus,
+        system,
+        env,
+        fixed_k,
+        Some(&name),
+    )?;
+    Ok((
+        report,
+        timeline.expect("traced iteration returns a timeline"),
+    ))
+}
+
+/// The one body of both entry points: sets the configuration up under
+/// `env`, chooses `k` (0 for the baselines, `fixed_k` or the concave
+/// search for OOO-BytePS), and simulates the iteration at that `k` —
+/// traced only when `trace` names the timeline.
+#[allow(clippy::too_many_arguments)]
+fn iterate(
+    model: &ModelSpec,
+    per_gpu_batch: usize,
+    gpu: &GpuProfile,
+    topology: &ClusterTopology,
+    gpus: usize,
+    system: CommSystem,
+    env: &FaultEnv,
+    fixed_k: Option<usize>,
+    trace: Option<&str>,
+) -> Result<(DataParReport, Option<Timeline>)> {
+    let s = &setup(model, per_gpu_batch, gpu, topology, gpus, system, env);
     let l = s.cost.layers();
-    let eval = |k: usize| -> Result<SimTime> {
+    let order_at = |k: usize| -> Result<Vec<Op>> {
         let order = reverse_first_k::<TableCost>(&s.graph, k, None)?;
+        // Debug builds re-check the backward order with the static
+        // analyzer (partial: the order covers only the backward pass).
         crate::checks::order_lazy(
             || (s.graph.clone(), order.clone()),
             false,
-            "reverse first-k order (fault-injected)",
+            "reverse first-k order",
         );
         crate::checks::advise_lazy(
             || {
@@ -503,111 +426,28 @@ pub fn run_fault_injected(
                     ooo_core::Schedule::single_lane("gpu", order.clone()),
                 )
             },
-            "reverse first-k order (fault-injected)",
+            "reverse first-k order",
         );
-        Ok(simulate_iteration(
-            &s.cost,
-            &s.wire_bytes,
-            &order,
-            &s.link,
-            s.policy,
-            s.tau,
-            &env.link_fault,
-            env.loss,
-        ))
+        Ok(order)
     };
     let k = match (system, fixed_k) {
-        (_, Some(k)) => k.min(l),
-        (CommSystem::Horovod | CommSystem::BytePS, None) => 0,
+        (CommSystem::Horovod | CommSystem::BytePS, _) => 0,
+        (CommSystem::OooBytePS, Some(k)) => k.min(l),
         (CommSystem::OooBytePS, None) => search_optimal_k(l, |k| {
-            eval(k)
-                .map(|t| 1e9 / t.max(1) as f64)
+            order_at(k)
+                .map(|order| 1e9 / simulate_iteration(s, &order, env, None).0.max(1) as f64)
                 .unwrap_or(f64::NEG_INFINITY)
         }),
     };
-    let iter_ns = eval(k)?;
-    let order = reverse_first_k::<TableCost>(&s.graph, k, None)?;
-    let name = format!("datapar/{}/{}gpus/faulted", system.name(), gpus);
-    let (_, timeline) = simulate_iteration_traced(
-        &s.cost,
-        &s.wire_bytes,
-        &order,
-        &s.link,
-        s.policy,
-        s.tau,
-        &env.link_fault,
-        env.loss,
-        &name,
-    );
+    let (iter_ns, timeline) = simulate_iteration(s, &order_at(k)?, env, trace);
     let pure_compute: SimTime = s.cost.total_backward() + s.cost.total_forward();
-    Ok((
-        DataParReport {
-            iter_ns,
-            throughput: (per_gpu_batch * gpus) as f64 * 1e9 / iter_ns.max(1) as f64,
-            k,
-            exposed_sync_ns: iter_ns.saturating_sub(pure_compute),
-        },
-        timeline,
-    ))
-}
-
-/// Like [`run`] with the OOO-BytePS system but a *fixed* `k` instead of
-/// the heuristic search — used by the k-sweep ablation.
-///
-/// # Errors
-///
-/// Propagates scheduling errors (including `k` beyond the layer count).
-pub fn run_with_fixed_k(
-    model: &ModelSpec,
-    per_gpu_batch: usize,
-    gpu: &GpuProfile,
-    topology: &ClusterTopology,
-    gpus: usize,
-    k: usize,
-) -> Result<DataParReport> {
-    let cost = to_table_cost(model, per_gpu_batch, gpu);
-    let l = cost.layers();
-    let graph = TrainGraph::data_parallel(l);
-    let k = k.min(l);
-    let wire_bytes: Vec<u64> = model
-        .layers
-        .iter()
-        .map(|layer| if gpus <= 1 { 0 } else { layer.param_bytes })
-        .collect();
-    let link = effective_link(topology, gpus, BYTEPS_TENSOR_OVERHEAD_NS);
-    let tau = aggregation_latency_ns(topology, gpus);
-    let order = reverse_first_k::<TableCost>(&graph, k, None)?;
-    crate::checks::order_lazy(
-        || (graph.clone(), order.clone()),
-        false,
-        "reverse first-k order (fixed k)",
-    );
-    crate::checks::advise_lazy(
-        || {
-            (
-                graph.clone(),
-                ooo_core::Schedule::single_lane("gpu", order.clone()),
-            )
-        },
-        "reverse first-k order (fixed k)",
-    );
-    let iter_ns = simulate_iteration(
-        &cost,
-        &wire_bytes,
-        &order,
-        &link,
-        Policy::Priority,
-        tau,
-        &LinkFault::none(),
-        LossHandling::RestartTensor,
-    );
-    let pure_compute: SimTime = cost.total_backward() + cost.total_forward();
-    Ok(DataParReport {
+    let report = DataParReport {
         iter_ns,
         throughput: (per_gpu_batch * gpus) as f64 * 1e9 / iter_ns.max(1) as f64,
         k,
         exposed_sync_ns: iter_ns.saturating_sub(pure_compute),
-    })
+    };
+    Ok((report, timeline))
 }
 
 #[cfg(test)]
@@ -697,7 +537,17 @@ mod tests {
     fn traced_iteration_matches_report() {
         let m = resnet(50);
         let topo = ClusterTopology::pub_a();
-        let (r, tl) = run_traced(&m, 128, &v100(), &topo, 16, CommSystem::OooBytePS).unwrap();
+        let (r, tl) = run_fault_injected(
+            &m,
+            128,
+            &v100(),
+            &topo,
+            16,
+            CommSystem::OooBytePS,
+            &FaultEnv::none(),
+            None,
+        )
+        .unwrap();
         tl.validate().unwrap();
         // The timeline's horizon is exactly the simulated iteration: the
         // compute lane ends at the last forward op.
@@ -716,37 +566,45 @@ mod tests {
     }
 
     #[test]
-    fn noop_fault_env_reproduces_run_traced() {
+    fn noop_fault_env_reproduces_run() {
         let m = resnet(50);
         let topo = ClusterTopology::pub_a();
-        let (base, base_tl) =
-            run_traced(&m, 128, &v100(), &topo, 16, CommSystem::OooBytePS).expect("fault-free run");
         let env = FaultEnv::none();
         assert!(env.is_noop());
-        let (faulted, faulted_tl) = run_fault_injected(
+        for system in [
+            CommSystem::Horovod,
+            CommSystem::BytePS,
+            CommSystem::OooBytePS,
+        ] {
+            let base = run(&m, 128, &v100(), &topo, 16, system).expect("fault-free run");
+            let (faulted, tl) = run_fault_injected(&m, 128, &v100(), &topo, 16, system, &env, None)
+                .expect("noop-faulted run");
+            assert_eq!(base.iter_ns, faulted.iter_ns, "{}", system.name());
+            assert_eq!(base.throughput.to_bits(), faulted.throughput.to_bits());
+            assert_eq!(base.k, faulted.k);
+            assert_eq!(base.exposed_sync_ns, faulted.exposed_sync_ns);
+            assert_eq!(tl.horizon_ns(), base.iter_ns);
+        }
+    }
+
+    #[test]
+    fn baselines_ignore_a_fixed_k() {
+        let m = resnet(50);
+        let topo = ClusterTopology::pub_a();
+        let base = run(&m, 128, &v100(), &topo, 16, CommSystem::BytePS).unwrap();
+        let (pinned, _) = run_fault_injected(
             &m,
             128,
             &v100(),
             &topo,
             16,
-            CommSystem::OooBytePS,
-            &env,
-            None,
+            CommSystem::BytePS,
+            &FaultEnv::none(),
+            Some(5),
         )
-        .expect("noop-faulted run");
-        assert_eq!(base.iter_ns, faulted.iter_ns);
-        assert_eq!(base.k, faulted.k);
-        assert_eq!(base.exposed_sync_ns, faulted.exposed_sync_ns);
-        // Identical spans modulo the timeline name.
-        let a = base_tl.summarize();
-        let b = faulted_tl.summarize();
-        for lane in ["compute", "uplink", "downlink"] {
-            assert_eq!(
-                a.lane(lane).map(|l| (l.busy_ns, l.stall_ns)),
-                b.lane(lane).map(|l| (l.busy_ns, l.stall_ns)),
-                "{lane} diverged"
-            );
-        }
+        .unwrap();
+        assert_eq!(pinned.k, 0);
+        assert_eq!(pinned.iter_ns, base.iter_ns);
     }
 
     #[test]

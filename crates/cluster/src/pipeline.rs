@@ -51,69 +51,6 @@ pub fn run(
     modulo_group: usize,
     iterations: usize,
 ) -> Result<PipelineReport> {
-    run_inner(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        link,
-        devices,
-        strategy,
-        modulo_group,
-        iterations,
-        None,
-    )
-}
-
-/// Like [`run`] with one pipeline stage straggling: every computation
-/// placed on `straggler_device` runs `factor`× slower (a factor ≤ 1
-/// reproduces [`run`] exactly). This is the per-stage slowdown 2BP-style
-/// backprop splitting is sensitive to.
-///
-/// # Errors
-///
-/// As [`run`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_stage_slowdown(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    link: &LinkSpec,
-    devices: usize,
-    strategy: Strategy,
-    modulo_group: usize,
-    iterations: usize,
-    straggler_device: usize,
-    factor: f64,
-) -> Result<PipelineReport> {
-    run_inner(
-        model,
-        batch,
-        micro_batches,
-        gpu,
-        link,
-        devices,
-        strategy,
-        modulo_group,
-        iterations,
-        Some((straggler_device, factor)),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_inner(
-    model: &ModelSpec,
-    batch: usize,
-    micro_batches: usize,
-    gpu: &GpuProfile,
-    link: &LinkSpec,
-    devices: usize,
-    strategy: Strategy,
-    modulo_group: usize,
-    iterations: usize,
-    straggler: Option<(usize, f64)>,
-) -> Result<PipelineReport> {
     if micro_batches == 0 || !batch.is_multiple_of(micro_batches) {
         return Err(Error::InvalidConfig(format!(
             "batch {batch} not divisible into {micro_batches} micro-batches"
@@ -132,21 +69,7 @@ fn run_inner(
         || op_level_schedule(model.num_layers(), devices, strategy, modulo_group),
         "pipeline op-level schedule",
     );
-    let mut cost = to_pipe_cost(model, micro, gpu, |bytes| link.transfer_ns(bytes));
-    if let Some((dev, factor)) = straggler {
-        if factor > 1.0 && factor.is_finite() {
-            let layers = model.num_layers();
-            let alloc = strategy.allocation(layers, devices.max(1), modulo_group);
-            let scale = |t: SimTime| (t as f64 * factor) as SimTime;
-            for i in 1..=layers {
-                if alloc.device_of(i, layers, devices.max(1)) == dev {
-                    cost.forward[i - 1] = scale(cost.forward[i - 1]);
-                    cost.output_grad[i - 1] = scale(cost.output_grad[i - 1]);
-                    cost.weight_grad[i - 1] = scale(cost.weight_grad[i - 1]);
-                }
-            }
-        }
-    }
+    let cost = to_pipe_cost(model, micro, gpu, |bytes| link.transfer_ns(bytes));
     let config = PipelineConfig {
         layers: model.num_layers(),
         devices,
@@ -223,51 +146,6 @@ mod tests {
         // The paper: OOO-Pipe2 is ~1.5x GPipe for the 16-layer FFNN.
         let speedup = pipe2 / gpipe;
         assert!((1.2..2.2).contains(&speedup), "FFNN Pipe2/GPipe {speedup}");
-    }
-
-    #[test]
-    fn stage_straggler_slows_pipeline_and_noop_is_exact() {
-        let m = ffnn16(4_096);
-        let nv = LinkSpec::nvlink();
-        let base = run(&m, 1_024, 4, &v100(), &nv, 4, Strategy::OooPipe2, 1, 4).unwrap();
-        let noop = run_with_stage_slowdown(
-            &m,
-            1_024,
-            4,
-            &v100(),
-            &nv,
-            4,
-            Strategy::OooPipe2,
-            1,
-            4,
-            2,
-            1.0,
-        )
-        .unwrap();
-        assert_eq!(base.iter_ns, noop.iter_ns);
-        // A straggler on any stage inflates the steady-state iteration.
-        for dev in 0..4 {
-            let slow = run_with_stage_slowdown(
-                &m,
-                1_024,
-                4,
-                &v100(),
-                &nv,
-                4,
-                Strategy::OooPipe2,
-                1,
-                4,
-                dev,
-                3.0,
-            )
-            .unwrap();
-            assert!(
-                slow.iter_ns > base.iter_ns,
-                "device {dev}: straggled {} vs base {}",
-                slow.iter_ns,
-                base.iter_ns
-            );
-        }
     }
 
     #[test]

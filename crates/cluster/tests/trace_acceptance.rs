@@ -3,15 +3,15 @@
 //! summarize metrics — which must agree exactly with totals recomputed
 //! from the raw spans.
 
-use ooo_cluster::single::{run_traced, Engine};
+use ooo_cluster::single::{run, Engine};
 use ooo_core::trace::{counter_time_weighted_mean, Timeline, CAT_STALL};
 use ooo_models::zoo::resnet;
 use ooo_models::GpuProfile;
 
 #[test]
 fn resnet50_summarize_agrees_with_raw_spans_across_export() {
-    let (report, timeline) =
-        run_traced(&resnet(50), 64, &GpuProfile::v100(), Engine::OooXla).expect("simulation");
+    let report = run(&resnet(50), 64, &GpuProfile::v100(), Engine::OooXla).expect("simulation");
+    let timeline = report.trace.to_timeline("single/OOO-XLA/ResNet-50");
     timeline.validate().expect("well-formed timeline");
 
     // Round-trip through the on-disk format the `ooo-trace` CLI emits.
@@ -60,8 +60,8 @@ fn resnet50_summarize_agrees_with_raw_spans_across_export() {
 
 #[test]
 fn exported_json_has_the_chrome_trace_shape() {
-    let (_, timeline) =
-        run_traced(&resnet(50), 32, &GpuProfile::v100(), Engine::Xla).expect("simulation");
+    let report = run(&resnet(50), 32, &GpuProfile::v100(), Engine::Xla).expect("simulation");
+    let timeline = report.trace.to_timeline("single/XLA/ResNet-50");
     let json = timeline.to_chrome_json();
     // Perfetto/chrome://tracing requirements: a traceEvents array of
     // objects each carrying a phase, and complete events with ts+dur.

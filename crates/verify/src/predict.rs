@@ -986,14 +986,20 @@ impl<'g> DeltaEval<'g> {
         self.makespan = self.lane_makespan();
     }
 
+    /// The error of a deadlocked cone pass: the blocked node and its
+    /// first scheduled dependency that the failed pass also left blocked
+    /// (in the cone with unresolved in-degree), else the node itself —
+    /// the rule [`predict_makespan`] uses. Reads the failed pass's scratch
+    /// marks, so it runs before any other pass.
     fn deadlock_error(&self, blocked: usize) -> Error {
+        let s = &self.scratch;
         let op = self.graph.ops()[blocked];
         let missing = self
             .graph
             .dep_indices(blocked)
             .iter()
             .copied()
-            .find(|&d| self.nodes[d].scheduled)
+            .find(|&d| s.in_cone[d] == s.epoch && s.indeg[d] > 0)
             .map(|d| self.graph.ops()[d])
             .unwrap_or(op);
         Error::DependencyViolation {
@@ -1146,6 +1152,36 @@ mod tests {
         assert_delta_matches_full(&g, &de);
     }
 
+    /// The ops of `s` that never run: list scheduling to a fixed point,
+    /// where a lane's next op runs once every scheduled dependency ran.
+    fn never_running(g: &TrainGraph, s: &Schedule) -> Vec<Op> {
+        let scheduled: Vec<Op> = s.lanes.iter().flat_map(|l| l.ops.iter().copied()).collect();
+        let mut ran: Vec<Op> = Vec::new();
+        let mut heads = vec![0usize; s.lanes.len()];
+        let mut progress = true;
+        while progress {
+            progress = false;
+            for (lane, head) in s.lanes.iter().zip(heads.iter_mut()) {
+                while let Some(&op) = lane.ops.get(*head) {
+                    let deps = g.deps(op).unwrap();
+                    if deps
+                        .iter()
+                        .any(|d| scheduled.contains(d) && !ran.contains(d))
+                    {
+                        break;
+                    }
+                    ran.push(op);
+                    *head += 1;
+                    progress = true;
+                }
+            }
+        }
+        scheduled
+            .into_iter()
+            .filter(|op| !ran.contains(op))
+            .collect()
+    }
+
     #[test]
     fn delta_eval_rolls_back_deadlocking_edits() {
         let g = TrainGraph::single_gpu(4);
@@ -1171,15 +1207,64 @@ mod tests {
         let mut de = DeltaEval::new(&g, &s, &UnitCost).unwrap();
         let before_schedule = de.to_schedule();
         let before_makespan = de.makespan();
+        // Every single relocation, through both the committing and the
+        // probing path: a deadlock rolls everything back and names a
+        // blocked op and a dependency that is itself blocked.
+        let ops: Vec<Op> = s.lanes.iter().flat_map(|l| l.ops.clone()).collect();
+        let mut deadlocks = 0;
+        for &op in &ops {
+            for lane in 0..2 {
+                for pos in 0..=s.lanes[lane].ops.len() {
+                    let mut moved = s.clone();
+                    for l in &mut moved.lanes {
+                        l.ops.retain(|&o| o != op);
+                    }
+                    let target = &mut moved.lanes[lane].ops;
+                    target.insert(pos.min(target.len()), op);
+                    let stuck = never_running(&g, &moved);
+                    let probed = de.probe(&[(op, lane, pos)]);
+                    let relocated = de.relocate(op, lane, pos);
+                    assert_eq!(probed, relocated, "{op} -> {lane}:{pos}");
+                    let Err(err) = relocated else {
+                        assert!(stuck.is_empty(), "{op} -> {lane}:{pos} runs {stuck:?}");
+                        de.relocate_many(
+                            &before_schedule
+                                .lanes
+                                .iter()
+                                .enumerate()
+                                .flat_map(|(l, r)| {
+                                    r.ops.iter().enumerate().map(move |(p, &o)| (o, l, p))
+                                })
+                                .collect::<Vec<_>>(),
+                        )
+                        .unwrap();
+                        assert_eq!(de.to_schedule(), before_schedule);
+                        continue;
+                    };
+                    deadlocks += 1;
+                    let Error::DependencyViolation {
+                        op: blocked,
+                        missing_dep,
+                    } = err
+                    else {
+                        panic!("{op} -> {lane}:{pos}: {err}");
+                    };
+                    assert!(stuck.contains(&blocked), "{op} -> {lane}:{pos}: {err}");
+                    assert!(stuck.contains(&missing_dep), "{op} -> {lane}:{pos}: {err}");
+                    assert_eq!(
+                        de.to_schedule(),
+                        before_schedule,
+                        "structure not rolled back"
+                    );
+                    assert_eq!(de.makespan(), before_makespan, "timing not rolled back");
+                }
+            }
+        }
+        assert!(deadlocks > 0);
+        assert_delta_matches_full(&g, &de);
         // U4 before its own dW4 deadlocks lane "sub".
         let err = de.relocate(Op::Update(LayerId(4)), 1, 0).unwrap_err();
         assert!(matches!(err, Error::DependencyViolation { .. }));
-        assert_eq!(
-            de.to_schedule(),
-            before_schedule,
-            "structure not rolled back"
-        );
-        assert_eq!(de.makespan(), before_makespan, "timing not rolled back");
         assert_delta_matches_full(&g, &de);
     }
 

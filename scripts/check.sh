@@ -16,6 +16,12 @@ cargo test --workspace -q
 echo "==> perfbench build (its own workspace, so --workspace never compiles it)"
 cargo build --release --manifest-path perfbench/Cargo.toml
 
+echo "==> figures snapshot (the paper tables reproduce docs/figures_snapshot.txt byte for byte)"
+cargo build -q --release -p ooo-bench --bin figures
+./target/release/figures $(grep -o '^================ [a-z0-9]* ' docs/figures_snapshot.txt | cut -d' ' -f2) \
+  | cmp - docs/figures_snapshot.txt \
+  || { echo "figures: output differs from docs/figures_snapshot.txt"; exit 1; }
+
 echo "==> ooo-chaos smoke campaign (determinism + invariants)"
 cargo build -q -p ooo-faults --bin ooo-chaos
 ./target/debug/ooo-chaos run --seed 42 --scenarios 5 --json --out /tmp/ooo-chaos-a.json

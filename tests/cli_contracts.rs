@@ -474,7 +474,10 @@ fn double_runs_are_byte_identical() {
             "ooo-memcheck",
             vec!["bundle", unsafe_b.to_str().unwrap(), "--json"],
         ),
+        ("ooo-trace", vec!["export", "--system", "single"]),
+        ("ooo-trace", vec!["export", "--system", "datapar"]),
         ("ooo-trace", vec!["export", "--system", "pipeline"]),
+        ("ooo-trace", vec!["export", "--system", "hybrid"]),
         (
             "ooo-chaos",
             vec!["run", "--seed", "42", "--scenarios", "5", "--json"],
@@ -507,11 +510,11 @@ fn double_runs_are_byte_identical() {
 /// Directory of the golden fixtures and their input bundles.
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cli_golden");
 
-/// Golden outputs of the tune and certify front ends: `(fixture,
+/// Golden outputs of the tune, certify and chaos front ends: `(fixture,
 /// invocation, exit code)`. A `.json` fixture holds the invocation's
 /// stdout, an `.err` fixture its stderr; `{F}` in an invocation is the
 /// fixture directory.
-const GOLDEN: [(&str, &str, i32); 22] = [
+const GOLDEN: [(&str, &str, i32); 23] = [
     (
         "tune_order.json",
         "ooo-tune order --layers 8 --k 0 --sync 3 --json",
@@ -625,6 +628,12 @@ const GOLDEN: [(&str, &str, i32); 22] = [
         "ooo-cert bundle {F}/clean_bundle.json --schedule nope",
         2,
     ),
+    // The seeded fault campaign over the data-parallel engine.
+    (
+        "chaos_run.json",
+        "ooo-chaos run --seed 42 --scenarios 5 --json",
+        0,
+    ),
 ];
 
 fn golden(file: &str) -> Vec<u8> {
@@ -634,7 +643,8 @@ fn golden(file: &str) -> Vec<u8> {
 
 /// The tune and certify front ends reproduce their golden outputs byte
 /// for byte: `ooo-tune` and `ooo-cert` in every mode (including gate
-/// refusals, memory caps and usage errors), and the `ooo-serve`
+/// refusals, memory caps and usage errors), the `ooo-chaos` campaign
+/// report, and the `ooo-serve`
 /// daemon's response stream for the smoke-test request file of
 /// `scripts/check.sh`. The input bundles are the ones this file builds.
 #[test]
