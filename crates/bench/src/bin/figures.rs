@@ -8,8 +8,13 @@
 //! figures fig7 fig10 # a subset
 //! figures --list     # available ids
 //! ```
+//!
+//! Exit 0 on success, 2 on an unknown id (usage on stderr).
 
 use std::process::ExitCode;
+
+const USAGE: &str = "usage: figures [ID ...]\n\
+                     \x20      figures --list";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,11 +30,12 @@ fn main() -> ExitCode {
     } else {
         let mut sel = Vec::new();
         for a in &args {
-            if ids.contains(&a.as_str()) {
-                sel.push(ids.iter().copied().find(|&i| i == a).expect("checked"));
-            } else {
-                eprintln!("unknown figure id '{a}'; try --list");
-                return ExitCode::FAILURE;
+            match ids.iter().copied().find(|&i| i == a) {
+                Some(id) => sel.push(id),
+                None => {
+                    eprintln!("figures: unknown figure id '{a}'; try --list\n{USAGE}");
+                    return ExitCode::from(2);
+                }
             }
         }
         sel

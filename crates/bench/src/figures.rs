@@ -1143,179 +1143,6 @@ pub fn perfadvice() -> FigureReport {
     }
 }
 
-/// Heuristic vs predictor-guided tuned makespans per seed, across the
-/// four engine shapes the `ooo-tune` autotuner targets. Every tuned
-/// schedule is certified inline: the static prediction must equal the
-/// simulated makespan exactly, and tuning never regresses.
-pub fn tuned() -> FigureReport {
-    use ooo_core::combined::{choose_split_k, combined_backward_order};
-    use ooo_core::cost::UnitCost;
-    use ooo_core::datapar::{simulate_data_parallel, CommPolicy};
-    use ooo_core::multi_region::{backward_regions, multi_region_joint_schedule, ConstantProfile};
-    use ooo_tune::order::{certify_order, tune_backward_order, KFamily};
-    use ooo_tune::pipeline::tune_pipeline;
-    use ooo_tune::{certify_schedule, tune_schedule, TuneOptions};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let rand_cost = |l: usize, rng: &mut StdRng, spiky: bool| {
-        let mut cost = TableCost::uniform(l, LayerCost::default());
-        for i in 1..=l {
-            let c = cost.layer_mut(LayerId(i));
-            if spiky {
-                c.forward = rng.gen_range(1..12);
-                c.output_grad = rng.gen_range(1..12);
-                c.weight_grad = rng.gen_range(1..20);
-                c.update = rng.gen_range(1..4);
-                c.sync_weight = rng.gen_range(0..40);
-            } else {
-                c.forward = rng.gen_range(1..6);
-                c.output_grad = rng.gen_range(1..6);
-                c.weight_grad = rng.gen_range(1..6);
-                c.update = rng.gen_range(1..4);
-                c.sync_weight = rng.gen_range(1..8);
-            }
-        }
-        cost
-    };
-
-    let mut lines = vec![format!(
-        "{:<5} {:>16} {:>16} {:>16} {:>16}",
-        "seed", "single h->t", "datapar h->t", "pipeline h->t", "hybrid h->t"
-    )];
-    let mut improved = [0usize; 4];
-    for seed in 1u64..=10 {
-        // Single-GPU engine: tune the multi-region joint schedule.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let l = rng.gen_range(4usize..12);
-        let graph = TrainGraph::single_gpu(l);
-        let cost = rand_cost(l, &mut rng, false);
-        let (regions, subs) = backward_regions(&graph, &cost, rng.gen_range(1usize..=3));
-        let profile = ConstantProfile {
-            speedup: 1.0 + rng.gen_range(0..5) as f64 / 10.0,
-            sub_time: rng.gen_range(1..5),
-        };
-        let mrs =
-            multi_region_joint_schedule(&graph, &regions, &subs, &profile).expect("joint schedule");
-        let opts = TuneOptions {
-            require_complete: false,
-            ..TuneOptions::default()
-        };
-        let s =
-            tune_schedule(&graph, &mrs.to_schedule(&regions), &cost, &opts).expect("single tunes");
-        assert_eq!(
-            certify_schedule(&graph, &s.schedule, &cost).expect("certifies"),
-            s.predicted
-        );
-
-        // Data-parallel engine: tune from the search_optimal_k baseline.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let l = rng.gen_range(4usize..12);
-        let dgraph = TrainGraph::data_parallel(l);
-        let dcost = rand_cost(l, &mut rng, true);
-        let policy = CommPolicy::PriorityByLayer;
-        let sim_k = |k: usize| {
-            let order = reverse_first_k(&dgraph, k, None::<(u64, &TableCost)>).unwrap();
-            simulate_data_parallel(&dgraph, &order, &dcost, policy)
-                .unwrap()
-                .makespan()
-        };
-        let k = search_optimal_k(l, |k| 1.0 / sim_k(k) as f64);
-        let baseline = reverse_first_k(&dgraph, k, None::<(u64, &TableCost)>).unwrap();
-        let d = tune_backward_order(
-            &dgraph,
-            &baseline,
-            Some(k),
-            &dcost,
-            policy,
-            KFamily::ReverseFirstK,
-            &TuneOptions::default(),
-        )
-        .expect("datapar tunes");
-        assert_eq!(
-            certify_order(&dgraph, &d.order, &dcost, policy).expect("certifies"),
-            d.predicted
-        );
-
-        // Pipeline engine: tune GPipe's eager op-level schedule.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let layers = rng.gen_range(4usize..10);
-        let devices = rng.gen_range(2usize..=4);
-        let p = tune_pipeline(
-            layers,
-            devices,
-            Strategy::GPipe,
-            1,
-            &UnitCost,
-            &TuneOptions::default(),
-        )
-        .expect("pipeline tunes");
-        assert_eq!(
-            certify_schedule(&p.graph, &p.schedule, &UnitCost).expect("certifies"),
-            p.predicted
-        );
-
-        // Hybrid engine: tune the combined order from choose_split_k.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let l = rng.gen_range(4usize..12);
-        let hgraph = TrainGraph::data_parallel(l);
-        let hcost = rand_cost(l, &mut rng, true);
-        let sim_c = |k: usize| {
-            let order = combined_backward_order(&hgraph, k).unwrap();
-            simulate_data_parallel(&hgraph, &order, &hcost, policy)
-                .unwrap()
-                .makespan()
-        };
-        let ck = choose_split_k(l, |k| 1.0 / sim_c(k) as f64);
-        let cbase = combined_backward_order(&hgraph, ck).unwrap();
-        let h = tune_backward_order(
-            &hgraph,
-            &cbase,
-            Some(ck),
-            &hcost,
-            policy,
-            KFamily::Combined,
-            &TuneOptions::default(),
-        )
-        .expect("hybrid tunes");
-        assert_eq!(
-            certify_order(&hgraph, &h.order, &hcost, policy).expect("certifies"),
-            h.predicted
-        );
-
-        for (i, (b, t)) in [
-            (s.baseline, s.predicted),
-            (d.baseline, d.predicted),
-            (p.baseline, p.predicted),
-            (h.baseline, h.predicted),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            assert!(t <= b, "seed {seed} engine {i}: tuned {t} worse than {b}");
-            improved[i] += usize::from(t < b);
-        }
-        lines.push(format!(
-            "{:<5} {:>16} {:>16} {:>16} {:>16}",
-            seed,
-            format!("{} -> {}", s.baseline, s.predicted),
-            format!("{} -> {}", d.baseline, d.predicted),
-            format!("{} -> {}", p.baseline, p.predicted),
-            format!("{} -> {}", h.baseline, h.predicted),
-        ));
-    }
-    lines.push(format!(
-        "seeds improved: single {}/10, datapar {}/10, pipeline {}/10, hybrid {}/10",
-        improved[0], improved[1], improved[2], improved[3],
-    ));
-    FigureReport {
-        id: "tuned",
-        title: "Heuristic vs tuned makespan per seed (all four engines)",
-        paper: "tuner extension: predictor-guided moves never regress and certify exactly",
-        lines,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -765,7 +765,7 @@ impl Strategy for GradInterleaved {
     }
 }
 
-/// The full strategy zoo, in tournament order.
+/// The full strategy zoo, in presentation order.
 pub fn zoo() -> Vec<Box<dyn Strategy>> {
     vec![
         Box::new(Conventional),
@@ -779,7 +779,7 @@ pub fn zoo() -> Vec<Box<dyn Strategy>> {
     ]
 }
 
-/// All zoo strategy names, in tournament order.
+/// All zoo strategy names, in presentation order.
 pub fn strategy_names() -> Vec<&'static str> {
     zoo().iter().map(|s| s.name()).collect()
 }

@@ -67,7 +67,7 @@ impl GpuSpec {
 /// model plus a per-worker [`SpeedFactor`] on top of it. The factor
 /// models everything the spec does not — thermal throttling, a shared
 /// host, an older board revision — and is what the heterogeneous
-/// cluster engines and the tournament bench exercise.
+/// cluster engines and the `zoo_sim` workload exercise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSpec {
     /// The GPU model of this worker.

@@ -21,8 +21,8 @@ pub mod collective;
 pub mod commsim;
 pub mod flows;
 pub mod link;
-#[doc(hidden)]
-pub mod reference;
+#[cfg(test)]
+mod reference;
 pub mod topology;
 
 /// Simulated time in nanoseconds.

@@ -6,9 +6,8 @@
 //! per-chunk filter-and-min) to a sorted arrival cursor plus a ready
 //! heap. The rewrites are proven output-identical by the arguments in
 //! their respective modules; this module preserves the *original*
-//! algorithms so the conformance suite and the scale benchmark can keep
-//! checking (and timing) new against old on arbitrary inputs. Not part
-//! of the public API.
+//! algorithms so the unit tests can keep checking new against old on
+//! arbitrary inputs. Compiled for tests only.
 
 use crate::commsim::{CommCompletion, CommRequest, Policy, ServiceInterval};
 use crate::flows::{max_min_rates, Capacities, Flow};
@@ -169,4 +168,79 @@ pub fn simulate_queue_recorded_naive(
     }
     done.sort_by_key(|c| (c.finish_ns, c.id));
     (done, intervals)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::commsim::simulate_queue_recorded;
+    use crate::flows::simulate_flows;
+
+    /// Deterministic pseudo-random stream (splitmix64); the differential
+    /// inputs must not depend on a seeded RNG's evolution.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn flows_cursor_matches_remove0_reference() {
+        // Sizes straddling empty, tiny, and large; arrival patterns with
+        // duplicate ready times, zero-byte flows, and self-loops (src == dst).
+        for (seed0, n) in [(1u64, 0usize), (2, 1), (3, 7), (4, 100), (5, 1500)] {
+            let mut seed = seed0;
+            let flows: Vec<Flow> = (0..n)
+                .map(|i| Flow {
+                    id: i,
+                    src: (mix(&mut seed) % 6) as usize,
+                    dst: (mix(&mut seed) % 6) as usize,
+                    bytes: (mix(&mut seed) % 3_000_000)
+                        * u64::from(mix(&mut seed).is_multiple_of(2)),
+                    // Duplicated ready times on purpose.
+                    ready_ns: ((mix(&mut seed) % 50) * 1_000_000) as SimTime,
+                })
+                .collect();
+            let mut capacities = Capacities::new();
+            for r in 0..6 {
+                capacities.insert(r, 2e9);
+            }
+            let fast = simulate_flows(&flows, &capacities);
+            let naive = simulate_flows_naive(&flows, &capacities);
+            assert_eq!(fast, naive, "flows diverged at n={n} seed={seed0}");
+        }
+    }
+
+    #[test]
+    fn commsim_heap_matches_filter_min_reference() {
+        // Both policies, chunk sizes from pathological (1 byte) to
+        // whole-tensor, duplicate priorities and ready times.
+        let link = LinkSpec::nvlink();
+        for policy in [Policy::Fifo, Policy::Priority] {
+            // Byte range scales with the chunk size so the 1-byte-chunk
+            // pathological case stays at thousands of chunk events, not
+            // hundreds of millions through the O(n²) reference.
+            for (chunk, byte_range) in [(1u64, 40u64), (40_000, 500_000), (10_000_000, 500_000)] {
+                for (seed0, n) in [(11u64, 0usize), (12, 1), (13, 9), (14, 300)] {
+                    let mut seed = seed0;
+                    let requests: Vec<CommRequest> = (0..n)
+                        .map(|i| CommRequest {
+                            id: i,
+                            bytes: mix(&mut seed) % byte_range,
+                            ready_ns: ((mix(&mut seed) % 20) * 25_000) as SimTime,
+                            priority: (mix(&mut seed) % 5) as i64,
+                        })
+                        .collect();
+                    let fast = simulate_queue_recorded(&link, chunk, policy, &requests);
+                    let naive = simulate_queue_recorded_naive(&link, chunk, policy, &requests);
+                    assert_eq!(
+                        fast, naive,
+                        "commsim diverged: policy={policy:?} chunk={chunk} n={n}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -16,10 +16,9 @@ cargo test --workspace -q
 echo "==> perfbench build (its own workspace, so --workspace never compiles it)"
 cargo build --release --manifest-path perfbench/Cargo.toml
 
-echo "==> figures snapshot (the paper tables reproduce docs/figures_snapshot.txt byte for byte)"
+echo "==> figures snapshot (every table and figure reproduces docs/figures_snapshot.txt byte for byte)"
 cargo build -q --release -p ooo-bench --bin figures
-./target/release/figures $(grep -o '^================ [a-z0-9]* ' docs/figures_snapshot.txt | cut -d' ' -f2) \
-  | cmp - docs/figures_snapshot.txt \
+./target/release/figures | cmp - docs/figures_snapshot.txt \
   || { echo "figures: output differs from docs/figures_snapshot.txt"; exit 1; }
 
 echo "==> ooo-chaos smoke campaign (determinism + invariants)"
@@ -107,14 +106,6 @@ cmp /tmp/ooo-cert-b.json /tmp/ooo-cert-c.json \
   || { echo "ooo-cert: same instance produced different certificates"; exit 1; }
 rm -f /tmp/ooo-cert-a.json /tmp/ooo-cert-b.json /tmp/ooo-cert-c.json
 
-echo "==> scale-bench smoke (old==new differentials, byte-determinism)"
-cargo build -q --release -p ooo-bench --bin scale-bench
-./target/release/scale-bench --smoke --out /tmp/ooo-scale-a.json
-./target/release/scale-bench --smoke --out /tmp/ooo-scale-b.json
-cmp /tmp/ooo-scale-a.json /tmp/ooo-scale-b.json \
-  || { echo "scale-bench: two smoke runs produced different bytes"; exit 1; }
-rm -f /tmp/ooo-scale-a.json /tmp/ooo-scale-b.json
-
 echo "==> ooo-serve smoke (oneshot contract, daemon determinism, crash recovery)"
 cargo build -q -p ooo-serve --bin ooo-serve
 rc=0; printf '{"id":1,"cmd":"order","layers":4,"tier":"heuristic"}\n' \
@@ -157,41 +148,6 @@ rc=0; ./target/debug/ooo-serve --daemon < /tmp/ooo-serve-kill.jsonl > /tmp/ooo-s
   || { echo "ooo-serve: crash recovery lost responses"; exit 1; }
 rm -f /tmp/ooo-serve-one.json /tmp/ooo-serve-req.jsonl /tmp/ooo-serve-a.jsonl \
   /tmp/ooo-serve-b.jsonl /tmp/ooo-serve-kill.jsonl /tmp/ooo-serve-k.jsonl
-
-echo "==> serve-bench smoke (deterministic scenario counts)"
-cargo build -q --release -p ooo-bench --bin serve-bench
-./target/release/serve-bench --smoke --out /tmp/ooo-serve-bench-a.json
-./target/release/serve-bench --smoke --out /tmp/ooo-serve-bench-b.json
-cmp /tmp/ooo-serve-bench-a.json /tmp/ooo-serve-bench-b.json \
-  || { echo "serve-bench: two smoke runs produced different bytes"; exit 1; }
-rm -f /tmp/ooo-serve-bench-a.json /tmp/ooo-serve-bench-b.json
-
-echo "==> mem-bench smoke (deterministic ledger peaks)"
-cargo build -q --release -p ooo-bench --bin mem-bench
-./target/release/mem-bench --smoke --out /tmp/ooo-mem-bench-a.json
-./target/release/mem-bench --smoke --out /tmp/ooo-mem-bench-b.json
-cmp /tmp/ooo-mem-bench-a.json /tmp/ooo-mem-bench-b.json \
-  || { echo "mem-bench: two smoke runs produced different bytes"; exit 1; }
-rm -f /tmp/ooo-mem-bench-a.json /tmp/ooo-mem-bench-b.json
-
-echo "==> tournament-bench smoke (strategy zoo bracket, byte-determinism)"
-cargo build -q --release -p ooo-bench --bin tournament-bench
-./target/release/tournament-bench --smoke --out /tmp/ooo-tournament-a.json
-./target/release/tournament-bench --smoke --out /tmp/ooo-tournament-b.json
-cmp /tmp/ooo-tournament-a.json /tmp/ooo-tournament-b.json \
-  || { echo "tournament-bench: two smoke runs produced different bytes"; exit 1; }
-grep -q '"certified": false' /tmp/ooo-tournament-a.json \
-  && { echo "tournament-bench: a cell failed certification"; exit 1; }
-rm -f /tmp/ooo-tournament-a.json /tmp/ooo-tournament-b.json
-
-echo "==> per-strategy ooo-advise smoke (zoo bundle through the advisor)"
-./target/release/tournament-bench --bundle /tmp/ooo-zoo-bundle.json
-for s in conventional fastforward reversek layerpipe twobp gradinterleaved; do
-  rc=0; ./target/debug/ooo-advise bundle /tmp/ooo-zoo-bundle.json --schedule "$s" \
-    > /dev/null || rc=$?
-  [ "$rc" -le 1 ] || { echo "ooo-advise: strategy $s drew exit $rc"; exit 1; }
-done
-rm -f /tmp/ooo-zoo-bundle.json
 
 echo "==> ooo-tune 1000-stage smoke (windowed search at scale)"
 cargo build -q --release -p ooo-tune --bin ooo-tune

@@ -12,10 +12,14 @@
 //!   (`tests/fixtures/cli_golden/`), and agreement between each CLI and
 //!   the daemon on the same work.
 //!
-//! `tournament-bench` follows the bench-binary convention instead —
-//! a bare invocation runs the full bracket and exits 0 — so it gets
-//! its own contract test covering flag validation and determinism.
+//! `figures` prints every table when run bare, so it gets its own
+//! contract test: an unknown id is a usage error (exit 2), `--list`
+//! names exactly the ids pinned in `docs/figures_snapshot.txt`, and
+//! output is byte-identical across runs. The strategy zoo reaches the
+//! advisor through a bundle holding every data-parallel strategy.
 
+use ooo_backprop::cluster::strategy::{zoo, Shape};
+use ooo_backprop::core::cost::UnitCost;
 use ooo_backprop::core::export::ScheduleBundle;
 use ooo_backprop::core::json::Value;
 use ooo_backprop::core::op::{LayerId, Op};
@@ -37,9 +41,9 @@ const CLIS: [(&str, &str); 8] = [
     ("ooo-serve", "ooo-serve"),
 ];
 
-/// Bench binaries under the lighter bench contract (bare runs are
-/// full-bracket runs, not usage errors), with their owning package.
-const BENCH_CLIS: [(&str, &str); 1] = [("tournament-bench", "ooo-bench")];
+/// The paper-figures binary (a bare run prints everything, so it is
+/// not a usage error), with its owning package.
+const FIGURES: (&str, &str) = ("figures", "ooo-bench");
 
 /// Path to a CLI binary, building it on demand: the root package's
 /// integration tests do not implicitly build other crates' binaries.
@@ -54,7 +58,7 @@ fn bin(name: &str) -> PathBuf {
     if !path.exists() {
         let pkg = CLIS
             .iter()
-            .chain(BENCH_CLIS.iter())
+            .chain([FIGURES].iter())
             .find(|(n, _)| *n == name)
             .map(|(_, p)| *p)
             .expect("known CLI");
@@ -312,55 +316,78 @@ fn success_and_findings_exit_codes() {
     assert_eq!(code(&out), 1, "ooo-cert improvable order");
 }
 
-/// The tournament bench under the bench contract: unknown flags and
-/// unknown strategy names are usage errors (exit 2, usage on stderr),
-/// `--smoke` double runs are byte-identical on stdout, and a strategy
-/// filter restricts the emitted cells to that strategy.
+/// `figures` under its contract: an unknown id is a usage error (exit
+/// 2, usage on stderr, no panic); `--list` prints exactly the ids the
+/// snapshot pins, in order; and a figure prints the same bytes twice.
 #[test]
-fn tournament_bench_flags_filters_and_determinism() {
-    // Unknown flag: exit 2 with the usage string, no panic.
-    let bogus = run("tournament-bench", &["--bogus"]);
-    assert_no_panic("tournament-bench", &bogus);
-    assert_eq!(code(&bogus), 2, "tournament-bench unknown flag");
-    let stderr = String::from_utf8_lossy(&bogus.stderr);
+fn figures_unknown_id_list_and_determinism() {
+    let (name, _) = FIGURES;
+    let unknown = run(name, &["fig3", "nonesuch"]);
+    assert_no_panic(name, &unknown);
+    assert_eq!(code(&unknown), 2, "figures unknown id");
     assert!(
-        stderr.contains("usage:"),
-        "tournament-bench must print usage, got:\n{stderr}"
+        unknown.stdout.is_empty(),
+        "nothing printed before the check"
     );
-
-    // Unknown strategy: exit 2, naming the known strategies.
-    let unknown = run("tournament-bench", &["--smoke", "--strategy", "nonesuch"]);
-    assert_no_panic("tournament-bench", &unknown);
-    assert_eq!(code(&unknown), 2, "tournament-bench unknown strategy");
     let stderr = String::from_utf8_lossy(&unknown.stderr);
     assert!(
-        stderr.contains("nonesuch") && stderr.contains("fastforward"),
-        "unknown-strategy error should name the offender and the zoo:\n{stderr}"
+        stderr.contains("nonesuch") && stderr.contains("usage:"),
+        "unknown-id error should name the offender and print usage:\n{stderr}"
     );
 
-    // Smoke double runs: exit 0, byte-identical, every cell certified.
-    let first = run("tournament-bench", &["--smoke"]);
-    assert_no_panic("tournament-bench", &first);
-    assert_eq!(code(&first), 0, "tournament-bench --smoke");
-    let second = run("tournament-bench", &["--smoke"]);
+    let list = run(name, &["--list"]);
+    assert_eq!(code(&list), 0, "figures --list");
+    let pinned: Vec<&str> = include_str!("../docs/figures_snapshot.txt")
+        .lines()
+        .filter_map(|l| l.strip_prefix("================ "))
+        .filter_map(|l| l.split(' ').next())
+        .collect();
+    let listed = String::from_utf8_lossy(&list.stdout);
+    assert_eq!(listed.lines().collect::<Vec<_>>(), pinned);
+
+    let first = run(name, &["fig3"]);
+    let second = run(name, &["fig3"]);
+    assert_eq!(code(&first), 0, "figures fig3");
+    assert!(!first.stdout.is_empty());
     assert_eq!(
         first.stdout, second.stdout,
-        "tournament-bench --smoke not byte-deterministic"
+        "figures fig3 not byte-deterministic"
     );
-    let doc = String::from_utf8_lossy(&first.stdout);
-    assert!(doc.contains("\"bench\": \"tournament\""), "{doc}");
-    assert!(!doc.contains("\"certified\": false"), "{doc}");
-    assert!(!doc.contains("\"clean\": false"), "{doc}");
+}
 
-    // Strategy filter: only the named strategy's cells are emitted.
-    // (gradinterleaved serializes onto one lane and never wins a group,
-    // so it can only appear in the output via an unfiltered cell.)
-    let filtered = run("tournament-bench", &["--smoke", "--strategy", "twobp"]);
-    assert_no_panic("tournament-bench", &filtered);
-    assert_eq!(code(&filtered), 0, "tournament-bench strategy filter");
-    let doc = String::from_utf8_lossy(&filtered.stdout);
-    assert!(doc.contains("\"strategy\": \"twobp\""), "{doc}");
-    assert!(!doc.contains("\"strategy\": \"gradinterleaved\""), "{doc}");
+/// Every data-parallel strategy of the zoo, exported as one bundle over
+/// an 8-layer graph, goes through `ooo-advise bundle --schedule NAME`
+/// with a contract exit code (0 or 1) and no panic.
+#[test]
+fn advise_accepts_every_zoo_strategy_from_a_bundle() {
+    let shape = Shape::DataParallel { layers: 8 };
+    let graph = shape.graph().expect("8-layer data-parallel graph");
+    let mut bundle = ScheduleBundle::new("strategy-zoo", &graph);
+    for strat in zoo() {
+        if strat.applicable(shape) {
+            let generated = strat
+                .generate(shape, &UnitCost)
+                .expect("strategy generates");
+            bundle
+                .schedules
+                .insert(strat.name().to_string(), generated.schedule);
+        }
+    }
+    assert_eq!(bundle.schedules.len(), 6, "six data-parallel strategies");
+    let path = scratch("zoo-bundle.json");
+    std::fs::write(&path, bundle.to_json().expect("bundle serializes")).unwrap();
+    for name in bundle.schedules.keys() {
+        let out = run(
+            "ooo-advise",
+            &["bundle", path.to_str().unwrap(), "--schedule", name],
+        );
+        assert_no_panic("ooo-advise", &out);
+        assert!(
+            code(&out) <= 1,
+            "ooo-advise --schedule {name}: exit {}",
+            code(&out)
+        );
+    }
 }
 
 /// The daemon's one-shot mode under the shared contract: one request

@@ -4,13 +4,16 @@
 //! static ledger must equal the per-op memory counter instrumented into
 //! the discrete-event simulators at tolerance 0; legal tuner outputs
 //! must preserve that equality; mutations that break buffer lifetimes
-//! must draw the matching OM rule; and memory-capped tuning must land a
-//! verifier-clean, OM-clean schedule under the cap on a zoo model.
+//! must draw the matching OM rule; applying `OM401`'s free-after-sync
+//! plan must never raise a zoo model's peak; and memory-capped tuning
+//! must land a verifier-clean, OM-clean schedule under each stepped cap
+//! on a zoo model, never faster than the uncapped tune.
 
 use ooo_backprop::cluster::mem::{checked_order_memory, checked_schedule_memory};
 use ooo_backprop::core::combined::combined_backward_order;
 use ooo_backprop::core::cost::{LayerCost, TableCost, UnitCost};
 use ooo_backprop::core::datapar::{simulate_data_parallel, CommPolicy};
+use ooo_backprop::core::memory::Buffer;
 use ooo_backprop::core::multi_region::{
     backward_regions, multi_region_joint_schedule, ConstantProfile,
 };
@@ -24,9 +27,10 @@ use ooo_backprop::models::gpu::GpuProfile;
 use ooo_backprop::models::zoo;
 use ooo_backprop::tune::{tune_schedule, TuneOptions};
 use ooo_backprop::verify::mem::{
-    check_schedule, instrument_timeline, ledger_of_schedule, schedule_peak, MemCheckOptions,
+    check_schedule, instrument_timeline, ledger_of_schedule, ledger_of_spans, schedule_peak,
+    spans_of_prediction, FreePlan, MemCheckOptions,
 };
-use ooo_backprop::verify::predict::datapar_schedule;
+use ooo_backprop::verify::predict::{datapar_schedule, predict_makespan};
 use ooo_backprop::verify::{Verifier, VerifyConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -267,8 +271,45 @@ fn truncated_update_tail_mutation_draws_om401() {
     assert!(om401[0].message.contains("wgrad["), "{}", om401[0].message);
 }
 
-/// Acceptance: on a zoo model, tuning with a cap 10% below the
-/// heuristic's ledger peak lands a schedule that respects the cap, is
+/// `OM401` at model scale: a data-parallel backward window that leaves
+/// its synced weight gradients to an unscheduled update tail retains
+/// every `wgrad` to the window end. Freeing each one after its sync
+/// never raises the ledger peak on the first four Table 1 models, and
+/// strictly lowers it on at least one.
+#[test]
+fn om401_early_free_never_raises_the_peak_on_zoo_models() {
+    let mut saved = 0usize;
+    for (model, _, _) in zoo::table1().iter().take(4) {
+        let cost = to_table_cost(model, 16, &GpuProfile::v100());
+        let l = cost.layers();
+        let graph = TrainGraph::data_parallel(l);
+        let mut order = graph.conventional_backprop();
+        order.retain(|op| !matches!(op, Op::Update(_) | Op::Forward(_)));
+        let window = Schedule::single_lane("gpu", order);
+        let pred = predict_makespan(&graph, &window, &cost).unwrap();
+        let spans = spans_of_prediction(&pred);
+        let (retained, _) = ledger_of_spans(&graph, &cost, &spans, None);
+        let plan = FreePlan {
+            frees: (1..=l)
+                .map(|i| (Buffer::WeightGrad(i), Op::SyncWeightGrad(LayerId(i))))
+                .collect(),
+        };
+        let (early, _) = ledger_of_spans(&graph, &cost, &spans, Some(&plan));
+        assert!(
+            early.peak <= retained.peak,
+            "{}: early free raised the peak {} -> {}",
+            model.name,
+            retained.peak,
+            early.peak
+        );
+        saved += usize::from(early.peak < retained.peak);
+    }
+    assert!(saved > 0, "no zoo model saved memory from early frees");
+}
+
+/// Acceptance: on a zoo model, tuning under caps stepped down from the
+/// deferred layout's own ledger peak (100%, then 90%) lands schedules
+/// that respect each cap, never beat the uncapped tune's makespan, are
 /// OV-clean under the full analyzer, and OM-clean under the same budget.
 #[test]
 fn capped_tuning_meets_the_cap_on_a_zoo_model() {
@@ -293,37 +334,46 @@ fn capped_tuning_meets_the_cap_on_a_zoo_model() {
     }
     let baseline = Schedule::single_lane("gpu", ops);
     let base_peak = schedule_peak(&graph, &baseline, &cost).unwrap();
-    let cap = base_peak - base_peak / 10;
-    let opts = TuneOptions {
-        memory_cap: Some(cap),
-        ..TuneOptions::default()
-    };
-    let tuned = tune_schedule(&graph, &baseline, &cost, &opts).unwrap();
-    let peak = tuned.peak.expect("cap set implies a reported peak");
-    assert!(
-        peak <= cap,
-        "tuned peak {peak} exceeds cap {cap} (baseline {base_peak})"
-    );
-    // OV-clean: the full analyzer draws no diagnostics.
-    let report = Verifier::new(&graph)
-        .with_config(VerifyConfig::default())
-        .with_cost(&cost)
-        .verify(&tuned.schedule);
-    assert!(report.is_clean(), "{:?}", report.rule_codes());
-    // OM-clean at the same budget: no lifetime rule fires either.
-    let analysis = check_schedule(
-        &graph,
-        &tuned.schedule,
-        &cost,
-        &MemCheckOptions {
-            budget: Some(cap),
-            ..MemCheckOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(
-        analysis.diagnostics.is_empty(),
-        "{:?}",
-        analysis.diagnostics
-    );
+    let uncapped = tune_schedule(&graph, &baseline, &cost, &TuneOptions::default()).unwrap();
+    for pct in [100, 90] {
+        let cap = base_peak * pct / 100;
+        let opts = TuneOptions {
+            memory_cap: Some(cap),
+            ..TuneOptions::default()
+        };
+        let tuned = tune_schedule(&graph, &baseline, &cost, &opts).unwrap();
+        let peak = tuned.peak.expect("cap set implies a reported peak");
+        assert!(
+            peak <= cap,
+            "{pct}%: tuned peak {peak} exceeds cap {cap} (baseline {base_peak})"
+        );
+        assert!(
+            tuned.predicted >= uncapped.predicted,
+            "{pct}%: capped makespan {} beat the uncapped {}",
+            tuned.predicted,
+            uncapped.predicted
+        );
+        // OV-clean: the full analyzer draws no diagnostics.
+        let report = Verifier::new(&graph)
+            .with_config(VerifyConfig::default())
+            .with_cost(&cost)
+            .verify(&tuned.schedule);
+        assert!(report.is_clean(), "{pct}%: {:?}", report.rule_codes());
+        // OM-clean at the same budget: no lifetime rule fires either.
+        let analysis = check_schedule(
+            &graph,
+            &tuned.schedule,
+            &cost,
+            &MemCheckOptions {
+                budget: Some(cap),
+                ..MemCheckOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(
+            analysis.diagnostics.is_empty(),
+            "{pct}%: {:?}",
+            analysis.diagnostics
+        );
+    }
 }

@@ -14,7 +14,9 @@
 //! * hold-gated overload blocks bounce exactly the predicted number of
 //!   requests with `{"status":"overloaded"}`;
 //! * caching is invisible on the wire: the same trace served with the
-//!   cache disabled produces the identical byte stream.
+//!   cache disabled produces the identical byte stream;
+//! * a replayed request is served from the cache every time after the
+//!   first, and plain workloads answer every request `ok`.
 
 use ooo_backprop::core::json::Value;
 use ooo_backprop::serve::{serve, ServeConfig, ServeSummary};
@@ -249,4 +251,69 @@ fn worker_crashes_lose_no_responses() {
     assert_eq!(sum1.responses, 6);
     assert_eq!(sum1.ok, 6, "{first}");
     assert_eq!(wire_counts(&sum1), wire_counts(&sum2));
+}
+
+/// One full-tier tune replayed under fresh ids: the first request runs
+/// the tuner, and every one of the N − 1 replays is served from the
+/// cache (a hit, or a waiter coalesced onto the in-flight tune).
+#[test]
+fn replayed_full_tier_request_is_cached_n_minus_1_times() {
+    let tune = "{\"id\":0,\"cmd\":\"order\",\"layers\":6,\"k\":2,\"sync\":3,\"tier\":\"full\"}";
+    let n = 9;
+    let input: String = (0..n)
+        .map(|i| tune.replacen("\"id\":0", &format!("\"id\":{i}"), 1) + "\n")
+        .collect();
+    let config = ServeConfig {
+        workers: 4,
+        queue: 64,
+        cache: 64,
+        ..ServeConfig::default()
+    };
+    let (out, sum) = run(&input, &config);
+    assert_eq!(sum.responses, n, "{out}");
+    assert_eq!(sum.ok, n, "{out}");
+    assert_eq!(
+        sum.cache_served,
+        n - 1,
+        "every replay must come from the cache"
+    );
+}
+
+/// Every request of a mixed workload is answered `ok`: a burst of
+/// distinct heuristic-tier orders with the cache off, and the same
+/// instance at each degradation tier.
+#[test]
+fn every_scenario_answers_every_request_ok() {
+    let mut burst = String::new();
+    for i in 0..24 {
+        burst.push_str(&format!(
+            "{{\"id\":{i},\"cmd\":\"order\",\"layers\":{},\"k\":{},\"sync\":{},\"tier\":\"heuristic\"}}\n",
+            3 + i % 4,
+            i % 3,
+            i % 7
+        ));
+    }
+    let mut scenarios = vec![("burst".to_string(), burst, 24u64)];
+    for tier in ["full", "greedy", "heuristic"] {
+        let input: String = (0..2)
+            .map(|i| {
+                format!(
+                    "{{\"id\":{i},\"cmd\":\"order\",\"layers\":6,\"k\":1,\"sync\":{},\"tier\":\"{tier}\"}}\n",
+                    1 + i
+                )
+            })
+            .collect();
+        scenarios.push((format!("tier {tier}"), input, 2));
+    }
+    let config = ServeConfig {
+        workers: 4,
+        queue: 64,
+        cache: 0,
+        ..ServeConfig::default()
+    };
+    for (name, input, requests) in scenarios {
+        let (out, sum) = run(&input, &config);
+        assert_eq!(sum.responses, requests, "{name}: {out}");
+        assert_eq!(sum.ok, requests, "{name}: {out}");
+    }
 }

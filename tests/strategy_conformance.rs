@@ -7,7 +7,9 @@
 //! per-op counter exactly, and (d) regenerate byte-identically on a
 //! second run. The heterogeneous device model is pinned by its own
 //! differential: a uniform fleet must reproduce the homogeneous
-//! simulator byte for byte, entry lists included.
+//! simulator byte for byte, entry lists included. The same contract is
+//! held at model scale by a small tournament: zoo networks under a
+//! homogeneous and a heterogeneous device mix.
 
 use ooo_backprop::cluster::strategy::{strategy_by_name, zoo, Generated, Shape};
 use ooo_backprop::core::cost::{CostModel, LayerCost, TableCost, UnitCost};
@@ -17,8 +19,11 @@ use ooo_backprop::core::datapar::{
 use ooo_backprop::core::op::{LayerId, Op};
 use ooo_backprop::core::reverse_k::reverse_first_k;
 use ooo_backprop::core::schedule::ReadyQueue;
-use ooo_backprop::core::TrainGraph;
+use ooo_backprop::core::{SimTime, TrainGraph};
 use ooo_backprop::gpusim::spec::{GpuSpec, WorkerFleet};
+use ooo_backprop::models::cost::{to_table_cost, weight_bytes};
+use ooo_backprop::models::{zoo as models, GpuProfile, ModelSpec};
+use ooo_backprop::netsim::link::{DuplexLink, LinkSpec};
 use ooo_backprop::tune::TuneOptions;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -182,6 +187,156 @@ fn straggler_gates_the_fleet() {
             "seed {seed}: a slowed worker must lengthen the synchronous iteration"
         );
         assert_eq!(mixed.straggler(), slow, "seed {seed}: straggler index");
+    }
+}
+
+/// A device mix: a (possibly heterogeneous) worker fleet plus the
+/// duplex link its synchronizations traverse.
+struct Mix {
+    name: &'static str,
+    fleet: WorkerFleet,
+    link: DuplexLink,
+}
+
+/// A homogeneous NVLink fleet, and a heterogeneous fleet with
+/// per-worker speed factors behind an asymmetric Ethernet uplink/downlink.
+fn mixes() -> [Mix; 2] {
+    [
+        Mix {
+            name: "homogeneous",
+            fleet: WorkerFleet::homogeneous(GpuSpec::v100(), 4),
+            link: DuplexLink::symmetric(LinkSpec::nvlink()),
+        },
+        Mix {
+            name: "heterogeneous",
+            fleet: WorkerFleet::with_speeds(GpuSpec::v100(), &[100, 110, 125, 150]),
+            link: DuplexLink::asymmetric(LinkSpec::ethernet_25g(), LinkSpec::ethernet_10g()),
+        },
+    ]
+}
+
+/// The per-cell cost table: kernel times from the FLOP model scaled by
+/// the fleet's bottleneck factor (the synchronous barrier waits for the
+/// slowest worker), sync times from the duplex link's round trip over
+/// each layer's parameter bytes. With `scale = false` the kernel times
+/// stay unscaled, for the fleet simulator that applies each worker's
+/// factor itself.
+fn mix_cost(model: &ModelSpec, mix: &Mix, scale: bool) -> TableCost {
+    let mut cost = to_table_cost(model, model.default_batch, &GpuProfile::v100());
+    let slow = mix.fleet.bottleneck();
+    for (i, &wb) in weight_bytes(model).iter().enumerate() {
+        let c = cost.layer_mut(LayerId(i + 1));
+        if scale {
+            c.forward = slow.scale(c.forward);
+            c.output_grad = slow.scale(c.output_grad);
+            c.weight_grad = slow.scale(c.weight_grad);
+            c.update = slow.scale(c.update);
+        }
+        c.sync_weight = mix.link.sync_ns(wb);
+    }
+    cost
+}
+
+/// One tournament group: every applicable data-parallel strategy on
+/// `model` under `mix`. Each cell must be OV-clean, certified at
+/// tolerance 0, and memory-reconciled; on a uniform fleet the
+/// heterogeneous simulator must reproduce the homogeneous one. Returns
+/// each strategy's certified makespan in zoo order.
+fn tournament_group(model: &ModelSpec, mix: &Mix) -> Vec<(&'static str, SimTime)> {
+    let shape = Shape::DataParallel {
+        layers: model.num_layers(),
+    };
+    let cost = mix_cost(model, mix, true);
+    let mut row = Vec::new();
+    for s in zoo() {
+        if !s.applicable(shape) {
+            continue;
+        }
+        let at = format!("{} on {} ({})", s.name(), model.name, mix.name);
+        let g = s
+            .generate(shape, &cost)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let report = g.verify(&cost, None);
+        assert!(report.is_clean(), "{at}: {report}");
+        let makespan = g.certified(&cost).unwrap_or_else(|e| panic!("{at}: {e}"));
+        let (ledger, counter) = g
+            .mem_reconciled(&cost)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(ledger, counter, "{at}: memory ledger diverged");
+        row.push((s.name(), makespan));
+    }
+
+    let graph = shape.graph().unwrap();
+    let unscaled = mix_cost(model, mix, false);
+    let backward = reverse_first_k(&graph, 0, None::<(u64, &TableCost)>).unwrap();
+    let policy = CommPolicy::PriorityByLayer;
+    let hetero = simulate_data_parallel_hetero(
+        &graph,
+        &backward,
+        &unscaled,
+        policy,
+        0,
+        &mix.fleet.speed_factors(),
+    )
+    .unwrap();
+    if mix.fleet.is_uniform() {
+        let homo =
+            simulate_data_parallel_with_tail(&graph, &backward, &unscaled, policy, 0).unwrap();
+        assert_eq!(
+            hetero.makespan(),
+            homo.makespan(),
+            "{}: uniform fleet diverged from the homogeneous simulator",
+            model.name
+        );
+    }
+    row
+}
+
+/// The strategy tournament at model scale: two zoo networks × two
+/// device mixes × the six data-parallel strategies. Every one of the
+/// 24 cells conforms (see `tournament_group`), and a second run of the
+/// bracket gives the same makespans.
+#[test]
+fn tournament_cells_conform_on_zoo_networks_and_device_mixes() {
+    let mut cells = 0usize;
+    for model in [models::ffnn16(256), models::rnn16(64, 4)] {
+        for mix in mixes() {
+            let row = tournament_group(&model, &mix);
+            assert_eq!(
+                row,
+                tournament_group(&model, &mix),
+                "{} ({}): tournament group is not deterministic",
+                model.name,
+                mix.name
+            );
+            cells += row.len();
+        }
+    }
+    assert_eq!(
+        cells, 24,
+        "2 networks x 2 mixes x 6 data-parallel strategies"
+    );
+}
+
+/// The heterogeneous mix (slower workers behind asymmetric Ethernet) is
+/// strictly slower than the NVLink-homogeneous mix in every cell, on
+/// both tournament networks.
+#[test]
+fn heterogeneous_mix_is_strictly_slower_per_cell() {
+    for model in [models::ffnn16(256), models::rnn16(64, 4)] {
+        let [homo_mix, hetero_mix] = mixes();
+        let homo = tournament_group(&model, &homo_mix);
+        let hetero = tournament_group(&model, &hetero_mix);
+        assert_eq!(homo.len(), hetero.len());
+        for (h, x) in homo.iter().zip(&hetero) {
+            assert_eq!(h.0, x.0);
+            assert!(
+                x.1 > h.1,
+                "{} on {}: heterogeneous mix must cost more than NVLink-homogeneous",
+                h.0,
+                model.name
+            );
+        }
     }
 }
 
