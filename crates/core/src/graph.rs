@@ -395,6 +395,32 @@ mod tests {
     use crate::schedule::validate_order;
 
     #[test]
+    fn op_index_is_the_conventional_position() {
+        // The verifier's one-pass OV401 check compares op indices as
+        // conventional positions; this is the property it relies on.
+        for layers in [1, 2, 7, 64] {
+            let mut configs = vec![
+                GraphConfig::single_gpu(layers),
+                GraphConfig::data_parallel(layers),
+                GraphConfig::pipeline_parallel(layers),
+            ];
+            let mut bare = GraphConfig::single_gpu(layers);
+            bare.include_forward = false;
+            bare.include_updates = false;
+            bare.compute_first_output_grad = !bare.compute_first_output_grad;
+            configs.push(bare);
+            for config in configs {
+                let graph = TrainGraph::new(config.clone()).unwrap();
+                let conventional = graph.conventional_backprop();
+                assert_eq!(conventional.len(), graph.len());
+                for (pos, &op) in conventional.iter().enumerate() {
+                    assert_eq!(graph.op_index(op), Some(pos), "{op} in {config:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_layers_is_rejected() {
         assert!(matches!(
             TrainGraph::new(GraphConfig::single_gpu(0)),

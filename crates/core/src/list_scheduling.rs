@@ -18,7 +18,6 @@ use crate::graph::TrainGraph;
 use crate::op::Op;
 use crate::schedule::{ResourceId, Schedule};
 use crate::SimTime;
-use std::collections::HashMap;
 
 /// One executed operation with its simulated interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,20 +127,24 @@ pub fn simulate<C: CostModel>(
     schedule: &Schedule,
     cost: &C,
 ) -> Result<Timeline> {
-    let mut seen: HashMap<Op, ()> = HashMap::new();
-    for (_, op) in schedule.iter_ops() {
-        if !graph.contains(op) {
-            return Err(Error::UnknownOp(op));
+    // Dense op indices per lane, validated in schedule order.
+    let mut scheduled: Vec<bool> = vec![false; graph.len()];
+    let mut lanes: Vec<Vec<usize>> = Vec::with_capacity(schedule.lanes.len());
+    for lane in &schedule.lanes {
+        let mut idxs = Vec::with_capacity(lane.ops.len());
+        for &op in &lane.ops {
+            let idx = graph.op_index(op).ok_or(Error::UnknownOp(op))?;
+            if std::mem::replace(&mut scheduled[idx], true) {
+                return Err(Error::DuplicateOp(op));
+            }
+            idxs.push(idx);
         }
-        if seen.insert(op, ()).is_some() {
-            return Err(Error::DuplicateOp(op));
-        }
+        lanes.push(idxs);
     }
-    let scheduled: HashMap<Op, ()> = seen;
 
-    let mut cursor: Vec<usize> = vec![0; schedule.lanes.len()];
-    let mut lane_avail: Vec<SimTime> = vec![0; schedule.lanes.len()];
-    let mut finish: HashMap<Op, SimTime> = HashMap::new();
+    let mut cursor: Vec<usize> = vec![0; lanes.len()];
+    let mut lane_avail: Vec<SimTime> = vec![0; lanes.len()];
+    let mut finish: Vec<Option<SimTime>> = vec![None; graph.len()];
     let total: usize = schedule.num_ops();
     let mut entries = Vec::with_capacity(total);
 
@@ -151,17 +154,17 @@ pub fn simulate<C: CostModel>(
     // Committing never changes another candidate's start time, so this
     // greedy loop reproduces the true parallel execution exactly.
     while entries.len() < total {
-        let mut best: Option<(SimTime, usize, Op)> = None;
-        for (li, lane) in schedule.lanes.iter().enumerate() {
-            let Some(&op) = lane.ops.get(cursor[li]) else {
+        let mut best: Option<(SimTime, usize, usize)> = None;
+        for (li, lane) in lanes.iter().enumerate() {
+            let Some(&idx) = lane.get(cursor[li]) else {
                 continue;
             };
             let mut ready_at = lane_avail[li];
             let mut ok = true;
-            for dep in graph.deps(op)? {
-                if let Some(&f) = finish.get(&dep) {
+            for &dep in graph.dep_indices(idx) {
+                if let Some(f) = finish[dep] {
                     ready_at = ready_at.max(f);
-                } else if scheduled.contains_key(&dep) {
+                } else if scheduled[dep] {
                     // Dependency scheduled but not yet committed: not a
                     // candidate this round.
                     ok = false;
@@ -170,30 +173,31 @@ pub fn simulate<C: CostModel>(
                 // Dependencies outside the schedule are assumed complete.
             }
             if ok && best.is_none_or(|(s, _, _)| ready_at < s) {
-                best = Some((ready_at, li, op));
+                best = Some((ready_at, li, idx));
             }
         }
-        let Some((start, li, op)) = best else {
+        let Some((start, li, idx)) = best else {
             // No lane head can make progress: cross-lane cycle.
-            let blocked = schedule
-                .lanes
+            let blocked = lanes
                 .iter()
                 .enumerate()
-                .find_map(|(li, lane)| lane.ops.get(cursor[li]))
+                .find_map(|(li, lane)| lane.get(cursor[li]))
                 .copied()
                 .expect("uncommitted ops remain");
             let missing = graph
-                .deps(blocked)?
-                .into_iter()
-                .find(|d| scheduled.contains_key(d) && !finish.contains_key(d))
+                .dep_indices(blocked)
+                .iter()
+                .copied()
+                .find(|&d| scheduled[d] && finish[d].is_none())
                 .unwrap_or(blocked);
             return Err(Error::DependencyViolation {
-                op: blocked,
-                missing_dep: missing,
+                op: graph.ops()[blocked],
+                missing_dep: graph.ops()[missing],
             });
         };
+        let op = graph.ops()[idx];
         let end = start + cost.duration(op);
-        finish.insert(op, end);
+        finish[idx] = Some(end);
         entries.push(TimedOp {
             op,
             resource: ResourceId(li),

@@ -46,8 +46,8 @@
 //! ## Analyses
 //!
 //! 1. **Happens-before** ([`hb`]): program order per lane unioned with
-//!    the dependency edges between scheduled ops, materialized as a
-//!    transitive closure for O(1) ordering queries.
+//!    the dependency edges between scheduled ops, answered by one vector
+//!    clock per event for O(1) ordering queries.
 //! 2. **Race detection** (`OV201`): conflicting accesses (same buffer,
 //!    at least one write, different lanes) with no happens-before path,
 //!    using the buffer model of [`access`].
@@ -88,7 +88,6 @@ use ooo_core::export::DiagnosticRecord;
 use ooo_core::memory::memory_profile;
 use ooo_core::schedule::{merge_lanes, Schedule};
 use ooo_core::{Op, TrainGraph};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// How serious a finding is.
@@ -446,11 +445,11 @@ impl<'g, C: CostModel> Verifier<'g, C> {
         // --- Structural rules (OV001/OV002/OV003). A schedule that fails
         // OV001/OV002 has no well-defined event set, so the deeper
         // analyses are skipped.
-        let mut seen: HashSet<Op> = HashSet::new();
+        let mut seen: Vec<bool> = vec![false; self.graph.len()];
         let mut structural_broken = false;
         for lane in &schedule.lanes {
             for &op in &lane.ops {
-                if !self.graph.contains(op) {
+                let Some(idx) = self.graph.op_index(op) else {
                     diags.push(Diagnostic {
                         rule: RuleId::UnknownOp,
                         ops: vec![op],
@@ -458,7 +457,9 @@ impl<'g, C: CostModel> Verifier<'g, C> {
                         message: format!("{op} (lane {}) is not part of the graph", lane.name),
                     });
                     structural_broken = true;
-                } else if !seen.insert(op) {
+                    continue;
+                };
+                if std::mem::replace(&mut seen[idx], true) {
                     let lanes: Vec<String> = schedule
                         .lanes
                         .iter()
@@ -487,8 +488,9 @@ impl<'g, C: CostModel> Verifier<'g, C> {
                 .graph
                 .ops()
                 .iter()
-                .copied()
-                .filter(|op| !seen.contains(op))
+                .zip(&seen)
+                .filter(|&(_, &s)| !s)
+                .map(|(&op, _)| op)
                 .collect();
             if !missing.is_empty() {
                 let shown: Vec<String> = missing.iter().map(|op| op.to_string()).collect();
@@ -537,23 +539,27 @@ impl<'g, C: CostModel> Verifier<'g, C> {
     /// need no separate rule: the forward chain transitively depends on
     /// the whole backward chain, so any such inversion already manifests
     /// as a dependency cycle (`OV101`/`OV102`).
+    ///
+    /// A graph op's dense index is its position in
+    /// `conventional_backprop()`, so a lane keeps the conventional order
+    /// iff the indices of its non-`dW`-class ops strictly increase. One
+    /// pass per lane decides that; only a lane that fails it is
+    /// enumerated pairwise, to report every inverted pair.
     fn check_legality(&self, schedule: &Schedule, diags: &mut Vec<Diagnostic>) {
-        let conv_pos: HashMap<Op, usize> = self
-            .graph
-            .conventional_backprop()
-            .into_iter()
-            .zip(0..)
-            .collect();
+        let index = |op: Op| self.graph.op_index(op).expect("structurally checked");
         for lane in &schedule.lanes {
-            let fixed: Vec<Op> = lane
+            let fixed = lane
                 .ops
                 .iter()
                 .copied()
-                .filter(|op| !op.is_weight_grad_class())
-                .collect();
-            for (i, &a) in fixed.iter().enumerate() {
-                for &b in &fixed[i + 1..] {
-                    if conv_pos[&a] > conv_pos[&b] {
+                .filter(|op| !op.is_weight_grad_class());
+            if fixed.clone().map(index).is_sorted_by(|a, b| a < b) {
+                continue;
+            }
+            let fixed: Vec<(Op, usize)> = fixed.map(|op| (op, index(op))).collect();
+            for (i, &(a, ia)) in fixed.iter().enumerate() {
+                for &(b, ib) in &fixed[i + 1..] {
+                    if ia > ib {
                         diags.push(Diagnostic {
                             rule: RuleId::NonWeightGradReorder,
                             ops: vec![a, b],
@@ -575,12 +581,20 @@ impl<'g, C: CostModel> Verifier<'g, C> {
     /// are the precise cause when they exist (`OV101`), otherwise the
     /// lanes genuinely deadlock against each other (`OV102`).
     fn report_cycle(&self, schedule: &Schedule, cycle: Vec<Op>, diags: &mut Vec<Diagnostic>) {
-        let mut found_inversion = false;
-        for lane in &schedule.lanes {
-            let lane_pos: HashMap<Op, usize> = lane.ops.iter().copied().zip(0..).collect();
+        // (lane, position) of every scheduled op, by graph op index.
+        let mut at: Vec<Option<(usize, usize)>> = vec![None; self.graph.len()];
+        for (li, lane) in schedule.lanes.iter().enumerate() {
             for (i, &op) in lane.ops.iter().enumerate() {
-                for dep in self.graph.deps(op).expect("structurally checked") {
-                    if lane_pos.get(&dep).is_some_and(|&j| j > i) {
+                at[self.graph.op_index(op).expect("structurally checked")] = Some((li, i));
+            }
+        }
+        let mut found_inversion = false;
+        for (li, lane) in schedule.lanes.iter().enumerate() {
+            for (i, &op) in lane.ops.iter().enumerate() {
+                let idx = self.graph.op_index(op).expect("structurally checked");
+                for &d in self.graph.dep_indices(idx) {
+                    if at[d].is_some_and(|(ld, j)| ld == li && j > i) {
+                        let dep = self.graph.ops()[d];
                         found_inversion = true;
                         diags.push(Diagnostic {
                             rule: RuleId::DependencyInversion,
@@ -624,20 +638,20 @@ impl<'g, C: CostModel> Verifier<'g, C> {
         diags: &mut Vec<Diagnostic>,
     ) {
         let layers = self.graph.layers();
-        let mut by_buffer: HashMap<BufferId, Vec<(Op, usize, AccessKind)>> = HashMap::new();
+        let mut accs: Vec<(BufferId, Op, usize, AccessKind)> = Vec::new();
         for (lane_idx, lane) in schedule.lanes.iter().enumerate() {
             for &op in &lane.ops {
                 for (buf, kind) in accesses(op, layers) {
-                    by_buffer.entry(buf).or_default().push((op, lane_idx, kind));
+                    accs.push((buf, op, lane_idx, kind));
                 }
             }
         }
-        let mut buffers: Vec<BufferId> = by_buffer.keys().copied().collect();
-        buffers.sort_unstable();
-        for buf in buffers {
-            let accs = &by_buffer[&buf];
-            for (i, &(a, la, ka)) in accs.iter().enumerate() {
-                for &(b, lb, kb) in &accs[i + 1..] {
+        // Visit the buffers in sorted order; the stable sort keeps each
+        // buffer's accesses in schedule order.
+        accs.sort_by_key(|&(buf, ..)| buf);
+        for group in accs.chunk_by(|x, y| x.0 == y.0) {
+            for (i, &(buf, a, la, ka)) in group.iter().enumerate() {
+                for &(_, b, lb, kb) in &group[i + 1..] {
                     let conflicting =
                         la != lb && (ka == AccessKind::Write || kb == AccessKind::Write);
                     if conflicting && !relation.ordered(a, b) {
@@ -913,6 +927,97 @@ mod tests {
         assert!(report.by_rule(RuleId::MemoryBudgetExceeded)[0]
             .message
             .contains("exceeds the budget"));
+    }
+
+    /// OV401 as the pairwise scan over conventional positions that the
+    /// one-pass check replaced.
+    fn pairwise_legality(graph: &TrainGraph, schedule: &Schedule) -> Vec<Diagnostic> {
+        let conv_pos: std::collections::HashMap<Op, usize> =
+            graph.conventional_backprop().into_iter().zip(0..).collect();
+        let mut diags = Vec::new();
+        for lane in &schedule.lanes {
+            let fixed: Vec<Op> = lane
+                .ops
+                .iter()
+                .copied()
+                .filter(|op| !op.is_weight_grad_class())
+                .collect();
+            for (i, &a) in fixed.iter().enumerate() {
+                for &b in &fixed[i + 1..] {
+                    if conv_pos[&a] > conv_pos[&b] {
+                        diags.push(Diagnostic {
+                            rule: RuleId::NonWeightGradReorder,
+                            ops: vec![a, b],
+                            lanes: vec![lane.name.clone()],
+                            message: format!(
+                                "{a} runs before {b} on lane {}, inverting their conventional \
+                                 order; out-of-order backprop may only move dW-class ops \
+                                 (dW/S[dW]/U)",
+                                lane.name
+                            ),
+                        });
+                    }
+                }
+            }
+        }
+        diags
+    }
+
+    #[test]
+    fn one_pass_legality_agrees_with_the_pairwise_scan() {
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (mut legal, mut illegal) = (0, 0);
+        for case in 0..400 {
+            let layers = 1 + case % 10;
+            let graph = match case % 3 {
+                0 => TrainGraph::single_gpu(layers),
+                1 => TrainGraph::data_parallel(layers),
+                _ => TrainGraph::pipeline_parallel(layers),
+            };
+            // Deal the conventional order to a few lanes, then permute a
+            // random window of each lane: whole-lane shuffles, local
+            // swaps, and (for windows of dW-class ops) legal moves.
+            let lanes = 1 + case % 3;
+            let mut dealt: Vec<Vec<Op>> = vec![Vec::new(); lanes];
+            for op in graph.conventional_backprop() {
+                dealt[below(lanes)].push(op);
+            }
+            let mut s = Schedule::new();
+            for (li, mut ops) in dealt.into_iter().enumerate() {
+                if ops.len() > 1 && below(3) > 0 {
+                    let lo = below(ops.len());
+                    let hi = lo + 1 + below(ops.len() - lo);
+                    let window = &mut ops[lo..hi];
+                    for i in (1..window.len()).rev() {
+                        window.swap(i, below(i + 1));
+                    }
+                }
+                s.add_lane(&format!("lane{li}"), ops);
+            }
+            let report = Verifier::new(&graph).verify(&s);
+            let got: Vec<Diagnostic> = report
+                .by_rule(RuleId::NonWeightGradReorder)
+                .into_iter()
+                .cloned()
+                .collect();
+            let want = pairwise_legality(&graph, &s);
+            if want.is_empty() {
+                legal += 1;
+            } else {
+                illegal += 1;
+            }
+            assert_eq!(got, want, "case {case}");
+        }
+        assert!(
+            legal > 50 && illegal > 50,
+            "{legal} legal, {illegal} illegal"
+        );
     }
 
     #[test]

@@ -140,13 +140,18 @@ pub struct MemLedger {
     pub final_usage: u64,
     /// Latest finish time across the window.
     pub window_end: SimTime,
-    index: HashMap<Buffer, usize>,
+    /// Interval position per buffer slot ([`NONE`] when never resident).
+    index: Vec<u32>,
 }
 
 impl MemLedger {
     /// The residency interval of `buf`, if it is ever resident.
     pub fn interval_of(&self, buf: Buffer) -> Option<&Interval> {
-        self.index.get(&buf).map(|&i| &self.intervals[i])
+        let slot = buffer_slot(buf, self.index.len() / 3)?;
+        match self.index[slot] {
+            NONE => None,
+            i => Some(&self.intervals[i as usize]),
+        }
     }
 }
 
@@ -193,6 +198,21 @@ fn producer_of(graph: &TrainGraph, buf: Buffer) -> Option<Op> {
     graph.contains(op).then_some(op)
 }
 
+/// Marks an absent entry in the dense per-op and per-buffer tables.
+const NONE: u32 = u32::MAX;
+
+/// Dense slot of `buf` among a graph's `3 · layers` buffers, in buffer
+/// order (the order of [`all_buffers`]); `None` for a layer outside
+/// `1..=layers`.
+fn buffer_slot(buf: Buffer, layers: usize) -> Option<usize> {
+    let (kind, i) = match buf {
+        Buffer::Activation(i) => (0, i),
+        Buffer::OutGrad(i) => (1, i),
+        Buffer::WeightGrad(i) => (2, i),
+    };
+    (1..=layers).contains(&i).then(|| kind * layers + i - 1)
+}
+
 /// Every buffer of the graph, in buffer order.
 fn all_buffers(graph: &TrainGraph) -> Vec<Buffer> {
     let l = graph.layers();
@@ -207,6 +227,35 @@ fn all_buffers(graph: &TrainGraph) -> Vec<Buffer> {
         bufs.push(Buffer::WeightGrad(i));
     }
     bufs
+}
+
+/// The first span of every graph op in `spans`, by op index
+/// ([`NONE`] when unscheduled). Ops outside the graph are skipped: they
+/// define and keep no graph buffer.
+fn first_spans(graph: &TrainGraph, spans: &[OpSpan]) -> Vec<u32> {
+    let mut first: Vec<u32> = vec![NONE; graph.len()];
+    for (k, span) in spans.iter().enumerate() {
+        if let Some(i) = graph.op_index(span.op) {
+            if first[i] == NONE {
+                first[i] = k as u32;
+            }
+        }
+    }
+    first
+}
+
+/// Whether some span accesses each buffer, by buffer slot.
+fn accessed_buffers(graph: &TrainGraph, spans: &[OpSpan]) -> Vec<bool> {
+    let layers = graph.layers();
+    let mut accessed = vec![false; 3 * layers];
+    for span in spans {
+        for (buf, _) in accesses(span.op, layers) {
+            if let Some(slot) = as_ledger_buffer(buf).and_then(|b| buffer_slot(b, layers)) {
+                accessed[slot] = true;
+            }
+        }
+    }
+    accessed
 }
 
 /// Scheduled accessors of every buffer, in span order.
@@ -234,26 +283,31 @@ pub fn ledger_of_spans<C: CostModel>(
     spans: &[OpSpan],
     plan: Option<&FreePlan>,
 ) -> (MemLedger, Vec<Diagnostic>) {
-    let mut scheduled: HashMap<Op, OpSpan> = HashMap::new();
-    for &span in spans {
-        scheduled.entry(span.op).or_insert(span);
-    }
+    let layers = graph.layers();
+    let first = first_spans(graph, spans);
+    // The first span of `op`. An op outside the graph can still be named
+    // by a free plan; only then is `spans` searched.
+    let scheduled = |op: Op| -> Option<&OpSpan> {
+        match graph.op_index(op) {
+            Some(i) => (first[i] != NONE).then(|| &spans[first[i] as usize]),
+            None => spans.iter().find(|s| s.op == op),
+        }
+    };
     let window_end = spans.iter().map(|s| s.end).max().unwrap_or(0);
-    let accessors = accessor_map(graph, spans);
+    let accessed = accessed_buffers(graph, spans);
 
     // Residency intervals: alloc at the scheduled producer's start, or at
     // the window start for carried-in buffers; free when the last
     // scheduled keeper finishes, provided every graph keeper is
     // scheduled, else retained.
     let mut intervals: Vec<Interval> = Vec::new();
-    let mut index: HashMap<Buffer, usize> = HashMap::new();
-    for buf in all_buffers(graph) {
+    let mut index: Vec<u32> = vec![NONE; 3 * layers];
+    for (slot, buf) in all_buffers(graph).into_iter().enumerate() {
         let producer = producer_of(graph, buf);
-        let (alloc, defined_by) = match producer.and_then(|p| scheduled.get(&p)) {
+        let (alloc, defined_by) = match producer.and_then(scheduled) {
             Some(span) => (span.start, Some(span.op)),
             None => {
-                let carried = matches!(buf, Buffer::Activation(_))
-                    || accessors.get(&buf).is_some_and(|a| !a.is_empty());
+                let carried = matches!(buf, Buffer::Activation(_)) || accessed[slot];
                 if !carried {
                     continue;
                 }
@@ -261,8 +315,7 @@ pub fn ledger_of_spans<C: CostModel>(
             }
         };
         let keepers = buffer_consumers(graph, buf);
-        let keeper_spans: Vec<&OpSpan> =
-            keepers.iter().filter_map(|op| scheduled.get(op)).collect();
+        let keeper_spans: Vec<&OpSpan> = keepers.iter().filter_map(|&op| scheduled(op)).collect();
         let free = if !keepers.is_empty() && keeper_spans.len() == keepers.len() {
             // All keepers scheduled: free at the latest keeper finish,
             // clamped to the definition time (a keeper that finished
@@ -278,7 +331,7 @@ pub fn ledger_of_spans<C: CostModel>(
         } else {
             None
         };
-        index.insert(buf, intervals.len());
+        index[slot] = intervals.len() as u32;
         intervals.push(Interval {
             buf,
             bytes: buffer_bytes(cost, buf),
@@ -292,10 +345,11 @@ pub fn ledger_of_spans<C: CostModel>(
     // inconsistent attributions.
     let mut om201: Vec<Diagnostic> = Vec::new();
     if let Some(plan) = plan {
-        let mut planned: HashMap<Buffer, Op> = HashMap::new();
+        let mut planned: Vec<Option<Op>> = vec![None; 3 * layers];
         for &(buf, op) in &plan.frees {
             let name = buffer_name(buf);
-            if let Some(&prev) = planned.get(&buf) {
+            let slot = buffer_slot(buf, layers);
+            if let Some(prev) = slot.and_then(|s| planned[s]) {
                 om201.push(Diagnostic {
                     rule: RuleId::DoubleFree,
                     ops: vec![prev, op],
@@ -307,7 +361,7 @@ pub fn ledger_of_spans<C: CostModel>(
                 });
                 continue;
             }
-            let Some(&idx) = index.get(&buf) else {
+            let Some(slot) = slot.filter(|&s| index[s] != NONE) else {
                 om201.push(Diagnostic {
                     rule: RuleId::DoubleFree,
                     ops: vec![op],
@@ -318,7 +372,7 @@ pub fn ledger_of_spans<C: CostModel>(
                 });
                 continue;
             };
-            let Some(span) = scheduled.get(&op) else {
+            let Some(span) = scheduled(op) else {
                 om201.push(Diagnostic {
                     rule: RuleId::DoubleFree,
                     ops: vec![op],
@@ -329,8 +383,9 @@ pub fn ledger_of_spans<C: CostModel>(
                 });
                 continue;
             };
-            planned.insert(buf, op);
-            intervals[idx].free = Some(span.end.max(intervals[idx].alloc));
+            planned[slot] = Some(op);
+            let iv = &mut intervals[index[slot] as usize];
+            iv.free = Some(span.end.max(iv.alloc));
         }
     }
 
@@ -456,64 +511,61 @@ pub fn instrument_timeline<C: CostModel>(
     timeline: &Timeline,
 ) -> MemCounter {
     let spans = spans_of_timeline(timeline);
-    let mut scheduled: HashMap<Op, OpSpan> = HashMap::new();
-    for &span in &spans {
-        scheduled.entry(span.op).or_insert(span);
-    }
-    let accessors = accessor_map(graph, &spans);
+    let layers = graph.layers();
+    let first = first_spans(graph, &spans);
+    let is_scheduled = |op: Op| graph.op_index(op).is_some_and(|i| first[i] != NONE);
+    let accessed = accessed_buffers(graph, &spans);
 
-    // Per-buffer bookkeeping: remaining scheduled keepers, whether the
-    // buffer is freeable at all (every graph keeper scheduled), and the
-    // carried-in set.
-    let mut bytes: HashMap<Buffer, u64> = HashMap::new();
-    let mut remaining: HashMap<Buffer, usize> = HashMap::new();
-    let mut freeable: HashMap<Buffer, bool> = HashMap::new();
-    let mut kept_by: HashMap<Op, Vec<Buffer>> = HashMap::new();
+    // Per-buffer bookkeeping by buffer slot: remaining scheduled keepers,
+    // whether the buffer is freeable at all (every graph keeper
+    // scheduled), and the carried-in set; per op index, the (at most
+    // two) buffers the op keeps alive.
+    let buffers = 3 * layers;
+    let mut bytes: Vec<u64> = vec![0; buffers];
+    let mut remaining: Vec<usize> = vec![0; buffers];
+    let mut freeable: Vec<bool> = vec![false; buffers];
+    let mut kept_by: Vec<[u32; 2]> = vec![[NONE; 2]; graph.len()];
+    let mut live: Vec<bool> = vec![false; buffers];
     let mut usage: u64 = 0;
-    let mut live: HashMap<Buffer, bool> = HashMap::new();
-    for buf in all_buffers(graph) {
+    for (slot, buf) in all_buffers(graph).into_iter().enumerate() {
         let keepers = buffer_consumers(graph, buf);
-        let scheduled_keepers = keepers
-            .iter()
-            .filter(|op| scheduled.contains_key(op))
-            .count();
-        bytes.insert(buf, buffer_bytes(cost, buf));
-        remaining.insert(buf, scheduled_keepers);
-        freeable.insert(
-            buf,
-            !keepers.is_empty() && scheduled_keepers == keepers.len(),
-        );
+        let scheduled_keepers = keepers.iter().filter(|&&op| is_scheduled(op)).count();
+        bytes[slot] = buffer_bytes(cost, buf);
+        remaining[slot] = scheduled_keepers;
+        freeable[slot] = !keepers.is_empty() && scheduled_keepers == keepers.len();
         for op in keepers {
-            kept_by.entry(op).or_default().push(buf);
+            let kept = &mut kept_by[graph.op_index(op).expect("keepers are graph ops")];
+            let free = kept.iter().position(|&b| b == NONE);
+            kept[free.expect("dO/dW keep act and grad, S[dW]/U keep wgrad")] = slot as u32;
         }
-        let carried = producer_of(graph, buf).is_none_or(|p| !scheduled.contains_key(&p))
-            && (matches!(buf, Buffer::Activation(_))
-                || accessors.get(&buf).is_some_and(|a| !a.is_empty()));
+        let carried = producer_of(graph, buf).is_none_or(|p| !is_scheduled(p))
+            && (matches!(buf, Buffer::Activation(_)) || accessed[slot]);
         if carried {
-            usage += bytes[&buf];
-            live.insert(buf, true);
+            usage += bytes[slot];
+            live[slot] = true;
         }
     }
     let initial = usage;
     let mut peak = usage;
-    let mut alloc_time: HashMap<Buffer, SimTime> = HashMap::new();
-    for (&buf, &is_live) in &live {
-        if is_live {
-            alloc_time.insert(buf, 0);
-        }
-    }
+    let mut alloc_time: Vec<SimTime> = vec![0; buffers];
 
     // Chronological sweep with the ledger's timestamp convention: per
     // timestamp, (1) frees of buffers resident since before it, (2)
     // allocations (measuring the peak), (3) frees of zero-width
-    // residencies defined at this very timestamp.
-    let mut events: Vec<(SimTime, u8, Op)> = Vec::with_capacity(2 * spans.len());
-    for (op, span) in &scheduled {
-        events.push((span.end, 0, *op));
-        events.push((span.start, 1, *op));
+    // residencies defined at this very timestamp. Within one phase the
+    // order of the events does not change the outcome (phase 1 only
+    // releases, phase 2 only adds), so ties are broken by op index.
+    let mut events: Vec<(SimTime, u8, u32)> = Vec::with_capacity(2 * spans.len());
+    for (i, &k) in first.iter().enumerate() {
+        if k != NONE {
+            let span = spans[k as usize];
+            events.push((span.end, 0, i as u32));
+            events.push((span.start, 1, i as u32));
+        }
     }
-    events.sort_unstable_by_key(|&(t, phase, op)| (t, phase, op));
+    events.sort_unstable();
 
+    let mut deferred: Vec<usize> = Vec::new();
     let mut pos = 0;
     while pos < events.len() {
         let t = events[pos].0;
@@ -523,48 +575,48 @@ pub fn instrument_timeline<C: CostModel>(
         }
         // Phase 1: keeper completions; buffers defined at this very
         // timestamp release after the allocations instead.
-        let mut deferred: Vec<Buffer> = Vec::new();
-        for &(_, phase, op) in &events[pos..end_of_group] {
+        for &(_, phase, i) in &events[pos..end_of_group] {
             if phase != 0 {
                 continue;
             }
-            for buf in kept_by.get(&op).cloned().unwrap_or_default() {
-                let r = remaining.get_mut(&buf).expect("known buffer");
-                if *r > 0 {
-                    *r -= 1;
-                    if *r == 0 && freeable[&buf] && live.get(&buf).copied().unwrap_or(false) {
-                        if alloc_time.get(&buf).copied().unwrap_or(0) == t {
-                            deferred.push(buf);
+            for &slot in kept_by[i as usize].iter().filter(|&&b| b != NONE) {
+                let slot = slot as usize;
+                if remaining[slot] > 0 {
+                    remaining[slot] -= 1;
+                    if remaining[slot] == 0 && freeable[slot] && live[slot] {
+                        if alloc_time[slot] == t {
+                            deferred.push(slot);
                         } else {
-                            usage -= bytes[&buf];
-                            live.insert(buf, false);
+                            usage -= bytes[slot];
+                            live[slot] = false;
                         }
                     }
                 }
             }
         }
         // Phase 2: allocations.
-        for &(_, phase, op) in &events[pos..end_of_group] {
+        for &(_, phase, i) in &events[pos..end_of_group] {
             if phase != 1 {
                 continue;
             }
-            for buf in op_allocations(graph, op) {
-                usage += bytes[&buf];
+            for buf in op_allocations(graph, graph.ops()[i as usize]) {
+                let slot = buffer_slot(buf, layers).expect("graph ops allocate graph buffers");
+                usage += bytes[slot];
                 peak = peak.max(usage);
-                alloc_time.insert(buf, t);
-                if remaining[&buf] == 0 && freeable[&buf] {
+                alloc_time[slot] = t;
+                if remaining[slot] == 0 && freeable[slot] {
                     // Every keeper already finished: transient residency,
                     // released in phase 3.
-                    deferred.push(buf);
+                    deferred.push(slot);
                 } else {
-                    live.insert(buf, true);
+                    live[slot] = true;
                 }
             }
         }
         // Phase 3: zero-width releases.
-        for buf in deferred {
-            usage -= bytes[&buf];
-            live.insert(buf, false);
+        for slot in deferred.drain(..) {
+            usage -= bytes[slot];
+            live[slot] = false;
         }
         pos = end_of_group;
     }

@@ -13,8 +13,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> perfbench build (its own workspace, so --workspace never compiles it)"
+echo "==> perfbench build (its own workspace, so --workspace never compiles it) and a 1 s zoo_sim run"
 cargo build --release --manifest-path perfbench/Cargo.toml
+# Every zoo_sim cell digest-checks its lint report, prediction,
+# simulation, memory ledger and counter against perfbench/golden.json in
+# a release build; the last line must report "correct": true.
+rc=0; ./perfbench/target/release/perfbench --workload zoo_sim --seed 1 --seconds 1 --trace 0 \
+  > /tmp/perfbench-zoo.json || rc=$?
+tail -n 1 /tmp/perfbench-zoo.json | grep -q '"correct": true' \
+  || { echo "perfbench zoo_sim: a cell failed its checks or its golden digest (exit $rc)"; exit 1; }
+rm -f /tmp/perfbench-zoo.json
 
 echo "==> figures snapshot (every table and figure reproduces docs/figures_snapshot.txt byte for byte)"
 cargo build -q --release -p ooo-bench --bin figures

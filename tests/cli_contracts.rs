@@ -26,8 +26,10 @@ use ooo_backprop::core::op::{LayerId, Op};
 use ooo_backprop::core::pipeline::Strategy;
 use ooo_backprop::core::schedule::Schedule;
 use ooo_backprop::core::TrainGraph;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::{Mutex, OnceLock};
 
 /// The eight CLIs under contract, with the package that owns each.
 const CLIS: [(&str, &str); 8] = [
@@ -45,30 +47,47 @@ const CLIS: [(&str, &str); 8] = [
 /// not a usage error), with its owning package.
 const FIGURES: (&str, &str) = ("figures", "ooo-bench");
 
-/// Path to a CLI binary, building it on demand: the root package's
-/// integration tests do not implicitly build other crates' binaries.
+/// Path to a CLI binary, built on first use in this test process: the
+/// root package's integration tests do not implicitly build other
+/// crates' binaries, and an existing binary may predate the sources
+/// (cargo rebuilds it only if it is stale, and does nothing otherwise).
 fn bin(name: &str) -> PathBuf {
+    static BUILT: OnceLock<Mutex<HashSet<String>>> = OnceLock::new();
     let exe = std::env::current_exe().expect("test executable path");
     let debug_dir = exe
         .parent()
         .and_then(|p| p.parent())
-        .expect("target/debug dir")
+        .expect("target/<profile> dir")
         .to_path_buf();
-    let path = debug_dir.join(name);
-    if !path.exists() {
+    // Held across the build, so concurrent tests wait for one build of a
+    // name instead of racing it. A failed build panics before inserting,
+    // so the set is valid even when the lock is poisoned.
+    let mut built = BUILT
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    if !built.contains(name) {
         let pkg = CLIS
             .iter()
             .chain([FIGURES].iter())
             .find(|(n, _)| *n == name)
             .map(|(_, p)| *p)
             .expect("known CLI");
+        // Build the profile this test runs under, so the binary it
+        // returns is the one cargo just checked.
+        let profile = if debug_dir.ends_with("release") {
+            "--release"
+        } else {
+            "--profile=dev"
+        };
         let status = Command::new(env!("CARGO"))
-            .args(["build", "-q", "-p", pkg, "--bin", name])
+            .args(["build", "-q", profile, "-p", pkg, "--bin", name])
             .status()
             .expect("cargo build runs");
         assert!(status.success(), "building {name} failed");
+        built.insert(name.to_string());
     }
-    path
+    debug_dir.join(name)
 }
 
 fn run(name: &str, args: &[&str]) -> Output {
