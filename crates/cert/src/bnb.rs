@@ -3,7 +3,7 @@
 //! Search states are partial placements built exclusively through
 //! [`DeltaEval::place`] appends (and undone with
 //! [`DeltaEval::unplace_last`]), so every node is scored incrementally:
-//! an append's cone is the single new op, an O(deps) update. The
+//! an append re-times the single new op, an O(deps) update. The
 //! enumeration is *chronological semi-active* — a ready op is appended
 //! to a lane and starts as early as its lane and dependencies allow —
 //! which covers some optimal schedule for any regular objective, and

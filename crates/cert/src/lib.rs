@@ -18,8 +18,8 @@
 //!   semi-active schedule is reached by appending along a topological
 //!   order of its union graph, so the enumeration is complete.
 //! - **Scoring** is incremental: every partial placement is maintained
-//!   by [`ooo_verify::predict::DeltaEval`], which re-scores only the
-//!   affected cone of each append. Every certificate cross-checks the
+//!   by [`ooo_verify::predict::DeltaEval`], which re-times only the
+//!   appended op (nothing placed depends on it yet). Every certificate cross-checks the
 //!   delta result against a full re-evaluation
 //!   ([`ooo_verify::predict::predict_makespan`]) with tolerance 0 — a
 //!   disagreement aborts with [`Error::DeltaMismatch`] rather than

@@ -18,6 +18,8 @@ use crate::list_scheduling::{TimedOp, Timeline};
 use crate::op::{LayerId, Op};
 use crate::schedule::{validate_partial_order, ResourceId};
 use crate::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Order in which the communication resource serves ready
 /// synchronizations.
@@ -62,14 +64,17 @@ pub const LINK: ResourceId = ResourceId(1);
 /// Plans the order in which the link serves the layer synchronizations
 /// `S[dW_i]`, given each layer's gradient completion time `dw_finish[i]`
 /// (1-based; index 0 unused) and per-layer wire occupancy `sync_ns(i)`.
-/// Returns `(layer, wire_start, wire_end)` in service order.
+/// Fills `plan` with `(layer, wire_start, wire_end)` in service order;
+/// `ready` is a work buffer. Both are caller-owned and cleared first, so
+/// a caller that keeps them plans without allocating.
 ///
-/// This is the shared service-order core behind
-/// [`simulate_data_parallel_with_tail`] and the static reconstruction in
-/// `ooo-verify`'s `datapar_schedule`. It runs in O(L log L) — arrivals
-/// sorted once and consumed through a cursor, plus (for the priority
-/// policy) a min-layer ready heap — but picks the exact sequence of the
-/// previous O(L²) scan-and-retain loop:
+/// This is the one service-order body behind
+/// [`simulate_data_parallel_with_tail`], the heterogeneous simulator,
+/// the static reconstruction in `ooo-verify`'s `datapar_schedule` and the
+/// order tuner's relocation scorer. It runs in O(L log L) — arrivals
+/// sorted once in `plan` and consumed through a cursor, plus (for the
+/// priority policy) a min-layer ready heap — but picks the exact sequence
+/// of the previous O(L²) scan-and-retain loop:
 ///
 /// - **FIFO by completion**: the old loop picked the pending layer
 ///   minimizing `(dw_finish, layer)` among those ready at
@@ -82,47 +87,52 @@ pub const LINK: ResourceId = ResourceId(1);
 ///   old `max(link_free, earliest_ready)`; admitting all arrivals with
 ///   `dw_finish ≤ now` then popping the minimum layer reproduces the old
 ///   filter-then-`min()` pick.
+///
+/// The service order overwrites the arrival order in place: a layer is
+/// served only after it was admitted, so the `n`th service entry lands
+/// on an arrival the cursor has already passed.
 pub fn plan_sync_service(
     dw_finish: &[SimTime],
     policy: CommPolicy,
     mut sync_ns: impl FnMut(usize) -> SimTime,
-) -> Vec<(usize, SimTime, SimTime)> {
+    ready: &mut BinaryHeap<Reverse<usize>>,
+    plan: &mut Vec<(usize, SimTime, SimTime)>,
+) {
     let l = dw_finish.len().saturating_sub(1);
-    let mut arrivals: Vec<usize> = (1..=l).collect();
-    arrivals.sort_by_key(|&i| (dw_finish[i], i));
-    let mut out: Vec<(usize, SimTime, SimTime)> = Vec::with_capacity(l);
+    plan.clear();
+    plan.extend((1..=l).map(|i| (i, 0, 0)));
+    plan.sort_unstable_by_key(|&(i, _, _)| (dw_finish[i], i));
     let mut link_free: SimTime = 0;
     match policy {
         CommPolicy::FifoCompletion => {
-            for &i in &arrivals {
+            for entry in plan.iter_mut() {
+                let i = entry.0;
                 let start = link_free.max(dw_finish[i]);
                 let end = start + sync_ns(i);
-                out.push((i, start, end));
+                *entry = (i, start, end);
                 link_free = end;
             }
         }
         CommPolicy::PriorityByLayer => {
-            let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> =
-                std::collections::BinaryHeap::new();
+            ready.clear();
             let mut cursor = 0usize;
-            while out.len() < l {
+            for served in 0..l {
                 let now = if ready.is_empty() {
-                    link_free.max(dw_finish[arrivals[cursor]])
+                    link_free.max(dw_finish[plan[cursor].0])
                 } else {
                     link_free
                 };
-                while cursor < arrivals.len() && dw_finish[arrivals[cursor]] <= now {
-                    ready.push(std::cmp::Reverse(arrivals[cursor]));
+                while cursor < l && dw_finish[plan[cursor].0] <= now {
+                    ready.push(Reverse(plan[cursor].0));
                     cursor += 1;
                 }
-                let std::cmp::Reverse(pick) = ready.pop().expect("admitted at least one");
+                let Reverse(pick) = ready.pop().expect("admitted at least one");
                 let end = now + sync_ns(pick);
-                out.push((pick, now, end));
+                plan[served] = (pick, now, end);
                 link_free = end;
             }
         }
     }
-    out
 }
 
 /// Simulates one data-parallel iteration.
@@ -195,9 +205,15 @@ pub fn simulate_data_parallel_with_tail<C: CostModel>(
     //    layer for determinism). The service order itself comes from the
     //    shared O(L log L) planner.
     let mut sync_finish: Vec<SimTime> = vec![0; l + 1];
-    for (pick, start, end) in plan_sync_service(&dw_finish, policy, |i| {
-        cost.duration(Op::SyncWeightGrad(LayerId(i)))
-    }) {
+    let mut plan = Vec::new();
+    plan_sync_service(
+        &dw_finish,
+        policy,
+        |i| cost.duration(Op::SyncWeightGrad(LayerId(i))),
+        &mut BinaryHeap::new(),
+        &mut plan,
+    );
+    for (pick, start, end) in plan {
         let op = Op::SyncWeightGrad(LayerId(pick));
         entries.push(TimedOp {
             op,
@@ -381,9 +397,15 @@ pub fn simulate_data_parallel_hetero<C: CostModel>(
     //    every worker sees the same link lane.
     let mut sync_finish: Vec<SimTime> = vec![0; l + 1];
     let mut link_entries: Vec<TimedOp> = Vec::with_capacity(l);
-    for (pick, start, end) in plan_sync_service(&dw_finish, policy, |i| {
-        cost.duration(Op::SyncWeightGrad(LayerId(i)))
-    }) {
+    let mut plan = Vec::new();
+    plan_sync_service(
+        &dw_finish,
+        policy,
+        |i| cost.duration(Op::SyncWeightGrad(LayerId(i))),
+        &mut BinaryHeap::new(),
+        &mut plan,
+    );
+    for (pick, start, end) in plan {
         link_entries.push(TimedOp {
             op: Op::SyncWeightGrad(LayerId(pick)),
             resource: LINK,

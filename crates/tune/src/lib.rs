@@ -41,12 +41,19 @@
 //! # Scoring
 //!
 //! Neighborhoods are enumerated as move descriptors and scored against
-//! one [`DeltaEval`] of the incumbent per scan: each relocation is a
-//! [`DeltaEval::probe`] that re-times only the affected cone and restores
-//! the incumbent from an undo log. Perturbations score only the
-//! candidates they draw. A candidate is cloned and described only when
-//! it is gated, accepted or drawn, and under a memory cap its ledger is
-//! built only when its raw makespan is below the score it must beat.
+//! one [`DeltaEval`] of the incumbent per scan: every relocation, in
+//! every space, is one [`DeltaEval::probe`] batch. The probe repairs the
+//! evaluator's topological rank locally, re-times only the ops whose
+//! inputs changed (a moved `dW` shifts its lane's tail until the first
+//! slack absorbs it) and restores the incumbent from an undo log. An
+//! order-space relocation that reorders the link lane probes the moved
+//! syncs in the same batch, so no candidate is realized and predicted
+//! in full; a `dW` moved past its own dependency or dependent there is
+//! a certain deadlock, read off the evaluator's positions without a
+//! probe. Perturbations score only the candidates they draw.
+//! A candidate is cloned and described only when it is gated, accepted
+//! or drawn, and under a memory cap its ledger is built only when its
+//! raw makespan is below the score it must beat.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -647,7 +654,7 @@ pub(crate) const SEARCH_STATES_EVALUATE: &str =
 
 /// Scores one relocation of `state` below `cutoff` (see
 /// [`SearchSpace::score`]): a [`DeltaEval::probe`] on the incumbent's
-/// evaluator, which re-times only the affected cone. Under a memory cap
+/// evaluator, which re-times only what the move changes. Under a memory cap
 /// the candidate is materialized for its ledger only when its raw
 /// makespan is below the cutoff. Shared by the bundle space above and the
 /// pipeline space's in-lane moves.

@@ -9,9 +9,11 @@
 //! local minima the concave [`ooo_core::reverse_k::search_optimal_k`]
 //! heuristic can stop at on non-concave cost surfaces.
 //!
-//! Scoring reconstructs the realized two-lane schedule with
-//! [`ooo_verify::predict::datapar_schedule`] and evaluates it with the
-//! exact predictor; the safety gate verifies that same reconstruction.
+//! Scoring is the exact predictor on the realized two-lane schedule of
+//! [`ooo_verify::predict::datapar_schedule`]: a relocation is one
+//! [`DeltaEval::probe`] of the incumbent's realization, k-jumps are
+//! realized once per run; the safety gate verifies that same
+//! reconstruction.
 
 use crate::{
     local_search, AppliedMove, Error, Jump, Result, SearchSpace, TuneOptions,
@@ -20,10 +22,11 @@ use crate::{
 use ooo_core::cost::CostModel;
 use ooo_core::datapar::{plan_sync_service, simulate_data_parallel, CommPolicy};
 use ooo_core::op::LayerId;
-use ooo_core::schedule::Schedule;
 use ooo_core::{Op, SimTime, TrainGraph};
 use ooo_verify::predict::{datapar_schedule, predict_makespan, DeltaEval};
 use ooo_verify::Verifier;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// Which family of whole-order jumps the k-move draws from.
@@ -92,18 +95,22 @@ struct OrderSpace<'g, C: CostModel> {
 }
 
 /// The incumbent's scoring context: its realized schedule's evaluator
-/// plus what it takes to tell whether a relocation reorders the link
-/// lane.
+/// plus what it takes to turn a relocation into one probe batch.
 struct OrderScorer<'g> {
     de: DeltaEval<'g>,
     /// Sequential finish time of each backward position.
     finish: Vec<SimTime>,
     /// Sequential finish of each layer's `dW` (index 0 unused).
     dw_finish: Vec<SimTime>,
-    /// The link lane's service order (layers), when the graph syncs.
-    link: Option<Vec<usize>>,
-    /// Work buffer for a candidate's `dw_finish`.
+    /// The link lane and its service order (layers), when the graph
+    /// syncs.
+    link: Option<(usize, Vec<usize>)>,
+    /// Work buffers for a candidate: its `dw_finish`, its link service
+    /// plan (and the planner's ready heap), and its probe batch.
     buf: Vec<SimTime>,
+    plan: Vec<(usize, SimTime, SimTime)>,
+    ready: BinaryHeap<Reverse<usize>>,
+    batch: Vec<(Op, usize, usize)>,
 }
 
 impl<C: CostModel> OrderSpace<'_, C> {
@@ -117,12 +124,11 @@ impl<C: CostModel> OrderSpace<'_, C> {
         }
     }
 
-    /// The realized two-lane schedule of `order` and its raw predicted
-    /// makespan.
-    fn realize(&self, order: &[Op]) -> Option<(Schedule, SimTime)> {
+    /// The raw predicted makespan of `order`'s realized two-lane
+    /// schedule: the k-jump table's score.
+    fn realize(&self, order: &[Op]) -> Option<SimTime> {
         let s = datapar_schedule(self.graph, order, self.cost, self.policy).ok()?;
-        let m = predict_makespan(self.graph, &s, self.cost).ok()?.makespan();
-        Some((s, m))
+        Some(predict_makespan(self.graph, &s, self.cost).ok()?.makespan())
     }
 
     fn peak(&self, order: &[Op]) -> Option<u64> {
@@ -137,21 +143,27 @@ impl<C: CostModel> OrderSpace<'_, C> {
             (0..=self.graph.layers())
                 .map_while(|k| self.family_order(k).map(|order| (k, order)))
                 .map(|(k, order)| {
-                    let raw = self.realize(&order).map(|(_, m)| m);
+                    let raw = self.realize(&order);
                     Jump::new(k, order, raw)
                 })
                 .collect()
         })
     }
 
-    /// The link lane's service order for per-layer `dW` finish times.
-    fn link_order(&self, dw_finish: &[SimTime]) -> Vec<usize> {
-        plan_sync_service(dw_finish, self.policy, |i| {
-            self.cost.duration(Op::SyncWeightGrad(LayerId(i)))
-        })
-        .into_iter()
-        .map(|(pick, _, _)| pick)
-        .collect()
+    /// Plans the link lane's service for per-layer `dW` finish times.
+    fn plan_link(
+        &self,
+        dw_finish: &[SimTime],
+        ready: &mut BinaryHeap<Reverse<usize>>,
+        plan: &mut Vec<(usize, SimTime, SimTime)>,
+    ) {
+        plan_sync_service(
+            dw_finish,
+            self.policy,
+            |i| self.cost.duration(Op::SyncWeightGrad(LayerId(i))),
+            ready,
+            plan,
+        );
     }
 
     /// `order` with the `dW` at `from` moved to `to`.
@@ -162,16 +174,19 @@ impl<C: CostModel> OrderSpace<'_, C> {
         next
     }
 
-    /// Raw makespan of the relocation below `cutoff`. The realized
+    /// Raw makespan of the relocation below `cutoff`: one probe batch
+    /// on the incumbent's [`DeltaEval`], with no allocation. The realized
     /// schedule of the relocated order runs the incumbent's compute lane
-    /// with one `dW` moved. When the link lane's service order is
-    /// unchanged too — decided from the shifted `dW` finish times alone,
-    /// without realizing the candidate — the candidate differs from the
-    /// incumbent's realization by that one compute-lane relocation and is
-    /// probed on the incumbent's [`DeltaEval`]. Otherwise it falls back to
-    /// realizing the order and a full [`predict_makespan`] pass. The score
-    /// is the exact predictor on the identical realized schedule either
-    /// way.
+    /// with one `dW` moved, and a link lane planned from the shifted
+    /// `dW` finish times, which are computed here from the incumbent's
+    /// without realizing the candidate. The batch is that compute-lane
+    /// move plus each `S[dW]` whose service position changed, at its new
+    /// position: the unmoved syncs keep their slots, and the batch
+    /// inserts in ascending position, so the probed link lane is the
+    /// candidate's. The score is the exact predictor on the identical
+    /// realized schedule. A `dW` moved past one of its own dependencies
+    /// or dependents on its lane ([`passes_own_edge`]) scores
+    /// `None` before any planning, as its probe would.
     fn relocation_raw(
         &self,
         sc: &mut OrderScorer<'_>,
@@ -179,10 +194,25 @@ impl<C: CostModel> OrderSpace<'_, C> {
         (op, from, to): (Op, usize, usize),
         cutoff: SimTime,
     ) -> Option<SimTime> {
-        if let Some(link) = &sc.link {
+        let OrderScorer {
+            de,
+            finish,
+            dw_finish,
+            link,
+            buf,
+            plan,
+            ready,
+            batch,
+        } = sc;
+        let (lane, _) = de.position_of(op).expect("dW is scheduled");
+        batch.clear();
+        if passes_own_edge(self.graph, de, op, (lane, from), to) {
+            return None;
+        }
+        batch.push((op, lane, to));
+        if let Some((link_lane, link)) = link {
             let d = self.cost.duration(op);
-            let buf = &mut sc.buf;
-            buf.clone_from(&sc.dw_finish);
+            buf.clone_from(dw_finish);
             let mut shift = |range: std::ops::Range<usize>, up: bool| {
                 for &o in &order[range] {
                     if let Op::WeightGrad(LayerId(i)) = o {
@@ -192,23 +222,22 @@ impl<C: CostModel> OrderSpace<'_, C> {
             };
             let own = if from < to {
                 shift(from + 1..to + 1, false);
-                sc.finish[to]
+                finish[to]
             } else {
                 shift(to..from, true);
-                to.checked_sub(1).map_or(0, |p| sc.finish[p]) + d
+                to.checked_sub(1).map_or(0, |p| finish[p]) + d
             };
             if let Op::WeightGrad(LayerId(i)) = op {
                 buf[i] = own;
             }
-            if self.link_order(buf) != *link {
-                return self
-                    .realize(&Self::relocated(order, from, to))
-                    .map(|(_, m)| m)
-                    .filter(|&m| m < cutoff);
+            self.plan_link(buf, ready, plan);
+            for (pos, (&(pick, _, _), &old)) in plan.iter().zip(link.iter()).enumerate() {
+                if pick != old {
+                    batch.push((Op::SyncWeightGrad(LayerId(pick)), *link_lane, pos));
+                }
             }
         }
-        let (lane, _) = sc.de.position_of(op).expect("dW is scheduled");
-        sc.de.probe(&[(op, lane, to)]).ok().filter(|&m| m < cutoff)
+        de.probe(batch).ok().filter(|&m| m < cutoff)
     }
 }
 
@@ -268,16 +297,22 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
                 dw_finish[i] = f;
             }
         }
-        let link = self
-            .graph
-            .contains(Op::SyncWeightGrad(LayerId(1)))
-            .then(|| self.link_order(&dw_finish));
+        let (mut ready, mut plan) = (BinaryHeap::new(), Vec::new());
+        let link = de
+            .position_of(Op::SyncWeightGrad(LayerId(1)))
+            .map(|(lane, _)| {
+                self.plan_link(&dw_finish, &mut ready, &mut plan);
+                (lane, plan.iter().map(|&(pick, _, _)| pick).collect())
+            });
         OrderScorer {
             de,
             finish,
             dw_finish,
             link,
             buf: Vec::new(),
+            plan,
+            ready,
+            batch: Vec::new(),
         }
     }
 
@@ -484,6 +519,30 @@ pub fn best_reverse_k<C: CostModel>(
     Ok((k, m))
 }
 
+/// `true` when moving `op` within its lane from `(lane, from)` to
+/// position `to` (remove, then insert at `to`) places it before one of
+/// its own dependencies or after one of its own dependents on that lane.
+/// Such a move deadlocks the lanes, so its probe would fail; this reads
+/// the answer off the evaluator's positions in O(degree).
+fn passes_own_edge(
+    graph: &TrainGraph,
+    de: &DeltaEval<'_>,
+    op: Op,
+    (lane, from): (usize, usize),
+    to: usize,
+) -> bool {
+    let v = graph.op_index(op).expect("movers are in the graph");
+    let (passed, between) = if to < from {
+        (graph.dep_indices(v), to..from)
+    } else {
+        (graph.dependent_indices(v), from + 1..to + 1)
+    };
+    passed.iter().any(|&w| {
+        de.position_of(graph.ops()[w])
+            .is_some_and(|(l, p)| l == lane && between.contains(&p))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,6 +579,57 @@ mod tests {
         let certified =
             certify_order(&graph, &tuned.order, &cost, CommPolicy::PriorityByLayer).unwrap();
         assert_eq!(certified, tuned.predicted);
+    }
+
+    /// Every relocation of the 12-layer order under sync 3, from three
+    /// reverse-first-k states and under both policies: the one-batch
+    /// probe scores exactly what realizing the relocated order and a full
+    /// prediction give, `None` (a deadlock or an invalid order) included.
+    /// Some relocations reorder the link lane and some deadlock (each of
+    /// those is scored out by [`passes_own_edge`] before any probe), so
+    /// both halves of the batch and the deadlock rejection are exercised.
+    #[test]
+    fn relocation_probe_equals_realizing_the_relocated_order() {
+        let inst = crate::job::order_instance(12, 0, 3).unwrap();
+        for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
+            let space = OrderSpace {
+                graph: &inst.graph,
+                cost: &inst.cost,
+                policy,
+                family: KFamily::None,
+                verifier: Verifier::new(&inst.graph).with_cost(&inst.cost),
+                window: None,
+                memory_cap: None,
+                k_jumps: OnceLock::new(),
+            };
+            let (mut reordered, mut unprobed) = (0, 0);
+            for k in [0, 4, 12] {
+                let state = OrderState {
+                    order: reverse_first_k(&inst.graph, k, None::<(u64, &TableCost)>).unwrap(),
+                    k: Some(k),
+                };
+                let mut sc = space.scorer(&state);
+                for mv in space.moves(&state) {
+                    let OrderMove::Relocate { op, from, to } = mv else {
+                        continue;
+                    };
+                    let probed =
+                        space.relocation_raw(&mut sc, &state.order, (op, from, to), SimTime::MAX);
+                    let relocated = OrderSpace::<TableCost>::relocated(&state.order, from, to);
+                    assert_eq!(
+                        probed,
+                        space.realize(&relocated),
+                        "{policy:?} k={k}: {op} {from} -> {to}"
+                    );
+                    reordered += usize::from(sc.batch.len() > 1);
+                    unprobed += usize::from(sc.batch.is_empty());
+                }
+            }
+            assert!(
+                reordered > 0 && unprobed > 0,
+                "{policy:?}: {reordered} reordered, {unprobed} unprobed"
+            );
+        }
     }
 
     #[test]

@@ -19,10 +19,15 @@
 //! ops through the graph's dense op ids, so it builds no per-call op map
 //! or edge tables.
 //!
-//! [`DeltaEval`] keeps that timing state for a schedule under edit and
-//! re-times only the cone an edit affects. [`DeltaEval::probe`] scores a
-//! relocation batch without keeping it, restoring the prior state from
-//! the pass's undo log — the tuner's per-candidate score.
+//! [`DeltaEval`] keeps that timing state for a schedule under edit, plus
+//! a topological rank of the union graph. An edit repairs the rank
+//! locally (Pearce & Kelly; a repair that closes a cycle is the
+//! deadlock, reported as the first dependency edge on it) and re-times
+//! events, not cones: from the ops whose inputs the edit changed, in
+//! rank order, a successor is re-timed only when a predecessor's finish
+//! actually moved. [`DeltaEval::probe`] scores a relocation batch
+//! without keeping it, restoring times and ranks from the edit's undo
+//! log — the tuner's per-candidate score.
 //!
 //! [`datapar_schedule`] statically reconstructs the two-lane schedule
 //! realized by [`ooo_core::datapar::simulate_data_parallel`] for a given
@@ -34,7 +39,8 @@ use ooo_core::datapar::CommPolicy;
 use ooo_core::op::LayerId;
 use ooo_core::schedule::Schedule;
 use ooo_core::{Error, Op, SimTime, TrainGraph};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::OnceLock;
 
 /// One scheduled operation with its predicted interval.
@@ -323,12 +329,18 @@ pub fn datapar_schedule<C: CostModel>(
         // Service order from the shared O(L log L) planner — the pick
         // sequence is provably identical to the old scan-and-retain loop
         // (see `ooo_core::datapar::plan_sync_service`).
-        let link: Vec<Op> = ooo_core::datapar::plan_sync_service(&dw_finish, policy, |i| {
-            cost.duration(Op::SyncWeightGrad(LayerId(i)))
-        })
-        .into_iter()
-        .map(|(pick, _, _)| Op::SyncWeightGrad(LayerId(pick)))
-        .collect();
+        let mut plan = Vec::new();
+        ooo_core::datapar::plan_sync_service(
+            &dw_finish,
+            policy,
+            |i| cost.duration(Op::SyncWeightGrad(LayerId(i))),
+            &mut BinaryHeap::new(),
+            &mut plan,
+        );
+        let link = plan
+            .into_iter()
+            .map(|(pick, _, _)| Op::SyncWeightGrad(LayerId(pick)))
+            .collect();
         schedule.add_lane("link", link);
     }
     Ok(schedule)
@@ -354,23 +366,31 @@ const UNPLACED: NodeState = NodeState {
 };
 
 /// Reusable work buffers of a [`DeltaEval`]. Marks are epoch-stamped, so
-/// starting a cone pass clears nothing; once the buffers have grown to
-/// the largest cone seen, edits and probes run without allocating.
+/// starting a search or a pass clears nothing; once the buffers have
+/// grown to the largest edit seen, edits and probes run without
+/// allocating.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     epoch: u32,
-    /// Node `v` is in the current cone iff `in_cone[v] == epoch`.
-    in_cone: Vec<u32>,
-    /// `indeg[v]` belongs to the current pass iff `counted[v] == epoch`.
-    counted: Vec<u32>,
-    /// In-cone union-graph predecessors not yet re-timed.
-    indeg: Vec<u32>,
+    /// Node `v` was reached by the current search or pass iff
+    /// `mark[v] == epoch`.
+    mark: Vec<u32>,
+    /// The node the current forward search first reached `v` from.
+    via: Vec<usize>,
     seeds: Vec<usize>,
-    cone: Vec<usize>,
     stack: Vec<usize>,
-    queue: Vec<usize>,
-    /// `(node, start, end)` before the current pass re-timed the node.
+    /// What a rank repair reorders: the nodes the new edge's head
+    /// reaches, and the nodes that reach its tail.
+    forward: Vec<usize>,
+    backward: Vec<usize>,
+    ranks: Vec<u64>,
+    /// Nodes due for re-timing, lowest rank first.
+    queue: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The undo log of the current edit: `(node, start, end)` before the
+    /// pass re-timed the node, and `(node, rank)` before a repair moved
+    /// it.
     undo: Vec<(usize, SimTime, SimTime)>,
+    rank_undo: Vec<(usize, u64)>,
     /// The validated batch: `(node, target lane, target position)`.
     batch: Vec<(usize, usize, usize)>,
     /// Per moved node, before the edit: `(node, lane, lane predecessor,
@@ -389,54 +409,74 @@ struct Scratch {
 impl Scratch {
     fn sized(n: usize) -> Self {
         Scratch {
-            in_cone: vec![0; n],
-            counted: vec![0; n],
-            indeg: vec![0; n],
+            mark: vec![0; n],
+            via: vec![0; n],
             ..Scratch::default()
         }
     }
 
-    /// Starts a new pass: every mark of the previous ones goes stale.
+    /// Starts a new search or pass: every mark of the previous ones goes
+    /// stale.
     fn next_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.in_cone.fill(0);
-            self.counted.fill(0);
+            self.mark.fill(0);
             self.epoch = 1;
         }
     }
 
-    /// Pushes `v` on the DFS stack, zeroing its in-cone predecessor
-    /// count the first time this pass reaches it.
-    fn reach(&mut self, v: usize) {
-        if self.counted[v] != self.epoch {
-            self.counted[v] = self.epoch;
-            self.indeg[v] = 0;
-        }
-        self.stack.push(v);
+    /// Marks `v` reached, reporting whether it was new to this epoch.
+    fn reach(&mut self, v: usize) -> bool {
+        let fresh = self.mark[v] != self.epoch;
+        self.mark[v] = self.epoch;
+        fresh
     }
 }
 
 /// Incremental (delta) makespan evaluator over the union graph.
 ///
 /// Maintains the exact [`predict_makespan`] timing state for a mutable
-/// multi-lane schedule, but after each edit — [`DeltaEval::place`] or
-/// [`DeltaEval::relocate_many`] — re-scores **only the affected cone**:
-/// the union-graph descendants of the ops whose predecessor set changed,
-/// instead of running a full topological pass. For every reachable state
-/// the times equal a fresh `predict_makespan` of [`DeltaEval::to_schedule`]
+/// multi-lane schedule, but after each edit — [`DeltaEval::place`],
+/// [`DeltaEval::unplace_last`] or [`DeltaEval::relocate_many`] — re-times
+/// only what the edit changed. The evaluator keeps a topological rank of
+/// the union graph for every op. An edit seeds the ops whose inputs it
+/// changed structurally (a new lane predecessor, a removed dependency);
+/// from there times propagate in rank order, and a successor is
+/// re-timed only when a predecessor's finish actually changed. Moving a
+/// `dW` — a leaf — shifts its lane's tail until the first slack absorbs
+/// the shift, and the pass stops there. For every reachable state the
+/// times equal a fresh `predict_makespan` of [`DeltaEval::to_schedule`]
 /// at tolerance 0 (the recurrence is identical; only the evaluation
 /// order differs, and the recurrence is confluent).
 ///
-/// Edits are all-or-nothing: an edit that would deadlock the lanes
-/// (create a union-graph cycle) is rolled back structurally and timing-
-/// wise, and reported as [`Error::DependencyViolation`].
-/// [`DeltaEval::probe`] scores a relocation batch without keeping it.
+/// The rank is repaired locally when an edit adds edges that run against
+/// it (Pearce & Kelly, "A dynamic topological sort algorithm for
+/// directed acyclic graphs", JEA 2006): for a new edge `x → y` with
+/// `rank(x) > rank(y)`, only nodes ranked between the two are searched
+/// and reordered. A batch that runs two or more new lane edges against
+/// the order, with every op kept on its lane, first deals each touched
+/// lane span's own ranks out again in the new lane order, and falls back
+/// to the per-edge repair when an edge at the span does not then hold.
+/// A forward search from `y` that reaches `x` is a cycle:
+/// the lanes deadlock. Edits are all-or-nothing: such an edit is rolled
+/// back structurally and rank-wise, and reported as
+/// [`Error::DependencyViolation`] naming the first dependency edge `d → v`
+/// on the cycle, read from the new edge `x → y` on along the search path
+/// (`op` is `v`, `missing_dep` is `d`). Lanes are disjoint chains, so
+/// every cycle takes a dependency edge, and both ops never run.
+/// [`DeltaEval::new`] reports a deadlocked input by
+/// [`predict_makespan`]'s own rule. [`DeltaEval::probe`] scores a
+/// relocation batch without keeping it: the undo log of times and ranks
+/// restores the prior state exactly.
 ///
 /// The evaluator keeps two work counters — [`DeltaEval::rescored`]
-/// (nodes actually re-scored) and [`DeltaEval::full_equivalent`] (nodes
-/// a full re-evaluation would have scored per edit) — whose ratio is the
-/// delta-evaluation speedup reported by the bench layer. Probes count in
+/// (nodes re-timed: the seeds plus every node with a changed input) and
+/// [`DeltaEval::full_equivalent`] (nodes a full re-evaluation would have
+/// scored per edit) — whose ratio is the delta-evaluation speedup the
+/// certifier reports. Under the branch-and-bound discipline (appends
+/// whose dependencies are all placed, undone last-in first-out) an edit
+/// re-times exactly its one new node, or nothing, so the counts equal
+/// those of a pass over the whole affected cone. Probes count in
 /// neither.
 #[derive(Debug, Clone)]
 pub struct DeltaEval<'g> {
@@ -446,6 +486,12 @@ pub struct DeltaEval<'g> {
     /// Dense op indices per lane, in program order.
     lanes: Vec<Vec<usize>>,
     nodes: Vec<NodeState>,
+    /// A topological order of the union graph: `rank[u] < rank[v]` for
+    /// every edge `u → v` between scheduled ops. Ranks are distinct over
+    /// all ops; an unscheduled op has no edges, so its rank is free.
+    rank: Vec<u64>,
+    /// The next unused rank: a placed op starts after everything.
+    next_rank: u64,
     scheduled: usize,
     makespan: SimTime,
     rescored: u64,
@@ -468,6 +514,8 @@ impl<'g> DeltaEval<'g> {
             lanes: vec![Vec::new(); names.len()],
             lane_names: names,
             nodes: vec![UNPLACED; n],
+            rank: (0..n as u64).collect(),
+            next_rank: n as u64,
             scheduled: 0,
             makespan: 0,
             rescored: 0,
@@ -482,7 +530,8 @@ impl<'g> DeltaEval<'g> {
     ///
     /// Mirrors [`predict_makespan`]: [`Error::UnknownOp`] /
     /// [`Error::DuplicateOp`] for malformed schedules and
-    /// [`Error::DependencyViolation`] when the lanes deadlock.
+    /// [`Error::DependencyViolation`] when the lanes deadlock, naming the
+    /// same ops.
     pub fn new<C: CostModel>(
         graph: &'g TrainGraph,
         schedule: &Schedule,
@@ -506,14 +555,10 @@ impl<'g> DeltaEval<'g> {
                 de.scheduled += 1;
             }
         }
-        let mut seeds = std::mem::take(&mut de.scratch.seeds);
-        seeds.extend(de.lanes.iter().flatten().copied());
-        seeds.sort_unstable();
-        de.scratch.seeds = seeds;
         de.full_equivalent += de.scheduled as u64;
-        if let Err(blocked) = de.recompute_cone() {
-            return Err(de.deadlock_error(blocked));
-        }
+        de.rank_and_time()?;
+        #[cfg(test)]
+        de.assert_ranked();
         Ok(de)
     }
 
@@ -565,7 +610,7 @@ impl<'g> DeltaEval<'g> {
         self.nodes[v].scheduled.then_some(self.nodes[v].end)
     }
 
-    /// Nodes re-scored by delta evaluation so far.
+    /// Nodes re-timed by delta evaluation so far.
     pub fn rescored(&self) -> u64 {
         self.rescored
     }
@@ -587,10 +632,10 @@ impl<'g> DeltaEval<'g> {
         s
     }
 
-    /// Appends `op` to the end of lane `lane` and re-scores its cone.
+    /// Appends `op` to the end of lane `lane` and re-times what changed.
     /// For the branch-and-bound append discipline (all dependencies
-    /// already placed, no dependents placed) the cone is the single new
-    /// node — an O(deps) update. Returns the new makespan.
+    /// already placed, no dependents placed) that is the single new node
+    /// — an O(deps) update. Returns the new makespan.
     ///
     /// # Errors
     ///
@@ -620,29 +665,49 @@ impl<'g> DeltaEval<'g> {
         self.lanes[lane].push(v);
         self.scheduled += 1;
         self.full_equivalent += self.scheduled as u64;
-        self.scratch.seeds.clear();
-        self.scratch.seeds.push(v);
-        if let Err(blocked) = self.recompute_cone() {
-            let err = self.deadlock_error(blocked);
+        // Ranked after everything, the new node's in-edges (its lane
+        // predecessor and dependencies) hold; only edges to dependents
+        // placed before it can run against the order.
+        self.rank[v] = self.next_rank;
+        self.next_rank += 1;
+        self.scratch.rank_undo.clear();
+        let graph = self.graph;
+        let ordered = graph.dependent_indices(v).iter().try_for_each(|&d| {
+            if self.nodes[d].scheduled {
+                self.order_edge(v, d)
+            } else {
+                Ok(())
+            }
+        });
+        if let Err(err) = ordered {
+            self.restore_ranks();
             self.lanes[lane].pop();
             self.nodes[v] = UNPLACED;
             self.scheduled -= 1;
-            self.refresh_makespan();
+            #[cfg(test)]
+            self.assert_ranked();
             return Err(err);
         }
+        self.scratch.seeds.clear();
+        self.scratch.seeds.push(v);
+        self.rescored += self.retime() as u64;
+        self.refresh_makespan();
+        #[cfg(test)]
+        self.assert_ranked();
         Ok(self.makespan)
     }
 
     /// Removes the last op of lane `lane` (the inverse of
-    /// [`DeltaEval::place`]) and re-scores the removed node's cone.
+    /// [`DeltaEval::place`]) and re-times what the removal relaxed.
     /// Returns the removed op, or `None` when the lane is empty.
     pub fn unplace_last(&mut self, lane: usize) -> Option<Op> {
         let v = self.lanes[lane].pop()?;
         self.nodes[v] = UNPLACED;
         self.scheduled -= 1;
-        // Removing a node can only relax its union-graph successors; the
-        // popped node was last on its lane, so only graph dependents of
-        // `v` that are still scheduled can change.
+        // Removing a node deletes edges, so the rank order still holds,
+        // and only relaxes its union-graph successors; the popped node
+        // was last on its lane, so only graph dependents of `v` that are
+        // still scheduled can change.
         let nodes = &self.nodes;
         self.scratch.seeds.clear();
         self.scratch.seeds.extend(
@@ -654,10 +719,11 @@ impl<'g> DeltaEval<'g> {
         );
         self.full_equivalent += self.scheduled as u64;
         if !self.scratch.seeds.is_empty() {
-            self.recompute_cone()
-                .expect("removal cannot create a cycle");
+            self.rescored += self.retime() as u64;
         }
         self.refresh_makespan();
+        #[cfg(test)]
+        self.assert_ranked();
         Some(self.graph.ops()[v])
     }
 
@@ -665,9 +731,9 @@ impl<'g> DeltaEval<'g> {
     /// is removed from its current slot, then re-inserted at the target
     /// coordinates (interpreted against the final lane contents, applied
     /// in ascending `(lane, pos)` order; positions are clamped to the
-    /// lane length). Only the affected cone — ops whose lane predecessor
-    /// changed, plus their union-graph descendants — is re-scored.
-    /// Returns the new makespan.
+    /// lane length). Only the ops whose lane predecessor changed, and
+    /// the successors whose inputs then change, are re-timed. Returns the
+    /// new makespan.
     ///
     /// Batching matters: block moves such as relocating `[dW_i, U_i]`
     /// together have no legal single-op intermediate state.
@@ -685,14 +751,17 @@ impl<'g> DeltaEval<'g> {
         }
         self.edit(moves)?;
         self.full_equivalent += self.scheduled as u64;
-        if let Err(blocked) = self.recompute_cone() {
-            let err = self.deadlock_error(blocked);
+        if let Err(err) = self.order_seeds() {
+            self.restore_ranks();
             self.unedit();
-            // Times of rolled-back nodes were restored by the failed
-            // cone pass itself; only the makespan cache needs a refresh.
-            self.refresh_makespan();
+            #[cfg(test)]
+            self.assert_ranked();
             return Err(err);
         }
+        self.rescored += self.retime() as u64;
+        self.refresh_makespan();
+        #[cfg(test)]
+        self.assert_ranked();
         Ok(self.makespan)
     }
 
@@ -703,10 +772,10 @@ impl<'g> DeltaEval<'g> {
 
     /// Scores the relocation batch `moves` (the semantics of
     /// [`DeltaEval::relocate_many`]) without keeping it: the batch is
-    /// applied, its cone re-timed, the makespan read off, and the exact
-    /// prior state — lanes, times, makespan, counters — restored from the
-    /// pass's undo log, with no second cone pass. Returns the makespan
-    /// the batch would have.
+    /// applied, the rank repaired, the changed ops re-timed and the
+    /// makespan read off; then the exact prior state — lanes, ranks,
+    /// times, makespan, counters — is restored from the undo log, with
+    /// no second pass. Returns the makespan the batch would have.
     ///
     /// # Errors
     ///
@@ -716,21 +785,25 @@ impl<'g> DeltaEval<'g> {
             return Ok(self.makespan);
         }
         self.edit(moves)?;
-        let out = match self.cone_pass() {
-            (_, Err(blocked)) => Err(self.deadlock_error(blocked)),
-            (_, Ok(())) => Ok(self.lane_makespan()),
-        };
+        let out = self.order_seeds().map(|()| {
+            self.retime();
+            self.lane_makespan()
+        });
         for &(v, start, end) in &self.scratch.undo {
             self.nodes[v].start = start;
             self.nodes[v].end = end;
         }
+        self.restore_ranks();
         self.unedit();
+        #[cfg(test)]
+        self.assert_ranked();
         out
     }
 
     /// Validates `moves` into the scratch batch, applies it structurally
-    /// (logged for [`DeltaEval::unedit`]), and leaves exactly the ops
-    /// whose lane predecessor changed in the scratch seeds.
+    /// (logged for [`DeltaEval::unedit`]), clears the undo log, and
+    /// leaves exactly the ops whose lane predecessor changed in the
+    /// scratch seeds.
     fn edit(&mut self, moves: &[(Op, usize, usize)]) -> Result<(), Error> {
         let DeltaEval {
             graph,
@@ -756,6 +829,8 @@ impl<'g> DeltaEval<'g> {
             }
             s.batch.push((v, to_lane, to_pos));
         }
+        s.undo.clear();
+        s.rank_undo.clear();
 
         s.before.clear();
         s.removed.clear();
@@ -861,115 +936,300 @@ impl<'g> DeltaEval<'g> {
         renumber(lanes, nodes, &s.spans);
     }
 
-    fn start_bound(&self, v: usize) -> SimTime {
+    fn lane_pred(&self, v: usize) -> Option<usize> {
         let st = self.nodes[v];
-        let mut start: SimTime = 0;
-        if st.pos > 0 {
-            start = start.max(self.nodes[self.lanes[st.lane][st.pos - 1]].end);
-        }
-        for &d in self.graph.dep_indices(v) {
-            if self.nodes[d].scheduled {
-                start = start.max(self.nodes[d].end);
-            }
-        }
-        start
+        (st.pos > 0).then(|| self.lanes[st.lane][st.pos - 1])
     }
 
-    /// Re-scores the union-graph descendants of the scratch seeds
-    /// (inclusive) and counts the work. On a cycle, the previous times
-    /// of every cone node are restored and one blocked node returned.
-    fn recompute_cone(&mut self) -> Result<(), usize> {
-        let (done, pass) = self.cone_pass();
+    fn lane_succ(&self, v: usize) -> Option<usize> {
+        let st = self.nodes[v];
+        self.lanes[st.lane].get(st.pos + 1).copied()
+    }
+
+    /// Union-graph predecessors of scheduled `v`: its lane predecessor,
+    /// then its scheduled dependencies.
+    fn preds(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        let deps = self.graph.dep_indices(v).iter().copied();
+        self.lane_pred(v)
+            .into_iter()
+            .chain(deps.filter(|&d| self.nodes[d].scheduled))
+    }
+
+    /// Union-graph successors of scheduled `v`: its lane successor, then
+    /// its scheduled dependents.
+    fn succs(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        let deps = self.graph.dependent_indices(v).iter().copied();
+        self.lane_succ(v)
+            .into_iter()
+            .chain(deps.filter(|&d| self.nodes[d].scheduled))
+    }
+
+    fn start_bound(&self, v: usize) -> SimTime {
+        self.preds(v).map(|p| self.nodes[p].end).max().unwrap_or(0)
+    }
+
+    /// Times and ranks every scheduled node in one Kahn pass, earliest
+    /// start first, so ranks follow time and a later repair searches
+    /// only the ops running between its two endpoints. On a cycle,
+    /// reports [`predict_makespan`]'s error: the first blocked node in
+    /// lane-major order and its first blocked scheduled dependency.
+    fn rank_and_time(&mut self) -> Result<(), Error> {
+        let mut indeg: Vec<usize> = vec![0; self.graph.len()];
+        let mut ready: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
+        for &v in self.lanes.iter().flatten() {
+            indeg[v] = self.preds(v).count();
+            if indeg[v] == 0 {
+                ready.push(Reverse((0, v)));
+            }
+        }
+        let mut done = 0usize;
+        while let Some(Reverse((start, v))) = ready.pop() {
+            done += 1;
+            self.rank[v] = self.next_rank;
+            self.next_rank += 1;
+            self.nodes[v].start = start;
+            self.nodes[v].end = start + self.dur[v];
+            for w in self.succs(v) {
+                indeg[w] -= 1;
+                if indeg[w] == 0 {
+                    ready.push(Reverse((self.start_bound(w), w)));
+                }
+            }
+        }
         self.rescored += done as u64;
-        pass?;
+        if done < self.scheduled {
+            let blocked = *self
+                .lanes
+                .iter()
+                .flatten()
+                .find(|&&v| indeg[v] > 0)
+                .expect("cycle exists");
+            let op = self.graph.ops()[blocked];
+            let missing = self
+                .graph
+                .dep_indices(blocked)
+                .iter()
+                .find(|&&d| self.nodes[d].scheduled && indeg[d] > 0)
+                .map_or(op, |&d| self.graph.ops()[d]);
+            return Err(Error::DependencyViolation {
+                op,
+                missing_dep: missing,
+            });
+        }
         self.refresh_makespan();
         Ok(())
     }
 
-    /// One cone pass from the scratch seeds in topological (Kahn) order,
-    /// logging every node's prior times in the scratch undo list before
-    /// re-timing it. Returns the number of cone nodes re-timed and, when
-    /// the lanes deadlock, one blocked node — after restoring every time
-    /// the pass wrote.
-    fn cone_pass(&mut self) -> (usize, Result<(), usize>) {
+    /// Restores the rank order after [`DeltaEval::edit`]: the only new
+    /// edges are those from each seed's new lane predecessor, and each
+    /// one that runs against the order is repaired by
+    /// [`DeltaEval::order_edge`]. A batch that reorders a lane in several
+    /// places (the order tuner's link lane) would search the same stretch
+    /// once per such edge, so when there are two or more,
+    /// [`DeltaEval::redeal_spans`] is tried first.
+    fn order_seeds(&mut self) -> Result<(), Error> {
+        let against = |y: &usize| {
+            self.lane_pred(*y)
+                .is_some_and(|x| self.rank[x] > self.rank[*y])
+        };
+        if self
+            .scratch
+            .seeds
+            .iter()
+            .filter(|y| against(y))
+            .nth(1)
+            .is_some()
+            && self.redeal_spans()
+        {
+            return Ok(());
+        }
+        for i in 0..self.scratch.seeds.len() {
+            let y = self.scratch.seeds[i];
+            if let Some(x) = self.lane_pred(y) {
+                self.order_edge(x, y)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// When every op of the batch stayed on its lane, each touched span
+    /// holds the same ops as before, in a new order: deals the span's own
+    /// ranks out again in that order. Keeps the result and returns `true`
+    /// iff every union-graph edge at a span op then runs up the order
+    /// (edges elsewhere did not change); otherwise restores the ranks and
+    /// returns `false`.
+    fn redeal_spans(&mut self) -> bool {
+        let mut s = std::mem::take(&mut self.scratch);
+        if s.before
+            .iter()
+            .any(|&(v, lane, _, _)| self.nodes[v].lane != lane)
+        {
+            self.scratch = s;
+            return false;
+        }
+        for &sp in &s.spans {
+            let ops = lane_span(&self.lanes, sp);
+            s.ranks.clear();
+            s.ranks.extend(ops.iter().map(|&v| self.rank[v]));
+            s.ranks.sort_unstable();
+            for (&v, &r) in ops.iter().zip(&s.ranks) {
+                if self.rank[v] != r {
+                    s.rank_undo.push((v, self.rank[v]));
+                    self.rank[v] = r;
+                }
+            }
+        }
+        let ordered = s.spans.iter().all(|&sp| {
+            lane_span(&self.lanes, sp).iter().all(|&v| {
+                let r = self.rank[v];
+                self.preds(v).all(|p| self.rank[p] < r) && self.succs(v).all(|w| self.rank[w] > r)
+            })
+        });
+        self.scratch = s;
+        if !ordered {
+            self.restore_ranks();
+        }
+        ordered
+    }
+
+    /// Adds the union-graph edge `x → y` to the rank order (Pearce &
+    /// Kelly). When `x` already ranks below `y` nothing moves. Otherwise
+    /// the search stays between the two ranks, over edges the order
+    /// already satisfies (edges of the current edit still to be ordered
+    /// run against it and are skipped): forward from `y` below `rank(x)`
+    /// — reaching `x` closes a cycle — and backward from `x` above
+    /// `rank(y)`. The union of both sets' ranks is dealt out again, the
+    /// backward set first, each set keeping its relative order. Every
+    /// changed rank is logged in the undo log.
+    fn order_edge(&mut self, x: usize, y: usize) -> Result<(), Error> {
+        let (lb, ub) = (self.rank[y], self.rank[x]);
+        if ub < lb {
+            return Ok(());
+        }
         let mut s = std::mem::take(&mut self.scratch);
         s.next_epoch();
-        let epoch = s.epoch;
-        s.cone.clear();
-        s.undo.clear();
-        s.queue.clear();
+        s.forward.clear();
         s.stack.clear();
-        // Collect the cone: DFS over union-graph successors, counting
-        // each cone node's in-cone predecessors on the way.
-        for i in 0..s.seeds.len() {
-            let v = s.seeds[i];
-            if self.nodes[v].scheduled {
-                s.reach(v);
-            }
-        }
-        while let Some(v) = s.stack.pop() {
-            if s.in_cone[v] == epoch {
-                continue;
-            }
-            s.in_cone[v] = epoch;
-            s.cone.push(v);
-            let st = self.nodes[v];
-            if let Some(&w) = self.lanes[st.lane].get(st.pos + 1) {
-                s.reach(w);
-                s.indeg[w] += 1;
-            }
-            for &d in self.graph.dependent_indices(v) {
-                if self.nodes[d].scheduled {
-                    s.reach(d);
-                    s.indeg[d] += 1;
+        s.reach(y);
+        s.stack.push(y);
+        let mut cycle = false;
+        'search: while let Some(u) = s.stack.pop() {
+            s.forward.push(u);
+            for w in self.succs(u) {
+                if w == x {
+                    s.via[x] = u;
+                    cycle = true;
+                    break 'search;
+                }
+                let r = self.rank[w];
+                if r < ub && r > self.rank[u] && s.reach(w) {
+                    s.via[w] = u;
+                    s.stack.push(w);
                 }
             }
         }
-
-        // Kahn over cone-internal edges; predecessors outside the cone
-        // already carry final times.
-        s.queue
-            .extend(s.cone.iter().copied().filter(|&v| s.indeg[v] == 0));
-        while let Some(v) = s.queue.pop() {
-            let start = self.start_bound(v);
-            let node = &mut self.nodes[v];
-            s.undo.push((v, node.start, node.end));
-            node.start = start;
-            node.end = start + self.dur[v];
-            let st = *node;
-            if let Some(&w) = self.lanes[st.lane].get(st.pos + 1) {
-                s.indeg[w] -= 1;
-                if s.indeg[w] == 0 {
-                    s.queue.push(w);
-                }
-            }
-            for &d in self.graph.dependent_indices(v) {
-                if self.nodes[d].scheduled {
-                    s.indeg[d] -= 1;
-                    if s.indeg[d] == 0 {
-                        s.queue.push(d);
-                    }
+        if cycle {
+            let err = self.cycle_error(&mut s, x, y);
+            self.scratch = s;
+            return Err(err);
+        }
+        s.next_epoch();
+        s.backward.clear();
+        s.reach(x);
+        s.stack.push(x);
+        while let Some(u) = s.stack.pop() {
+            s.backward.push(u);
+            for w in self.preds(u) {
+                let r = self.rank[w];
+                if r > lb && r < self.rank[u] && s.reach(w) {
+                    s.stack.push(w);
                 }
             }
         }
-        let done = s.undo.len();
-        let mut pass = Ok(());
-        if done < s.cone.len() {
-            for &(v, start, end) in &s.undo {
-                self.nodes[v].start = start;
-                self.nodes[v].end = end;
+        let rank = &mut self.rank;
+        s.backward.sort_unstable_by_key(|&v| rank[v]);
+        s.forward.sort_unstable_by_key(|&v| rank[v]);
+        s.ranks.clear();
+        s.ranks
+            .extend(s.backward.iter().chain(&s.forward).map(|&v| rank[v]));
+        s.ranks.sort_unstable();
+        for (&v, &r) in s.backward.iter().chain(&s.forward).zip(&s.ranks) {
+            if rank[v] != r {
+                s.rank_undo.push((v, rank[v]));
+                rank[v] = r;
             }
-            s.undo.clear();
-            let blocked = s
-                .cone
-                .iter()
-                .copied()
-                .find(|&v| s.indeg[v] > 0)
-                .expect("cycle exists");
-            pass = Err(blocked);
         }
         self.scratch = s;
-        (done, pass)
+        Ok(())
+    }
+
+    /// The error of the cycle `x → y ⇝ x` a forward search closed: the
+    /// first dependency edge `d → v` on it, from the new edge on.
+    fn cycle_error(&self, s: &mut Scratch, x: usize, y: usize) -> Error {
+        s.stack.clear();
+        let mut v = x;
+        while v != y {
+            s.stack.push(v);
+            v = s.via[v];
+        }
+        s.stack.push(y);
+        let mut u = x;
+        for &w in s.stack.iter().rev() {
+            if self.graph.dep_indices(w).contains(&u) {
+                return Error::DependencyViolation {
+                    op: self.graph.ops()[w],
+                    missing_dep: self.graph.ops()[u],
+                };
+            }
+            u = w;
+        }
+        unreachable!("lanes are disjoint chains, so a cycle takes a dependency edge")
+    }
+
+    /// Undoes the rank changes of the current edit, latest first.
+    fn restore_ranks(&mut self) {
+        for &(v, r) in self.scratch.rank_undo.iter().rev() {
+            self.rank[v] = r;
+        }
+        self.scratch.rank_undo.clear();
+    }
+
+    /// Re-times from the scratch seeds in rank order, logging each
+    /// changed node's prior times in the undo log. A node is re-timed
+    /// when it is a seed or a predecessor's finish changed; an unchanged
+    /// finish (which fixes the start) stops the propagation there.
+    /// Returns the number of nodes re-timed.
+    fn retime(&mut self) -> usize {
+        let mut s = std::mem::take(&mut self.scratch);
+        s.next_epoch();
+        s.undo.clear();
+        s.queue.clear();
+        for i in 0..s.seeds.len() {
+            let v = s.seeds[i];
+            if self.nodes[v].scheduled && s.reach(v) {
+                s.queue.push(Reverse((self.rank[v], v)));
+            }
+        }
+        let mut done = 0usize;
+        while let Some(Reverse((_, v))) = s.queue.pop() {
+            done += 1;
+            let start = self.start_bound(v);
+            let end = start + self.dur[v];
+            let node = &mut self.nodes[v];
+            if node.end == end {
+                continue;
+            }
+            s.undo.push((v, node.start, node.end));
+            node.start = start;
+            node.end = end;
+            for w in self.succs(v) {
+                if s.reach(w) {
+                    s.queue.push(Reverse((self.rank[w], w)));
+                }
+            }
+        }
+        self.scratch = s;
+        done
     }
 
     /// Latest finish across all lanes: the last op of each lane carries
@@ -986,36 +1246,35 @@ impl<'g> DeltaEval<'g> {
         self.makespan = self.lane_makespan();
     }
 
-    /// The error of a deadlocked cone pass: the blocked node and its
-    /// first scheduled dependency that the failed pass also left blocked
-    /// (in the cone with unresolved in-degree), else the node itself —
-    /// the rule [`predict_makespan`] uses. Reads the failed pass's scratch
-    /// marks, so it runs before any other pass.
-    fn deadlock_error(&self, blocked: usize) -> Error {
-        let s = &self.scratch;
-        let op = self.graph.ops()[blocked];
-        let missing = self
-            .graph
-            .dep_indices(blocked)
-            .iter()
-            .copied()
-            .find(|&d| s.in_cone[d] == s.epoch && s.indeg[d] > 0)
-            .map(|d| self.graph.ops()[d])
-            .unwrap_or(op);
-        Error::DependencyViolation {
-            op,
-            missing_dep: missing,
+    /// Panics unless the ranks are distinct and order every union-graph
+    /// edge.
+    #[cfg(test)]
+    fn assert_ranked(&self) {
+        let mut ranks = self.rank.clone();
+        ranks.sort_unstable();
+        ranks.dedup();
+        assert_eq!(ranks.len(), self.rank.len(), "ranks are not distinct");
+        for &v in self.lanes.iter().flatten() {
+            for w in self.succs(v) {
+                assert!(self.rank[v] < self.rank[w], "edge {v} -> {w} against rank");
+            }
         }
     }
 }
 
+/// The ops at a lane span's positions (`(lane, first, last)`, `last`
+/// clamped to the lane's end).
+fn lane_span(lanes: &[Vec<usize>], (l, first, last): (usize, usize, usize)) -> &[usize] {
+    let lane = &lanes[l];
+    lane.get(first..=last.min(lane.len().saturating_sub(1)))
+        .unwrap_or(&[])
+}
+
 /// Rewrites the stored position of every node inside the given lane
-/// spans (`(lane, first, last)`, `last` clamped to the lane's end).
+/// spans.
 fn renumber(lanes: &[Vec<usize>], nodes: &mut [NodeState], spans: &[(usize, usize, usize)]) {
-    for &(l, first, last) in spans {
-        let lane = &lanes[l];
-        let last = last.min(lane.len().saturating_sub(1));
-        for (p, &w) in lane.iter().enumerate().take(last + 1).skip(first) {
+    for &span in spans {
+        for (p, &w) in (span.1..).zip(lane_span(lanes, span)) {
             nodes[w].pos = p;
         }
     }
@@ -1266,6 +1525,147 @@ mod tests {
         let err = de.relocate(Op::Update(LayerId(4)), 1, 0).unwrap_err();
         assert!(matches!(err, Error::DependencyViolation { .. }));
         assert_delta_matches_full(&g, &de);
+    }
+
+    /// splitmix64: a dependency-free deterministic stream for the
+    /// randomized edit sequences below.
+    fn next(seed: &mut u64) -> usize {
+        *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as usize
+    }
+
+    /// `schedule` with the relocation batch applied the way
+    /// `relocate_many` documents it: every op removed, then inserted at
+    /// its target in ascending `(lane, position)` order, clamped.
+    fn apply_batch(schedule: &Schedule, batch: &[(Op, usize, usize)]) -> Schedule {
+        let mut next = schedule.clone();
+        for &(op, _, _) in batch {
+            for lane in &mut next.lanes {
+                lane.ops.retain(|&o| o != op);
+            }
+        }
+        let mut inserts = batch.to_vec();
+        inserts.sort_unstable_by_key(|&(_, l, p)| (l, p));
+        for (op, l, p) in inserts {
+            let ops = &mut next.lanes[l].ops;
+            ops.insert(p.min(ops.len()), op);
+        }
+        next
+    }
+
+    /// Random probes, kept relocations, places and unplaces on three
+    /// graph families with many zero-duration ops — where "stop when the
+    /// finish is unchanged" meets zero-width ties and zero-duration
+    /// cycles. Every result equals a fresh full prediction (errors
+    /// included), and every edit, failed edit and probe checks on the
+    /// way out that the rank is a valid topological order. Half the
+    /// batches reverse a stretch of one lane, which runs several edges
+    /// against the order at once: the span re-deal and its fallback.
+    #[test]
+    fn delta_eval_keeps_a_valid_rank_through_random_edits() {
+        let mut seed = 7u64;
+        for family in 0..3 {
+            let l = 6;
+            let mut cost = TableCost::uniform(l, LayerCost::default());
+            for i in 1..=l {
+                let c = cost.layer_mut(LayerId(i));
+                c.forward = (next(&mut seed) % 3) as SimTime;
+                c.output_grad = (next(&mut seed) % 3) as SimTime;
+                c.weight_grad = (next(&mut seed) % 3) as SimTime;
+                c.update = (next(&mut seed) % 2) as SimTime;
+                c.sync_weight = (next(&mut seed) % 4) as SimTime;
+                c.sync_output = (next(&mut seed) % 2) as SimTime;
+            }
+            let (g, s0) = match family {
+                0 => {
+                    let g = TrainGraph::data_parallel(l);
+                    let order = reverse_first_k(&g, 2, None::<(u64, &TableCost)>).unwrap();
+                    let s = datapar_schedule(&g, &order, &cost, CommPolicy::PriorityByLayer);
+                    (g, s.unwrap())
+                }
+                1 => ooo_core::pipeline::op_level_schedule(
+                    l,
+                    3,
+                    ooo_core::pipeline::Strategy::GPipe,
+                    1,
+                ),
+                _ => {
+                    let g = TrainGraph::single_gpu(l);
+                    let s = Schedule::single_lane("gpu", g.conventional_backprop());
+                    (g, s)
+                }
+            };
+            let mut de = DeltaEval::new(&g, &s0, &cost).unwrap();
+            let (mut kept, mut failed) = (0, 0);
+            for _ in 0..400 {
+                let s = de.to_schedule();
+                let lane = next(&mut seed) % s.lanes.len();
+                let ops = &s.lanes[lane].ops;
+                let batch: Vec<(Op, usize, usize)> =
+                    if next(&mut seed).is_multiple_of(2) && ops.len() > 2 {
+                        let a = next(&mut seed) % (ops.len() - 1);
+                        let b = a + 1 + next(&mut seed) % (ops.len() - 1 - a).min(5);
+                        (a..=b).map(|p| (ops[p], lane, a + b - p)).collect()
+                    } else {
+                        let all: Vec<Op> = s.lanes.iter().flat_map(|l| l.ops.clone()).collect();
+                        let mut batch: Vec<(Op, usize, usize)> = Vec::new();
+                        for _ in 0..1 + next(&mut seed) % 3 {
+                            let op = all[next(&mut seed) % all.len()];
+                            let to = next(&mut seed) % s.lanes.len();
+                            if batch.iter().all(|&(o, _, _)| o != op) {
+                                batch.push((op, to, next(&mut seed) % (s.lanes[to].ops.len() + 2)));
+                            }
+                        }
+                        batch
+                    };
+                let full = predict_makespan(&g, &apply_batch(&s, &batch), &cost).ok();
+                assert_eq!(
+                    de.probe(&batch).ok(),
+                    full.as_ref().map(Prediction::makespan)
+                );
+                assert_eq!(de.to_schedule(), s, "probe left the placement changed");
+                if next(&mut seed).is_multiple_of(3) {
+                    match de.relocate_many(&batch) {
+                        Ok(m) => {
+                            kept += 1;
+                            assert_eq!(Some(m), full.as_ref().map(Prediction::makespan));
+                        }
+                        Err(_) => {
+                            failed += 1;
+                            assert!(full.is_none());
+                            assert_eq!(de.to_schedule(), s, "failed edit not rolled back");
+                        }
+                    }
+                }
+                let now = predict_makespan(&g, &de.to_schedule(), &cost).unwrap();
+                assert_eq!(de.makespan(), now.makespan());
+                for p in now.ops() {
+                    assert_eq!(de.finish_of(p.op), Some(p.end), "{} end", p.op);
+                }
+            }
+            assert!(
+                kept > 0 && failed > 0,
+                "family {family}: {kept} kept, {failed} failed"
+            );
+
+            // Places in random order (some with dependents already
+            // placed, some deadlocking) and unplaces, from empty.
+            let mut de = DeltaEval::empty(&g, s0.lanes.iter().map(|l| l.name.clone()), &cost);
+            for _ in 0..300 {
+                let lane = next(&mut seed) % s0.lanes.len();
+                if next(&mut seed).is_multiple_of(4) {
+                    de.unplace_last(lane);
+                } else {
+                    let op = g.ops()[next(&mut seed) % g.len()];
+                    let _ = de.place(lane, op);
+                }
+                let full = predict_makespan(&g, &de.to_schedule(), &cost).unwrap();
+                assert_eq!(de.makespan(), full.makespan());
+            }
+        }
     }
 
     #[test]

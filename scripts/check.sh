@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> perfbench build (its own workspace, so --workspace never compiles it) and a 1 s zoo_sim run"
+echo "==> perfbench build (its own workspace, so --workspace never compiles it) and 1 s zoo_sim and tune_large runs"
 cargo build --release --manifest-path perfbench/Cargo.toml
 # Every zoo_sim cell digest-checks its lint report, prediction,
 # simulation, memory ledger and counter against perfbench/golden.json in
@@ -23,6 +23,13 @@ rc=0; ./perfbench/target/release/perfbench --workload zoo_sim --seed 1 --seconds
 tail -n 1 /tmp/perfbench-zoo.json | grep -q '"correct": true' \
   || { echo "perfbench zoo_sim: a cell failed its checks or its golden digest (exit $rc)"; exit 1; }
 rm -f /tmp/perfbench-zoo.json
+# Every tune_large instance digest-checks its tuned result (makespans,
+# trajectory, certificate) against perfbench/golden.json.
+rc=0; ./perfbench/target/release/perfbench --workload tune_large --seed 1 --seconds 1 --trace 0 \
+  > /tmp/perfbench-tune.json || rc=$?
+tail -n 1 /tmp/perfbench-tune.json | grep -q '"correct": true' \
+  || { echo "perfbench tune_large: an instance failed its checks or its golden digest (exit $rc)"; exit 1; }
+rm -f /tmp/perfbench-tune.json
 
 echo "==> figures snapshot (every table and figure reproduces docs/figures_snapshot.txt byte for byte)"
 cargo build -q --release -p ooo-bench --bin figures
@@ -157,11 +164,15 @@ rc=0; ./target/debug/ooo-serve --daemon < /tmp/ooo-serve-kill.jsonl > /tmp/ooo-s
 rm -f /tmp/ooo-serve-one.json /tmp/ooo-serve-req.jsonl /tmp/ooo-serve-a.jsonl \
   /tmp/ooo-serve-b.jsonl /tmp/ooo-serve-kill.jsonl /tmp/ooo-serve-k.jsonl
 
-echo "==> ooo-tune 1000-stage smoke (windowed search at scale)"
+echo "==> ooo-tune 1000-stage smoke (windowed search at scale, golden output)"
 cargo build -q --release -p ooo-tune --bin ooo-tune
+start=$(date +%s%N)
 rc=0; ./target/release/ooo-tune pipeline --layers 1000 --devices 8 --strategy pipe2 \
   --restarts 0 --window 4 --json --out /tmp/ooo-tune-scale.json || rc=$?
+echo "1000-stage tune: $(( ($(date +%s%N) - start) / 1000000 )) ms"
 [ "$rc" -eq 0 ] || { echo "ooo-tune: 1000-stage pipeline tune failed (got $rc)"; exit 1; }
+cmp /tmp/ooo-tune-scale.json tests/fixtures/cli_golden/tune_pipeline_pipe2_1000.json \
+  || { echo "ooo-tune: 1000-stage tune differs from its golden"; exit 1; }
 rm -f /tmp/ooo-tune-scale.json
 
 echo "All checks passed."

@@ -375,15 +375,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let l = rng.gen_range(2usize..10);
         let devices = rng.gen_range(2usize..=4);
+        // Zero durations included: zero-width ties and zero-duration
+        // cycles are where stopping at an unchanged finish and repairing
+        // the rank order can go wrong.
         let mut cost = TableCost::uniform(l, LayerCost::default());
         for i in 1..=l {
             let c = cost.layer_mut(LayerId(i));
-            c.forward = rng.gen_range(1..6);
-            c.output_grad = rng.gen_range(1..6);
-            c.weight_grad = rng.gen_range(1..6);
-            c.update = rng.gen_range(1..4);
-            c.sync_weight = rng.gen_range(1..8);
-            c.sync_output = rng.gen_range(1..5);
+            c.forward = rng.gen_range(0..6);
+            c.output_grad = rng.gen_range(0..6);
+            c.weight_grad = rng.gen_range(0..6);
+            c.update = rng.gen_range(0..4);
+            c.sync_weight = rng.gen_range(0..8);
+            c.sync_output = rng.gen_range(0..5);
         }
         let shapes = [
             Shape::SingleGpu { layers: l },
