@@ -52,8 +52,10 @@
 //! a certain deadlock, read off the evaluator's positions without a
 //! probe. Perturbations score only the candidates they draw.
 //! A candidate is cloned and described only when it is gated, accepted
-//! or drawn, and under a memory cap its ledger is built only when its
-//! raw makespan is below the score it must beat.
+//! or drawn. Under a memory cap a relocation's peak is read off the
+//! probe's own times, before the restore, by one [`PeakSweep`] built per
+//! search — and only when its raw makespan is below the score it must
+//! beat and the carried-in floor does not already exceed the cap.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -65,7 +67,7 @@ pub mod pipeline;
 use ooo_core::cost::CostModel;
 use ooo_core::schedule::Schedule;
 use ooo_core::{SimTime, TrainGraph};
-use ooo_verify::mem::schedule_peak;
+use ooo_verify::mem::{ledger_of_schedule, schedule_peak, PeakEvents, PeakSweep};
 use ooo_verify::predict::{predict_makespan, DeltaEval};
 use ooo_verify::{Report, Verifier, VerifyConfig};
 use rand::rngs::StdRng;
@@ -182,9 +184,14 @@ pub struct TuneOptions {
     /// cap` — an over-cap incumbent first descends into the feasible
     /// region (any under-cap candidate beats any over-cap one), then
     /// minimizes makespan inside it. Candidates are still scored on the
-    /// delta-evaluation path; the ledger (the costly part) is built only
-    /// for candidates whose raw makespan is below the score they must
-    /// beat, since the penalty can only raise a score.
+    /// delta-evaluation path, and a peak is read only for candidates
+    /// whose raw makespan is below the score they must beat, since the
+    /// penalty can only raise a score. A relocation's peak is read off
+    /// the probe's own times by a [`PeakSweep`] built once per search (no
+    /// ledger); when the input's carried-in bytes — the same for every
+    /// relocated state, and a floor on its peak — already exceed the cap,
+    /// every relocation is over it and no peak is read at all. Whole-state
+    /// jumps build their target's ledger once each.
     pub memory_cap: Option<u64>,
     /// Optional certified target makespan (a proven lower bound, e.g.
     /// from `ooo_core::bounds::lower_bound` or an `ooo-cert`
@@ -341,23 +348,110 @@ pub(crate) trait SearchSpace: Sync {
     fn apply(&self, state: &Self::State, mv: &Self::Move) -> (Self::State, String);
 }
 
-/// The penalized score of a candidate whose raw makespan `raw` is
-/// already below `cutoff`, when it stays below: the raw makespan, plus
-/// [`MEMORY_CAP_PENALTY`] when the exact ledger peak exceeds `cap`. The
-/// penalty only raises a score, so the ledger — the costly part — is
-/// built only here, for candidates that can still rank. `None` when the
-/// score reaches the cutoff or the ledger cannot be built.
+/// The penalized score of a candidate with raw makespan `raw`, when
+/// below `cutoff`: the raw makespan, plus [`MEMORY_CAP_PENALTY`] when the
+/// exact peak `peak()` exceeds `cap`. The penalty only raises a score, so
+/// `peak` — the costly part — is read only when `raw` is below the
+/// cutoff, for candidates that can still rank. `None` when the score
+/// reaches the cutoff or the peak cannot be read.
 pub(crate) fn capped_below(
     raw: SimTime,
     cutoff: SimTime,
     cap: Option<u64>,
     peak: impl FnOnce() -> Option<u64>,
 ) -> Option<SimTime> {
+    if raw >= cutoff {
+        return None;
+    }
     let score = match cap {
         Some(cap) if peak()? > cap => raw.saturating_add(MEMORY_CAP_PENALTY),
         _ => raw,
     };
     (score < cutoff).then_some(score)
+}
+
+/// A memory cap on a search's objective ([`TuneOptions::memory_cap`]),
+/// set up once from the search's input.
+pub(crate) struct MemoryCap {
+    /// The cap, in bytes.
+    bytes: u64,
+    /// The input ledger's carried-in bytes. Relocations keep the op set,
+    /// so every state they reach carries in the same bytes, and those are
+    /// a floor on its peak (see [`ooo_verify::mem`]).
+    floor: u64,
+    /// The residency rules of the search's op set.
+    sweep: PeakSweep,
+}
+
+impl MemoryCap {
+    /// The cap of a search from `baseline` when `cap` is set, with the
+    /// baseline's raw makespan `raw` turned into its capped score (`raw`
+    /// itself when no cap is set).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Core`] when the baseline does not evaluate.
+    pub(crate) fn of_baseline<C: CostModel>(
+        graph: &TrainGraph,
+        cost: &C,
+        baseline: &Schedule,
+        cap: Option<u64>,
+        raw: SimTime,
+    ) -> Result<(Option<Self>, SimTime)> {
+        let Some(bytes) = cap else {
+            return Ok((None, raw));
+        };
+        let ledger = ledger_of_schedule(graph, baseline, cost)?;
+        let score = if ledger.peak > bytes {
+            raw.saturating_add(MEMORY_CAP_PENALTY)
+        } else {
+            raw
+        };
+        let cap = MemoryCap {
+            bytes,
+            floor: ledger.initial,
+            sweep: PeakSweep::new(graph, cost, baseline),
+        };
+        Ok((Some(cap), score))
+    }
+
+    /// The cap, in bytes.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The peak of the relocated state `de` holds (the search's op set,
+    /// probed times), or the floor when that alone exceeds the cap:
+    /// either one is over the cap exactly when the peak is.
+    fn relocated_peak(&self, de: &DeltaEval<'_>, events: &mut PeakEvents) -> u64 {
+        if self.floor > self.bytes {
+            self.floor
+        } else {
+            self.sweep.peak(|v| de.span_at(v), events)
+        }
+    }
+}
+
+/// The capped score below `cutoff` (see [`SearchSpace::score`]) of the
+/// relocation batch `batch`: one [`DeltaEval::probe_with`] on the
+/// incumbent's evaluator, which re-times only what the batch changes,
+/// reading the candidate's peak ([`MemoryCap::relocated_peak`]) off the
+/// probed times before the restore — only when its raw makespan is below
+/// the cutoff ([`capped_below`]). `None` also when the batch deadlocks.
+pub(crate) fn probe_capped(
+    de: &mut DeltaEval<'_>,
+    batch: &[(ooo_core::Op, usize, usize)],
+    cutoff: SimTime,
+    cap: Option<&MemoryCap>,
+    events: &mut PeakEvents,
+) -> Option<SimTime> {
+    de.probe_with(batch, |de, raw| {
+        capped_below(raw, cutoff, cap.map(MemoryCap::bytes), || {
+            cap.map(|cap| cap.relocated_peak(de, events))
+        })
+    })
+    .ok()
+    .flatten()
 }
 
 /// Cooperative cancellation state for one search (or one restart
@@ -603,13 +697,30 @@ struct ScheduleSpace<'g, C: CostModel> {
     verifier: Verifier<'g, &'g C>,
     cross_lane: bool,
     window: Option<usize>,
-    memory_cap: Option<u64>,
+    memory_cap: Option<MemoryCap>,
+}
+
+/// The scoring context of a multi-lane state: its evaluator, and the
+/// event buffer a capped search reads peaks with.
+pub(crate) struct RelocationScorer<'g> {
+    de: DeltaEval<'g>,
+    events: PeakEvents,
+}
+
+impl<'g> RelocationScorer<'g> {
+    /// The scorer of `state`, a search state.
+    pub(crate) fn new<C: CostModel>(graph: &'g TrainGraph, state: &Schedule, cost: &C) -> Self {
+        RelocationScorer {
+            de: DeltaEval::new(graph, state, cost).expect(SEARCH_STATES_EVALUATE),
+            events: PeakEvents::default(),
+        }
+    }
 }
 
 impl<'g, C: CostModel + Sync> SearchSpace for ScheduleSpace<'g, C> {
     type State = Schedule;
     type Move = Relocation;
-    type Scorer = DeltaEval<'g>;
+    type Scorer = RelocationScorer<'g>;
 
     fn clean(&self, state: &Schedule) -> bool {
         self.verifier.verify(state).is_clean()
@@ -619,26 +730,18 @@ impl<'g, C: CostModel + Sync> SearchSpace for ScheduleSpace<'g, C> {
         schedule_relocations(self.graph, state, self.cross_lane, self.window)
     }
 
-    fn scorer(&self, state: &Schedule) -> DeltaEval<'g> {
-        DeltaEval::new(self.graph, state, self.cost).expect(SEARCH_STATES_EVALUATE)
+    fn scorer(&self, state: &Schedule) -> RelocationScorer<'g> {
+        RelocationScorer::new(self.graph, state, self.cost)
     }
 
     fn score(
         &self,
-        de: &mut DeltaEval<'g>,
-        state: &Schedule,
+        sc: &mut RelocationScorer<'g>,
+        _: &Schedule,
         mv: &Relocation,
         cutoff: SimTime,
     ) -> Option<SimTime> {
-        score_relocation(
-            self.graph,
-            self.cost,
-            self.memory_cap,
-            de,
-            state,
-            mv,
-            cutoff,
-        )
+        score_relocation(self.memory_cap.as_ref(), sc, mv, cutoff)
     }
 
     fn apply(&self, state: &Schedule, mv: &Relocation) -> (Schedule, String) {
@@ -652,31 +755,25 @@ impl<'g, C: CostModel + Sync> SearchSpace for ScheduleSpace<'g, C> {
 pub(crate) const SEARCH_STATES_EVALUATE: &str =
     "search states evaluate: each was scored before it was accepted";
 
-/// Scores one relocation of `state` below `cutoff` (see
-/// [`SearchSpace::score`]): a [`DeltaEval::probe`] on the incumbent's
-/// evaluator, which re-times only what the move changes. Under a memory cap
-/// the candidate is materialized for its ledger only when its raw
-/// makespan is below the cutoff. Shared by the bundle space above and the
-/// pipeline space's in-lane moves.
-pub(crate) fn score_relocation<C: CostModel>(
-    graph: &TrainGraph,
-    cost: &C,
-    memory_cap: Option<u64>,
-    de: &mut DeltaEval<'_>,
-    state: &Schedule,
+/// Scores one relocation of the scorer's state below `cutoff` (see
+/// [`SearchSpace::score`]): one [`probe_capped`] batch, so no candidate
+/// is materialized. Shared by the bundle space above and the pipeline
+/// space's in-lane moves.
+pub(crate) fn score_relocation(
+    cap: Option<&MemoryCap>,
+    sc: &mut RelocationScorer<'_>,
     mv: &Relocation,
     cutoff: SimTime,
 ) -> Option<SimTime> {
     let (batch, len) = mv.batch();
-    let raw = de.probe(&batch[..len]).ok().filter(|&m| m < cutoff)?;
-    capped_below(raw, cutoff, memory_cap, || {
-        schedule_peak(graph, &mv.apply(state), cost).ok()
-    })
+    probe_capped(&mut sc.de, &batch[..len], cutoff, cap, &mut sc.events)
 }
 
 /// A whole-state replacement move (a k-jump, a regroup). Its target does
 /// not depend on the incumbent, so the target and its raw makespan are
-/// computed once per tuning run, and its ledger peak at most once.
+/// computed once per tuning run, and under a memory cap its ledger peak
+/// at most once (the carried-in floor is not applied: a target need not
+/// schedule the input's op set).
 pub(crate) struct Jump<T> {
     /// The move's label (`k`, modulo group).
     pub(crate) label: usize,
@@ -706,8 +803,7 @@ impl<T> Jump<T> {
         cap: Option<u64>,
         peak: impl FnOnce(&T) -> Option<u64>,
     ) -> Option<SimTime> {
-        let raw = self.raw.filter(|&m| m < cutoff)?;
-        capped_below(raw, cutoff, cap, || {
+        capped_below(self.raw?, cutoff, cap, || {
             *self.peak.get_or_init(|| peak(&self.target))
         })
     }
@@ -898,24 +994,15 @@ pub fn tune_schedule<C: CostModel + Sync>(
         return Err(Error::Unsafe(report));
     }
     let base_raw = predict_makespan(graph, baseline, cost)?.makespan();
-    let base_m = match opts.memory_cap {
-        None => base_raw,
-        Some(cap) => {
-            let peak = schedule_peak(graph, baseline, cost)?;
-            if peak > cap {
-                base_raw.saturating_add(MEMORY_CAP_PENALTY)
-            } else {
-                base_raw
-            }
-        }
-    };
+    let (memory_cap, base_m) =
+        MemoryCap::of_baseline(graph, cost, baseline, opts.memory_cap, base_raw)?;
     let space = ScheduleSpace {
         graph,
         cost,
         verifier,
         cross_lane: opts.cross_lane,
         window: opts.window,
-        memory_cap: opts.memory_cap,
+        memory_cap,
     };
     let (schedule, predicted, moves, restarts_adopted) =
         local_search(&space, baseline.clone(), base_m, opts);
@@ -1248,6 +1335,130 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(a, sorted, "enumeration is not ascending in arena id");
         assert_eq!(a, b, "enumeration depends on lane placement");
+    }
+
+    /// `score_relocation` reads off a relocation's probed times exactly
+    /// the ledger peak of the materialized candidate, over every
+    /// relocation of op-level gpipe and pipe2 at 8×4 (in-lane, as the
+    /// pipeline space moves them) and of the strategy zoo's multi-region
+    /// schedule of 8 layers under unit cost (cross-lane and block moves
+    /// too; a partial schedule, so weight gradients are retained). Its
+    /// capped score is the raw makespan plus the penalty exactly when that
+    /// peak is over the cap, for caps from below the carried-in floor
+    /// (settled without a sweep) through the peaks.
+    #[test]
+    fn relocation_sweep_peak_equals_the_materialized_ledger_peak() {
+        use ooo_core::multi_region::{
+            backward_regions, multi_region_joint_schedule, ConstantProfile,
+        };
+        use ooo_core::pipeline::{op_level_schedule, Strategy};
+        let mut cases: Vec<(TrainGraph, Schedule, bool)> = [Strategy::GPipe, Strategy::OooPipe2]
+            .into_iter()
+            .map(|s| {
+                let (graph, schedule) = op_level_schedule(8, 4, s, 1);
+                (graph, schedule, false)
+            })
+            .collect();
+        let graph = TrainGraph::single_gpu(8);
+        let (regions, subs) = backward_regions(&graph, &UnitCost, 2);
+        let profile = ConstantProfile {
+            speedup: 1.3,
+            sub_time: 1,
+        };
+        let plan = multi_region_joint_schedule(&graph, &regions, &subs, &profile).unwrap();
+        cases.push((graph, plan.to_schedule(&regions), true));
+        for (graph, state, cross_lane) in &cases {
+            let base = ledger_of_schedule(graph, state, &UnitCost).unwrap();
+            let raw = predict_makespan(graph, state, &UnitCost)
+                .unwrap()
+                .makespan();
+            let caps: Vec<(Option<MemoryCap>, u64)> = (base.initial - 1..=base.peak + 2)
+                .map(|bytes| {
+                    let cap = MemoryCap::of_baseline(graph, &UnitCost, state, Some(bytes), raw);
+                    (cap.unwrap().0, bytes)
+                })
+                .collect();
+            let sweep = PeakSweep::new(graph, &UnitCost, state);
+            let mut sc = RelocationScorer::new(graph, state, &UnitCost);
+            let mut events = PeakEvents::default();
+            let mut peaks = Vec::new();
+            for mv in schedule_relocations(graph, state, *cross_lane, None) {
+                let (batch, len) = mv.batch();
+                let want = schedule_peak(graph, &mv.apply(state), &UnitCost).ok();
+                let swept = sc
+                    .de
+                    .probe_with(&batch[..len], |de, _| {
+                        sweep.peak(|v| de.span_at(v), &mut events)
+                    })
+                    .ok();
+                let at = mv.describe(state);
+                assert_eq!(swept, want, "{at}");
+                let raw = score_relocation(None, &mut sc, &mv, SimTime::MAX);
+                for (cap, bytes) in &caps {
+                    let penalty = |p: u64| if p > *bytes { MEMORY_CAP_PENALTY } else { 0 };
+                    assert_eq!(
+                        score_relocation(cap.as_ref(), &mut sc, &mv, SimTime::MAX),
+                        raw.zip(want).map(|(m, p)| m + penalty(p)),
+                        "cap {bytes}: {at}"
+                    );
+                }
+                peaks.extend(want);
+            }
+            assert!(
+                peaks.iter().any(|&p| p != base.peak),
+                "every relocation keeps the peak"
+            );
+        }
+    }
+
+    /// A cap equal to the carried-in floor is met by every state whose
+    /// peak sits on the floor: with no gradient bytes only the carried-in
+    /// activations are ever resident, so the capped search is the
+    /// uncapped one, move for move.
+    #[test]
+    fn cap_at_the_floor_is_met_when_peaks_sit_on_it() {
+        use ooo_core::cost::{LayerCost, TableCost};
+        use ooo_core::datapar::CommPolicy;
+        let l = 8;
+        let graph = TrainGraph::data_parallel(l);
+        let cost = TableCost::uniform(
+            l,
+            LayerCost {
+                sync_weight: 3,
+                out_grad_bytes: 0,
+                weight_bytes: 0,
+                ..LayerCost::default()
+            },
+        );
+        let base =
+            ooo_core::reverse_k::reverse_first_k(&graph, 0, None::<(u64, &TableCost)>).unwrap();
+        let realized = ooo_verify::predict::datapar_schedule(
+            &graph,
+            &base,
+            &cost,
+            CommPolicy::PriorityByLayer,
+        )
+        .unwrap();
+        let floor = ledger_of_schedule(&graph, &realized, &cost)
+            .unwrap()
+            .initial;
+        let tune = |memory_cap| {
+            let opts = TuneOptions {
+                memory_cap,
+                ..TuneOptions::default()
+            };
+            let (policy, family) = (CommPolicy::PriorityByLayer, order::KFamily::None);
+            order::tune_backward_order(&graph, &base, Some(0), &cost, policy, family, &opts)
+                .unwrap()
+        };
+        let (plain, capped) = (tune(None), tune(Some(floor)));
+        assert!(!plain.moves.is_empty(), "the order must tune");
+        assert_eq!(capped.peak, Some(floor));
+        assert_eq!(plain.order, capped.order);
+        let trajectory = |t: &order::TunedOrder| -> Vec<String> {
+            t.moves.iter().map(|m| m.description.clone()).collect()
+        };
+        assert_eq!(trajectory(&plain), trajectory(&capped));
     }
 
     /// A slack memory cap adds ledger checks to scoring but must not

@@ -11,18 +11,19 @@
 //!
 //! Scoring is the exact predictor on the realized two-lane schedule of
 //! [`ooo_verify::predict::datapar_schedule`]: a relocation is one
-//! [`DeltaEval::probe`] of the incumbent's realization, k-jumps are
-//! realized once per run; the safety gate verifies that same
-//! reconstruction.
+//! [`DeltaEval::probe`] of the incumbent's realization (under a memory
+//! cap, its peak is read off the probed times), k-jumps are realized
+//! once per run; the safety gate verifies that same reconstruction.
 
 use crate::{
-    local_search, AppliedMove, Error, Jump, Result, SearchSpace, TuneOptions,
-    SEARCH_STATES_EVALUATE,
+    local_search, probe_capped, AppliedMove, Error, Jump, MemoryCap, Result, SearchSpace,
+    TuneOptions, SEARCH_STATES_EVALUATE,
 };
 use ooo_core::cost::CostModel;
 use ooo_core::datapar::{plan_sync_service, simulate_data_parallel, CommPolicy};
 use ooo_core::op::LayerId;
 use ooo_core::{Op, SimTime, TrainGraph};
+use ooo_verify::mem::{schedule_peak, PeakEvents};
 use ooo_verify::predict::{datapar_schedule, predict_makespan, DeltaEval};
 use ooo_verify::Verifier;
 use std::cmp::Reverse;
@@ -90,7 +91,7 @@ struct OrderSpace<'g, C: CostModel> {
     family: KFamily,
     verifier: Verifier<'g, &'g C>,
     window: Option<usize>,
-    memory_cap: Option<u64>,
+    memory_cap: Option<MemoryCap>,
     k_jumps: OnceLock<Vec<Jump<Vec<Op>>>>,
 }
 
@@ -106,11 +107,13 @@ struct OrderScorer<'g> {
     /// syncs.
     link: Option<(usize, Vec<usize>)>,
     /// Work buffers for a candidate: its `dw_finish`, its link service
-    /// plan (and the planner's ready heap), and its probe batch.
+    /// plan (and the planner's ready heap), its probe batch, and the
+    /// events a capped search reads its peak with.
     buf: Vec<SimTime>,
     plan: Vec<(usize, SimTime, SimTime)>,
     ready: BinaryHeap<Reverse<usize>>,
     batch: Vec<(Op, usize, usize)>,
+    events: PeakEvents,
 }
 
 impl<C: CostModel> OrderSpace<'_, C> {
@@ -129,11 +132,6 @@ impl<C: CostModel> OrderSpace<'_, C> {
     fn realize(&self, order: &[Op]) -> Option<SimTime> {
         let s = datapar_schedule(self.graph, order, self.cost, self.policy).ok()?;
         Some(predict_makespan(self.graph, &s, self.cost).ok()?.makespan())
-    }
-
-    fn peak(&self, order: &[Op]) -> Option<u64> {
-        let s = datapar_schedule(self.graph, order, self.cost, self.policy).ok()?;
-        ooo_verify::mem::schedule_peak(self.graph, &s, self.cost).ok()
     }
 
     /// The k-jump targets, one per depth, each scored once on the first
@@ -174,7 +172,7 @@ impl<C: CostModel> OrderSpace<'_, C> {
         next
     }
 
-    /// Raw makespan of the relocation below `cutoff`: one probe batch
+    /// Fills the scorer's batch with the relocation as one probe batch
     /// on the incumbent's [`DeltaEval`], with no allocation. The realized
     /// schedule of the relocated order runs the incumbent's compute lane
     /// with one `dW` moved, and a link lane planned from the shifted
@@ -183,17 +181,17 @@ impl<C: CostModel> OrderSpace<'_, C> {
     /// move plus each `S[dW]` whose service position changed, at its new
     /// position: the unmoved syncs keep their slots, and the batch
     /// inserts in ascending position, so the probed link lane is the
-    /// candidate's. The score is the exact predictor on the identical
-    /// realized schedule. A `dW` moved past one of its own dependencies
-    /// or dependents on its lane ([`passes_own_edge`]) scores
-    /// `None` before any planning, as its probe would.
-    fn relocation_raw(
+    /// candidate's, and probing it gives the exact predictor's times on
+    /// the identical realized schedule. A `dW` moved past one of its own
+    /// dependencies or dependents on its lane ([`passes_own_edge`])
+    /// leaves the batch empty and returns `false` before any planning:
+    /// its probe would deadlock.
+    fn relocation_batch(
         &self,
         sc: &mut OrderScorer<'_>,
         order: &[Op],
         (op, from, to): (Op, usize, usize),
-        cutoff: SimTime,
-    ) -> Option<SimTime> {
+    ) -> bool {
         let OrderScorer {
             de,
             finish,
@@ -203,11 +201,12 @@ impl<C: CostModel> OrderSpace<'_, C> {
             plan,
             ready,
             batch,
+            ..
         } = sc;
         let (lane, _) = de.position_of(op).expect("dW is scheduled");
         batch.clear();
         if passes_own_edge(self.graph, de, op, (lane, from), to) {
-            return None;
+            return false;
         }
         batch.push((op, lane, to));
         if let Some((link_lane, link)) = link {
@@ -237,7 +236,7 @@ impl<C: CostModel> OrderSpace<'_, C> {
                 }
             }
         }
-        de.probe(batch).ok().filter(|&m| m < cutoff)
+        true
     }
 }
 
@@ -313,13 +312,14 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
             plan,
             ready,
             batch: Vec::new(),
+            events: PeakEvents::default(),
         }
     }
 
-    /// k-jumps carry their scores from the k-jump table; relocations are
-    /// scored by [`OrderSpace::relocation_raw`]. Under a memory cap a
-    /// candidate is realized for its ledger only when its raw makespan is
-    /// below the cutoff.
+    /// k-jumps carry their scores from the k-jump table, under a memory
+    /// cap realizing a target for its ledger the first time its raw
+    /// makespan is below the cutoff; relocations are one
+    /// [`probe_capped`] batch ([`OrderSpace::relocation_batch`]).
     fn score(
         &self,
         sc: &mut OrderScorer<'g>,
@@ -327,15 +327,19 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
         mv: &OrderMove,
         cutoff: SimTime,
     ) -> Option<SimTime> {
+        let cap = self.memory_cap.as_ref();
         match *mv {
             OrderMove::KJump(i) => {
-                self.k_jumps()[i].score(cutoff, self.memory_cap, |order| self.peak(order))
+                self.k_jumps()[i].score(cutoff, cap.map(MemoryCap::bytes), |order| {
+                    let s = datapar_schedule(self.graph, order, self.cost, self.policy).ok()?;
+                    schedule_peak(self.graph, &s, self.cost).ok()
+                })
             }
             OrderMove::Relocate { op, from, to } => {
-                let raw = self.relocation_raw(sc, &state.order, (op, from, to), cutoff)?;
-                crate::capped_below(raw, cutoff, self.memory_cap, || {
-                    self.peak(&Self::relocated(&state.order, from, to))
-                })
+                if !self.relocation_batch(sc, &state.order, (op, from, to)) {
+                    return None;
+                }
+                probe_capped(&mut sc.de, &sc.batch, cutoff, cap, &mut sc.events)
             }
         }
     }
@@ -391,17 +395,8 @@ pub fn tune_backward_order<C: CostModel + Sync>(
         return Err(Error::Unsafe(report));
     }
     let base_raw = predict_makespan(graph, &realized, cost)?.makespan();
-    let base_m = match opts.memory_cap {
-        None => base_raw,
-        Some(cap) => {
-            let peak = ooo_verify::mem::schedule_peak(graph, &realized, cost)?;
-            if peak > cap {
-                base_raw.saturating_add(crate::MEMORY_CAP_PENALTY)
-            } else {
-                base_raw
-            }
-        }
-    };
+    let (memory_cap, base_m) =
+        MemoryCap::of_baseline(graph, cost, &realized, opts.memory_cap, base_raw)?;
     let space = OrderSpace {
         graph,
         cost,
@@ -409,7 +404,7 @@ pub fn tune_backward_order<C: CostModel + Sync>(
         family,
         verifier,
         window: opts.window,
-        memory_cap: opts.memory_cap,
+        memory_cap,
         k_jumps: OnceLock::new(),
     };
     let init = OrderState {
@@ -425,7 +420,7 @@ pub fn tune_backward_order<C: CostModel + Sync>(
             let s = datapar_schedule(graph, &state.order, cost, policy)?;
             (
                 predict_makespan(graph, &s, cost)?.makespan(),
-                Some(ooo_verify::mem::schedule_peak(graph, &s, cost)?),
+                Some(schedule_peak(graph, &s, cost)?),
             )
         }
     };
@@ -613,8 +608,7 @@ mod tests {
                     let OrderMove::Relocate { op, from, to } = mv else {
                         continue;
                     };
-                    let probed =
-                        space.relocation_raw(&mut sc, &state.order, (op, from, to), SimTime::MAX);
+                    let probed = space.score(&mut sc, &state, &mv, SimTime::MAX);
                     let relocated = OrderSpace::<TableCost>::relocated(&state.order, from, to);
                     assert_eq!(
                         probed,
@@ -629,6 +623,91 @@ mod tests {
                 reordered > 0 && unprobed > 0,
                 "{policy:?}: {reordered} reordered, {unprobed} unprobed"
             );
+        }
+    }
+
+    /// The peak a capped search reads off a relocation's probed times
+    /// ([`ooo_verify::mem::PeakSweep`]) is exactly the ledger peak of the
+    /// realized relocated order, over every relocation of the 12-layer
+    /// order under sync 3 from three reverse-first-k states and under
+    /// both policies (a deadlock reads no peak and realizes none). And a
+    /// capped score is the raw makespan plus the penalty exactly when
+    /// that peak is over the cap, for caps below the carried-in floor
+    /// (settled without a sweep), at it, and through the peaks' range.
+    #[test]
+    fn relocation_sweep_peak_equals_the_realized_ledger_peak() {
+        use ooo_verify::mem::{ledger_of_schedule, PeakSweep};
+        let inst = crate::job::order_instance(12, 0, 3).unwrap();
+        let (graph, cost) = (&inst.graph, &inst.cost);
+        for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
+            for k in [0, 4, 12] {
+                let order = reverse_first_k(graph, k, None::<(u64, &TableCost)>).unwrap();
+                let realized = datapar_schedule(graph, &order, cost, policy).unwrap();
+                let base = ledger_of_schedule(graph, &realized, cost).unwrap();
+                let raw = predict_makespan(graph, &realized, cost).unwrap().makespan();
+                let sweep = PeakSweep::new(graph, cost, &realized);
+                let state = OrderState { order, k: Some(k) };
+                let space = |memory_cap| OrderSpace {
+                    graph,
+                    cost,
+                    policy,
+                    family: KFamily::None,
+                    verifier: Verifier::new(graph).with_cost(cost),
+                    window: None,
+                    memory_cap,
+                    k_jumps: OnceLock::new(),
+                };
+                let caps: Vec<(OrderSpace<'_, TableCost>, u64)> = (base.initial - 1
+                    ..=base.peak + 2)
+                    .map(|bytes| {
+                        let cap = MemoryCap::of_baseline(graph, cost, &realized, Some(bytes), raw);
+                        (space(cap.unwrap().0), bytes)
+                    })
+                    .collect();
+                let plain = space(None);
+                let mut sc = plain.scorer(&state);
+                let mut events = PeakEvents::default();
+                let mut peaks = Vec::new();
+                for mv in plain.moves(&state) {
+                    let OrderMove::Relocate { op, from, to } = mv else {
+                        continue;
+                    };
+                    let relocated = OrderSpace::<TableCost>::relocated(&state.order, from, to);
+                    let want = datapar_schedule(graph, &relocated, cost, policy)
+                        .and_then(|s| schedule_peak(graph, &s, cost))
+                        .ok();
+                    let swept = if plain.relocation_batch(&mut sc, &state.order, (op, from, to)) {
+                        sc.de
+                            .probe_with(&sc.batch, |de, _| {
+                                sweep.peak(|v| de.span_at(v), &mut events)
+                            })
+                            .ok()
+                    } else {
+                        None
+                    };
+                    assert_eq!(swept, want, "{policy:?} k={k}: {op} {from} -> {to}");
+                    let raw = plain.score(&mut sc, &state, &mv, SimTime::MAX);
+                    for (capped, bytes) in &caps {
+                        let penalty = |p: u64| {
+                            if p > *bytes {
+                                crate::MEMORY_CAP_PENALTY
+                            } else {
+                                0
+                            }
+                        };
+                        assert_eq!(
+                            capped.score(&mut sc, &state, &mv, SimTime::MAX),
+                            raw.zip(want).map(|(m, p)| m + penalty(p)),
+                            "{policy:?} k={k} cap {bytes}: {op} {from} -> {to}"
+                        );
+                    }
+                    peaks.extend(want);
+                }
+                assert!(
+                    peaks.iter().any(|&p| p != base.peak),
+                    "{policy:?} k={k}: every relocation keeps the peak"
+                );
+            }
         }
     }
 

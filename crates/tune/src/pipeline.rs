@@ -11,14 +11,14 @@
 //! simply never accepts them.
 
 use crate::{
-    local_search, schedule_relocations, score_relocation, AppliedMove, Error, Jump, Relocation,
-    Result, SearchSpace, TuneOptions, SEARCH_STATES_EVALUATE,
+    local_search, schedule_relocations, score_relocation, AppliedMove, Error, Jump, MemoryCap,
+    Relocation, RelocationScorer, Result, SearchSpace, TuneOptions,
 };
 use ooo_core::cost::CostModel;
 use ooo_core::pipeline::{op_level_schedule, Strategy};
 use ooo_core::schedule::Schedule;
 use ooo_core::{SimTime, TrainGraph};
-use ooo_verify::predict::{predict_makespan, DeltaEval};
+use ooo_verify::predict::predict_makespan;
 use ooo_verify::Verifier;
 use std::sync::OnceLock;
 
@@ -73,7 +73,7 @@ struct PipeSpace<'g, C: CostModel> {
     devices: usize,
     strategy: Strategy,
     window: Option<usize>,
-    memory_cap: Option<u64>,
+    memory_cap: Option<MemoryCap>,
     regroups: OnceLock<Vec<Jump<Schedule>>>,
 }
 
@@ -99,7 +99,7 @@ impl<C: CostModel> PipeSpace<'_, C> {
 impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
     type State = PipeState;
     type Move = PipeMove;
-    type Scorer = DeltaEval<'g>;
+    type Scorer = RelocationScorer<'g>;
 
     fn clean(&self, state: &PipeState) -> bool {
         self.verifier.verify(&state.schedule).is_clean()
@@ -124,8 +124,8 @@ impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
         out
     }
 
-    fn scorer(&self, state: &PipeState) -> DeltaEval<'g> {
-        DeltaEval::new(self.graph, &state.schedule, self.cost).expect(SEARCH_STATES_EVALUATE)
+    fn scorer(&self, state: &PipeState) -> RelocationScorer<'g> {
+        RelocationScorer::new(self.graph, &state.schedule, self.cost)
     }
 
     /// Regroups replace the whole schedule and carry their scores from
@@ -133,24 +133,19 @@ impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
     /// incumbent ([`score_relocation`]).
     fn score(
         &self,
-        de: &mut DeltaEval<'g>,
-        state: &PipeState,
+        sc: &mut RelocationScorer<'g>,
+        _: &PipeState,
         mv: &PipeMove,
         cutoff: SimTime,
     ) -> Option<SimTime> {
+        let cap = self.memory_cap.as_ref();
         match mv {
-            PipeMove::Regroup(i) => self.regroups()[*i].score(cutoff, self.memory_cap, |s| {
-                ooo_verify::mem::schedule_peak(self.graph, s, self.cost).ok()
-            }),
-            PipeMove::Relocate(r) => score_relocation(
-                self.graph,
-                self.cost,
-                self.memory_cap,
-                de,
-                &state.schedule,
-                r,
-                cutoff,
-            ),
+            PipeMove::Regroup(i) => {
+                self.regroups()[*i].score(cutoff, cap.map(MemoryCap::bytes), |s| {
+                    ooo_verify::mem::schedule_peak(self.graph, s, self.cost).ok()
+                })
+            }
+            PipeMove::Relocate(r) => score_relocation(cap, sc, r, cutoff),
         }
     }
 
@@ -201,17 +196,8 @@ pub fn tune_pipeline<C: CostModel + Sync>(
         return Err(Error::Unsafe(report));
     }
     let base_raw = predict_makespan(&graph, &baseline, cost)?.makespan();
-    let base_m = match opts.memory_cap {
-        None => base_raw,
-        Some(cap) => {
-            let peak = ooo_verify::mem::schedule_peak(&graph, &baseline, cost)?;
-            if peak > cap {
-                base_raw.saturating_add(crate::MEMORY_CAP_PENALTY)
-            } else {
-                base_raw
-            }
-        }
-    };
+    let (memory_cap, base_m) =
+        MemoryCap::of_baseline(&graph, cost, &baseline, opts.memory_cap, base_raw)?;
     let space = PipeSpace {
         graph: &graph,
         cost,
@@ -220,7 +206,7 @@ pub fn tune_pipeline<C: CostModel + Sync>(
         devices,
         strategy,
         window: opts.window,
-        memory_cap: opts.memory_cap,
+        memory_cap,
         regroups: OnceLock::new(),
     };
     let init = PipeState {

@@ -21,8 +21,20 @@
 //! A buffer whose producer is outside the window but that a scheduled op
 //! accesses is treated as carried in (resident from the start); a buffer
 //! with an unscheduled graph consumer is retained to the window end. At
-//! equal timestamps allocations are applied before frees, on both the
+//! equal timestamps frees of buffers resident since before apply first,
+//! then allocations, then frees of zero-width residencies, on both the
 //! static sweep and the instrumented counter, so the two agree exactly.
+//!
+//! These rules depend on which ops are scheduled, not on when, so
+//! [`PeakSweep`] builds them once for an op set and reads the peak off
+//! any timing of it; [`ledger_of_spans`] derives its intervals from the
+//! same rules. The carried-in bytes ([`MemLedger::initial`]) are a floor
+//! on the peak: every carried-in buffer allocates at `t = 0`, and no
+//! free can precede the allocations at `t = 0`, since a free before the
+//! allocation phase needs `free > alloc >= 0` (a free at its own alloc
+//! time is zero-width and comes after). They are the same for every
+//! timing of one op set, so a tuner whose floor already exceeds its
+//! memory cap knows every relocation is over the cap without a sweep.
 //!
 //! [`instrument_timeline`] is the differential twin: an independent
 //! event-driven counter over a *simulated* [`Timeline`] that maintains
@@ -244,12 +256,12 @@ fn first_spans(graph: &TrainGraph, spans: &[OpSpan]) -> Vec<u32> {
     first
 }
 
-/// Whether some span accesses each buffer, by buffer slot.
-fn accessed_buffers(graph: &TrainGraph, spans: &[OpSpan]) -> Vec<bool> {
+/// Whether some op of `ops` accesses each buffer, by buffer slot.
+fn accessed_buffers(graph: &TrainGraph, ops: impl IntoIterator<Item = Op>) -> Vec<bool> {
     let layers = graph.layers();
     let mut accessed = vec![false; 3 * layers];
-    for span in spans {
-        for (buf, _) in accesses(span.op, layers) {
+    for op in ops {
+        for (buf, _) in accesses(op, layers) {
             if let Some(slot) = as_ledger_buffer(buf).and_then(|b| buffer_slot(b, layers)) {
                 accessed[slot] = true;
             }
@@ -275,6 +287,169 @@ fn accessor_map(graph: &TrainGraph, spans: &[OpSpan]) -> HashMap<Buffer, Vec<OpS
     map
 }
 
+/// One tracked buffer's residency rule over a fixed op set: what stays
+/// the same however the ops are timed.
+#[derive(Debug, Clone, Copy)]
+struct Residency {
+    buf: Buffer,
+    bytes: u64,
+    /// Dense op index of the scheduled producer; [`NONE`] when the buffer
+    /// is carried in (resident from the window start).
+    producer: u32,
+    /// Dense op indices of the keepers ([`NONE`]-padded) when every graph
+    /// keeper is scheduled; `None` when the buffer is retained to the
+    /// window end.
+    keepers: Option<[u32; 2]>,
+}
+
+impl Residency {
+    /// The residency interval `(alloc, free)` under the op times `span`
+    /// (start, finish by dense op index): alloc at the producer's start,
+    /// or at 0 when carried in; free when the last keeper finishes,
+    /// clamped to the alloc (a keeper that finished before the
+    /// definition makes the buffer transient); `None` when retained.
+    fn interval(&self, span: impl Fn(usize) -> (SimTime, SimTime)) -> (SimTime, Option<SimTime>) {
+        let alloc = match self.producer {
+            NONE => 0,
+            p => span(p as usize).0,
+        };
+        let free = self.keepers.map(|keepers| {
+            keepers
+                .iter()
+                .filter(|&&k| k != NONE)
+                .map(|&k| span(k as usize).1)
+                .max()
+                .unwrap_or(alloc)
+                .max(alloc)
+        });
+        (alloc, free)
+    }
+}
+
+/// Queues one residency's events under the ledger's timestamp
+/// convention: at equal timestamps, frees of previously-resident buffers
+/// (phase 0) apply before allocations (phase 1) — a buffer whose last
+/// keeper finishes exactly when the next op starts is released first,
+/// the convention of the sequential `memory_profile` — and zero-width
+/// residencies (freed the instant they are defined) count momentarily
+/// and release after the timestamp's allocations (phase 2). The
+/// instrumented counter mirrors the same three phases, so both sides
+/// agree exactly.
+fn push_events(
+    events: &mut Vec<(SimTime, u8, u32)>,
+    i: usize,
+    alloc: SimTime,
+    free: Option<SimTime>,
+) {
+    events.push((alloc, 1, i as u32));
+    if let Some(f) = free {
+        let phase = if f == alloc { 2 } else { 0 };
+        events.push((f, phase, i as u32));
+    }
+}
+
+/// Sorts `events` chronologically and sweeps them: `(peak, final usage)`,
+/// with `bytes` the size of residency `i`. Within one phase of one
+/// timestamp the order does not change either number.
+fn sweep_events(events: &mut [(SimTime, u8, u32)], bytes: impl Fn(usize) -> u64) -> (u64, u64) {
+    events.sort_unstable();
+    let (mut usage, mut peak) = (0u64, 0u64);
+    for &(_, phase, i) in events.iter() {
+        if phase == 1 {
+            usage += bytes(i as usize);
+            peak = peak.max(usage);
+        } else {
+            usage -= bytes(i as usize);
+        }
+    }
+    (peak, usage)
+}
+
+/// The ledger's residency rules over one fixed op set, built once to
+/// read the peak off many timings of it.
+///
+/// Which buffers are resident, their sizes, producers and keepers, and
+/// whether each is carried in or retained depend only on which ops are
+/// scheduled, not on when. Every state of a relocation search schedules
+/// the same ops, so a tuner builds one sweep per search and reads each
+/// candidate's peak off its probed times ([`PeakSweep::peak`]) instead of
+/// building its ledger. [`ledger_of_spans`] derives its intervals from
+/// the same rules.
+#[derive(Debug, Clone)]
+pub struct PeakSweep {
+    /// The resident buffers' rules, in buffer order.
+    rules: Vec<Residency>,
+}
+
+/// A caller-owned event buffer for [`PeakSweep::peak`]; reused across
+/// calls, it stops allocating once grown to the op set's size.
+#[derive(Debug, Clone, Default)]
+pub struct PeakEvents(Vec<(SimTime, u8, u32)>);
+
+impl PeakSweep {
+    /// The rules of `schedule`'s op set.
+    pub fn new<C: CostModel>(graph: &TrainGraph, cost: &C, schedule: &Schedule) -> Self {
+        let ops = schedule
+            .lanes
+            .iter()
+            .flat_map(|lane| lane.ops.iter().copied());
+        Self::of_ops(graph, cost, ops)
+    }
+
+    /// The rules of the op set `ops` (repeats and ops outside the graph
+    /// allowed; those define and keep no graph buffer).
+    fn of_ops<C: CostModel>(
+        graph: &TrainGraph,
+        cost: &C,
+        ops: impl Iterator<Item = Op> + Clone,
+    ) -> Self {
+        let mut scheduled = vec![false; graph.len()];
+        for i in ops.clone().filter_map(|op| graph.op_index(op)) {
+            scheduled[i] = true;
+        }
+        let scheduled_index = |op: Op| graph.op_index(op).filter(|&i| scheduled[i]);
+        let accessed = accessed_buffers(graph, ops);
+        let mut rules = Vec::new();
+        for (slot, buf) in all_buffers(graph).into_iter().enumerate() {
+            let producer = producer_of(graph, buf).and_then(scheduled_index);
+            let carried = matches!(buf, Buffer::Activation(_)) || accessed[slot];
+            if producer.is_none() && !carried {
+                continue;
+            }
+            let mut keepers = [NONE; 2];
+            let mut freeable = true;
+            let consumers = buffer_consumers(graph, buf);
+            for (k, &op) in consumers.iter().enumerate() {
+                match scheduled_index(op) {
+                    Some(i) => keepers[k] = i as u32,
+                    None => freeable = false,
+                }
+            }
+            rules.push(Residency {
+                buf,
+                bytes: buffer_bytes(cost, buf),
+                producer: producer.map_or(NONE, |p| p as u32),
+                keepers: (freeable && !consumers.is_empty()).then_some(keepers),
+            });
+        }
+        PeakSweep { rules }
+    }
+
+    /// The ledger peak of the op set under the op times `span` (start,
+    /// finish by dense op index; read only for scheduled ops): exactly
+    /// `ledger_of_spans(..).peak` of spans with those times. Fills
+    /// `events` and allocates nothing once it has grown.
+    pub fn peak(&self, span: impl Fn(usize) -> (SimTime, SimTime), events: &mut PeakEvents) -> u64 {
+        let events = &mut events.0;
+        events.clear();
+        for (i, rule) in self.rules.iter().enumerate() {
+            let (alloc, free) = rule.interval(&span);
+            push_events(events, i, alloc, free);
+        }
+        sweep_events(events, |i| self.rules[i].bytes).0
+    }
+}
+
 /// Builds the exact ledger of a window given its op spans. Returns the
 /// ledger plus any `OM201` findings the free plan drew.
 pub fn ledger_of_spans<C: CostModel>(
@@ -294,50 +469,26 @@ pub fn ledger_of_spans<C: CostModel>(
         }
     };
     let window_end = spans.iter().map(|s| s.end).max().unwrap_or(0);
-    let accessed = accessed_buffers(graph, spans);
 
-    // Residency intervals: alloc at the scheduled producer's start, or at
-    // the window start for carried-in buffers; free when the last
-    // scheduled keeper finishes, provided every graph keeper is
-    // scheduled, else retained.
-    let mut intervals: Vec<Interval> = Vec::new();
+    // Residency intervals, by the rules of `PeakSweep`, read off the
+    // first span of each op.
+    let sweep = PeakSweep::of_ops(graph, cost, spans.iter().map(|s| s.op));
+    let span_at = |v: usize| {
+        let span = &spans[first[v] as usize];
+        (span.start, span.end)
+    };
     let mut index: Vec<u32> = vec![NONE; 3 * layers];
-    for (slot, buf) in all_buffers(graph).into_iter().enumerate() {
-        let producer = producer_of(graph, buf);
-        let (alloc, defined_by) = match producer.and_then(scheduled) {
-            Some(span) => (span.start, Some(span.op)),
-            None => {
-                let carried = matches!(buf, Buffer::Activation(_)) || accessed[slot];
-                if !carried {
-                    continue;
-                }
-                (0, None)
-            }
-        };
-        let keepers = buffer_consumers(graph, buf);
-        let keeper_spans: Vec<&OpSpan> = keepers.iter().filter_map(|&op| scheduled(op)).collect();
-        let free = if !keepers.is_empty() && keeper_spans.len() == keepers.len() {
-            // All keepers scheduled: free at the latest keeper finish,
-            // clamped to the definition time (a keeper that finished
-            // before the definition makes the buffer transient).
-            Some(
-                keeper_spans
-                    .iter()
-                    .map(|s| s.end)
-                    .max()
-                    .unwrap_or(alloc)
-                    .max(alloc),
-            )
-        } else {
-            None
-        };
+    let mut intervals: Vec<Interval> = Vec::with_capacity(sweep.rules.len());
+    for rule in &sweep.rules {
+        let (alloc, free) = rule.interval(span_at);
+        let slot = buffer_slot(rule.buf, layers).expect("rules cover graph buffers");
         index[slot] = intervals.len() as u32;
         intervals.push(Interval {
-            buf,
-            bytes: buffer_bytes(cost, buf),
+            buf: rule.buf,
+            bytes: rule.bytes,
             alloc,
             free,
-            defined_by,
+            defined_by: (rule.producer != NONE).then(|| graph.ops()[rule.producer as usize]),
         });
     }
 
@@ -389,34 +540,11 @@ pub fn ledger_of_spans<C: CostModel>(
         }
     }
 
-    // Event sweep. At equal timestamps frees of previously-resident
-    // buffers apply before allocations (a buffer whose last keeper
-    // finishes exactly when the next op starts is released first, the
-    // convention of the sequential `memory_profile`); zero-width
-    // residencies (freed the instant they are defined) count momentarily
-    // and release after the timestamp's allocations. The instrumented
-    // counter mirrors the same three phases, so both sides agree exactly.
-    let mut events: Vec<(SimTime, u8, usize)> = Vec::with_capacity(2 * intervals.len());
+    let mut events: Vec<(SimTime, u8, u32)> = Vec::with_capacity(2 * intervals.len());
     for (i, iv) in intervals.iter().enumerate() {
-        events.push((iv.alloc, 1, i));
-        if let Some(f) = iv.free {
-            let phase = if f == iv.alloc { 2 } else { 0 };
-            events.push((f, phase, i));
-        }
+        push_events(&mut events, i, iv.alloc, iv.free);
     }
-    events.sort_unstable_by_key(|&(t, phase, i)| (t, phase, i));
-
-    let mut usage: u64 = 0;
-    let mut peak: u64 = 0;
-    for &(_, phase, i) in &events {
-        if phase == 1 {
-            usage += intervals[i].bytes;
-            peak = peak.max(usage);
-        } else {
-            usage -= intervals[i].bytes;
-        }
-    }
-    let final_usage = usage;
+    let (peak, final_usage) = sweep_events(&mut events, |i| intervals[i].bytes);
 
     // Second pass: locate the first attainment of the peak and snapshot
     // the resident set plus the witness interval.
@@ -427,6 +555,7 @@ pub fn ledger_of_spans<C: CostModel>(
     let mut resident_at_peak: Vec<Buffer> = Vec::new();
     let mut found = false;
     for (pos, &(t, phase, i)) in events.iter().enumerate() {
+        let i = i as usize;
         if phase == 1 {
             usage += intervals[i].bytes;
             live[i] = true;
@@ -514,7 +643,7 @@ pub fn instrument_timeline<C: CostModel>(
     let layers = graph.layers();
     let first = first_spans(graph, &spans);
     let is_scheduled = |op: Op| graph.op_index(op).is_some_and(|i| first[i] != NONE);
-    let accessed = accessed_buffers(graph, &spans);
+    let accessed = accessed_buffers(graph, spans.iter().map(|s| s.op));
 
     // Per-buffer bookkeeping by buffer slot: remaining scheduled keepers,
     // whether the buffer is freeable at all (every graph keeper

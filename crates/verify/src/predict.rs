@@ -610,6 +610,13 @@ impl<'g> DeltaEval<'g> {
         self.nodes[v].scheduled.then_some(self.nodes[v].end)
     }
 
+    /// Start and finish of the op with dense index `v` (graph op order);
+    /// meaningful only while that op is scheduled.
+    pub fn span_at(&self, v: usize) -> (SimTime, SimTime) {
+        let node = &self.nodes[v];
+        (node.start, node.end)
+    }
+
     /// Nodes re-timed by delta evaluation so far.
     pub fn rescored(&self) -> u64 {
         self.rescored
@@ -781,13 +788,30 @@ impl<'g> DeltaEval<'g> {
     ///
     /// As [`DeltaEval::relocate_many`].
     pub fn probe(&mut self, moves: &[(Op, usize, usize)]) -> Result<SimTime, Error> {
+        self.probe_with(moves, |_, makespan| makespan)
+    }
+
+    /// [`DeltaEval::probe`], handing the probed state to `read` before
+    /// the restore: `read` sees the batch applied — its lanes, positions
+    /// and times ([`DeltaEval::span_at`]) — and its makespan, passed
+    /// alongside (the stored [`DeltaEval::makespan`] is not refreshed
+    /// for a probe). Returns what `read` returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeltaEval::relocate_many`]; `read` does not run then.
+    pub fn probe_with<R>(
+        &mut self,
+        moves: &[(Op, usize, usize)],
+        read: impl FnOnce(&Self, SimTime) -> R,
+    ) -> Result<R, Error> {
         if moves.is_empty() {
-            return Ok(self.makespan);
+            return Ok(read(self, self.makespan));
         }
         self.edit(moves)?;
         let out = self.order_seeds().map(|()| {
             self.retime();
-            self.lane_makespan()
+            read(self, self.lane_makespan())
         });
         for &(v, start, end) in &self.scratch.undo {
             self.nodes[v].start = start;

@@ -76,19 +76,26 @@ grep -q '"cap_met": true' /tmp/ooo-tune-cap.json \
   || { echo "ooo-tune: a generous memory cap should be reported met"; exit 1; }
 rm -f /tmp/ooo-tune-cap.json
 # A binding cap (the heuristic's own ledger peak, which the uncapped tune
-# exceeds) and a capless pipeline tune, each run twice with parallel
-# restart threads: the lazily scored candidates must give the same bytes.
+# exceeds), a cap between the 32-layer order's carried-in floor (32) and
+# its peak (35), where every candidate's peak is read off its probe, and
+# a capless pipeline tune, each run twice with parallel restart threads:
+# the lazily scored candidates must give the same bytes.
 for args in "order --layers 12 --k 0 --sync 3 --memory-cap 15" \
+            "order --layers 32 --k 0 --sync 3 --memory-cap 34" \
             "pipeline --strategy gpipe --layers 16 --devices 4"; do
   for run in a b; do
-    rc=0; ./target/debug/ooo-tune $args --restarts 3 --json --out /tmp/ooo-tune-$run.json || rc=$?
+    start=$(date +%s%N)
+    rc=0; ./target/debug/ooo-tune $args --restarts 3 --json --out /tmp/ooo-tune-$run.json > /dev/null || rc=$?
+    echo "ooo-tune $args (debug build): $(( ($(date +%s%N) - start) / 1000000 )) ms"
     [ "$rc" -eq 0 ] || { echo "ooo-tune $args: unexpected exit $rc"; exit 1; }
   done
   cmp /tmp/ooo-tune-a.json /tmp/ooo-tune-b.json \
     || { echo "ooo-tune $args: parallel restarts produced different reports"; exit 1; }
   case "$args" in
-    *memory-cap*) grep -q '"cap_met": true' /tmp/ooo-tune-a.json \
+    *"memory-cap 15") grep -q '"cap_met": true' /tmp/ooo-tune-a.json \
       || { echo "ooo-tune $args: the binding cap should still be met"; exit 1; } ;;
+    *"memory-cap 34") cmp /tmp/ooo-tune-a.json tests/fixtures/cli_golden/tune_order_sweep_cap.json \
+      || { echo "ooo-tune $args: differs from its golden"; exit 1; } ;;
   esac
 done
 rm -f /tmp/ooo-tune-a.json /tmp/ooo-tune-b.json

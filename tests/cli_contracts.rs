@@ -560,7 +560,7 @@ const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cl
 /// invocation, exit code)`. A `.json` fixture holds the invocation's
 /// stdout, an `.err` fixture its stderr; `{F}` in an invocation is the
 /// fixture directory.
-const GOLDEN: [(&str, &str, i32); 23] = [
+const GOLDEN: [(&str, &str, i32); 26] = [
     (
         "tune_order.json",
         "ooo-tune order --layers 8 --k 0 --sync 3 --json",
@@ -581,6 +581,20 @@ const GOLDEN: [(&str, &str, i32); 23] = [
     (
         "tune_order_binding_cap.json",
         "ooo-tune order --layers 12 --k 0 --sync 3 --memory-cap 15 --json",
+        0,
+    ),
+    // The 32-layer heuristic carries 32 bytes in and peaks at 35. A cap
+    // of 31 lies below the carried-in floor, so no candidate can meet it.
+    (
+        "tune_order_floor_cap.json",
+        "ooo-tune order --layers 32 --k 0 --sync 3 --memory-cap 31 --json",
+        0,
+    ),
+    // Between the floor (32) and the heuristic's peak (35): every
+    // candidate's peak is measured.
+    (
+        "tune_order_sweep_cap.json",
+        "ooo-tune order --layers 32 --k 0 --sync 3 --memory-cap 34 --json",
         0,
     ),
     (
@@ -627,6 +641,13 @@ const GOLDEN: [(&str, &str, i32); 23] = [
     (
         "tune_pipeline_gpipe_cap.json",
         "ooo-tune pipeline --layers 12 --devices 4 --strategy gpipe --memory-cap 16 --json",
+        0,
+    ),
+    // Between pipe2 8x4's carried-in floor (8) and its peak (15): the
+    // over-cap heuristic descends to a peak of 12 at makespan 21.
+    (
+        "tune_pipeline_pipe2_cap.json",
+        "ooo-tune pipeline --layers 8 --devices 4 --strategy pipe2 --memory-cap 12 --json",
         0,
     ),
     (

@@ -18,6 +18,7 @@ use ooo_backprop::core::reverse_k::reverse_first_k;
 use ooo_backprop::core::schedule::{validate_order, validate_partial_order, Schedule};
 use ooo_backprop::core::TrainGraph;
 use ooo_backprop::tune::apply_move_batch;
+use ooo_backprop::verify::mem::{ledger_of_schedule, PeakEvents, PeakSweep};
 use ooo_backprop::verify::predict::{predict_makespan, DeltaEval};
 use ooo_backprop::verify::{Verifier, VerifyConfig};
 use proptest::prelude::*;
@@ -437,5 +438,103 @@ proptest! {
             }
         }
         prop_assert!(above > 0 && deadlocks > 0, "{below} below, {above} above, {deadlocks} deadlocks");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The peak a capped tuner reads off a probe's own times: over zoo
+    /// schedules and random batches, [`PeakSweep::peak`] inside
+    /// `DeltaEval::probe_with` equals the full ledger peak of the
+    /// materialized schedule, the ledger's carried-in bytes are at most
+    /// its peak, and a relocation leaves them unchanged (a batch that
+    /// deadlocks probes to an error). Durations and sizes are drawn from
+    /// 0, so frees, allocations and zero-width residencies tie at equal
+    /// timestamps, which is where the sweep's phase order decides the
+    /// peak; every case must meet both kinds of tie.
+    #[test]
+    fn probed_sweep_peak_equals_the_ledger_peak(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut measured, mut zero_width, mut tied) = (0usize, 0usize, 0usize);
+        // Instances are drawn until both kinds of tie have been met.
+        for _ in 0..8 {
+            if zero_width > 0 && tied > 0 {
+                break;
+            }
+            let l = rng.gen_range(2usize..10);
+            let devices = rng.gen_range(2usize..=4);
+            // Most durations are 0: a zero-width residency needs its
+            // producer and keepers all to take no time.
+            let mut cost = TableCost::uniform(l, LayerCost::default());
+            let dur = |rng: &mut StdRng, max: u64| {
+                if rng.gen_bool(0.75) {
+                    0
+                } else {
+                    rng.gen_range(1..=max)
+                }
+            };
+            for i in 1..=l {
+                let c = cost.layer_mut(LayerId(i));
+                c.forward = dur(&mut rng, 3);
+                c.output_grad = dur(&mut rng, 3);
+                c.weight_grad = dur(&mut rng, 3);
+                c.update = dur(&mut rng, 2);
+                c.sync_weight = dur(&mut rng, 4);
+                c.sync_output = dur(&mut rng, 3);
+                c.activation_bytes = rng.gen_range(0..4);
+                c.out_grad_bytes = rng.gen_range(0..4);
+                c.weight_bytes = rng.gen_range(0..4);
+            }
+            let shapes = [
+                Shape::SingleGpu { layers: l },
+                Shape::DataParallel { layers: l },
+                Shape::Pipeline { layers: l, devices },
+            ];
+            for shape in shapes {
+                for strategy in zoo() {
+                    if !strategy.applicable(shape) {
+                        continue;
+                    }
+                    let g = strategy.generate(shape, &cost).unwrap();
+                    let base = ledger_of_schedule(&g.graph, &g.schedule, &cost).unwrap();
+                    prop_assert!(base.initial <= base.peak);
+                    let sweep = PeakSweep::new(&g.graph, &cost, &g.schedule);
+                    let mut de = DeltaEval::new(&g.graph, &g.schedule, &cost).unwrap();
+                    let mut events = PeakEvents::default();
+                    for _ in 0..12 {
+                        let schedule = de.to_schedule();
+                        let batch = random_batch(&schedule, &mut rng);
+                        let swept = de.probe_with(&batch, |de, _| {
+                            sweep.peak(|v| de.span_at(v), &mut events)
+                        });
+                        let next = apply_move_batch(&schedule, &batch);
+                        let Ok(ledger) = ledger_of_schedule(&g.graph, &next, &cost) else {
+                            prop_assert!(swept.is_err(), "a deadlocking batch probed Ok");
+                            continue;
+                        };
+                        prop_assert_eq!(swept.ok(), Some(ledger.peak));
+                        prop_assert!(ledger.initial <= ledger.peak);
+                        prop_assert_eq!(ledger.initial, base.initial);
+                        measured += 1;
+                        let ivs = &ledger.intervals;
+                        zero_width += ivs.iter().filter(|iv| iv.free == Some(iv.alloc)).count();
+                        tied += ivs
+                            .iter()
+                            .filter(|a| {
+                                ivs.iter().any(|b| a.free == Some(b.alloc) && a.buf != b.buf)
+                            })
+                            .count();
+                        if rng.gen_bool(0.3) {
+                            de.relocate_many(&batch).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(
+            measured > 0 && zero_width > 0 && tied > 0,
+            "{measured} measured, {zero_width} zero-width, {tied} tied"
+        );
     }
 }
