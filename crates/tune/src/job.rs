@@ -37,7 +37,7 @@ pub struct Outcome {
     /// Simulated makespan of the winner (equal to `tuned`).
     pub certified: SimTime,
     /// Certified floor of the starting schedule's op subset and lanes;
-    /// the tuner's early-exit target when no memory cap is set.
+    /// the tuner's early-exit target.
     pub lower_bound: SimTime,
     /// Exact static ledger peak of the winner; present iff a memory cap
     /// was set.
@@ -132,13 +132,16 @@ pub fn order_instance(layers: usize, k: usize, sync: SimTime) -> ooo_core::Resul
     })
 }
 
-/// The caller's options with the floor as target. An over-cap
-/// incumbent scores above any makespan floor, so the floor is an
-/// early exit only when no memory cap is set.
+/// The caller's options with the floor as target, under a memory cap
+/// too. The search stops when its incumbent's score reaches the floor.
+/// An over-cap incumbent scores its makespan plus the penalty, above
+/// the floor, so it never stops there; an under-cap incumbent at the
+/// floor is optimal, since every candidate keeps the op set and lanes
+/// the floor covers and none scores below its makespan.
 fn with_floor(base: &TuneOptions, require_complete: bool, floor: SimTime) -> TuneOptions {
     TuneOptions {
         require_complete,
-        target: base.memory_cap.is_none().then_some(floor),
+        target: Some(floor),
         ..base.clone()
     }
 }
@@ -304,4 +307,62 @@ pub fn pipeline_job(
         moves: t.moves,
         restarts_adopted: t.restarts_adopted,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The floor is the target under a memory cap too. A capped job whose
+    /// input already sits at the floor under the cap stops there, proven
+    /// optimal, exactly as the uncapped job does; a capped job whose
+    /// input is over the cap scores above the floor, so the target cuts
+    /// nothing short: it tunes exactly as a search with no target.
+    #[test]
+    fn floor_is_the_target_under_a_memory_cap() {
+        let capped = TuneOptions {
+            memory_cap: Some(999_999),
+            ..TuneOptions::default()
+        };
+        assert_eq!(with_floor(&capped, true, 23).target, Some(23));
+        let policy = CommPolicy::PriorityByLayer;
+        let at_floor = order_job(8, 0, 0, policy, &capped).unwrap();
+        let plain = order_job(8, 0, 0, policy, &TuneOptions::default()).unwrap();
+        assert!(at_floor.proven_optimal() && at_floor.moves.is_empty());
+        assert_eq!(
+            at_floor.peak.zip(at_floor.cap).map(|(p, c)| p <= c),
+            Some(true)
+        );
+        assert_eq!(
+            (at_floor.tuned, at_floor.lower_bound),
+            (plain.tuned, plain.lower_bound)
+        );
+
+        let over = TuneOptions {
+            memory_cap: Some(1),
+            ..TuneOptions::default()
+        };
+        let job = order_job(6, 2, 3, policy, &over).unwrap();
+        assert!(job.peak.is_some_and(|p| p > 1) && job.tuned > job.lower_bound);
+        let inst = order_instance(6, 2, 3).unwrap();
+        let family = KFamily::ReverseFirstK;
+        let untargeted = tune_backward_order(
+            &inst.graph,
+            &inst.order,
+            Some(2),
+            &inst.cost,
+            policy,
+            family,
+            &over,
+        )
+        .unwrap();
+        let trajectory = |moves: &[AppliedMove]| -> Vec<String> {
+            moves.iter().map(|m| m.description.clone()).collect()
+        };
+        assert_eq!(trajectory(&job.moves), trajectory(&untargeted.moves));
+        assert_eq!(
+            (job.tuned, job.peak),
+            (untargeted.predicted, untargeted.peak)
+        );
+    }
 }

@@ -42,7 +42,16 @@
 //!
 //! Neighborhoods are enumerated as move descriptors and scored against
 //! one [`DeltaEval`] of the incumbent per scan: every relocation, in
-//! every space, is one [`DeltaEval::probe`] batch. The probe repairs the
+//! every space, is at most one [`DeltaEval::probe`] batch. Two exact
+//! lower bounds drop a relocation unprobed when they already reach its
+//! *raw cutoff* — the raw makespan it must stay below to rank (the
+//! score to beat, less the cap penalty when the carried-in floor
+//! already exceeds the cap): a batch
+//! that moves no op of the incumbent's critical path
+//! ([`DeltaEval::keeps_critical_path`]) makes at least the incumbent's
+//! makespan, and in the order space a candidate's own link plan plus
+//! the unmoved compute-lane tail waiting on each sync bounds its
+//! makespan (see [`order`]). The probe repairs the
 //! evaluator's topological rank locally, re-times only the ops whose
 //! inputs changed (a moved `dW` shifts its lane's tail until the first
 //! slack absorbs it) and restores the incumbent from an undo log. An
@@ -190,7 +199,11 @@ pub struct TuneOptions {
     /// the probe's own times by a [`PeakSweep`] built once per search (no
     /// ledger); when the input's carried-in bytes — the same for every
     /// relocated state, and a floor on its peak — already exceed the cap,
-    /// every relocation is over it and no peak is read at all. Whole-state
+    /// every relocation is over it and no peak is read at all. A
+    /// relocation gets a probe only when neither lower bound (the
+    /// incumbent's critical path, the order space's link plan) reaches
+    /// the raw makespan it must stay below: the score to beat, less the
+    /// penalty when the floor already exceeds the cap. Whole-state
     /// jumps build their target's ledger once each.
     pub memory_cap: Option<u64>,
     /// Optional certified target makespan (a proven lower bound, e.g.
@@ -432,13 +445,56 @@ impl MemoryCap {
     }
 }
 
+/// The raw makespan a relocated state must stay below to score below
+/// `cutoff`: `cutoff` itself, since a score is never below the raw
+/// makespan — or, when the carried-in floor already exceeds the cap,
+/// `cutoff − MEMORY_CAP_PENALTY`, since every relocated state then
+/// scores its raw makespan plus the penalty.
+pub(crate) fn raw_cutoff(cutoff: SimTime, cap: Option<&MemoryCap>) -> SimTime {
+    match cap {
+        Some(cap) if cap.floor > cap.bytes => cutoff.saturating_sub(MEMORY_CAP_PENALTY),
+        _ => cutoff,
+    }
+}
+
 /// The capped score below `cutoff` (see [`SearchSpace::score`]) of the
-/// relocation batch `batch`: one [`DeltaEval::probe_with`] on the
-/// incumbent's evaluator, which re-times only what the batch changes,
-/// reading the candidate's peak ([`MemoryCap::relocated_peak`]) off the
-/// probed times before the restore — only when its raw makespan is below
-/// the cutoff ([`capped_below`]). `None` also when the batch deadlocks.
+/// relocation batch `batch` on the incumbent's evaluator. A batch that
+/// keeps the incumbent's critical path ([`DeltaEval::keeps_critical_path`])
+/// makes at least the incumbent's makespan, so when that already
+/// reaches the [`raw_cutoff`] the batch cannot rank and is dropped
+/// unprobed. Every other batch is [`probe_score`]d.
 pub(crate) fn probe_capped(
+    de: &mut DeltaEval<'_>,
+    batch: &[(ooo_core::Op, usize, usize)],
+    cutoff: SimTime,
+    cap: Option<&MemoryCap>,
+    events: &mut PeakEvents,
+) -> Option<SimTime> {
+    if cannot_rank(de, batch, cutoff, cap) {
+        return None;
+    }
+    probe_score(de, batch, cutoff, cap, events)
+}
+
+/// `true` when the relocation batch `batch` keeps the incumbent's
+/// critical path and the incumbent's makespan already reaches the
+/// [`raw_cutoff`]: the batch then scores at or above `cutoff`.
+fn cannot_rank(
+    de: &mut DeltaEval<'_>,
+    batch: &[(ooo_core::Op, usize, usize)],
+    cutoff: SimTime,
+    cap: Option<&MemoryCap>,
+) -> bool {
+    de.makespan() >= raw_cutoff(cutoff, cap) && de.keeps_critical_path(batch)
+}
+
+/// The capped score below `cutoff` of the relocation batch `batch`: one
+/// [`DeltaEval::probe_with`], which re-times only what the batch
+/// changes, reading the candidate's peak ([`MemoryCap::relocated_peak`])
+/// off the probed times before the restore — only when its raw makespan
+/// is below the cutoff ([`capped_below`]). `None` also when the batch
+/// deadlocks.
+pub(crate) fn probe_score(
     de: &mut DeltaEval<'_>,
     batch: &[(ooo_core::Op, usize, usize)],
     cutoff: SimTime,
@@ -1348,26 +1404,7 @@ mod tests {
     /// (settled without a sweep) through the peaks.
     #[test]
     fn relocation_sweep_peak_equals_the_materialized_ledger_peak() {
-        use ooo_core::multi_region::{
-            backward_regions, multi_region_joint_schedule, ConstantProfile,
-        };
-        use ooo_core::pipeline::{op_level_schedule, Strategy};
-        let mut cases: Vec<(TrainGraph, Schedule, bool)> = [Strategy::GPipe, Strategy::OooPipe2]
-            .into_iter()
-            .map(|s| {
-                let (graph, schedule) = op_level_schedule(8, 4, s, 1);
-                (graph, schedule, false)
-            })
-            .collect();
-        let graph = TrainGraph::single_gpu(8);
-        let (regions, subs) = backward_regions(&graph, &UnitCost, 2);
-        let profile = ConstantProfile {
-            speedup: 1.3,
-            sub_time: 1,
-        };
-        let plan = multi_region_joint_schedule(&graph, &regions, &subs, &profile).unwrap();
-        cases.push((graph, plan.to_schedule(&regions), true));
-        for (graph, state, cross_lane) in &cases {
+        for (graph, state, cross_lane) in &relocation_cases() {
             let base = ledger_of_schedule(graph, state, &UnitCost).unwrap();
             let raw = predict_makespan(graph, state, &UnitCost)
                 .unwrap()
@@ -1409,6 +1446,96 @@ mod tests {
                 "every relocation keeps the peak"
             );
         }
+    }
+
+    /// Op-level gpipe and pipe2 at 8×4 (relocated in-lane, as the pipeline
+    /// space moves them) and the strategy zoo's multi-region schedule of 8
+    /// layers under unit cost (cross-lane and block moves too; a partial
+    /// schedule, so weight gradients are retained), each with whether its
+    /// relocations cross lanes.
+    fn relocation_cases() -> Vec<(TrainGraph, Schedule, bool)> {
+        use ooo_core::multi_region::{
+            backward_regions, multi_region_joint_schedule, ConstantProfile,
+        };
+        use ooo_core::pipeline::{op_level_schedule, Strategy};
+        let mut cases: Vec<(TrainGraph, Schedule, bool)> = [Strategy::GPipe, Strategy::OooPipe2]
+            .into_iter()
+            .map(|s| {
+                let (graph, schedule) = op_level_schedule(8, 4, s, 1);
+                (graph, schedule, false)
+            })
+            .collect();
+        let graph = TrainGraph::single_gpu(8);
+        let (regions, subs) = backward_regions(&graph, &UnitCost, 2);
+        let profile = ConstantProfile {
+            speedup: 1.3,
+            sub_time: 1,
+        };
+        let plan = multi_region_joint_schedule(&graph, &regions, &subs, &profile).unwrap();
+        cases.push((graph, plan.to_schedule(&regions), true));
+        cases
+    }
+
+    /// Dropping a relocation unprobed never changes a score: on every
+    /// relocation case, uncapped and under every cap from below the
+    /// carried-in floor through the peaks, and at cutoffs around the
+    /// incumbent's score, [`score_relocation`] equals the plain
+    /// [`probe_score`] with no pre-check. Some relocations are dropped,
+    /// and under a cap below the floor exactly those are dropped that
+    /// the uncapped search drops at the incumbent's raw makespan: the
+    /// penalty every relocated state pays comes off the cutoff first.
+    #[test]
+    fn pruned_relocation_scores_equal_the_unpruned_probe() {
+        let mut dropped = 0;
+        for (graph, state, cross_lane) in &relocation_cases() {
+            let base = ledger_of_schedule(graph, state, &UnitCost).unwrap();
+            let raw = predict_makespan(graph, state, &UnitCost)
+                .unwrap()
+                .makespan();
+            let caps = (base.initial - 1..=base.peak + 2).map(Some);
+            let mut sc = RelocationScorer::new(graph, state, &UnitCost);
+            let moves = schedule_relocations(graph, state, *cross_lane, None);
+            fn pruned_at(
+                sc: &mut RelocationScorer<'_>,
+                moves: &[Relocation],
+                cutoff: SimTime,
+                cap: Option<&MemoryCap>,
+            ) -> usize {
+                let mut dropped = |mv: &&Relocation| {
+                    let (batch, len) = mv.batch();
+                    cannot_rank(&mut sc.de, &batch[..len], cutoff, cap)
+                };
+                moves.iter().filter(&mut dropped).count()
+            }
+            let uncapped = pruned_at(&mut sc, &moves, raw, None);
+            dropped += uncapped;
+            for bytes in std::iter::once(None).chain(caps) {
+                let (cap, inc) =
+                    MemoryCap::of_baseline(graph, &UnitCost, state, bytes, raw).unwrap();
+                let cap = cap.as_ref();
+                if bytes.is_some_and(|b| b < base.initial) {
+                    assert_eq!(raw_cutoff(inc, cap), raw, "cap {bytes:?}");
+                    assert_eq!(
+                        pruned_at(&mut sc, &moves, inc, cap),
+                        uncapped,
+                        "cap {bytes:?}"
+                    );
+                }
+                for cutoff in [inc - 1, inc, inc + 1, SimTime::MAX] {
+                    for mv in &moves {
+                        let (batch, len) = mv.batch();
+                        let (sc, events) = (&mut sc, &mut PeakEvents::default());
+                        assert_eq!(
+                            score_relocation(cap, sc, mv, cutoff),
+                            probe_score(&mut sc.de, &batch[..len], cutoff, cap, events),
+                            "cap {bytes:?} cutoff {cutoff}: {}",
+                            mv.describe(state)
+                        );
+                    }
+                }
+            }
+        }
+        assert!(dropped > 0, "no relocation is dropped");
     }
 
     /// A cap equal to the carried-in floor is met by every state whose

@@ -13,11 +13,17 @@
 //! [`ooo_verify::predict::datapar_schedule`]: a relocation is one
 //! [`DeltaEval::probe`] of the incumbent's realization (under a memory
 //! cap, its peak is read off the probed times), k-jumps are realized
-//! once per run; the safety gate verifies that same reconstruction.
+//! once per run; the safety gate verifies that same reconstruction. A
+//! relocation plans its candidate's link service before any probe, and
+//! that plan is the realized candidate's exact `S[dW]` times: each
+//! sync's finish plus the compute-lane tail that waits on it (never
+//! moved by a relocation) bounds the candidate's makespan from below,
+//! so a relocation whose bound already reaches the score to beat is
+//! dropped unprobed.
 
 use crate::{
-    local_search, probe_capped, AppliedMove, Error, Jump, MemoryCap, Result, SearchSpace,
-    TuneOptions, SEARCH_STATES_EVALUATE,
+    local_search, probe_capped, raw_cutoff, AppliedMove, Error, Jump, MemoryCap, Result,
+    SearchSpace, TuneOptions, SEARCH_STATES_EVALUATE,
 };
 use ooo_core::cost::CostModel;
 use ooo_core::datapar::{plan_sync_service, simulate_data_parallel, CommPolicy};
@@ -93,6 +99,10 @@ struct OrderSpace<'g, C: CostModel> {
     window: Option<usize>,
     memory_cap: Option<MemoryCap>,
     k_jumps: OnceLock<Vec<Jump<Vec<Op>>>>,
+    /// Per layer `i`, the compute-lane time after `S[dW_i]` finishes
+    /// ([`link_tail`]); no relocation moves it, so it is set on the first
+    /// scan.
+    link_tail: OnceLock<Vec<SimTime>>,
 }
 
 /// The incumbent's scoring context: its realized schedule's evaluator
@@ -106,6 +116,8 @@ struct OrderScorer<'g> {
     /// The link lane and its service order (layers), when the graph
     /// syncs.
     link: Option<(usize, Vec<usize>)>,
+    /// The search's [`link_tail`].
+    tail: Vec<SimTime>,
     /// Work buffers for a candidate: its `dw_finish`, its link service
     /// plan (and the planner's ready heap), its probe batch, and the
     /// events a capped search reads its peak with.
@@ -182,21 +194,28 @@ impl<C: CostModel> OrderSpace<'_, C> {
     /// position: the unmoved syncs keep their slots, and the batch
     /// inserts in ascending position, so the probed link lane is the
     /// candidate's, and probing it gives the exact predictor's times on
-    /// the identical realized schedule. A `dW` moved past one of its own
-    /// dependencies or dependents on its lane ([`passes_own_edge`])
-    /// leaves the batch empty and returns `false` before any planning:
-    /// its probe would deadlock.
+    /// the identical realized schedule.
+    ///
+    /// Returns a lower bound on the candidate's makespan read off its
+    /// link plan: each planned `(layer, start, end)` is the realized
+    /// candidate's exact `S[dW_i]` interval, and the compute-lane tail
+    /// that waits on it ([`link_tail`]) runs after it, unmoved — so
+    /// `max_i(end_i + tail_i)` (0 without a link lane). A `dW` moved past
+    /// one of its own dependencies or dependents on its lane
+    /// ([`passes_own_edge`]) leaves the batch empty and returns `None`
+    /// before any planning: its probe would deadlock.
     fn relocation_batch(
         &self,
         sc: &mut OrderScorer<'_>,
         order: &[Op],
         (op, from, to): (Op, usize, usize),
-    ) -> bool {
+    ) -> Option<SimTime> {
         let OrderScorer {
             de,
             finish,
             dw_finish,
             link,
+            tail,
             buf,
             plan,
             ready,
@@ -206,9 +225,10 @@ impl<C: CostModel> OrderSpace<'_, C> {
         let (lane, _) = de.position_of(op).expect("dW is scheduled");
         batch.clear();
         if passes_own_edge(self.graph, de, op, (lane, from), to) {
-            return false;
+            return None;
         }
         batch.push((op, lane, to));
+        let mut bound = 0;
         if let Some((link_lane, link)) = link {
             let d = self.cost.duration(op);
             buf.clone_from(dw_finish);
@@ -230,13 +250,14 @@ impl<C: CostModel> OrderSpace<'_, C> {
                 buf[i] = own;
             }
             self.plan_link(buf, ready, plan);
-            for (pos, (&(pick, _, _), &old)) in plan.iter().zip(link.iter()).enumerate() {
+            for (pos, (&(pick, _, end), &old)) in plan.iter().zip(link.iter()).enumerate() {
+                bound = bound.max(end + tail[pick]);
                 if pick != old {
                     batch.push((Op::SyncWeightGrad(LayerId(pick)), *link_lane, pos));
                 }
             }
         }
-        true
+        Some(bound)
     }
 }
 
@@ -278,9 +299,13 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
     }
 
     fn scorer(&self, state: &OrderState) -> OrderScorer<'g> {
-        let de = datapar_schedule(self.graph, &state.order, self.cost, self.policy)
-            .and_then(|s0| DeltaEval::new(self.graph, &s0, self.cost))
+        let s0 = datapar_schedule(self.graph, &state.order, self.cost, self.policy)
             .expect(SEARCH_STATES_EVALUATE);
+        let tail = self.link_tail.get_or_init(|| {
+            let compute = &s0.lanes[0].ops[state.order.len()..];
+            link_tail(self.graph, self.cost, compute)
+        });
+        let de = DeltaEval::new(self.graph, &s0, self.cost).expect(SEARCH_STATES_EVALUATE);
         let mut t: SimTime = 0;
         let finish: Vec<SimTime> = state
             .order
@@ -308,6 +333,7 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
             finish,
             dw_finish,
             link,
+            tail: tail.clone(),
             buf: Vec::new(),
             plan,
             ready,
@@ -319,7 +345,8 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
     /// k-jumps carry their scores from the k-jump table, under a memory
     /// cap realizing a target for its ledger the first time its raw
     /// makespan is below the cutoff; relocations are one
-    /// [`probe_capped`] batch ([`OrderSpace::relocation_batch`]).
+    /// [`probe_capped`] batch ([`OrderSpace::relocation_batch`]), unless
+    /// the batch's link-plan bound already reaches the [`raw_cutoff`].
     fn score(
         &self,
         sc: &mut OrderScorer<'g>,
@@ -336,7 +363,8 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
                 })
             }
             OrderMove::Relocate { op, from, to } => {
-                if !self.relocation_batch(sc, &state.order, (op, from, to)) {
+                let bound = self.relocation_batch(sc, &state.order, (op, from, to))?;
+                if bound >= raw_cutoff(cutoff, cap) {
                     return None;
                 }
                 probe_capped(&mut sc.de, &sc.batch, cutoff, cap, &mut sc.events)
@@ -406,6 +434,7 @@ pub fn tune_backward_order<C: CostModel + Sync>(
         window: opts.window,
         memory_cap,
         k_jumps: OnceLock::new(),
+        link_tail: OnceLock::new(),
     };
     let init = OrderState {
         order: baseline.to_vec(),
@@ -514,6 +543,26 @@ pub fn best_reverse_k<C: CostModel>(
     Ok((k, m))
 }
 
+/// Per layer `i` (index 0 unused), the duration of the realized compute
+/// lane from the first op of `compute` — the ops after the backward
+/// order — that depends on `S[dW_i]` through the lane's end: the time
+/// the lane still runs after `S[dW_i]` finishes, 0 when no op waits on
+/// it.
+fn link_tail<C: CostModel>(graph: &TrainGraph, cost: &C, compute: &[Op]) -> Vec<SimTime> {
+    let mut tail = vec![0; graph.layers() + 1];
+    let mut suffix = 0;
+    for &op in compute.iter().rev() {
+        suffix += cost.duration(op);
+        let v = graph.op_index(op).expect("realized ops are in the graph");
+        for &d in graph.dep_indices(v) {
+            if let Op::SyncWeightGrad(LayerId(i)) = graph.ops()[d] {
+                tail[i] = suffix;
+            }
+        }
+    }
+    tail
+}
+
 /// `true` when moving `op` within its lane from `(lane, from)` to
 /// position `to` (remove, then insert at `to`) places it before one of
 /// its own dependencies or after one of its own dependents on that lane.
@@ -596,6 +645,7 @@ mod tests {
                 window: None,
                 memory_cap: None,
                 k_jumps: OnceLock::new(),
+                link_tail: OnceLock::new(),
             };
             let (mut reordered, mut unprobed) = (0, 0);
             for k in [0, 4, 12] {
@@ -656,6 +706,7 @@ mod tests {
                     window: None,
                     memory_cap,
                     k_jumps: OnceLock::new(),
+                    link_tail: OnceLock::new(),
                 };
                 let caps: Vec<(OrderSpace<'_, TableCost>, u64)> = (base.initial - 1
                     ..=base.peak + 2)
@@ -676,7 +727,8 @@ mod tests {
                     let want = datapar_schedule(graph, &relocated, cost, policy)
                         .and_then(|s| schedule_peak(graph, &s, cost))
                         .ok();
-                    let swept = if plain.relocation_batch(&mut sc, &state.order, (op, from, to)) {
+                    let batch = plain.relocation_batch(&mut sc, &state.order, (op, from, to));
+                    let swept = if batch.is_some() {
                         sc.de
                             .probe_with(&sc.batch, |de, _| {
                                 sweep.peak(|v| de.span_at(v), &mut events)
@@ -709,6 +761,93 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Dropping an order relocation unprobed never changes a score, and
+    /// the link-plan bound never exceeds the probed makespan: over every
+    /// relocation of the 12-layer order under sync 3, from three
+    /// reverse-first-k states and under both policies, uncapped and under
+    /// every cap from below the carried-in floor through the peaks, and at
+    /// cutoffs around the incumbent's score, [`OrderSpace::score`] equals
+    /// the batch's plain [`crate::probe_score`] with no pre-check. The
+    /// link plan drops some relocations at the incumbent's makespan.
+    #[test]
+    fn pruned_relocation_scores_equal_the_unpruned_probe() {
+        use ooo_verify::mem::ledger_of_schedule;
+        let inst = crate::job::order_instance(12, 0, 3).unwrap();
+        let (graph, cost) = (&inst.graph, &inst.cost);
+        let mut dropped = 0;
+        for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
+            let space = |memory_cap| OrderSpace {
+                graph,
+                cost,
+                policy,
+                family: KFamily::None,
+                verifier: Verifier::new(graph).with_cost(cost),
+                window: None,
+                memory_cap,
+                k_jumps: OnceLock::new(),
+                link_tail: OnceLock::new(),
+            };
+            for k in [0, 4, 12] {
+                let order = reverse_first_k(graph, k, None::<(u64, &TableCost)>).unwrap();
+                let realized = datapar_schedule(graph, &order, cost, policy).unwrap();
+                let base = ledger_of_schedule(graph, &realized, cost).unwrap();
+                let raw = predict_makespan(graph, &realized, cost).unwrap().makespan();
+                let state = OrderState { order, k: Some(k) };
+                let plain = space(None);
+                let mut sc = plain.scorer(&state);
+                let moves: Vec<(Op, usize, usize)> = plain
+                    .moves(&state)
+                    .into_iter()
+                    .filter_map(|mv| match mv {
+                        OrderMove::Relocate { op, from, to } => Some((op, from, to)),
+                        OrderMove::KJump(_) => None,
+                    })
+                    .collect();
+                for &mv in &moves {
+                    let Some(bound) = plain.relocation_batch(&mut sc, &state.order, mv) else {
+                        continue;
+                    };
+                    let probed = sc.de.probe(&sc.batch).unwrap();
+                    assert!(
+                        bound <= probed,
+                        "{policy:?} k={k}: {mv:?}: {bound} > {probed}"
+                    );
+                    dropped += usize::from(bound >= raw);
+                }
+                let caps = (base.initial - 1..=base.peak + 2).map(Some);
+                for bytes in std::iter::once(None).chain(caps) {
+                    let (cap, inc) =
+                        MemoryCap::of_baseline(graph, cost, &realized, bytes, raw).unwrap();
+                    let capped = space(cap);
+                    let mut events = PeakEvents::default();
+                    for cutoff in [inc - 1, inc, inc + 1, SimTime::MAX] {
+                        for &(op, from, to) in &moves {
+                            let mv = OrderMove::Relocate { op, from, to };
+                            let pruned = capped.score(&mut sc, &state, &mv, cutoff);
+                            let cap = capped.memory_cap.as_ref();
+                            let unpruned = capped
+                                .relocation_batch(&mut sc, &state.order, (op, from, to))
+                                .and_then(|_| {
+                                    crate::probe_score(
+                                        &mut sc.de,
+                                        &sc.batch,
+                                        cutoff,
+                                        cap,
+                                        &mut events,
+                                    )
+                                });
+                            assert_eq!(
+                                pruned, unpruned,
+                                "{policy:?} k={k} cap {bytes:?} cutoff {cutoff}: {op} {from} -> {to}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(dropped > 0, "the link plan drops no relocation");
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //! rank order, a successor is re-timed only when a predecessor's finish
 //! actually moved. [`DeltaEval::probe`] scores a relocation batch
 //! without keeping it, restoring times and ranks from the edit's undo
-//! log — the tuner's per-candidate score.
+//! log — the tuner's per-candidate score. [`DeltaEval::keeps_critical_path`]
+//! answers, before any probe, whether a batch leaves one critical path
+//! of the state untouched — then the batch cannot shorten the schedule.
 //!
 //! [`datapar_schedule`] statically reconstructs the two-lane schedule
 //! realized by [`ooo_core::datapar::simulate_data_parallel`] for a given
@@ -469,6 +471,15 @@ impl Scratch {
 /// relocation batch without keeping it: the undo log of times and ranks
 /// restores the prior state exactly.
 ///
+/// The evaluator also marks one critical path of its state — a chain of
+/// tight edges from an op starting at 0 to one finishing at the
+/// makespan — built lazily by [`DeltaEval::keeps_critical_path`] and
+/// dropped by every committed edit (a probe restores the state, so the
+/// path stays valid across probes). A batch that moves no op of that
+/// path keeps a path of the same length, so its makespan is at least
+/// the current one: the tuner drops such a candidate unprobed when the
+/// current makespan already reaches the score it must beat.
+///
 /// The evaluator keeps two work counters — [`DeltaEval::rescored`]
 /// (nodes re-timed: the seeds plus every node with a changed input) and
 /// [`DeltaEval::full_equivalent`] (nodes a full re-evaluation would have
@@ -496,7 +507,21 @@ pub struct DeltaEval<'g> {
     makespan: SimTime,
     rescored: u64,
     full_equivalent: u64,
+    critical: CriticalPath,
     scratch: Scratch,
+}
+
+/// One critical path of a [`DeltaEval`]'s current state, marked by node:
+/// a chain of union-graph edges, each tight (the predecessor finishes
+/// exactly when its successor starts), from an op starting at 0 to a
+/// lane-final op finishing at the makespan. Built on first use after a
+/// committed edit; probes restore the state they read, so they leave it
+/// valid.
+#[derive(Debug, Clone, Default)]
+struct CriticalPath {
+    fresh: bool,
+    /// `on[v]` iff node `v` is on the path.
+    on: Vec<bool>,
 }
 
 impl<'g> DeltaEval<'g> {
@@ -520,6 +545,10 @@ impl<'g> DeltaEval<'g> {
             makespan: 0,
             rescored: 0,
             full_equivalent: 0,
+            critical: CriticalPath {
+                fresh: false,
+                on: vec![false; n],
+            },
             scratch: Scratch::sized(n),
         }
     }
@@ -699,6 +728,7 @@ impl<'g> DeltaEval<'g> {
         self.scratch.seeds.push(v);
         self.rescored += self.retime() as u64;
         self.refresh_makespan();
+        self.critical.fresh = false;
         #[cfg(test)]
         self.assert_ranked();
         Ok(self.makespan)
@@ -729,6 +759,7 @@ impl<'g> DeltaEval<'g> {
             self.rescored += self.retime() as u64;
         }
         self.refresh_makespan();
+        self.critical.fresh = false;
         #[cfg(test)]
         self.assert_ranked();
         Some(self.graph.ops()[v])
@@ -767,6 +798,7 @@ impl<'g> DeltaEval<'g> {
         }
         self.rescored += self.retime() as u64;
         self.refresh_makespan();
+        self.critical.fresh = false;
         #[cfg(test)]
         self.assert_ranked();
         Ok(self.makespan)
@@ -822,6 +854,54 @@ impl<'g> DeltaEval<'g> {
         #[cfg(test)]
         self.assert_ranked();
         out
+    }
+
+    /// `true` when no op of the relocation batch `moves` lies on the
+    /// current state's critical path. The batch then makes at least
+    /// [`DeltaEval::makespan`], or does not evaluate at all. The path's
+    /// dependency edges are untouched, and each of its lane edges `u → w`
+    /// becomes a lane chain from `u` to `w` (unmoved ops keep their
+    /// relative order on a lane), so the edited schedule still contains a
+    /// path of the same total duration. An op that is not scheduled is not
+    /// on the path. The path is built on the first call after a committed
+    /// edit ([`DeltaEval::place`], [`DeltaEval::unplace_last`],
+    /// [`DeltaEval::relocate_many`]) in O(ops + path length × degree);
+    /// each call is then O(batch).
+    pub fn keeps_critical_path(&mut self, moves: &[(Op, usize, usize)]) -> bool {
+        if !self.critical.fresh {
+            self.mark_critical_path();
+        }
+        let on = &self.critical.on;
+        moves
+            .iter()
+            .all(|&(op, _, _)| self.graph.op_index(op).is_none_or(|v| !on[v]))
+    }
+
+    /// Marks one critical path: from the first lane-final op finishing at
+    /// the makespan, back through tight predecessors (lane predecessor
+    /// first) until an op starts at 0. Every op with a positive start has
+    /// a tight predecessor, since its start is its predecessors' latest
+    /// finish.
+    fn mark_critical_path(&mut self) {
+        let mut cp = std::mem::take(&mut self.critical);
+        cp.on.fill(false);
+        let last = self
+            .lanes
+            .iter()
+            .filter_map(|lane| lane.last().copied())
+            .find(|&v| self.nodes[v].end == self.makespan);
+        let mut next = last;
+        while let Some(v) = next {
+            cp.on[v] = true;
+            let start = self.nodes[v].start;
+            next = (start > 0).then(|| {
+                self.preds(v)
+                    .find(|&p| self.nodes[p].end == start)
+                    .expect("a positive start is some predecessor's finish")
+            });
+        }
+        cp.fresh = true;
+        self.critical = cp;
     }
 
     /// Validates `moves` into the scratch batch, applies it structurally

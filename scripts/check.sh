@@ -171,7 +171,7 @@ rc=0; ./target/debug/ooo-serve --daemon < /tmp/ooo-serve-kill.jsonl > /tmp/ooo-s
 rm -f /tmp/ooo-serve-one.json /tmp/ooo-serve-req.jsonl /tmp/ooo-serve-a.jsonl \
   /tmp/ooo-serve-b.jsonl /tmp/ooo-serve-kill.jsonl /tmp/ooo-serve-k.jsonl
 
-echo "==> ooo-tune 1000-stage smoke (windowed search at scale, golden output)"
+echo "==> ooo-tune release smoke (1000-stage windowed search and the tune_large sizes, golden output)"
 cargo build -q --release -p ooo-tune --bin ooo-tune
 start=$(date +%s%N)
 rc=0; ./target/release/ooo-tune pipeline --layers 1000 --devices 8 --strategy pipe2 \
@@ -180,6 +180,19 @@ echo "1000-stage tune: $(( ($(date +%s%N) - start) / 1000000 )) ms"
 [ "$rc" -eq 0 ] || { echo "ooo-tune: 1000-stage pipeline tune failed (got $rc)"; exit 1; }
 cmp /tmp/ooo-tune-scale.json tests/fixtures/cli_golden/tune_pipeline_pipe2_1000.json \
   || { echo "ooo-tune: 1000-stage tune differs from its golden"; exit 1; }
+# The perfbench tune_large sizes (full neighbourhoods, parallel restarts):
+# each wall time is printed, and each output must equal its golden.
+for run in "tune_order_48.json:order --layers 48 --k 0 --sync 3" \
+  "tune_pipeline_gpipe_48x8.json:pipeline --layers 48 --devices 8 --strategy gpipe" \
+  "tune_pipeline_pipe2_128x8_w4.json:pipeline --layers 128 --devices 8 --strategy pipe2 --window 4"; do
+  fixture=${run%%:*}; args=${run#*:}
+  start=$(date +%s%N)
+  rc=0; ./target/release/ooo-tune $args --json --out /tmp/ooo-tune-scale.json || rc=$?
+  echo "ooo-tune $args: $(( ($(date +%s%N) - start) / 1000000 )) ms"
+  [ "$rc" -eq 0 ] || { echo "ooo-tune $args failed (got $rc)"; exit 1; }
+  cmp /tmp/ooo-tune-scale.json "tests/fixtures/cli_golden/$fixture" \
+    || { echo "ooo-tune $args differs from its golden"; exit 1; }
+done
 rm -f /tmp/ooo-tune-scale.json
 
 echo "All checks passed."

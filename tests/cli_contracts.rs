@@ -560,7 +560,7 @@ const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cl
 /// invocation, exit code)`. A `.json` fixture holds the invocation's
 /// stdout, an `.err` fixture its stderr; `{F}` in an invocation is the
 /// fixture directory.
-const GOLDEN: [(&str, &str, i32); 26] = [
+const GOLDEN: [(&str, &str, i32); 29] = [
     (
         "tune_order.json",
         "ooo-tune order --layers 8 --k 0 --sync 3 --json",
@@ -635,6 +635,22 @@ const GOLDEN: [(&str, &str, i32); 26] = [
     (
         "tune_pipeline_pipe2_window.json",
         "ooo-tune pipeline --layers 24 --devices 4 --strategy pipe2 --window 2 --json",
+        0,
+    ),
+    // The sizes of perfbench's `tune_large` workload.
+    (
+        "tune_order_48.json",
+        "ooo-tune order --layers 48 --k 0 --sync 3 --json",
+        0,
+    ),
+    (
+        "tune_pipeline_gpipe_48x8.json",
+        "ooo-tune pipeline --layers 48 --devices 8 --strategy gpipe --json",
+        0,
+    ),
+    (
+        "tune_pipeline_pipe2_128x8_w4.json",
+        "ooo-tune pipeline --layers 128 --devices 8 --strategy pipe2 --window 4 --json",
         0,
     ),
     // Binding: the uncapped tune reaches makespan 26 at peak 18.

@@ -442,6 +442,71 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The tuner's critical-path bound is exact: over zoo schedules and
+    /// random batches (durations from 0), a batch that keeps
+    /// `DeltaEval::keeps_critical_path` makes at least the incumbent's
+    /// makespan, or does not evaluate. Some legal batches are kept with
+    /// `relocate_many`, so later checks read a path marked again after a
+    /// committed edit. Every case meets batches that keep the path and
+    /// evaluate.
+    #[test]
+    fn kept_critical_path_bounds_the_makespan(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let l = rng.gen_range(2usize..10);
+        let devices = rng.gen_range(2usize..=4);
+        let mut cost = TableCost::uniform(l, LayerCost::default());
+        for i in 1..=l {
+            let c = cost.layer_mut(LayerId(i));
+            c.forward = rng.gen_range(0..6);
+            c.output_grad = rng.gen_range(0..6);
+            c.weight_grad = rng.gen_range(0..6);
+            c.update = rng.gen_range(0..4);
+            c.sync_weight = rng.gen_range(0..8);
+            c.sync_output = rng.gen_range(0..5);
+        }
+        let shapes = [
+            Shape::SingleGpu { layers: l },
+            Shape::DataParallel { layers: l },
+            Shape::Pipeline { layers: l, devices },
+        ];
+        let mut kept = 0usize;
+        for shape in shapes {
+            for strategy in zoo() {
+                if !strategy.applicable(shape) {
+                    continue;
+                }
+                let g = strategy.generate(shape, &cost).unwrap();
+                let mut de = DeltaEval::new(&g.graph, &g.schedule, &cost).unwrap();
+                for _ in 0..12 {
+                    let schedule = de.to_schedule();
+                    let batch = random_batch(&schedule, &mut rng);
+                    let keeps = de.keeps_critical_path(&batch);
+                    let next = apply_move_batch(&schedule, &batch);
+                    let Ok(full) = predict_makespan(&g.graph, &next, &cost) else {
+                        continue;
+                    };
+                    if keeps {
+                        let incumbent = de.makespan();
+                        prop_assert!(
+                            full.makespan() >= incumbent,
+                            "{batch:?} keeps the critical path but makes {} < {incumbent}",
+                            full.makespan()
+                        );
+                        kept += 1;
+                    }
+                    if rng.gen_bool(0.3) {
+                        de.relocate_many(&batch).unwrap();
+                    }
+                }
+            }
+        }
+        prop_assert!(kept > 0, "no evaluating batch keeps the critical path");
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The peak a capped tuner reads off a probe's own times: over zoo
