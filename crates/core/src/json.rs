@@ -128,8 +128,9 @@ impl Value {
     /// Parses a JSON document. Rejects trailing garbage.
     ///
     /// Size is unbounded (bundles and traces can be large); nesting is
-    /// still capped at [`MAX_PARSE_DEPTH`]. Streaming consumers that face
-    /// hostile input should use [`Value::parse_with_limits`] instead.
+    /// still capped at 512 levels (`MAX_PARSE_DEPTH`). Streaming consumers
+    /// that face hostile input should use [`Value::parse_with_limits`]
+    /// instead.
     ///
     /// # Errors
     ///
@@ -204,8 +205,9 @@ impl Default for ParseLimits {
 }
 
 impl ParseLimits {
-    /// No byte/node limits; depth stays capped at [`MAX_PARSE_DEPTH`]
-    /// because the parser recursion would overflow the stack otherwise.
+    /// No byte/node limits; depth stays capped at 512 levels
+    /// (`MAX_PARSE_DEPTH`) because the parser recursion would overflow the
+    /// stack otherwise.
     pub fn unbounded() -> Self {
         ParseLimits {
             max_bytes: usize::MAX,

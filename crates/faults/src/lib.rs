@@ -11,7 +11,7 @@
 //! - [`fault`] — a declarative fault taxonomy (straggler, degradation,
 //!   flapping, crash, schedule corruption) and a seeded scenario
 //!   generator: same seed, same scenarios, always.
-//! - [`recovery`] — the [`RecoveryPolicy`](recovery::RecoveryPolicy)
+//! - [`recovery`] — the [`RecoveryPolicy`]
 //!   trait and its implementations: retry with bounded exponential
 //!   backoff, checkpoint/rollback, re-running `search_optimal_k` against
 //!   the faulted costs, and falling back to the safe in-order schedule

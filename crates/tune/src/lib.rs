@@ -14,8 +14,9 @@
 //!
 //! # Move set
 //!
-//! Only `dW`-class operations ([`Op::is_weight_grad_class`]: `dW_i`,
-//! `S[dW_i]`, `U_i`) ever move — everything else sits on the backward
+//! Only `dW`-class operations
+//! ([`Op::is_weight_grad_class`](ooo_core::Op::is_weight_grad_class):
+//! `dW_i`, `S[dW_i]`, `U_i`) ever move — everything else sits on the backward
 //! critical path or the next iteration's forward chain, which is the
 //! paper's ooo-legality rule. The concrete moves are:
 //!
@@ -51,15 +52,19 @@
 //! ([`DeltaEval::keeps_critical_path`]) makes at least the incumbent's
 //! makespan, and in the order space a candidate's own link plan plus
 //! the unmoved compute-lane tail waiting on each sync bounds its
-//! makespan (see [`order`]). The probe repairs the
-//! evaluator's topological rank locally, re-times only the ops whose
-//! inputs changed (a moved `dW` shifts its lane's tail until the first
-//! slack absorbs it) and restores the incumbent from an undo log. An
-//! order-space relocation that reorders the link lane probes the moved
-//! syncs in the same batch, so no candidate is realized and predicted
-//! in full; a `dW` moved past its own dependency or dependent there is
-//! a certain deadlock, read off the evaluator's positions without a
-//! probe. Perturbations score only the candidates they draw.
+//! makespan (see [`order`]). A single move or `[dW_i, U_i]` block that
+//! closes a cycle through the incumbent's own paths — read off per-lane
+//! ancestry clocks ([`DeltaEval::certainly_deadlocks`]) — is dropped
+//! too: it has no score. The probe repairs the evaluator's topological
+//! rank locally, on one side of each new edge where it can, re-times
+//! only the ops whose inputs changed (a moved `dW` shifts its lane's
+//! tail until the first slack absorbs it) and restores the incumbent
+//! from an undo log. An order-space relocation that reorders the link
+//! lane probes the moved syncs in the same batch, so no candidate is
+//! realized and predicted in full; a `dW` moved past its own dependency
+//! or dependent there is a certain deadlock, read off the evaluator's
+//! positions without a probe. Perturbations score only the candidates
+//! they draw.
 //! A candidate is cloned and described only when it is gated, accepted
 //! or drawn. Under a memory cap a relocation's peak is read off the
 //! probe's own times, before the restore, by one [`PeakSweep`] built per
@@ -202,8 +207,9 @@ pub struct TuneOptions {
     /// every relocation is over it and no peak is read at all. A
     /// relocation gets a probe only when neither lower bound (the
     /// incumbent's critical path, the order space's link plan) reaches
-    /// the raw makespan it must stay below: the score to beat, less the
-    /// penalty when the floor already exceeds the cap. Whole-state
+    /// the raw makespan it must stay below — the score to beat, less the
+    /// penalty when the floor already exceeds the cap — and it is not a
+    /// certain deadlock ([`DeltaEval::certainly_deadlocks`]). Whole-state
     /// jumps build their target's ledger once each.
     pub memory_cap: Option<u64>,
     /// Optional certified target makespan (a proven lower bound, e.g.
@@ -458,11 +464,14 @@ pub(crate) fn raw_cutoff(cutoff: SimTime, cap: Option<&MemoryCap>) -> SimTime {
 }
 
 /// The capped score below `cutoff` (see [`SearchSpace::score`]) of the
-/// relocation batch `batch` on the incumbent's evaluator. A batch that
-/// keeps the incumbent's critical path ([`DeltaEval::keeps_critical_path`])
-/// makes at least the incumbent's makespan, so when that already
-/// reaches the [`raw_cutoff`] the batch cannot rank and is dropped
-/// unprobed. Every other batch is [`probe_score`]d.
+/// relocation batch `batch` on the incumbent's evaluator. Two checks drop
+/// a batch unprobed: one that keeps the incumbent's critical path
+/// ([`DeltaEval::keeps_critical_path`]) makes at least the incumbent's
+/// makespan, so when that already reaches the [`raw_cutoff`] it cannot
+/// rank; and a single move or `[dW_i, U_i]` block that closes a cycle
+/// through the incumbent's own paths
+/// ([`DeltaEval::certainly_deadlocks`]) has no score. Every other batch
+/// is [`probe_score`]d.
 pub(crate) fn probe_capped(
     de: &mut DeltaEval<'_>,
     batch: &[(ooo_core::Op, usize, usize)],
@@ -470,7 +479,7 @@ pub(crate) fn probe_capped(
     cap: Option<&MemoryCap>,
     events: &mut PeakEvents,
 ) -> Option<SimTime> {
-    if cannot_rank(de, batch, cutoff, cap) {
+    if cannot_rank(de, batch, cutoff, cap) || de.certainly_deadlocks(batch) {
         return None;
     }
     probe_score(de, batch, cutoff, cap, events)
@@ -1536,6 +1545,39 @@ mod tests {
             }
         }
         assert!(dropped > 0, "no relocation is dropped");
+    }
+
+    /// [`DeltaEval::certainly_deadlocks`], the pre-probe deadlock check,
+    /// on every relocation of the relocation cases and of GPipe 8×4 and
+    /// OOO-Pipe2 16×4 under a window: a flagged relocation probes to a
+    /// [`ooo_core::Error::DependencyViolation`] (soundness), and every
+    /// relocation whose probe deadlocks is flagged (completeness on these
+    /// spaces: single moves and `[dW_i, U_i]` blocks, in-lane and across
+    /// lanes). Some relocations are flagged.
+    #[test]
+    fn certain_deadlocks_are_exactly_the_deadlocking_relocations() {
+        use ooo_core::pipeline::{op_level_schedule, Strategy};
+        let mut cases: Vec<_> = relocation_cases()
+            .into_iter()
+            .map(|(graph, state, cross_lane)| (graph, state, cross_lane, None))
+            .collect();
+        for (layers, strategy, window) in [(8, Strategy::GPipe, 3), (16, Strategy::OooPipe2, 4)] {
+            let (graph, state) = op_level_schedule(layers, 4, strategy, 1);
+            cases.push((graph, state, false, Some(window)));
+        }
+        let mut flagged = 0;
+        for (graph, state, cross_lane, window) in &cases {
+            let mut de = DeltaEval::new(graph, state, &UnitCost).unwrap();
+            for mv in schedule_relocations(graph, state, *cross_lane, *window) {
+                let (batch, len) = mv.batch();
+                let certain = de.certainly_deadlocks(&batch[..len]);
+                let probed = de.probe(&batch[..len]);
+                let deadlocks = matches!(probed, Err(ooo_core::Error::DependencyViolation { .. }));
+                assert_eq!(certain, deadlocks, "{}: {probed:?}", mv.describe(state));
+                flagged += usize::from(certain);
+            }
+        }
+        assert!(flagged > 0, "no relocation is flagged");
     }
 
     /// A cap equal to the carried-in floor is met by every state whose

@@ -29,7 +29,9 @@
 //! without keeping it, restoring times and ranks from the edit's undo
 //! log — the tuner's per-candidate score. [`DeltaEval::keeps_critical_path`]
 //! answers, before any probe, whether a batch leaves one critical path
-//! of the state untouched — then the batch cannot shorten the schedule.
+//! of the state untouched — then the batch cannot shorten the schedule —
+//! and [`DeltaEval::certainly_deadlocks`] whether a single move or a
+//! `[dW_i, U_i]` block closes a cycle through the state's own paths.
 //!
 //! [`datapar_schedule`] statically reconstructs the two-lane schedule
 //! realized by [`ooo_core::datapar::simulate_data_parallel`] for a given
@@ -367,6 +369,11 @@ const UNPLACED: NodeState = NodeState {
     end: 0,
 };
 
+/// The spacing of a [`DeltaEval`]'s committed ranks: every committed
+/// rank is a multiple of it, so the `RANK_STRIDE - 1` values between two
+/// neighbouring ranks are free for a probe's one-sided repair.
+const RANK_STRIDE: u64 = 1 << 16;
+
 /// Reusable work buffers of a [`DeltaEval`]. Marks are epoch-stamped, so
 /// starting a search or a pass clears nothing; once the buffers have
 /// grown to the largest edit seen, edits and probes run without
@@ -381,11 +388,20 @@ struct Scratch {
     via: Vec<usize>,
     seeds: Vec<usize>,
     stack: Vec<usize>,
+    /// The backward search's stack while both searches of a one-sided
+    /// repair run.
+    back_stack: Vec<usize>,
     /// What a rank repair reorders: the nodes the new edge's head
     /// reaches, and the nodes that reach its tail.
     forward: Vec<usize>,
     backward: Vec<usize>,
     ranks: Vec<u64>,
+    /// The stride gaps (`rank / RANK_STRIDE`) a one-sided repair of the
+    /// current probe has dealt ranks into: each gap takes one set.
+    gaps: Vec<u64>,
+    /// How often a probe took each repair path: see [`RepairCounts`].
+    #[cfg(test)]
+    repairs: RepairCounts,
     /// Nodes due for re-timing, lowest rank first.
     queue: BinaryHeap<Reverse<(u64, usize)>>,
     /// The undo log of the current edit: `(node, start, end)` before the
@@ -406,6 +422,26 @@ struct Scratch {
     /// Per touched lane: `(lane, first, last)` positions whose node may
     /// have changed (`last == usize::MAX`: through the end of the lane).
     spans: Vec<(usize, usize, usize)>,
+}
+
+/// Test-only tallies of the probe's rank-repair paths, so a randomized
+/// test can show it reached each one.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct RepairCounts {
+    /// One-sided repairs that re-ranked the forward set (above `x`).
+    forward: u32,
+    /// One-sided repairs that re-ranked the backward set (below `y`).
+    backward: u32,
+    /// Multi-edge batches settled by the span re-deal.
+    redealt: u32,
+    /// Edges whose searches met: a cycle.
+    cycle: u32,
+    /// Edges whose re-ranked side needed an endpoint off the stride.
+    off_stride: u32,
+    /// Edges whose re-ranked side needed a gap an earlier repair of the
+    /// probe had filled.
+    gap_taken: u32,
 }
 
 impl Scratch {
@@ -471,6 +507,29 @@ impl Scratch {
 /// relocation batch without keeping it: the undo log of times and ranks
 /// restores the prior state exactly.
 ///
+/// Committed ranks are strided: [`DeltaEval::new`], the Kahn pass and
+/// [`DeltaEval::place`] hand out multiples of `RANK_STRIDE` (2^16), and
+/// the Pearce–Kelly repair and the span re-deal only deal existing values
+/// out again, so after every committed edit each rank sits on the stride
+/// and the values between two ranks are free. A probe uses them: its
+/// per-edge repair searches forward from `y` and backward from `x` in
+/// lockstep, one node each in turn, and re-ranks only the side that
+/// finishes first — the forward set into the free slots just above
+/// `rank(x)`, the backward set into those just below `rank(y)`, each in
+/// its old relative order. The forward set holds every node ranked below
+/// `rank(x)` that `y` reaches, the backward set every node ranked above
+/// `rank(y)` that reaches `x`, so moving either one past the other
+/// endpoint keeps every ordered edge ordered; the side that finishes
+/// first is never the larger one, and the other is searched no further.
+/// Three cases take the two-sided repair instead: the searches meet
+/// (a cycle), the endpoint the finished side needs is off the stride
+/// (an earlier repair of the same probe moved it) or its gap already
+/// holds such a set, and a side reaches half a stride. A probe whose
+/// batch closes a cycle then restores its ranks and repairs every edge
+/// two-sided from the incumbent's, exactly as a committed edit does, so
+/// its error names the same ops. Committed edits never take the
+/// one-sided path: their ranks are the same as without it.
+///
 /// The evaluator also marks one critical path of its state — a chain of
 /// tight edges from an op starting at 0 to one finishing at the
 /// makespan — built lazily by [`DeltaEval::keeps_critical_path`] and
@@ -479,6 +538,23 @@ impl Scratch {
 /// path keeps a path of the same length, so its makespan is at least
 /// the current one: the tuner drops such a candidate unprobed when the
 /// current makespan already reaches the score it must beat.
+///
+/// It also keeps per-lane ancestry clocks of its state: for every op and
+/// lane, the last lane position of an ancestor-or-self and the first of
+/// a descendant-or-self, filled in rank order by
+/// [`DeltaEval::certainly_deadlocks`] on first use and dropped by every
+/// committed edit, like the critical path. A single move, or a
+/// `[dW_i, U_i]` block landing contiguously, closes a cycle when a
+/// dependency of its source has an ancestor at or after its new lane
+/// successor, or a dependent of its sink has a descendant at or before
+/// its new lane predecessor. The path behind such a clock cannot pass
+/// through the moved ops — through the source it would close a cycle
+/// with the source's own dependency, through the sink with the
+/// source → sink dependency — so it survives the move (an op inserted
+/// between two lane neighbours only lengthens their edge into a chain)
+/// and closes the cycle through the block's new lane edge. For single
+/// moves the test is also complete: every cycle the move closes runs
+/// through one of those two edges.
 ///
 /// The evaluator keeps two work counters — [`DeltaEval::rescored`]
 /// (nodes re-timed: the seeds plus every node with a changed input) and
@@ -508,7 +584,25 @@ pub struct DeltaEval<'g> {
     rescored: u64,
     full_equivalent: u64,
     critical: CriticalPath,
+    clocks: LaneClocks,
     scratch: Scratch,
+}
+
+/// Per-lane ancestry clocks of a [`DeltaEval`]'s current state, stored
+/// row-major by node (`row = v * lanes`). Built on first use after a
+/// committed edit; probes restore the state they read, so they leave
+/// them valid.
+#[derive(Debug, Clone, Default)]
+struct LaneClocks {
+    fresh: bool,
+    /// `anc[v * lanes + l]`: one past the last position on lane `l` of an
+    /// ancestor-or-self of `v` (`0`: none).
+    anc: Vec<u32>,
+    /// `desc[v * lanes + l]`: the first position on lane `l` of a
+    /// descendant-or-self of `v` (`u32::MAX`: none).
+    desc: Vec<u32>,
+    /// The scheduled nodes in rank order.
+    order: Vec<usize>,
 }
 
 /// One critical path of a [`DeltaEval`]'s current state, marked by node:
@@ -539,8 +633,8 @@ impl<'g> DeltaEval<'g> {
             lanes: vec![Vec::new(); names.len()],
             lane_names: names,
             nodes: vec![UNPLACED; n],
-            rank: (0..n as u64).collect(),
-            next_rank: n as u64,
+            rank: (0..n as u64).map(|r| r * RANK_STRIDE).collect(),
+            next_rank: n as u64 * RANK_STRIDE,
             scheduled: 0,
             makespan: 0,
             rescored: 0,
@@ -549,6 +643,7 @@ impl<'g> DeltaEval<'g> {
                 fresh: false,
                 on: vec![false; n],
             },
+            clocks: LaneClocks::default(),
             scratch: Scratch::sized(n),
         }
     }
@@ -705,7 +800,7 @@ impl<'g> DeltaEval<'g> {
         // predecessor and dependencies) hold; only edges to dependents
         // placed before it can run against the order.
         self.rank[v] = self.next_rank;
-        self.next_rank += 1;
+        self.next_rank += RANK_STRIDE;
         self.scratch.rank_undo.clear();
         let graph = self.graph;
         let ordered = graph.dependent_indices(v).iter().try_for_each(|&d| {
@@ -729,6 +824,7 @@ impl<'g> DeltaEval<'g> {
         self.rescored += self.retime() as u64;
         self.refresh_makespan();
         self.critical.fresh = false;
+        self.clocks.fresh = false;
         #[cfg(test)]
         self.assert_ranked();
         Ok(self.makespan)
@@ -760,6 +856,7 @@ impl<'g> DeltaEval<'g> {
         }
         self.refresh_makespan();
         self.critical.fresh = false;
+        self.clocks.fresh = false;
         #[cfg(test)]
         self.assert_ranked();
         Some(self.graph.ops()[v])
@@ -789,7 +886,7 @@ impl<'g> DeltaEval<'g> {
         }
         self.edit(moves)?;
         self.full_equivalent += self.scheduled as u64;
-        if let Err(err) = self.order_seeds() {
+        if let Err(err) = self.order_seeds(false) {
             self.restore_ranks();
             self.unedit();
             #[cfg(test)]
@@ -799,6 +896,7 @@ impl<'g> DeltaEval<'g> {
         self.rescored += self.retime() as u64;
         self.refresh_makespan();
         self.critical.fresh = false;
+        self.clocks.fresh = false;
         #[cfg(test)]
         self.assert_ranked();
         Ok(self.makespan)
@@ -827,7 +925,9 @@ impl<'g> DeltaEval<'g> {
     /// the restore: `read` sees the batch applied — its lanes, positions
     /// and times ([`DeltaEval::span_at`]) — and its makespan, passed
     /// alongside (the stored [`DeltaEval::makespan`] is not refreshed
-    /// for a probe). Returns what `read` returns.
+    /// for a probe). Returns what `read` returns. The rank is repaired
+    /// one-sided where it can be (see [`DeltaEval`]), since the probe's
+    /// ranks are restored anyway.
     ///
     /// # Errors
     ///
@@ -841,7 +941,7 @@ impl<'g> DeltaEval<'g> {
             return Ok(read(self, self.makespan));
         }
         self.edit(moves)?;
-        let out = self.order_seeds().map(|()| {
+        let out = self.order_seeds(true).map(|()| {
             self.retime();
             read(self, self.lane_makespan())
         });
@@ -904,6 +1004,117 @@ impl<'g> DeltaEval<'g> {
         self.critical = cp;
     }
 
+    /// `true` when the relocation batch `moves` certainly deadlocks the
+    /// lanes: it is a single move, or a pair `[(u, l, p), (v, l, p + 1)]`
+    /// with `v` depending on `u` (a `[dW_i, U_i]` block), and a dependency of the block's source has
+    /// an ancestor at or after the block's new lane successor, or a
+    /// dependent of its sink has a descendant at or before its new lane
+    /// predecessor (see [`DeltaEval`] for why that path survives the
+    /// move). Every other batch answers `false`. The clocks are built on
+    /// the first call after a committed edit in O((ops + edges) × lanes);
+    /// each call is then O(degree).
+    pub fn certainly_deadlocks(&mut self, moves: &[(Op, usize, usize)]) -> bool {
+        let Some((src, sink, lane, to)) = self.block_of(moves) else {
+            return false;
+        };
+        if !self.clocks.fresh {
+            self.build_clocks();
+        }
+        // The block's new lane neighbours, at their current positions:
+        // index `i` of the lane without the block's ops is past every
+        // removed position at or before it.
+        let mut gone = [src, sink].map(|v| {
+            let st = self.nodes[v];
+            if st.lane == lane {
+                st.pos
+            } else {
+                usize::MAX
+            }
+        });
+        if src == sink {
+            gone[1] = usize::MAX;
+        }
+        gone.sort_unstable();
+        let kept = self.lanes[lane].len() - gone.iter().filter(|&&p| p != usize::MAX).count();
+        let current = |i: usize| gone.iter().fold(i, |i, &p| i + usize::from(p <= i)) as u32;
+        let slot = to.min(kept);
+        let pred = (slot > 0).then(|| current(slot - 1));
+        let succ = (slot < kept).then(|| current(slot));
+        let k = self.lanes.len();
+        let (graph, nodes, clocks) = (self.graph, &self.nodes, &self.clocks);
+        let scheduled = |v: &&usize| nodes[**v].scheduled;
+        succ.is_some_and(|s| {
+            graph
+                .dep_indices(src)
+                .iter()
+                .filter(scheduled)
+                .any(|&d| clocks.anc[d * k + lane] > s)
+        }) || pred.is_some_and(|p| {
+            graph
+                .dependent_indices(sink)
+                .iter()
+                .filter(scheduled)
+                .any(|&e| clocks.desc[e * k + lane] <= p)
+        })
+    }
+
+    /// The batch as a block `(source, sink, lane, position)` landing
+    /// contiguously on one lane — one scheduled op (`source == sink`), or
+    /// two listed at consecutive target positions of one lane, the second
+    /// depending on the first — or `None`.
+    fn block_of(&self, moves: &[(Op, usize, usize)]) -> Option<(usize, usize, usize, usize)> {
+        let node = |op| self.graph.op_index(op).filter(|&v| self.nodes[v].scheduled);
+        let (src, sink, lane, to) = match *moves {
+            [(op, lane, to)] => {
+                let v = node(op)?;
+                (v, v, lane, to)
+            }
+            [(a, la, pa), (b, lb, pb)] if la == lb && pa.checked_add(1) == Some(pb) => {
+                (node(a)?, node(b)?, la, pa)
+            }
+            _ => return None,
+        };
+        let pair = src == sink || self.graph.dep_indices(sink).contains(&src);
+        (pair && lane < self.lanes.len()).then_some((src, sink, lane, to))
+    }
+
+    /// Fills the lane clocks: ancestors in rank order, descendants in
+    /// reverse rank order, each row the lane-wise extreme over the node's
+    /// union-graph neighbours and its own position.
+    fn build_clocks(&mut self) {
+        let k = self.lanes.len();
+        let mut c = std::mem::take(&mut self.clocks);
+        c.order.clear();
+        c.order.extend(self.lanes.iter().flatten().copied());
+        c.order.sort_unstable_by_key(|&v| self.rank[v]);
+        c.anc.resize(self.graph.len() * k, 0);
+        c.desc.resize(self.graph.len() * k, u32::MAX);
+        for &v in &c.order {
+            let row = v * k;
+            c.anc[row..row + k].fill(0);
+            for p in self.preds(v) {
+                for l in 0..k {
+                    c.anc[row + l] = c.anc[row + l].max(c.anc[p * k + l]);
+                }
+            }
+            let st = self.nodes[v];
+            c.anc[row + st.lane] = st.pos as u32 + 1;
+        }
+        for &v in c.order.iter().rev() {
+            let row = v * k;
+            c.desc[row..row + k].fill(u32::MAX);
+            for w in self.succs(v) {
+                for l in 0..k {
+                    c.desc[row + l] = c.desc[row + l].min(c.desc[w * k + l]);
+                }
+            }
+            let st = self.nodes[v];
+            c.desc[row + st.lane] = st.pos as u32;
+        }
+        c.fresh = true;
+        self.clocks = c;
+    }
+
     /// Validates `moves` into the scratch batch, applies it structurally
     /// (logged for [`DeltaEval::unedit`]), clears the undo log, and
     /// leaves exactly the ops whose lane predecessor changed in the
@@ -935,6 +1146,7 @@ impl<'g> DeltaEval<'g> {
         }
         s.undo.clear();
         s.rank_undo.clear();
+        s.gaps.clear();
 
         s.before.clear();
         s.removed.clear();
@@ -1090,7 +1302,7 @@ impl<'g> DeltaEval<'g> {
         while let Some(Reverse((start, v))) = ready.pop() {
             done += 1;
             self.rank[v] = self.next_rank;
-            self.next_rank += 1;
+            self.next_rank += RANK_STRIDE;
             self.nodes[v].start = start;
             self.nodes[v].end = start + self.dur[v];
             for w in self.succs(v) {
@@ -1127,11 +1339,12 @@ impl<'g> DeltaEval<'g> {
     /// Restores the rank order after [`DeltaEval::edit`]: the only new
     /// edges are those from each seed's new lane predecessor, and each
     /// one that runs against the order is repaired by
-    /// [`DeltaEval::order_edge`]. A batch that reorders a lane in several
-    /// places (the order tuner's link lane) would search the same stretch
-    /// once per such edge, so when there are two or more,
+    /// [`DeltaEval::order_edge`] — in a probe (`one_sided`) first by
+    /// [`DeltaEval::order_edge_one_sided`]. A batch that reorders a lane
+    /// in several places (the order tuner's link lane) would search the
+    /// same stretch once per such edge, so when there are two or more,
     /// [`DeltaEval::redeal_spans`] is tried first.
-    fn order_seeds(&mut self) -> Result<(), Error> {
+    fn order_seeds(&mut self, one_sided: bool) -> Result<(), Error> {
         let against = |y: &usize| {
             self.lane_pred(*y)
                 .is_some_and(|x| self.rank[x] > self.rank[*y])
@@ -1145,12 +1358,34 @@ impl<'g> DeltaEval<'g> {
             .is_some()
             && self.redeal_spans()
         {
+            #[cfg(test)]
+            {
+                self.scratch.repairs.redealt += 1;
+            }
             return Ok(());
         }
+        self.order_seed_edges(one_sided)
+    }
+
+    /// Repairs the rank for each seed's new lane edge in turn. A probe's
+    /// batch that closes a cycle is repaired again two-sided from the
+    /// restored ranks, so its error is the one a committed edit reports
+    /// (whose span re-deal, if tried, failed the same way).
+    fn order_seed_edges(&mut self, one_sided: bool) -> Result<(), Error> {
         for i in 0..self.scratch.seeds.len() {
             let y = self.scratch.seeds[i];
-            if let Some(x) = self.lane_pred(y) {
-                self.order_edge(x, y)?;
+            let Some(x) = self.lane_pred(y) else {
+                continue;
+            };
+            if one_sided && self.order_edge_one_sided(x, y) {
+                continue;
+            }
+            if let Err(err) = self.order_edge(x, y) {
+                if !one_sided {
+                    return Err(err);
+                }
+                self.restore_ranks();
+                return self.order_seed_edges(false);
             }
         }
         Ok(())
@@ -1265,6 +1500,127 @@ impl<'g> DeltaEval<'g> {
         }
         self.scratch = s;
         Ok(())
+    }
+
+    /// A probe's repair of the new edge `x → y` (see [`DeltaEval`]):
+    /// searches forward from `y` below `rank(x)` and backward from `x`
+    /// above `rank(y)` in lockstep, over edges the order already
+    /// satisfies, and deals the side that finishes first into the free
+    /// slots next to the other endpoint — the forward set just above
+    /// `rank(x)`, the backward set just below `rank(y)` — logging every
+    /// changed rank. Returns `false`, with no rank changed, when the edge
+    /// needs [`DeltaEval::order_edge`]: the searches meet, a side reaches
+    /// half a stride, or the finished side's endpoint is off the stride
+    /// or its gap already holds a set of this probe.
+    fn order_edge_one_sided(&mut self, x: usize, y: usize) -> bool {
+        let (lb, ub) = (self.rank[y], self.rank[x]);
+        if ub < lb {
+            return true;
+        }
+        let mut s = std::mem::take(&mut self.scratch);
+        s.next_epoch();
+        let fwd = s.epoch;
+        s.next_epoch();
+        let bwd = s.epoch;
+        s.mark[y] = fwd;
+        s.mark[x] = bwd;
+        s.forward.clear();
+        s.backward.clear();
+        s.stack.clear();
+        s.stack.push(y);
+        s.back_stack.clear();
+        s.back_stack.push(x);
+        let half = (RANK_STRIDE / 2) as usize;
+        // `Some(true)`: the forward search finished first.
+        let finished = 'search: loop {
+            if s.forward.len().max(s.backward.len()) >= half {
+                break None;
+            }
+            let Some(u) = s.stack.pop() else {
+                break Some(true);
+            };
+            s.forward.push(u);
+            for w in self.succs(u) {
+                let r = self.rank[w];
+                if r <= self.rank[u] {
+                    continue;
+                }
+                if s.mark[w] == bwd {
+                    break 'search None;
+                }
+                if r < ub && s.mark[w] != fwd {
+                    s.mark[w] = fwd;
+                    s.stack.push(w);
+                }
+            }
+            let Some(u) = s.back_stack.pop() else {
+                break Some(false);
+            };
+            s.backward.push(u);
+            for w in self.preds(u) {
+                let r = self.rank[w];
+                if r >= self.rank[u] {
+                    continue;
+                }
+                if s.mark[w] == fwd {
+                    break 'search None;
+                }
+                if r > lb && s.mark[w] != bwd {
+                    s.mark[w] = bwd;
+                    s.back_stack.push(w);
+                }
+            }
+        };
+        let Some(forward) = finished else {
+            #[cfg(test)]
+            {
+                s.repairs.cycle += u32::from(s.forward.len().max(s.backward.len()) < half);
+            }
+            self.scratch = s;
+            return false;
+        };
+        // The endpoint the set moves next to, and the stride gap on that
+        // side of it (none below rank 0).
+        let (endpoint, gap) = if forward {
+            (ub, Some(ub / RANK_STRIDE))
+        } else {
+            (lb, (lb / RANK_STRIDE).checked_sub(1))
+        };
+        let Some(gap) = gap.filter(|g| endpoint % RANK_STRIDE == 0 && !s.gaps.contains(g)) else {
+            #[cfg(test)]
+            {
+                if endpoint % RANK_STRIDE != 0 {
+                    s.repairs.off_stride += 1;
+                } else {
+                    s.repairs.gap_taken += 1;
+                }
+            }
+            self.scratch = s;
+            return false;
+        };
+        let (set, base) = if forward {
+            (&mut s.forward, ub + 1)
+        } else {
+            let base = lb - s.backward.len() as u64;
+            (&mut s.backward, base)
+        };
+        let rank = &mut self.rank;
+        set.sort_unstable_by_key(|&v| rank[v]);
+        for (r, &v) in (base..).zip(set.iter()) {
+            s.rank_undo.push((v, rank[v]));
+            rank[v] = r;
+        }
+        s.gaps.push(gap);
+        #[cfg(test)]
+        {
+            if forward {
+                s.repairs.forward += 1;
+            } else {
+                s.repairs.backward += 1;
+            }
+        }
+        self.scratch = s;
+        true
     }
 
     /// The error of the cycle `x → y ⇝ x` a forward search closed: the
@@ -1768,6 +2124,225 @@ mod tests {
                 }
                 let full = predict_makespan(&g, &de.to_schedule(), &cost).unwrap();
                 assert_eq!(de.makespan(), full.makespan());
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        /// A probe's rank repair — one-sided where it can be, the span
+        /// re-deal for a lane reordered in several places, the two-sided
+        /// repair on every fallback — over random batches on data-parallel,
+        /// GPipe, OOO-Pipe2 and two-lane single-GPU schedules with
+        /// durations from 0: the probe scores the full prediction of the
+        /// applied schedule (a deadlock as the same error a committed edit
+        /// reports), leaves lanes, times and ranks exactly as they were,
+        /// and keeps a valid rank throughout (`assert_ranked` runs inside
+        /// every probe). Some legal batches are committed, so later probes
+        /// start from edited states, whose ranks must stay on the stride.
+        /// Every case reaches each repair path.
+        #[test]
+        fn probe_repairs_restore_the_rank_and_score_exactly(case in 0u64..1_000_000) {
+            let mut seed = case;
+            let (l, devices) = (5 + next(&mut seed) % 4, 2 + next(&mut seed) % 3);
+            let mut cost = TableCost::uniform(l, LayerCost::default());
+            for i in 1..=l {
+                let c = cost.layer_mut(LayerId(i));
+                c.forward = (next(&mut seed) % 3) as SimTime;
+                c.output_grad = (next(&mut seed) % 3) as SimTime;
+                c.weight_grad = (next(&mut seed) % 3) as SimTime;
+                c.update = (next(&mut seed) % 2) as SimTime;
+                c.sync_weight = (next(&mut seed) % 4) as SimTime;
+                c.sync_output = (next(&mut seed) % 2) as SimTime;
+            }
+            let mut seen = RepairCounts::default();
+            // Families 0-3 under the drawn costs, then the fixed
+            // data-parallel schedule of six layers under sync 3, whose
+            // link-lane reversals repair one edge whose endpoint an
+            // earlier edge re-ranked.
+            let sync3 = TableCost::uniform(6, LayerCost { sync_weight: 3, ..LayerCost::default() });
+            for family in 0..5 {
+                let (g, s0, cost) = if family < 4 {
+                    let (g, s0) = probe_family(family, l, devices, &cost);
+                    (g, s0, &cost)
+                } else {
+                    let (g, s0) = probe_family(0, 6, devices, &sync3);
+                    (g, s0, &sync3)
+                };
+                let mut de = DeltaEval::new(&g, &s0, cost).unwrap();
+                reversals(&g, cost, &mut de)?;
+                for _ in 0..120 {
+                    let batch = probe_batch(&g, &de.to_schedule(), &mut seed);
+                    let legal = check_probe(&g, cost, &mut de, &batch)?;
+                    if legal && next(&mut seed).is_multiple_of(4) {
+                        de.relocate_many(&batch).unwrap();
+                        proptest::prop_assert!(de.rank.iter().all(|r| r % RANK_STRIDE == 0));
+                    }
+                }
+                reversals(&g, cost, &mut de)?;
+                let r = de.scratch.repairs;
+                seen.forward += r.forward;
+                seen.backward += r.backward;
+                seen.redealt += r.redealt;
+                seen.cycle += r.cycle;
+                seen.off_stride += r.off_stride;
+                seen.gap_taken += r.gap_taken;
+            }
+            let RepairCounts { forward, backward, redealt, cycle, off_stride, .. } = seen;
+            proptest::prop_assert!(
+                [forward, backward, redealt, cycle, off_stride].iter().all(|&c| c > 0),
+                "{seen:?}"
+            );
+        }
+    }
+
+    /// [`check_probe`] on every reversed stretch of two to six ops, on
+    /// every lane.
+    fn reversals(
+        g: &TrainGraph,
+        cost: &TableCost,
+        de: &mut DeltaEval<'_>,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let s = de.to_schedule();
+        for (lane, ops) in s.lanes.iter().map(|l| &l.ops).enumerate() {
+            for a in 0..ops.len() {
+                for b in a + 1..ops.len().min(a + 6) {
+                    let batch: Vec<_> = (a..=b).map(|p| (ops[p], lane, a + b - p)).collect();
+                    check_probe(g, cost, de, &batch)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Probes `batch` on `de` and checks it against a full prediction of
+    /// the applied schedule and against the state before: lanes, times
+    /// and ranks restored, a deadlock reported as the committed edit
+    /// reports it. Returns whether the batch evaluates.
+    fn check_probe(
+        g: &TrainGraph,
+        cost: &TableCost,
+        de: &mut DeltaEval<'_>,
+        batch: &[(Op, usize, usize)],
+    ) -> Result<bool, proptest::test_runner::TestCaseError> {
+        let full = predict_makespan(g, &apply_batch(&de.to_schedule(), batch), cost);
+        let before = de.clone();
+        let probed = de.probe(batch);
+        proptest::prop_assert_eq!(&de.lanes, &before.lanes);
+        proptest::prop_assert_eq!(&de.rank, &before.rank);
+        proptest::prop_assert!(de.nodes.iter().zip(&before.nodes).all(|(a, b)| (
+            a.start, a.end, a.pos
+        ) == (
+            b.start, b.end, b.pos
+        )));
+        proptest::prop_assert_eq!(de.makespan, before.makespan);
+        match (&probed, full) {
+            (Ok(m), Ok(full)) => proptest::prop_assert_eq!(*m, full.makespan()),
+            (Err(_), Err(_)) => {
+                let committed = before.clone().relocate_many(batch);
+                proptest::prop_assert_eq!(probed.clone(), committed);
+            }
+            (probed, full) => {
+                proptest::prop_assert!(false, "{batch:?}: probe {probed:?}, full {full:?}")
+            }
+        }
+        Ok(probed.is_ok())
+    }
+
+    /// Schedule family `family` of the probe-repair test: data-parallel
+    /// reverse first-k, op-level GPipe, op-level OOO-Pipe2, and a
+    /// two-lane single-GPU schedule (backward on one lane, `[dW_i, U_i]`
+    /// on the other).
+    fn probe_family(
+        family: usize,
+        l: usize,
+        devices: usize,
+        cost: &TableCost,
+    ) -> (TrainGraph, Schedule) {
+        use ooo_core::pipeline::{op_level_schedule, Strategy};
+        match family {
+            0 => {
+                let g = TrainGraph::data_parallel(l);
+                let order = reverse_first_k(&g, l / 2, None::<(u64, &TableCost)>).unwrap();
+                let s = datapar_schedule(&g, &order, cost, CommPolicy::PriorityByLayer).unwrap();
+                (g, s)
+            }
+            1 => op_level_schedule(l, devices, Strategy::GPipe, 1),
+            2 => op_level_schedule(l, devices, Strategy::OooPipe2, 1),
+            _ => {
+                let g = TrainGraph::single_gpu(l);
+                let mut main = vec![Op::Loss];
+                main.extend((2..=l).rev().map(|i| Op::OutputGrad(LayerId(i))));
+                main.extend((1..=l).map(|i| Op::Forward(LayerId(i))));
+                let sub = (1..=l)
+                    .rev()
+                    .flat_map(|i| [Op::WeightGrad(LayerId(i)), Op::Update(LayerId(i))])
+                    .collect();
+                let mut s = Schedule::new();
+                s.add_lane("main", main);
+                s.add_lane("sub", sub);
+                (g, s)
+            }
+        }
+    }
+
+    /// A random probe batch over `s`: a single op to any lane and
+    /// position, a `[dW_i, U_i]` block, a reversed stretch of one lane
+    /// (several new edges against the order at once; with one op of the
+    /// stretch sent to another lane, the span re-deal does not apply and
+    /// each edge is repaired on its own, so a later edge can find its
+    /// endpoint re-ranked by an earlier one) or two or three random ops.
+    /// Many deadlock.
+    fn probe_batch(g: &TrainGraph, s: &Schedule, seed: &mut u64) -> Vec<(Op, usize, usize)> {
+        let busy: Vec<usize> = (0..s.lanes.len())
+            .filter(|&l| !s.lanes[l].ops.is_empty())
+            .collect();
+        let lane = busy[next(seed) % busy.len()];
+        let ops = &s.lanes[lane].ops;
+        let at = |seed: &mut u64| next(seed) % (ops.len() + 1);
+        match next(seed) % 5 {
+            0 => vec![(
+                ops[next(seed) % ops.len()],
+                next(seed) % s.lanes.len(),
+                at(seed),
+            )],
+            1 => {
+                let dws: Vec<Op> = ops
+                    .iter()
+                    .copied()
+                    .filter(|op| matches!(op, Op::WeightGrad(i) if ops.contains(&Op::Update(*i))))
+                    .collect();
+                let Some(&dw) = dws.get(next(seed) % dws.len().max(1)) else {
+                    return vec![(ops[0], lane, at(seed))];
+                };
+                let Op::WeightGrad(i) = dw else {
+                    unreachable!()
+                };
+                let to = at(seed);
+                vec![(dw, lane, to), (Op::Update(i), lane, to + 1)]
+            }
+            kind @ (2 | 3) if ops.len() > 2 => {
+                let a = next(seed) % (ops.len() - 1);
+                let b = a + 1 + next(seed) % (ops.len() - 1 - a).min(5);
+                let mut batch: Vec<_> = (a..=b).map(|p| (ops[p], lane, a + b - p)).collect();
+                if kind == 3 {
+                    let to = (lane + 1) % s.lanes.len();
+                    batch[0] = (batch[0].0, to, at(seed));
+                }
+                batch
+            }
+            _ => {
+                let mut batch: Vec<(Op, usize, usize)> = Vec::new();
+                for _ in 0..2 + next(seed) % 2 {
+                    let op = g.ops()[next(seed) % g.len()];
+                    let to = next(seed) % s.lanes.len();
+                    let scheduled = s.lanes.iter().any(|l| l.ops.contains(&op));
+                    if scheduled && batch.iter().all(|&(o, _, _)| o != op) {
+                        batch.push((op, to, next(seed) % (s.lanes[to].ops.len() + 2)));
+                    }
+                }
+                batch
             }
         }
     }

@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> cargo doc -D warnings (broken and private intra-doc links fail the gate)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> perfbench build (its own workspace, so --workspace never compiles it) and 1 s zoo_sim and tune_large runs"
 cargo build --release --manifest-path perfbench/Cargo.toml
 # Every zoo_sim cell digest-checks its lint report, prediction,

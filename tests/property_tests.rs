@@ -506,6 +506,86 @@ proptest! {
     }
 }
 
+/// A random in-lane relocation over `schedule`: one op of any class, or
+/// a `[dW_i, U_i]` block when both sit on the lane, to a random position
+/// of its own lane (some past the end, which the batch semantics clamp).
+fn in_lane_batch(schedule: &Schedule, rng: &mut StdRng) -> Vec<(Op, usize, usize)> {
+    let busy: Vec<usize> = (0..schedule.lanes.len())
+        .filter(|&l| !schedule.lanes[l].ops.is_empty())
+        .collect();
+    let lane = busy[rng.gen_range(0..busy.len())];
+    let ops = &schedule.lanes[lane].ops;
+    let op = ops[rng.gen_range(0..ops.len())];
+    let to = rng.gen_range(0..=ops.len());
+    match op {
+        Op::WeightGrad(layer) if ops.contains(&Op::Update(layer)) && rng.gen_bool(0.5) => {
+            vec![(op, lane, to), (Op::Update(layer), lane, to + 1)]
+        }
+        _ => vec![(op, lane, to)],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The tuner's pre-probe deadlock check is sound: over zoo schedules
+    /// (durations from 0) and random in-lane single moves and
+    /// `[dW_i, U_i]` blocks, a batch `DeltaEval::certainly_deadlocks`
+    /// flags does not evaluate, and its probe is an error. On single moves
+    /// it is also complete: a single move that deadlocks is flagged. Some
+    /// legal batches are kept with `relocate_many`, so later checks read
+    /// clocks built again after a committed edit. Every case flags some
+    /// batch.
+    #[test]
+    fn certain_deadlocks_never_evaluate(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let l = rng.gen_range(2usize..10);
+        let devices = rng.gen_range(2usize..=4);
+        let mut cost = TableCost::uniform(l, LayerCost::default());
+        for i in 1..=l {
+            let c = cost.layer_mut(LayerId(i));
+            c.forward = rng.gen_range(0..6);
+            c.output_grad = rng.gen_range(0..6);
+            c.weight_grad = rng.gen_range(0..6);
+            c.update = rng.gen_range(0..4);
+            c.sync_weight = rng.gen_range(0..8);
+            c.sync_output = rng.gen_range(0..5);
+        }
+        let shapes = [
+            Shape::SingleGpu { layers: l },
+            Shape::DataParallel { layers: l },
+            Shape::Pipeline { layers: l, devices },
+        ];
+        let mut flagged = 0usize;
+        for shape in shapes {
+            for strategy in zoo() {
+                if !strategy.applicable(shape) {
+                    continue;
+                }
+                let g = strategy.generate(shape, &cost).unwrap();
+                let mut de = DeltaEval::new(&g.graph, &g.schedule, &cost).unwrap();
+                for _ in 0..16 {
+                    let schedule = de.to_schedule();
+                    let batch = in_lane_batch(&schedule, &mut rng);
+                    let certain = de.certainly_deadlocks(&batch);
+                    let full = predict_makespan(&g.graph, &apply_move_batch(&schedule, &batch), &cost);
+                    if certain {
+                        prop_assert!(full.is_err(), "{batch:?} is flagged but evaluates");
+                        prop_assert!(de.probe(&batch).is_err(), "{batch:?} is flagged but probes Ok");
+                        flagged += 1;
+                    } else if batch.len() == 1 {
+                        prop_assert!(full.is_ok(), "{batch:?} deadlocks unflagged");
+                    }
+                    if full.is_ok() && rng.gen_bool(0.3) {
+                        de.relocate_many(&batch).unwrap();
+                    }
+                }
+            }
+        }
+        prop_assert!(flagged > 0, "no batch is flagged");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
