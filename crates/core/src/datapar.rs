@@ -18,8 +18,6 @@ use crate::list_scheduling::{TimedOp, Timeline};
 use crate::op::{LayerId, Op};
 use crate::schedule::{validate_partial_order, ResourceId};
 use crate::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Order in which the communication resource serves ready
 /// synchronizations.
@@ -61,77 +59,199 @@ pub const COMPUTE: ResourceId = ResourceId(0);
 /// Resource id of the communication lane in the produced timeline.
 pub const LINK: ResourceId = ResourceId(1);
 
+/// The link's service recurrence for the layer synchronizations
+/// `S[dW_i]`: a work state that serves one sync per [`SyncPlanner::step`],
+/// given each layer's gradient completion time `dw_finish[i]` (1-based;
+/// index 0 unused).
+///
+/// [`SyncPlanner::step`] is the one service-order body behind
+/// [`plan_sync_service`] (so [`simulate_data_parallel_with_tail`], the
+/// heterogeneous simulator and the static reconstruction in
+/// `ooo-verify`'s `datapar_schedule`), [`SyncPlanner::record`] and
+/// [`SyncPlanner::resume`] (the order tuner's relocation scorer). Its
+/// state before a step is when the link frees, how many arrivals —
+/// layers sorted by `(dw_finish, layer)` — have been admitted, and the
+/// *ready set* of admitted, unserved layers: a bitset over layers, one
+/// 64-bit word per 64 layers. A step serves at `now = link_free` when the
+/// ready set is non-empty, else at `max(link_free, next arrival)`, admits
+/// every arrival finished by `now`, and picks
+///
+/// - **FIFO by completion**: the next arrival in `(dw_finish, layer)`
+///   order. Every admitted-but-unserved layer finished by `link_free`,
+///   so this starts at `max(link_free, dw_finish)` exactly as the
+///   original per-pick scan for the pending minimizer of `(dw_finish,
+///   layer)` did;
+/// - **priority by layer**: the lowest set bit of the ready set — the
+///   original filter-then-`min()` over the layers ready at `now`.
+///
+/// Arrivals are sorted once per plan (O(L log L)); a step costs one
+/// admission per arrival it passes plus, for the priority pick, a scan
+/// of at most `⌈L / 64⌉` words.
+#[derive(Debug, Clone, Default)]
+pub struct SyncPlanner {
+    /// Layers in arrival order `(dw_finish, layer)`.
+    arrivals: Vec<usize>,
+    /// The ready set: layer `i` is bit `(i - 1) % 64` of word `(i - 1) / 64`.
+    ready: Vec<u64>,
+    link_free: SimTime,
+    /// Arrivals admitted so far (a cursor into `arrivals`).
+    admitted: usize,
+    /// Syncs served so far: the index of the next step.
+    served: usize,
+}
+
+/// A from-scratch link plan with the planner's state before every step
+/// ([`SyncPlanner::record`]), so a plan of changed finish times can
+/// [`SyncPlanner::resume`] at the first step the change can affect.
+#[derive(Debug, Clone, Default)]
+pub struct SyncTrail {
+    /// `(layer, wire_start, wire_end)` in service order.
+    service: Vec<(usize, SimTime, SimTime)>,
+    /// The plan's arrival order.
+    arrivals: Vec<usize>,
+    /// `(link_free, admitted)` before each step.
+    states: Vec<(SimTime, usize)>,
+    /// The ready set before each step, `words` words per step.
+    ready: Vec<u64>,
+    words: usize,
+}
+
+impl SyncTrail {
+    /// The plan: `(layer, wire_start, wire_end)` in service order.
+    pub fn service(&self) -> &[(usize, SimTime, SimTime)] {
+        &self.service
+    }
+
+    /// The first step that starts at or after `t`: every earlier step
+    /// admitted only layers that finished before `t`.
+    pub fn first_step_at(&self, t: SimTime) -> usize {
+        self.service.partition_point(|&(_, start, _)| start < t)
+    }
+}
+
+impl SyncPlanner {
+    /// Resets the planner to step 0 of `dw_finish`: sorts the arrivals
+    /// and empties the ready set.
+    fn start(&mut self, dw_finish: &[SimTime]) {
+        let l = dw_finish.len().saturating_sub(1);
+        self.arrivals.clear();
+        self.arrivals.extend(1..=l);
+        self.arrivals.sort_unstable_by_key(|&i| (dw_finish[i], i));
+        self.ready.clear();
+        self.ready.resize(l.div_ceil(64), 0);
+        (self.link_free, self.admitted, self.served) = (0, 0, 0);
+    }
+
+    /// Serves the next synchronization of `dw_finish` under `policy`:
+    /// `(layer, wire_start, wire_end)`, with `sync_ns(layer)` the wire
+    /// occupancy, or `None` once every layer is served.
+    pub fn step(
+        &mut self,
+        dw_finish: &[SimTime],
+        policy: CommPolicy,
+        sync_ns: impl FnOnce(usize) -> SimTime,
+    ) -> Option<(usize, SimTime, SimTime)> {
+        let &next = self.arrivals.get(self.served)?;
+        let now = if self.admitted == self.served {
+            self.link_free.max(dw_finish[self.arrivals[self.admitted]])
+        } else {
+            self.link_free
+        };
+        while let Some(&i) = self.arrivals.get(self.admitted) {
+            if dw_finish[i] > now {
+                break;
+            }
+            self.ready[(i - 1) / 64] |= 1 << ((i - 1) % 64);
+            self.admitted += 1;
+        }
+        let pick = match policy {
+            CommPolicy::FifoCompletion => next,
+            CommPolicy::PriorityByLayer => {
+                let (w, word) = (self.ready.iter().enumerate())
+                    .find(|(_, &word)| word != 0)
+                    .expect("admitted at least one");
+                w * 64 + word.trailing_zeros() as usize + 1
+            }
+        };
+        self.ready[(pick - 1) / 64] &= !(1 << ((pick - 1) % 64));
+        self.served += 1;
+        let end = now + sync_ns(pick);
+        self.link_free = end;
+        Some((pick, now, end))
+    }
+
+    /// Plans `dw_finish` from scratch into `trail`, recording the state
+    /// before every step. `trail`'s buffers are reused.
+    pub fn record(
+        &mut self,
+        dw_finish: &[SimTime],
+        policy: CommPolicy,
+        mut sync_ns: impl FnMut(usize) -> SimTime,
+        trail: &mut SyncTrail,
+    ) {
+        self.start(dw_finish);
+        trail.arrivals.clone_from(&self.arrivals);
+        trail.words = self.ready.len();
+        trail.service.clear();
+        trail.states.clear();
+        trail.ready.clear();
+        loop {
+            trail.states.push((self.link_free, self.admitted));
+            trail.ready.extend_from_slice(&self.ready);
+            let Some(served) = self.step(dw_finish, policy, &mut sync_ns) else {
+                break;
+            };
+            trail.service.push(served);
+        }
+    }
+
+    /// Sets the planner to the state before step `step` of the recorded
+    /// plan, for finish times `dw_finish` that differ from the recorded
+    /// ones only in layers whose old and new finishes are both after the
+    /// start of every step before `step` — so with `step =
+    /// trail.first_step_at(t0)` for any `t0` at or below every changed
+    /// finish, old and new. Those steps admitted the same layers and
+    /// served the same syncs under either, so their state carries over;
+    /// the arrivals not yet admitted are re-sorted by insertion, in time
+    /// linear in their number plus the distance the changed layers move.
+    pub fn resume(&mut self, trail: &SyncTrail, step: usize, dw_finish: &[SimTime]) {
+        let (link_free, admitted) = trail.states[step];
+        (self.link_free, self.admitted, self.served) = (link_free, admitted, step);
+        self.arrivals.clone_from(&trail.arrivals);
+        self.ready.clear();
+        self.ready
+            .extend_from_slice(&trail.ready[step * trail.words..(step + 1) * trail.words]);
+        let rest = &mut self.arrivals[admitted..];
+        for j in 1..rest.len() {
+            let i = rest[j];
+            let mut k = j;
+            while k > 0 && (dw_finish[rest[k - 1]], rest[k - 1]) > (dw_finish[i], i) {
+                rest[k] = rest[k - 1];
+                k -= 1;
+            }
+            rest[k] = i;
+        }
+    }
+}
+
 /// Plans the order in which the link serves the layer synchronizations
-/// `S[dW_i]`, given each layer's gradient completion time `dw_finish[i]`
-/// (1-based; index 0 unused) and per-layer wire occupancy `sync_ns(i)`.
-/// Fills `plan` with `(layer, wire_start, wire_end)` in service order;
-/// `ready` is a work buffer. Both are caller-owned and cleared first, so
-/// a caller that keeps them plans without allocating.
-///
-/// This is the one service-order body behind
-/// [`simulate_data_parallel_with_tail`], the heterogeneous simulator,
-/// the static reconstruction in `ooo-verify`'s `datapar_schedule` and the
-/// order tuner's relocation scorer. It runs in O(L log L) — arrivals
-/// sorted once in `plan` and consumed through a cursor, plus (for the
-/// priority policy) a min-layer ready heap — but picks the exact sequence
-/// of the previous O(L²) scan-and-retain loop:
-///
-/// - **FIFO by completion**: the old loop picked the pending layer
-///   minimizing `(dw_finish, layer)` among those ready at
-///   `now = max(link_free, earliest_ready)`; the global minimizer is
-///   always ready at `now` (its finish *is* `earliest_ready`), so service
-///   order equals arrival order `(dw_finish, layer)`.
-/// - **Priority by layer**: every admitted-but-unserved layer has
-///   `dw_finish ≤ link_free` (it was ready at an earlier service instant),
-///   so when the ready heap is non-empty `now = link_free` exactly as the
-///   old `max(link_free, earliest_ready)`; admitting all arrivals with
-///   `dw_finish ≤ now` then popping the minimum layer reproduces the old
-///   filter-then-`min()` pick.
-///
-/// The service order overwrites the arrival order in place: a layer is
-/// served only after it was admitted, so the `n`th service entry lands
-/// on an arrival the cursor has already passed.
+/// `S[dW_i]` from scratch ([`SyncPlanner`]), given each layer's gradient
+/// completion time `dw_finish[i]` (1-based; index 0 unused) and per-layer
+/// wire occupancy `sync_ns(i)`. Fills `plan` with `(layer, wire_start,
+/// wire_end)` in service order; `planner` is the work state. Both are
+/// caller-owned and cleared first, so a caller that keeps them plans
+/// without allocating.
 pub fn plan_sync_service(
     dw_finish: &[SimTime],
     policy: CommPolicy,
     mut sync_ns: impl FnMut(usize) -> SimTime,
-    ready: &mut BinaryHeap<Reverse<usize>>,
+    planner: &mut SyncPlanner,
     plan: &mut Vec<(usize, SimTime, SimTime)>,
 ) {
-    let l = dw_finish.len().saturating_sub(1);
+    planner.start(dw_finish);
     plan.clear();
-    plan.extend((1..=l).map(|i| (i, 0, 0)));
-    plan.sort_unstable_by_key(|&(i, _, _)| (dw_finish[i], i));
-    let mut link_free: SimTime = 0;
-    match policy {
-        CommPolicy::FifoCompletion => {
-            for entry in plan.iter_mut() {
-                let i = entry.0;
-                let start = link_free.max(dw_finish[i]);
-                let end = start + sync_ns(i);
-                *entry = (i, start, end);
-                link_free = end;
-            }
-        }
-        CommPolicy::PriorityByLayer => {
-            ready.clear();
-            let mut cursor = 0usize;
-            for served in 0..l {
-                let now = if ready.is_empty() {
-                    link_free.max(dw_finish[plan[cursor].0])
-                } else {
-                    link_free
-                };
-                while cursor < l && dw_finish[plan[cursor].0] <= now {
-                    ready.push(Reverse(plan[cursor].0));
-                    cursor += 1;
-                }
-                let Reverse(pick) = ready.pop().expect("admitted at least one");
-                let end = now + sync_ns(pick);
-                plan[served] = (pick, now, end);
-                link_free = end;
-            }
-        }
+    while let Some(served) = planner.step(dw_finish, policy, &mut sync_ns) {
+        plan.push(served);
     }
 }
 
@@ -203,14 +323,14 @@ pub fn simulate_data_parallel_with_tail<C: CostModel>(
     //    tie-break, which equals ready-time order here because each dW
     //    finish time is distinct per compute sequencing (ties broken by
     //    layer for determinism). The service order itself comes from the
-    //    shared O(L log L) planner.
+    //    shared planner ([`SyncPlanner`]).
     let mut sync_finish: Vec<SimTime> = vec![0; l + 1];
     let mut plan = Vec::new();
     plan_sync_service(
         &dw_finish,
         policy,
         |i| cost.duration(Op::SyncWeightGrad(LayerId(i))),
-        &mut BinaryHeap::new(),
+        &mut SyncPlanner::default(),
         &mut plan,
     );
     for (pick, start, end) in plan {
@@ -402,7 +522,7 @@ pub fn simulate_data_parallel_hetero<C: CostModel>(
         &dw_finish,
         policy,
         |i| cost.duration(Op::SyncWeightGrad(LayerId(i))),
-        &mut BinaryHeap::new(),
+        &mut SyncPlanner::default(),
         &mut plan,
     );
     for (pick, start, end) in plan {
@@ -477,6 +597,119 @@ mod tests {
     use super::*;
     use crate::cost::{LayerCost, TableCost};
     use crate::reverse_k::{reverse_first_k, search_optimal_k};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The heap loop [`SyncPlanner`] replaced: arrivals sorted by
+    /// `(dw_finish, layer)` and consumed through a cursor, FIFO serving
+    /// them in that order and the priority policy popping a min-layer
+    /// `BinaryHeap` of the admitted layers. The differential test holds
+    /// the planner to it.
+    fn heap_plan(
+        dw_finish: &[SimTime],
+        policy: CommPolicy,
+        sync_ns: impl Fn(usize) -> SimTime,
+    ) -> Vec<(usize, SimTime, SimTime)> {
+        let l = dw_finish.len().saturating_sub(1);
+        let mut plan: Vec<(usize, SimTime, SimTime)> = (1..=l).map(|i| (i, 0, 0)).collect();
+        plan.sort_unstable_by_key(|&(i, _, _)| (dw_finish[i], i));
+        let mut link_free: SimTime = 0;
+        match policy {
+            CommPolicy::FifoCompletion => {
+                for entry in plan.iter_mut() {
+                    let i = entry.0;
+                    let start = link_free.max(dw_finish[i]);
+                    let end = start + sync_ns(i);
+                    *entry = (i, start, end);
+                    link_free = end;
+                }
+            }
+            CommPolicy::PriorityByLayer => {
+                let mut ready = BinaryHeap::new();
+                let mut cursor = 0usize;
+                for served in 0..l {
+                    let now = if ready.is_empty() {
+                        link_free.max(dw_finish[plan[cursor].0])
+                    } else {
+                        link_free
+                    };
+                    while cursor < l && dw_finish[plan[cursor].0] <= now {
+                        ready.push(Reverse(plan[cursor].0));
+                        cursor += 1;
+                    }
+                    let Reverse(pick) = ready.pop().expect("admitted at least one");
+                    let end = now + sync_ns(pick);
+                    plan[served] = (pick, now, end);
+                    link_free = end;
+                }
+            }
+        }
+        plan
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+        /// Over 1–130 layers (so one to three ready-set words), finish
+        /// times drawn from a range narrow enough for many ties, and
+        /// wire occupancies from 0, under both policies: a plan from
+        /// scratch equals the heap loop's, and so does the recorded plan.
+        /// Resuming the recording at `first_step_at(t0)` — for `t0` at
+        /// every step's start and at random times — after moving random
+        /// layers that finish at or after `t0` to random finishes at or
+        /// after `t0`, then stepping to the end, gives the recorded
+        /// steps before it followed by exactly the from-scratch plan of
+        /// the changed finishes. One planner and trail serve every case,
+        /// so stale state must not leak.
+        #[test]
+        fn planner_equals_the_heap_loop_and_resumes_exactly(
+            l in 1usize..131,
+            spread in 1u64..200,
+            seed in 0u64..1_000_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut dw_finish = vec![0; l + 1];
+            for f in &mut dw_finish[1..] {
+                *f = rng.gen_range(0..spread);
+            }
+            let sync: Vec<SimTime> = (0..=l).map(|_| rng.gen_range(0..4)).collect();
+            let sync_ns = |i: usize| sync[i];
+            let (mut planner, mut trail, mut plan) =
+                (SyncPlanner::default(), SyncTrail::default(), Vec::new());
+            for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
+                plan_sync_service(&dw_finish, policy, sync_ns, &mut planner, &mut plan);
+                prop_assert_eq!(&plan, &heap_plan(&dw_finish, policy, sync_ns), "{:?}", policy);
+                planner.record(&dw_finish, policy, sync_ns, &mut trail);
+                prop_assert_eq!(&trail.service, &plan);
+                let starts = trail.service.iter().map(|&(_, start, _)| start);
+                let random: Vec<SimTime> = (0..4).map(|_| rng.gen_range(0..spread + 8)).collect();
+                for t0 in starts.chain(random) {
+                    let mut changed = dw_finish.clone();
+                    for f in &mut changed[1..] {
+                        if *f >= t0 && rng.gen_bool(0.3) {
+                            *f = t0 + rng.gen_range(0..spread);
+                        }
+                    }
+                    let k = trail.first_step_at(t0);
+                    planner.resume(&trail, k, &changed);
+                    let mut resumed = trail.service[..k].to_vec();
+                    while let Some(served) = planner.step(&changed, policy, sync_ns) {
+                        resumed.push(served);
+                    }
+                    prop_assert_eq!(
+                        &resumed,
+                        &heap_plan(&changed, policy, sync_ns),
+                        "{:?} t0 {} resumed at step {}",
+                        policy,
+                        t0,
+                        k
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn policy_names_round_trip() {

@@ -52,7 +52,9 @@
 //! ([`DeltaEval::keeps_critical_path`]) makes at least the incumbent's
 //! makespan, and in the order space a candidate's own link plan plus
 //! the unmoved compute-lane tail waiting on each sync bounds its
-//! makespan (see [`order`]). A single move or `[dW_i, U_i]` block that
+//! makespan (see [`order`]). That plan resumes the incumbent's recorded
+//! link plan at the first service step the move can change and stops
+//! at the step where its running bound reaches the raw cutoff. A single move or `[dW_i, U_i]` block that
 //! closes a cycle through the incumbent's own paths — read off per-lane
 //! ancestry clocks ([`DeltaEval::certainly_deadlocks`]) — is dropped
 //! too: it has no score. The probe repairs the evaluator's topological

@@ -19,21 +19,24 @@
 //! sync's finish plus the compute-lane tail that waits on it (never
 //! moved by a relocation) bounds the candidate's makespan from below,
 //! so a relocation whose bound already reaches the score to beat is
-//! dropped unprobed.
+//! dropped unprobed. The plan is not made from scratch: the scorer
+//! records the incumbent's plan with the planner's state before every
+//! step ([`SyncTrail`]), a relocation resumes it at the first step that
+//! starts at or after the earliest `dW` finish it changes, and the
+//! running bound drops the move at the step where it reaches the score
+//! to beat.
 
 use crate::{
     local_search, probe_capped, raw_cutoff, AppliedMove, Error, Jump, MemoryCap, Result,
     SearchSpace, TuneOptions, SEARCH_STATES_EVALUATE,
 };
 use ooo_core::cost::CostModel;
-use ooo_core::datapar::{plan_sync_service, simulate_data_parallel, CommPolicy};
+use ooo_core::datapar::{simulate_data_parallel, CommPolicy, SyncPlanner, SyncTrail};
 use ooo_core::op::LayerId;
 use ooo_core::{Op, SimTime, TrainGraph};
 use ooo_verify::mem::{schedule_peak, PeakEvents};
 use ooo_verify::predict::{datapar_schedule, predict_makespan, DeltaEval};
 use ooo_verify::Verifier;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// Which family of whole-order jumps the k-move draws from.
@@ -113,17 +116,21 @@ struct OrderScorer<'g> {
     finish: Vec<SimTime>,
     /// Sequential finish of each layer's `dW` (index 0 unused).
     dw_finish: Vec<SimTime>,
-    /// The link lane and its service order (layers), when the graph
-    /// syncs.
-    link: Option<(usize, Vec<usize>)>,
+    /// The link lane and the incumbent's link plan, recorded with the
+    /// planner's state before every step so a candidate resumes it, when
+    /// the graph syncs.
+    link: Option<(usize, SyncTrail)>,
+    /// `reach[s]`: the largest `end + tail[layer]` over the incumbent
+    /// plan's first `s` steps — a candidate's bound on the steps it
+    /// shares (one entry, 0, without a link lane).
+    reach: Vec<SimTime>,
     /// The search's [`link_tail`].
     tail: Vec<SimTime>,
-    /// Work buffers for a candidate: its `dw_finish`, its link service
-    /// plan (and the planner's ready heap), its probe batch, and the
-    /// events a capped search reads its peak with.
+    /// Work state for a candidate: its `dw_finish`, the link planner it
+    /// resumes, its probe batch, and the events a capped search reads
+    /// its peak with.
     buf: Vec<SimTime>,
-    plan: Vec<(usize, SimTime, SimTime)>,
-    ready: BinaryHeap<Reverse<usize>>,
+    planner: SyncPlanner,
     batch: Vec<(Op, usize, usize)>,
     events: PeakEvents,
 }
@@ -160,20 +167,9 @@ impl<C: CostModel> OrderSpace<'_, C> {
         })
     }
 
-    /// Plans the link lane's service for per-layer `dW` finish times.
-    fn plan_link(
-        &self,
-        dw_finish: &[SimTime],
-        ready: &mut BinaryHeap<Reverse<usize>>,
-        plan: &mut Vec<(usize, SimTime, SimTime)>,
-    ) {
-        plan_sync_service(
-            dw_finish,
-            self.policy,
-            |i| self.cost.duration(Op::SyncWeightGrad(LayerId(i))),
-            ready,
-            plan,
-        );
+    /// The link occupancy of layer `i`'s synchronization.
+    fn sync_ns(&self, i: usize) -> SimTime {
+        self.cost.duration(Op::SyncWeightGrad(LayerId(i)))
     }
 
     /// `order` with the `dW` at `from` moved to `to`.
@@ -185,23 +181,34 @@ impl<C: CostModel> OrderSpace<'_, C> {
     }
 
     /// Fills the scorer's batch with the relocation as one probe batch
-    /// on the incumbent's [`DeltaEval`], with no allocation. The realized
-    /// schedule of the relocated order runs the incumbent's compute lane
-    /// with one `dW` moved, and a link lane planned from the shifted
-    /// `dW` finish times, which are computed here from the incumbent's
-    /// without realizing the candidate. The batch is that compute-lane
-    /// move plus each `S[dW]` whose service position changed, at its new
-    /// position: the unmoved syncs keep their slots, and the batch
-    /// inserts in ascending position, so the probed link lane is the
-    /// candidate's, and probing it gives the exact predictor's times on
-    /// the identical realized schedule.
+    /// on the incumbent's [`DeltaEval`], with no allocation, unless its
+    /// link plan's bound reaches `cutoff` (the [`raw_cutoff`]). The
+    /// realized schedule of the relocated order runs the incumbent's
+    /// compute lane with one `dW` moved, and a link lane planned from the
+    /// shifted `dW` finish times, which are computed here from the
+    /// incumbent's without realizing the candidate. The batch is that
+    /// compute-lane move plus each `S[dW]` whose service position
+    /// changed, at its new position: the unmoved syncs keep their slots,
+    /// and the batch inserts in ascending position, so the probed link
+    /// lane is the candidate's, and probing it gives the exact
+    /// predictor's times on the identical realized schedule.
+    ///
+    /// The link plan is the incumbent's up to the first step that starts
+    /// at or after `t0`, the earliest old or new finish of a `dW` the
+    /// move shifts: every earlier step admitted only unshifted layers. So
+    /// the candidate [`SyncPlanner::resume`]s the incumbent's recorded
+    /// plan there and steps on from it.
     ///
     /// Returns a lower bound on the candidate's makespan read off its
     /// link plan: each planned `(layer, start, end)` is the realized
     /// candidate's exact `S[dW_i]` interval, and the compute-lane tail
     /// that waits on it ([`link_tail`]) runs after it, unmoved — so
-    /// `max_i(end_i + tail_i)` (0 without a link lane). A `dW` moved past
-    /// one of its own dependencies or dependents on its lane
+    /// `max_i(end_i + tail_i)` (0 without a link lane). The running
+    /// maximum only grows, so the move is dropped with `None` at the
+    /// first step (the incumbent's shared steps count as one) where it
+    /// reaches `cutoff`, before the rest of the plan or the batch is
+    /// built: exactly the moves whose whole-plan bound reaches it. A `dW`
+    /// moved past one of its own dependencies or dependents on its lane
     /// ([`passes_own_edge`]) leaves the batch empty and returns `None`
     /// before any planning: its probe would deadlock.
     fn relocation_batch(
@@ -209,16 +216,17 @@ impl<C: CostModel> OrderSpace<'_, C> {
         sc: &mut OrderScorer<'_>,
         order: &[Op],
         (op, from, to): (Op, usize, usize),
+        cutoff: SimTime,
     ) -> Option<SimTime> {
         let OrderScorer {
             de,
             finish,
             dw_finish,
             link,
+            reach,
             tail,
             buf,
-            plan,
-            ready,
+            planner,
             batch,
             ..
         } = sc;
@@ -228,33 +236,53 @@ impl<C: CostModel> OrderSpace<'_, C> {
             return None;
         }
         batch.push((op, lane, to));
-        let mut bound = 0;
-        if let Some((link_lane, link)) = link {
-            let d = self.cost.duration(op);
-            buf.clone_from(dw_finish);
-            let mut shift = |range: std::ops::Range<usize>, up: bool| {
-                for &o in &order[range] {
-                    if let Op::WeightGrad(LayerId(i)) = o {
-                        buf[i] = if up { buf[i] + d } else { buf[i] - d };
-                    }
-                }
-            };
-            let own = if from < to {
-                shift(from + 1..to + 1, false);
-                finish[to]
-            } else {
-                shift(to..from, true);
-                to.checked_sub(1).map_or(0, |p| finish[p]) + d
-            };
-            if let Op::WeightGrad(LayerId(i)) = op {
-                buf[i] = own;
+        let Some((link_lane, trail)) = link else {
+            // No link lane: the bound is 0.
+            return (0 < cutoff).then_some(0);
+        };
+        let d = self.cost.duration(op);
+        let (shifted, own) = if from < to {
+            (from + 1..to + 1, finish[to])
+        } else {
+            (to..from, to.checked_sub(1).map_or(0, |p| finish[p]) + d)
+        };
+        buf.clone_from(dw_finish);
+        let mut t0 = SimTime::MAX;
+        let mut set = |i: usize, f: SimTime| {
+            if buf[i] != f {
+                t0 = t0.min(buf[i]).min(f);
+                buf[i] = f;
             }
-            self.plan_link(buf, ready, plan);
-            for (pos, (&(pick, _, end), &old)) in plan.iter().zip(link.iter()).enumerate() {
-                bound = bound.max(end + tail[pick]);
-                if pick != old {
-                    batch.push((Op::SyncWeightGrad(LayerId(pick)), *link_lane, pos));
-                }
+        };
+        for &o in &order[shifted] {
+            if let Op::WeightGrad(LayerId(i)) = o {
+                let f = if from < to {
+                    dw_finish[i] - d
+                } else {
+                    dw_finish[i] + d
+                };
+                set(i, f);
+            }
+        }
+        if let Op::WeightGrad(LayerId(i)) = op {
+            set(i, own);
+        }
+        let first = trail.first_step_at(t0);
+        let mut bound = reach[first];
+        if bound >= cutoff {
+            return None;
+        }
+        planner.resume(trail, first, buf);
+        for (pos, &(old, _, _)) in trail.service().iter().enumerate().skip(first) {
+            let (pick, _, end) = planner
+                .step(buf, self.policy, |i| self.sync_ns(i))
+                .expect("one step per layer");
+            bound = bound.max(end + tail[pick]);
+            if bound >= cutoff {
+                return None;
+            }
+            if pick != old {
+                batch.push((Op::SyncWeightGrad(LayerId(pick)), *link_lane, pos));
             }
         }
         Some(bound)
@@ -321,22 +349,27 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
                 dw_finish[i] = f;
             }
         }
-        let (mut ready, mut plan) = (BinaryHeap::new(), Vec::new());
+        let mut planner = SyncPlanner::default();
         let link = de
             .position_of(Op::SyncWeightGrad(LayerId(1)))
             .map(|(lane, _)| {
-                self.plan_link(&dw_finish, &mut ready, &mut plan);
-                (lane, plan.iter().map(|&(pick, _, _)| pick).collect())
+                let mut trail = SyncTrail::default();
+                planner.record(&dw_finish, self.policy, |i| self.sync_ns(i), &mut trail);
+                (lane, trail)
             });
+        let mut reach = vec![0];
+        for &(pick, _, end) in link.iter().flat_map(|(_, trail)| trail.service()) {
+            reach.push(reach[reach.len() - 1].max(end + tail[pick]));
+        }
         OrderScorer {
             de,
             finish,
             dw_finish,
             link,
+            reach,
             tail: tail.clone(),
             buf: Vec::new(),
-            plan,
-            ready,
+            planner,
             batch: Vec::new(),
             events: PeakEvents::default(),
         }
@@ -363,10 +396,8 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
                 })
             }
             OrderMove::Relocate { op, from, to } => {
-                let bound = self.relocation_batch(sc, &state.order, (op, from, to))?;
-                if bound >= raw_cutoff(cutoff, cap) {
-                    return None;
-                }
+                let raw = raw_cutoff(cutoff, cap);
+                self.relocation_batch(sc, &state.order, (op, from, to), raw)?;
                 probe_capped(&mut sc.de, &sc.batch, cutoff, cap, &mut sc.events)
             }
         }
@@ -727,7 +758,8 @@ mod tests {
                     let want = datapar_schedule(graph, &relocated, cost, policy)
                         .and_then(|s| schedule_peak(graph, &s, cost))
                         .ok();
-                    let batch = plain.relocation_batch(&mut sc, &state.order, (op, from, to));
+                    let batch =
+                        plain.relocation_batch(&mut sc, &state.order, (op, from, to), SimTime::MAX);
                     let swept = if batch.is_some() {
                         sc.de
                             .probe_with(&sc.batch, |de, _| {
@@ -806,7 +838,9 @@ mod tests {
                     })
                     .collect();
                 for &mv in &moves {
-                    let Some(bound) = plain.relocation_batch(&mut sc, &state.order, mv) else {
+                    let Some(bound) =
+                        plain.relocation_batch(&mut sc, &state.order, mv, SimTime::MAX)
+                    else {
                         continue;
                     };
                     let probed = sc.de.probe(&sc.batch).unwrap();
@@ -828,7 +862,12 @@ mod tests {
                             let pruned = capped.score(&mut sc, &state, &mv, cutoff);
                             let cap = capped.memory_cap.as_ref();
                             let unpruned = capped
-                                .relocation_batch(&mut sc, &state.order, (op, from, to))
+                                .relocation_batch(
+                                    &mut sc,
+                                    &state.order,
+                                    (op, from, to),
+                                    SimTime::MAX,
+                                )
                                 .and_then(|_| {
                                     crate::probe_score(
                                         &mut sc.de,
@@ -848,6 +887,119 @@ mod tests {
             }
         }
         assert!(dropped > 0, "the link plan drops no relocation");
+    }
+
+    /// The resumed, early-dropping link plan of
+    /// [`OrderSpace::relocation_batch`] against planning each relocated
+    /// order from scratch, under both policies, on the 12-layer sync-3
+    /// order and on 70 layers (two ready-set words) with random per-layer
+    /// `dO`, `dW` and sync durations from 0, from three reverse-first-k
+    /// states each, at random cutoffs around each candidate's bound. A
+    /// relocation past its own edge is `None` with an empty batch; any
+    /// other is dropped exactly when the from-scratch bound reaches the
+    /// cutoff, and otherwise returns that bound with the from-scratch
+    /// batch: the compute move plus every sync at a changed service
+    /// position.
+    #[test]
+    fn resumed_relocation_batches_equal_the_from_scratch_plan() {
+        use ooo_core::datapar::plan_sync_service;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut varied = TableCost::uniform(70, LayerCost::default());
+        for i in 1..=70 {
+            let c = varied.layer_mut(LayerId(i));
+            c.output_grad = rng.gen_range(0..3);
+            c.weight_grad = rng.gen_range(0..3);
+            c.sync_weight = rng.gen_range(0..6);
+        }
+        let cases = [
+            (TrainGraph::data_parallel(12), sync_heavy(12), [0, 4, 12]),
+            (TrainGraph::data_parallel(70), varied, [0, 9, 70]),
+        ];
+        let (mut planner, mut plan) = (SyncPlanner::default(), Vec::new());
+        let (mut dropped, mut kept) = (0, 0);
+        for (graph, cost, ks) in &cases {
+            for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
+                let space = OrderSpace {
+                    graph,
+                    cost,
+                    policy,
+                    family: KFamily::None,
+                    verifier: Verifier::new(graph).with_cost(cost),
+                    window: None,
+                    memory_cap: None,
+                    k_jumps: OnceLock::new(),
+                    link_tail: OnceLock::new(),
+                };
+                let sync_ns = |i: usize| space.sync_ns(i);
+                for &k in ks {
+                    let order = reverse_first_k(graph, k, None::<(u64, &TableCost)>).unwrap();
+                    let state = OrderState { order, k: Some(k) };
+                    let mut sc = space.scorer(&state);
+                    let link_lane = sc.de.position_of(Op::SyncWeightGrad(LayerId(1))).unwrap().0;
+                    let dw_of = |order: &[Op]| {
+                        let (mut t, mut dw) = (0, vec![0; graph.layers() + 1]);
+                        for &op in order {
+                            t += cost.duration(op);
+                            if let Op::WeightGrad(LayerId(i)) = op {
+                                dw[i] = t;
+                            }
+                        }
+                        dw
+                    };
+                    plan_sync_service(
+                        &dw_of(&state.order),
+                        policy,
+                        sync_ns,
+                        &mut planner,
+                        &mut plan,
+                    );
+                    let incumbent: Vec<usize> = plan.iter().map(|&(pick, _, _)| pick).collect();
+                    for mv in space.moves(&state) {
+                        let OrderMove::Relocate { op, from, to } = mv else {
+                            continue;
+                        };
+                        let relocated = OrderSpace::<TableCost>::relocated(&state.order, from, to);
+                        plan_sync_service(
+                            &dw_of(&relocated),
+                            policy,
+                            sync_ns,
+                            &mut planner,
+                            &mut plan,
+                        );
+                        let ends = plan.iter().map(|&(pick, _, end)| end + sc.tail[pick]);
+                        let bound = ends.max().unwrap();
+                        let lane = sc.de.position_of(op).unwrap().0;
+                        let mut batch = vec![(op, lane, to)];
+                        for (pos, (&(pick, _, _), &old)) in plan.iter().zip(&incumbent).enumerate()
+                        {
+                            if pick != old {
+                                batch.push((Op::SyncWeightGrad(LayerId(pick)), link_lane, pos));
+                            }
+                        }
+                        let cutoff = rng.gen_range(bound.saturating_sub(3)..bound + 4);
+                        let got =
+                            space.relocation_batch(&mut sc, &state.order, (op, from, to), cutoff);
+                        let at = format!(
+                            "{policy:?} l={} k={k} cutoff {cutoff}: {op} {from} -> {to}",
+                            graph.layers()
+                        );
+                        if passes_own_edge(graph, &sc.de, op, (lane, from), to) {
+                            assert_eq!((got, sc.batch.len()), (None, 0), "{at}");
+                        } else if bound >= cutoff {
+                            assert_eq!(got, None, "{at}: bound {bound}");
+                            dropped += 1;
+                        } else {
+                            assert_eq!(got, Some(bound), "{at}");
+                            assert_eq!(sc.batch, batch, "{at}");
+                            kept += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(dropped > 0 && kept > 0, "{dropped} dropped, {kept} kept");
     }
 
     #[test]

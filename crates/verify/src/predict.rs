@@ -330,15 +330,15 @@ pub fn datapar_schedule<C: CostModel>(
     schedule.add_lane("gpu", compute);
 
     if graph.contains(Op::SyncWeightGrad(LayerId(1))) {
-        // Service order from the shared O(L log L) planner — the pick
-        // sequence is provably identical to the old scan-and-retain loop
-        // (see `ooo_core::datapar::plan_sync_service`).
+        // Service order from the shared planner — the pick sequence is
+        // provably identical to the old scan-and-retain loop (see
+        // `ooo_core::datapar::SyncPlanner`).
         let mut plan = Vec::new();
         ooo_core::datapar::plan_sync_service(
             &dw_finish,
             policy,
             |i| cost.duration(Op::SyncWeightGrad(LayerId(i))),
-            &mut BinaryHeap::new(),
+            &mut ooo_core::datapar::SyncPlanner::default(),
             &mut plan,
         );
         let link = plan

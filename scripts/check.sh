@@ -80,11 +80,14 @@ grep -q '"cap_met": true' /tmp/ooo-tune-cap.json \
 rm -f /tmp/ooo-tune-cap.json
 # A binding cap (the heuristic's own ledger peak, which the uncapped tune
 # exceeds), a cap between the 32-layer order's carried-in floor (32) and
-# its peak (35), where every candidate's peak is read off its probe, and
-# a capless pipeline tune, each run twice with parallel restart threads:
+# its peak (35), where every candidate's peak is read off its probe, a
+# 48-layer order whose link serves first-come-first-served, where every
+# relocation resumes the incumbent's link plan under that policy, and a
+# capless pipeline tune, each run twice with parallel restart threads:
 # the lazily scored candidates must give the same bytes.
 for args in "order --layers 12 --k 0 --sync 3 --memory-cap 15" \
             "order --layers 32 --k 0 --sync 3 --memory-cap 34" \
+            "order --layers 48 --k 0 --sync 3 --policy fifo" \
             "pipeline --strategy gpipe --layers 16 --devices 4"; do
   for run in a b; do
     start=$(date +%s%N)
@@ -98,6 +101,8 @@ for args in "order --layers 12 --k 0 --sync 3 --memory-cap 15" \
     *"memory-cap 15") grep -q '"cap_met": true' /tmp/ooo-tune-a.json \
       || { echo "ooo-tune $args: the binding cap should still be met"; exit 1; } ;;
     *"memory-cap 34") cmp /tmp/ooo-tune-a.json tests/fixtures/cli_golden/tune_order_sweep_cap.json \
+      || { echo "ooo-tune $args: differs from its golden"; exit 1; } ;;
+    *"policy fifo") cmp /tmp/ooo-tune-a.json tests/fixtures/cli_golden/tune_order_48_fifo.json \
       || { echo "ooo-tune $args: differs from its golden"; exit 1; } ;;
   esac
 done

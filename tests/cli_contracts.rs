@@ -560,7 +560,7 @@ const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cl
 /// invocation, exit code)`. A `.json` fixture holds the invocation's
 /// stdout, an `.err` fixture its stderr; `{F}` in an invocation is the
 /// fixture directory.
-const GOLDEN: [(&str, &str, i32); 29] = [
+const GOLDEN: [(&str, &str, i32); 31] = [
     (
         "tune_order.json",
         "ooo-tune order --layers 8 --k 0 --sync 3 --json",
@@ -595,6 +595,19 @@ const GOLDEN: [(&str, &str, i32); 29] = [
     (
         "tune_order_sweep_cap.json",
         "ooo-tune order --layers 32 --k 0 --sync 3 --memory-cap 34 --json",
+        0,
+    ),
+    // The link served first-come-first-served: the order scorer's
+    // resumed link plan under the FIFO policy.
+    (
+        "tune_order_48_fifo.json",
+        "ooo-tune order --layers 48 --k 0 --sync 3 --policy fifo --json",
+        0,
+    ),
+    // 80 layers: the link's ready set spans two 64-bit words.
+    (
+        "tune_order_80.json",
+        "ooo-tune order --layers 80 --k 0 --sync 3 --json",
         0,
     ),
     (

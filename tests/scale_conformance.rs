@@ -13,7 +13,7 @@
 //! sequential sweep's winner.
 
 use ooo_backprop::core::cost::{LayerCost, TableCost, UnitCost};
-use ooo_backprop::core::datapar::{plan_sync_service, CommPolicy};
+use ooo_backprop::core::datapar::{plan_sync_service, CommPolicy, SyncPlanner};
 use ooo_backprop::core::op::LayerId;
 use ooo_backprop::core::pipeline::Strategy;
 use ooo_backprop::core::reverse_k::reverse_first_k;
@@ -25,7 +25,6 @@ use ooo_backprop::netsim::link::LinkSpec;
 use ooo_backprop::tune::order::{tune_backward_order, KFamily};
 use ooo_backprop::tune::{tune_schedule, TuneOptions};
 use proptest::prelude::*;
-use std::collections::BinaryHeap;
 
 /// Deterministic pseudo-random stream (splitmix64); the differential
 /// inputs must not depend on a seeded RNG shim's evolution.
@@ -81,7 +80,7 @@ fn plan_sync_service_naive(
 #[test]
 fn sync_plan_matches_retain_reference() {
     // Heavily tied dW finish times force every tie-break path.
-    let (mut ready, mut plan) = (BinaryHeap::new(), Vec::new());
+    let (mut planner, mut plan) = (SyncPlanner::default(), Vec::new());
     for (seed0, l) in [(21u64, 0usize), (22, 1), (23, 5), (24, 64), (25, 700)] {
         let mut seed = seed0;
         let dw_finish: Vec<SimTime> = (0..=l)
@@ -96,7 +95,7 @@ fn sync_plan_matches_retain_reference() {
         let sync_of = |i: usize| 1 + (i as SimTime % 4);
         for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
             // The buffers carry the previous plan in: it must be cleared.
-            plan_sync_service(&dw_finish, policy, sync_of, &mut ready, &mut plan);
+            plan_sync_service(&dw_finish, policy, sync_of, &mut planner, &mut plan);
             assert_eq!(
                 plan,
                 plan_sync_service_naive(&dw_finish, policy, sync_of),
