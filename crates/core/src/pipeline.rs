@@ -22,6 +22,13 @@
 //! the paper's Figure 5 makespans exactly: 23 units for conventional
 //! cross-layer model parallelism, 19 with gradient fast-forwarding, and
 //! 16 with modulo allocation.
+//!
+//! [`op_level_schedule`] renders one iteration at operation level, for
+//! the analyzer and the tuner: the group-independent dependency graph
+//! plus [`op_level_lanes`], the one renderer of a strategy's lanes. The
+//! lanes depend on the modulo group only through the layers' device map
+//! ([`Strategy::device_map`]), so a search over groups builds the graph
+//! once and renders each device map from it.
 
 use crate::error::{Error, Result};
 use crate::graph::TrainGraph;
@@ -110,7 +117,7 @@ pub enum Strategy {
 impl Strategy {
     /// Every strategy the CLIs and the wire protocol can name
     /// (Megatron with its default two chunks).
-    const ALL: [Strategy; 7] = [
+    pub const ALL: [Strategy; 7] = [
         Strategy::ModelParallel,
         Strategy::GPipe,
         Strategy::PipeDream,
@@ -184,6 +191,17 @@ impl Strategy {
             }
             _ => Allocation::Contiguous,
         }
+    }
+
+    /// The owner of every layer under [`Strategy::allocation`]: entry
+    /// `i - 1` is layer `i`'s device among `devices` (at least one)
+    /// devices. [`op_level_lanes`] renders a strategy from this map alone.
+    pub fn device_map(self, layers: usize, devices: usize, modulo_group: usize) -> Vec<usize> {
+        let devices = devices.max(1);
+        let alloc = self.allocation(layers, devices, modulo_group);
+        (1..=layers)
+            .map(|i| alloc.device_of(i, layers, devices))
+            .collect()
     }
 
     /// Whether the strategy bounds in-flight micro-batches per device.
@@ -878,29 +896,43 @@ pub fn simulate_pipeline(config: &PipelineConfig) -> Result<PipelineResult> {
 }
 
 /// The operation-level rendering of one pipeline iteration under a
-/// strategy: one lane per device holding its layers' computations in
-/// issue order, plus a `link` lane carrying the activation-gradient
-/// transfers `S[dO_i]` between stages.
+/// strategy: the pipeline dependency graph
+/// ([`TrainGraph::pipeline_parallel`]) and the strategy's lanes under
+/// `modulo_group` ([`op_level_lanes`] of [`Strategy::device_map`]).
 ///
-/// Fast-forwarding strategies (OOO-Pipe1/2) issue the full
-/// output-gradient chain before any weight gradient; the others follow
-/// conventional per-layer backprop. This is the schedule the `ooo-verify`
-/// analyzer checks in debug builds — device placement comes from the
-/// strategy's allocation, so a placement or ordering bug shows up as a
-/// race or cross-lane deadlock here before the micro-batch simulator
-/// ever runs it. The static performance analyzer (`ooo-advise`) evaluates
-/// the same rendering to compare strategies' bubble fractions.
+/// This is the schedule the `ooo-verify` analyzer checks in debug builds
+/// — device placement comes from the strategy's allocation, so a
+/// placement or ordering bug shows up as a race or cross-lane deadlock
+/// here before the micro-batch simulator ever runs it. The static
+/// performance analyzer (`ooo-advise`) evaluates the same rendering to
+/// compare strategies' bubble fractions.
 pub fn op_level_schedule(
     layers: usize,
     devices: usize,
     strategy: Strategy,
     modulo_group: usize,
 ) -> (TrainGraph, Schedule) {
-    let devices = devices.max(1);
-    let graph = TrainGraph::pipeline_parallel(layers);
-    let alloc = strategy.allocation(layers, devices, modulo_group);
-    let dev_of = |i: usize| alloc.device_of(i, layers, devices);
-    let mut lanes: Vec<Vec<Op>> = vec![Vec::new(); devices];
+    let map = strategy.device_map(layers, devices, modulo_group);
+    (
+        TrainGraph::pipeline_parallel(layers),
+        op_level_lanes(strategy, devices, &map),
+    )
+}
+
+/// The lanes of one pipeline iteration under `strategy`, with layer `i`
+/// on device `map[i - 1]`: one lane per device (at least one) holding
+/// its layers' computations in issue order, plus a `link` lane carrying
+/// the activation-gradient transfers `S[dO_i]` between stages. The lanes
+/// are a function of the strategy's coupling and of `map` alone, so two
+/// groups with one device map render the same schedule.
+///
+/// Fast-forwarding strategies (OOO-Pipe1/2) issue the full
+/// output-gradient chain before any weight gradient; the others follow
+/// conventional per-layer backprop.
+pub fn op_level_lanes(strategy: Strategy, devices: usize, map: &[usize]) -> Schedule {
+    let layers = map.len();
+    let dev_of = |i: usize| map[i - 1];
+    let mut lanes: Vec<Vec<Op>> = vec![Vec::new(); devices.max(1)];
     // Backward pass: the loss on the last layer's device, then down the
     // layer chain.
     lanes[dev_of(layers)].push(Op::Loss);
@@ -936,7 +968,7 @@ pub fn op_level_schedule(
         .map(|i| Op::SyncOutputGrad(LayerId(i)))
         .collect();
     schedule.add_lane("link", link);
-    (graph, schedule)
+    schedule
 }
 
 #[cfg(test)]
@@ -1255,6 +1287,82 @@ mod tests {
         // Interleaved allocation: layer 1 and layer 9 share device 0.
         let a = Strategy::MegatronInterleaved { chunks: 2 }.allocation(16, 4, 1);
         assert_eq!(a.device_of(1, 16, 4), a.device_of(9, 16, 4));
+    }
+
+    /// The op-level rendering as one body that builds the graph and the
+    /// lanes together from the allocation: the differential oracle of
+    /// [`op_level_schedule`].
+    fn whole_schedule_oracle(
+        layers: usize,
+        devices: usize,
+        strategy: Strategy,
+        modulo_group: usize,
+    ) -> (TrainGraph, Schedule) {
+        let devices = devices.max(1);
+        let graph = TrainGraph::pipeline_parallel(layers);
+        let alloc = strategy.allocation(layers, devices, modulo_group);
+        let dev_of = |i: usize| alloc.device_of(i, layers, devices);
+        let mut lanes: Vec<Vec<Op>> = vec![Vec::new(); devices];
+        // Backward pass: the loss on the last layer's device, then down the
+        // layer chain.
+        lanes[dev_of(layers)].push(Op::Loss);
+        if strategy.fast_forwarding() {
+            // Gradient fast-forwarding: every dO first, the dW tail delayed.
+            for i in (2..=layers).rev() {
+                lanes[dev_of(i)].push(Op::OutputGrad(LayerId(i)));
+            }
+            for i in (1..=layers).rev() {
+                lanes[dev_of(i)].push(Op::WeightGrad(LayerId(i)));
+                lanes[dev_of(i)].push(Op::Update(LayerId(i)));
+            }
+        } else {
+            // Conventional backprop per layer.
+            for i in (1..=layers).rev() {
+                if i >= 2 {
+                    lanes[dev_of(i)].push(Op::OutputGrad(LayerId(i)));
+                }
+                lanes[dev_of(i)].push(Op::WeightGrad(LayerId(i)));
+                lanes[dev_of(i)].push(Op::Update(LayerId(i)));
+            }
+        }
+        // Next iteration's forward pass up the chain.
+        for i in 1..=layers {
+            lanes[dev_of(i)].push(Op::Forward(LayerId(i)));
+        }
+        let mut schedule = Schedule::new();
+        for (d, ops) in lanes.into_iter().enumerate() {
+            schedule.add_lane(&format!("gpu{d}"), ops);
+        }
+        let link: Vec<Op> = (2..=layers)
+            .rev()
+            .map(|i| Op::SyncOutputGrad(LayerId(i)))
+            .collect();
+        schedule.add_lane("link", link);
+        (graph, schedule)
+    }
+
+    /// Graph plus lanes renderer equals the one-body rendering for every
+    /// strategy, small size and group, including groups outside
+    /// `1..=layers`, whose device map is that of the nearest group inside.
+    #[test]
+    fn split_rendering_equals_the_whole_schedule_oracle() {
+        for strategy in Strategy::ALL {
+            for layers in 1..=9 {
+                for devices in 0..=4 {
+                    for group in 0..=layers + 2 {
+                        let (graph, schedule) = op_level_schedule(layers, devices, strategy, group);
+                        let (want_graph, want) =
+                            whole_schedule_oracle(layers, devices, strategy, group);
+                        assert_eq!(schedule, want, "{strategy:?} {layers}x{devices} g{group}");
+                        assert_eq!(graph.ops(), want_graph.ops());
+                        assert_eq!(
+                            strategy.device_map(layers, devices, group),
+                            strategy.device_map(layers, devices, group.clamp(1, layers)),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

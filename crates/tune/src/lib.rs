@@ -837,14 +837,16 @@ pub(crate) fn score_relocation(
 }
 
 /// A whole-state replacement move (a k-jump, a regroup). Its target does
-/// not depend on the incumbent, so the target and its raw makespan are
-/// computed once per tuning run, and under a memory cap its ledger peak
-/// at most once (the carried-in floor is not applied: a target need not
-/// schedule the input's op set).
+/// not depend on the incumbent, so its raw makespan is computed once per
+/// tuning run, and under a memory cap its ledger peak at most once (the
+/// carried-in floor is not applied: a target need not schedule the
+/// input's op set).
 pub(crate) struct Jump<T> {
     /// The move's label (`k`, modulo group).
     pub(crate) label: usize,
-    /// The state the move jumps to.
+    /// What the move jumps to: the target state itself (a k-jump's
+    /// order), or a key the space renders it from again when it is
+    /// applied (a regroup's device map).
     pub(crate) target: T,
     /// Raw predicted makespan; `None` when the target does not evaluate.
     raw: Option<SimTime>,
@@ -863,7 +865,8 @@ impl<T> Jump<T> {
 
     /// The jump's capped score below `cutoff` (see
     /// [`SearchSpace::score`]); `peak` computes the target's ledger peak
-    /// the first time a cap needs it.
+    /// the first time a cap needs it, when the raw score is below the
+    /// cutoff.
     pub(crate) fn score(
         &self,
         cutoff: SimTime,

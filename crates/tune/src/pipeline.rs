@@ -9,17 +9,25 @@
 //! OOO-Pipe2's modulo allocation. For strategies whose allocation
 //! ignores the group the regroup moves are no-ops and greedy descent
 //! simply never accepts them.
+//!
+//! The search builds the pipeline graph once. The regroup table keeps a
+//! score per group, not a schedule: each distinct device map is rendered
+//! ([`ooo_core::pipeline::op_level_lanes`]) and predicted on that graph
+//! once, and a regroup renders its group again only when it is applied
+//! or a memory cap needs its peak.
 
 use crate::{
     local_search, schedule_relocations, score_relocation, AppliedMove, Error, Jump, MemoryCap,
     Relocation, RelocationScorer, Result, SearchSpace, TuneOptions,
 };
 use ooo_core::cost::CostModel;
-use ooo_core::pipeline::{op_level_schedule, Strategy};
+use ooo_core::pipeline::{op_level_lanes, op_level_schedule, Strategy};
 use ooo_core::schedule::Schedule;
 use ooo_core::{SimTime, TrainGraph};
 use ooo_verify::predict::predict_makespan;
 use ooo_verify::Verifier;
+use std::cell::OnceCell;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// The outcome of tuning one op-level pipeline schedule.
@@ -74,26 +82,63 @@ struct PipeSpace<'g, C: CostModel> {
     strategy: Strategy,
     window: Option<usize>,
     memory_cap: Option<MemoryCap>,
-    regroups: OnceLock<Vec<Jump<Schedule>>>,
+    regroups: OnceLock<Vec<Jump<usize>>>,
 }
 
 impl<C: CostModel> PipeSpace<'_, C> {
-    /// The strategy rendered under every modulo group, each scored once,
-    /// on the first neighborhood scan that needs them.
-    fn regroups(&self) -> &[Jump<Schedule>] {
+    /// The strategy's lanes under modulo group `group`.
+    fn render(&self, group: usize) -> Schedule {
+        #[cfg(test)]
+        tests::RENDERED.with(|r| r.borrow_mut().push(group));
+        let map = self.strategy.device_map(self.layers, self.devices, group);
+        op_level_lanes(self.strategy, self.devices, &map)
+    }
+
+    /// The regroup table, built on the first neighborhood scan that needs
+    /// it: entry `g - 1` jumps to group `g` of `1..=layers`, and its
+    /// target is a key of the group's device map (equal keys, equal
+    /// maps). Each distinct map is rendered and predicted once; every
+    /// strategy but OOO-Pipe2 has one map for all groups.
+    fn regroups(&self) -> &[Jump<usize>] {
         self.regroups.get_or_init(|| {
+            let mut keys: HashMap<DeviceRuns, (usize, Option<SimTime>)> = HashMap::new();
             (1..=self.layers)
                 .map(|group| {
-                    let (_, schedule) =
-                        op_level_schedule(self.layers, self.devices, self.strategy, group);
-                    let raw = predict_makespan(self.graph, &schedule, self.cost)
-                        .ok()
-                        .map(|p| p.makespan());
-                    Jump::new(group, schedule, raw)
+                    let map = self.strategy.device_map(self.layers, self.devices, group);
+                    let next = keys.len();
+                    let (key, raw) = *keys.entry(device_runs(&map)).or_insert_with(|| {
+                        let lanes = op_level_lanes(self.strategy, self.devices, &map);
+                        let raw = predict_makespan(self.graph, &lanes, self.cost).ok();
+                        (next, raw.map(|p| p.makespan()))
+                    });
+                    Jump::new(group, key, raw)
                 })
                 .collect()
         })
     }
+
+    /// The regroup table's entry whose device map is `group`'s. Groups
+    /// outside `1..=layers` share the map of the nearest group inside
+    /// (a modulo group of zero acts as one, and one at least `layers`
+    /// puts every layer on device 0).
+    fn regroup_of(&self, group: usize) -> &Jump<usize> {
+        &self.regroups()[group.clamp(1, self.layers) - 1]
+    }
+}
+
+/// A device map as its maximal runs, `(first layer index, device)`: two
+/// maps are equal iff their runs are, and a modulo group's runs are few.
+type DeviceRuns = Vec<(usize, usize)>;
+
+/// The [`DeviceRuns`] of `map`.
+fn device_runs(map: &[usize]) -> DeviceRuns {
+    let mut runs = DeviceRuns::new();
+    for (i, &d) in map.iter().enumerate() {
+        if runs.last().is_none_or(|&(_, last)| last != d) {
+            runs.push((i, d));
+        }
+    }
+    runs
 }
 
 impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
@@ -108,12 +153,24 @@ impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
     /// Regroups to every other modulo group whose rendering differs from
     /// the incumbent, then the in-lane relocations (an op may not change
     /// devices).
+    ///
+    /// Relocations never move an op across lanes, so the incumbent's
+    /// lanes hold its own group's device map. A group's rendering is
+    /// then the incumbent iff the group has that map and the incumbent
+    /// is still its own group's rendering: one schedule comparison per
+    /// scan, made only when some other group shares the map.
     fn moves(&self, state: &PipeState) -> Vec<PipeMove> {
+        let own = self.regroup_of(state.group).target;
+        let rendered = OnceCell::new();
         let mut out: Vec<PipeMove> = self
             .regroups()
             .iter()
             .enumerate()
-            .filter(|(_, j)| j.label != state.group && j.target != state.schedule)
+            .filter(|(_, j)| {
+                j.label != state.group
+                    && !(j.target == own
+                        && *rendered.get_or_init(|| state.schedule == self.render(state.group)))
+            })
             .map(|(i, _)| PipeMove::Regroup(i))
             .collect();
         out.extend(
@@ -129,8 +186,10 @@ impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
     }
 
     /// Regroups replace the whole schedule and carry their scores from
-    /// the regroup table; relocations are delta-probed against the
-    /// incumbent ([`score_relocation`]).
+    /// the regroup table (a capped one renders its group for the peak
+    /// once, and only when its raw score is below the cutoff);
+    /// relocations are delta-probed against the incumbent
+    /// ([`score_relocation`]).
     fn score(
         &self,
         sc: &mut RelocationScorer<'g>,
@@ -141,8 +200,10 @@ impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
         let cap = self.memory_cap.as_ref();
         match mv {
             PipeMove::Regroup(i) => {
-                self.regroups()[*i].score(cutoff, cap.map(MemoryCap::bytes), |s| {
-                    ooo_verify::mem::schedule_peak(self.graph, s, self.cost).ok()
+                let j = &self.regroups()[*i];
+                j.score(cutoff, cap.map(MemoryCap::bytes), |_| {
+                    ooo_verify::mem::schedule_peak(self.graph, &self.render(j.label), self.cost)
+                        .ok()
                 })
             }
             PipeMove::Relocate(r) => score_relocation(cap, sc, r, cutoff),
@@ -155,7 +216,7 @@ impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
                 let j = &self.regroups()[*i];
                 (
                     PipeState {
-                        schedule: j.target.clone(),
+                        schedule: self.render(j.label),
                         group: j.label,
                     },
                     format!("regroup modulo {}", j.label),
@@ -228,7 +289,7 @@ pub fn tune_pipeline<C: CostModel + Sync>(
         ),
     };
     Ok(TunedPipeline {
-        graph: graph.clone(),
+        graph,
         schedule: state.schedule,
         group: state.group,
         baseline: base_raw,
@@ -242,8 +303,181 @@ pub fn tune_pipeline<C: CostModel + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certify_schedule;
+    use crate::{capped_below, certify_schedule};
     use ooo_core::cost::UnitCost;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// The groups [`PipeSpace::render`] rendered on this thread, in order.
+        pub(super) static RENDERED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The pipeline space of `strategy` over `layers` x `devices` from
+    /// group 1 under unit cost, with memory cap `cap`.
+    fn space(
+        graph: &TrainGraph,
+        layers: usize,
+        devices: usize,
+        strategy: Strategy,
+        cap: Option<u64>,
+    ) -> PipeSpace<'_, UnitCost> {
+        let (_, baseline) = op_level_schedule(layers, devices, strategy, 1);
+        let raw = predict_makespan(graph, &baseline, &UnitCost)
+            .unwrap()
+            .makespan();
+        let (memory_cap, _) =
+            MemoryCap::of_baseline(graph, &UnitCost, &baseline, cap, raw).unwrap();
+        PipeSpace {
+            graph,
+            cost: &UnitCost,
+            verifier: Verifier::new(graph).with_cost(&UnitCost),
+            layers,
+            devices,
+            strategy,
+            window: None,
+            memory_cap,
+            regroups: OnceLock::new(),
+        }
+    }
+
+    /// The regroup table that stores every group's whole schedule with
+    /// its raw makespan: the differential oracle of the score table.
+    fn whole_schedule_table(
+        graph: &TrainGraph,
+        layers: usize,
+        devices: usize,
+        strategy: Strategy,
+    ) -> Vec<(Schedule, Option<SimTime>)> {
+        (1..=layers)
+            .map(|group| {
+                let (_, schedule) = op_level_schedule(layers, devices, strategy, group);
+                let raw = predict_makespan(graph, &schedule, &UnitCost)
+                    .ok()
+                    .map(|p| p.makespan());
+                (schedule, raw)
+            })
+            .collect()
+    }
+
+    /// The regroup moves out of `state`, as table indices.
+    fn regroup_moves(space: &PipeSpace<'_, UnitCost>, state: &PipeState) -> Vec<usize> {
+        space
+            .moves(state)
+            .into_iter()
+            .filter_map(|mv| match mv {
+                PipeMove::Regroup(i) => Some(i),
+                PipeMove::Relocate(_) => None,
+            })
+            .collect()
+    }
+
+    /// For every strategy at small sizes and every group, the score
+    /// table agrees with the whole-schedule table: each group renders its
+    /// stored schedule, each entry's raw score is the prediction of that
+    /// rendering, and the regroups out of states reached by random
+    /// relocations and regroups (from groups inside and outside
+    /// `1..=layers`) are those whose stored schedule differs from the
+    /// state.
+    #[test]
+    fn regroup_table_matches_the_whole_schedule_table() {
+        let mut rng = StdRng::seed_from_u64(23);
+        // States whose filter leaves out a group other than their own.
+        let mut shared = 0;
+        for strategy in Strategy::ALL {
+            for (layers, devices) in [(1, 1), (5, 1), (6, 2), (7, 3), (9, 4)] {
+                let graph = TrainGraph::pipeline_parallel(layers);
+                let space = space(&graph, layers, devices, strategy, None);
+                let oracle = whole_schedule_table(&graph, layers, devices, strategy);
+                for (j, (schedule, raw)) in space.regroups().iter().zip(&oracle) {
+                    assert_eq!(&space.render(j.label), schedule);
+                    let want = predict_makespan(&graph, schedule, &UnitCost)
+                        .ok()
+                        .map(|p| p.makespan());
+                    assert_eq!(*raw, want);
+                    assert_eq!(j.score(SimTime::MAX, None, |_| None), want);
+                }
+                for start in [0, 1, layers, layers + 1] {
+                    let mut state = PipeState {
+                        schedule: op_level_schedule(layers, devices, strategy, start).1,
+                        group: start,
+                    };
+                    for _ in 0..40 {
+                        let want: Vec<usize> = oracle
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, (s, _))| i + 1 != state.group && *s != state.schedule)
+                            .map(|(i, _)| i)
+                            .collect();
+                        let got = regroup_moves(&space, &state);
+                        shared += usize::from(got.len() + 1 < layers);
+                        assert_eq!(got, want, "{strategy:?} {layers}x{devices} from {start}");
+                        let moves = space.moves(&state);
+                        if moves.is_empty() {
+                            break;
+                        }
+                        state = space.apply(&state, &moves[rng.gen_range(0..moves.len())]).0;
+                    }
+                }
+            }
+        }
+        assert!(
+            shared > 0,
+            "some states must share a device map with other groups"
+        );
+    }
+
+    /// Under random caps and cutoffs, a capped regroup scores
+    /// `capped_below` of its raw makespan and its rendering's peak, and
+    /// renders its group for that peak at most once, and only when its
+    /// raw score is below a cutoff it was scored against.
+    #[test]
+    fn capped_regroup_scores_read_each_peak_at_most_once() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for (strategy, layers, devices) in [
+            (Strategy::OooPipe2, 8, 4),
+            (Strategy::OooPipe2, 12, 3),
+            (Strategy::GPipe, 9, 3),
+        ] {
+            let graph = TrainGraph::pipeline_parallel(layers);
+            let oracle = whole_schedule_table(&graph, layers, devices, strategy);
+            for _ in 0..6 {
+                let cap = rng.gen_range(0..24u64);
+                let space = space(&graph, layers, devices, strategy, Some(cap));
+                let state = PipeState {
+                    schedule: space.render(1),
+                    group: 1,
+                };
+                let mut sc = space.scorer(&state);
+                RENDERED.with(|r| r.borrow_mut().clear());
+                let mut below = vec![false; layers];
+                for _ in 0..4 * layers {
+                    let i = rng.gen_range(0..layers);
+                    let (schedule, raw) = &oracle[i];
+                    let raw = raw.unwrap();
+                    // Just around the raw score, or far above it.
+                    let cutoff = raw + rng.gen_range(0..3) - 1 + rng.gen_range(0..2) * 1_000;
+                    let want = capped_below(raw, cutoff, Some(cap), || {
+                        ooo_verify::mem::schedule_peak(&graph, schedule, &UnitCost).ok()
+                    });
+                    let got = space.score(&mut sc, &state, &PipeMove::Regroup(i), cutoff);
+                    assert_eq!(
+                        got,
+                        want,
+                        "{strategy:?} cap {cap} group {} cutoff {cutoff}",
+                        i + 1
+                    );
+                    below[i] |= raw < cutoff;
+                }
+                let rendered = RENDERED.with(|r| r.take());
+                for (i, &below) in below.iter().enumerate() {
+                    let renders = rendered.iter().filter(|&&g| g == i + 1).count();
+                    assert_eq!(renders, usize::from(below), "group {}", i + 1);
+                }
+            }
+        }
+    }
 
     #[test]
     fn gpipe_schedule_is_improvable_by_dw_moves() {

@@ -179,7 +179,7 @@ rc=0; ./target/debug/ooo-serve --daemon < /tmp/ooo-serve-kill.jsonl > /tmp/ooo-s
 rm -f /tmp/ooo-serve-one.json /tmp/ooo-serve-req.jsonl /tmp/ooo-serve-a.jsonl \
   /tmp/ooo-serve-b.jsonl /tmp/ooo-serve-kill.jsonl /tmp/ooo-serve-k.jsonl
 
-echo "==> ooo-tune release smoke (1000-stage windowed search and the tune_large sizes, golden output)"
+echo "==> ooo-tune release smoke (1000-stage windowed search, the tune_large sizes and accepted regroups, golden output)"
 cargo build -q --release -p ooo-tune --bin ooo-tune
 start=$(date +%s%N)
 rc=0; ./target/release/ooo-tune pipeline --layers 1000 --devices 8 --strategy pipe2 \
@@ -188,11 +188,14 @@ echo "1000-stage tune: $(( ($(date +%s%N) - start) / 1000000 )) ms"
 [ "$rc" -eq 0 ] || { echo "ooo-tune: 1000-stage pipeline tune failed (got $rc)"; exit 1; }
 cmp /tmp/ooo-tune-scale.json tests/fixtures/cli_golden/tune_pipeline_pipe2_1000.json \
   || { echo "ooo-tune: 1000-stage tune differs from its golden"; exit 1; }
-# The perfbench tune_large sizes (full neighbourhoods, parallel restarts):
-# each wall time is printed, and each output must equal its golden.
+# The perfbench tune_large sizes (full neighbourhoods, parallel restarts)
+# and two tunes that accept a regroup: each wall time is printed, and
+# each output must equal its golden.
 for run in "tune_order_48.json:order --layers 48 --k 0 --sync 3" \
   "tune_pipeline_gpipe_48x8.json:pipeline --layers 48 --devices 8 --strategy gpipe" \
-  "tune_pipeline_pipe2_128x8_w4.json:pipeline --layers 128 --devices 8 --strategy pipe2 --window 4"; do
+  "tune_pipeline_pipe2_128x8_w4.json:pipeline --layers 128 --devices 8 --strategy pipe2 --window 4" \
+  "tune_pipeline_pipe2_regroup.json:pipeline --layers 16 --devices 4 --strategy pipe2 --group 3" \
+  "tune_pipeline_pipe2_regroup_w4.json:pipeline --layers 24 --devices 4 --strategy pipe2 --group 3 --window 4"; do
   fixture=${run%%:*}; args=${run#*:}
   start=$(date +%s%N)
   rc=0; ./target/release/ooo-tune $args --json --out /tmp/ooo-tune-scale.json || rc=$?

@@ -560,7 +560,7 @@ const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cl
 /// invocation, exit code)`. A `.json` fixture holds the invocation's
 /// stdout, an `.err` fixture its stderr; `{F}` in an invocation is the
 /// fixture directory.
-const GOLDEN: [(&str, &str, i32); 31] = [
+const GOLDEN: [(&str, &str, i32); 33] = [
     (
         "tune_order.json",
         "ooo-tune order --layers 8 --k 0 --sync 3 --json",
@@ -677,6 +677,20 @@ const GOLDEN: [(&str, &str, i32); 31] = [
     (
         "tune_pipeline_pipe2_cap.json",
         "ooo-tune pipeline --layers 8 --devices 4 --strategy pipe2 --memory-cap 12 --json",
+        0,
+    ),
+    // Greedy descent accepts a regroup: group 3 to modulo 1, then two
+    // relocations on the regrouped schedule, down to the floor.
+    (
+        "tune_pipeline_pipe2_regroup.json",
+        "ooo-tune pipeline --layers 16 --devices 4 --strategy pipe2 --group 3 --json",
+        0,
+    ),
+    // As above, but not proven optimal: the restarts perturb from the
+    // regrouped state.
+    (
+        "tune_pipeline_pipe2_regroup_w4.json",
+        "ooo-tune pipeline --layers 24 --devices 4 --strategy pipe2 --group 3 --window 4 --json",
         0,
     ),
     (
