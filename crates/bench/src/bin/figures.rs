@@ -17,7 +17,13 @@ const USAGE: &str = "usage: figures [ID ...]\n\
                      \x20      figures --list";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = match ooo_core::cli::argv() {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("figures: {msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let ids = ooo_bench::all_ids();
     if args.iter().any(|a| a == "--list" || a == "-l") {
         for id in ids {

@@ -13,7 +13,7 @@
 //!
 //! `order` certifies the data-parallel realization of a reverse-first-k
 //! backward order; `bundle` certifies every order and schedule of a
-//! JSON-exported [`ScheduleBundle`]; `pipeline` certifies one
+//! JSON-exported [`ScheduleBundle`](ooo_core::export::ScheduleBundle); `pipeline` certifies one
 //! strategy's op-level schedule under fixed device placement (the lane
 //! assignment is part of the problem statement there).
 //!
@@ -25,148 +25,16 @@
 //! usage, I/O, or parse problems.
 
 use ooo_cert::{certify_order, certify_with, Budget, Certificate, Placement, Solved};
+use ooo_core::cli::{finish, load_bundle, Exit, Job, CERT};
 use ooo_core::cost::UnitCost;
 use ooo_core::datapar::CommPolicy;
-use ooo_core::export::{BundleEntry, ScheduleBundle};
+use ooo_core::export::BundleEntry;
 use ooo_core::json::{obj, Value};
 use ooo_core::pipeline::Strategy;
+use ooo_core::reverse_k::order_instance;
 use ooo_core::schedule::Schedule;
-use ooo_core::{SimTime, TrainGraph};
-use ooo_tune::job::order_instance;
+use ooo_core::SimTime;
 use std::process::ExitCode;
-
-const USAGE: &str = "usage: ooo-cert order --layers N [--k K] [--sync NS] \
-                     [--policy fifo|bylayer] [--budget NODES] [--json] [--out FILE]\n\
-                     \x20      ooo-cert bundle <bundle.json> [--schedule NAME] \
-                     [--policy fifo|bylayer] [--budget NODES] [--json] [--out FILE]\n\
-                     \x20      ooo-cert pipeline --layers N --devices D --strategy NAME \
-                     [--group G] [--budget NODES] [--json] [--out FILE]";
-
-enum Mode {
-    Order {
-        layers: usize,
-        k: usize,
-        sync: SimTime,
-        policy: CommPolicy,
-    },
-    Bundle {
-        path: String,
-        schedule: Option<String>,
-        policy: CommPolicy,
-    },
-    Pipeline {
-        layers: usize,
-        devices: usize,
-        strategy: Strategy,
-        group: usize,
-    },
-}
-
-struct Args {
-    mode: Mode,
-    budget: Budget,
-    json: bool,
-    out: Option<String>,
-}
-
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    argv.next(); // program name
-    let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
-    match mode_word.as_str() {
-        "order" | "bundle" | "pipeline" => {}
-        "--help" | "-h" => return Err(USAGE.to_string()),
-        other => return Err(format!("unknown mode: {other:?}\n{USAGE}")),
-    }
-    let need_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let parse_usize = |flag: &str, v: String| {
-        v.parse::<usize>()
-            .map_err(|_| format!("{flag}: not a count: {v:?}"))
-    };
-    let mut budget = Budget::default();
-    let mut json = false;
-    let mut out = None;
-    let mut layers = None;
-    let mut k = 0usize;
-    let mut sync: SimTime = 3;
-    let mut policy = CommPolicy::PriorityByLayer;
-    let mut path = String::new();
-    let mut schedule = None;
-    let mut devices = None;
-    let mut strategy = None;
-    let mut group = 1usize;
-    while let Some(arg) = argv.next() {
-        match (mode_word.as_str(), arg.as_str()) {
-            (_, "--budget") => {
-                budget = Budget::nodes(
-                    parse_usize("--budget", need_value(&mut argv, "--budget")?)? as u64
-                )
-            }
-            (_, "--json") => json = true,
-            (_, "--out") => out = Some(need_value(&mut argv, "--out")?),
-            (_, "--help" | "-h") => return Err(USAGE.to_string()),
-            ("order" | "pipeline", "--layers") => {
-                layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-            }
-            ("order", "--k") => k = parse_usize("--k", need_value(&mut argv, "--k")?)?,
-            ("order", "--sync") => {
-                sync = parse_usize("--sync", need_value(&mut argv, "--sync")?)? as SimTime
-            }
-            ("order" | "bundle", "--policy") => {
-                policy = CommPolicy::parse(&need_value(&mut argv, "--policy")?)?
-            }
-            ("bundle", "--schedule") => schedule = Some(need_value(&mut argv, "--schedule")?),
-            ("bundle", other) if other.starts_with('-') => {
-                return Err(format!("unknown flag: {other}"))
-            }
-            ("bundle", other) if path.is_empty() => path = other.to_string(),
-            ("pipeline", "--devices") => {
-                devices = Some(parse_usize(
-                    "--devices",
-                    need_value(&mut argv, "--devices")?,
-                )?)
-            }
-            ("pipeline", "--strategy") => {
-                strategy = Some(Strategy::parse(&need_value(&mut argv, "--strategy")?)?)
-            }
-            ("pipeline", "--group") => {
-                group = parse_usize("--group", need_value(&mut argv, "--group")?)?
-            }
-            (_, other) => return Err(format!("unexpected argument: {other}")),
-        }
-    }
-    let mode = match (mode_word.as_str(), layers, devices, strategy) {
-        ("order", Some(layers), _, _) if layers > 0 && k <= layers => Mode::Order {
-            layers,
-            k,
-            sync,
-            policy,
-        },
-        ("bundle", ..) if !path.is_empty() => Mode::Bundle {
-            path,
-            schedule,
-            policy,
-        },
-        ("pipeline", Some(layers), Some(devices), Some(strategy))
-            if layers > 0 && devices > 0 && group >= 1 =>
-        {
-            Mode::Pipeline {
-                layers,
-                devices,
-                strategy,
-                group,
-            }
-        }
-        _ => return Err(USAGE.to_string()),
-    };
-    Ok(Args {
-        mode,
-        budget,
-        json,
-        out,
-    })
-}
 
 /// One certified input, ready for rendering.
 struct Item {
@@ -282,35 +150,31 @@ fn item_to_human(item: &Item) -> String {
     }
 }
 
-fn run_order_mode(
+fn certify_order_instance(
     layers: usize,
     k: usize,
     sync: SimTime,
     policy: CommPolicy,
     budget: &Budget,
-) -> Result<Item, String> {
+) -> Result<Vec<Item>, String> {
     let inst = order_instance(layers, k, sync).map_err(|e| e.to_string())?;
     let (_, solved) = certify_order(&inst.graph, &inst.order, &inst.cost, policy, budget)
         .map_err(|e| e.to_string())?;
-    Ok(Item {
+    Ok(vec![Item {
         name: inst.name,
         kind: "order",
         placement: Placement::ByClass,
         solved,
-    })
+    }])
 }
 
-fn run_bundle_mode(
+fn certify_bundle(
     path: &str,
     wanted: Option<&str>,
     policy: CommPolicy,
     budget: &Budget,
 ) -> Result<Vec<Item>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let bundle = ScheduleBundle::from_json_lenient(&text)
-        .map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let graph = TrainGraph::new(bundle.graph.clone())
-        .map_err(|e| format!("invalid graph configuration: {e}"))?;
+    let (bundle, graph) = load_bundle(path)?;
     let entries = bundle.select(wanted)?;
     if entries.is_empty() {
         return Err("bundle holds no orders or schedules".to_string());
@@ -350,92 +214,60 @@ fn run_bundle_mode(
         .collect()
 }
 
-fn run_pipeline_mode(
+fn certify_pipeline(
     layers: usize,
     devices: usize,
     strategy: Strategy,
     group: usize,
     budget: &Budget,
-) -> Result<Item, String> {
+) -> Result<Vec<Item>, String> {
     let (graph, schedule) = ooo_core::pipeline::op_level_schedule(layers, devices, strategy, group);
     // Device placement is part of the pipeline strategy: certify the
     // per-lane orderings only.
     let solved = certify_with(&graph, &schedule, &UnitCost, Placement::Fixed, budget)
         .map_err(|e| e.to_string())?;
-    Ok(Item {
+    Ok(vec![Item {
         name: format!("{}(l={layers}, d={devices}, g={group})", strategy.label()),
         kind: "pipeline",
         placement: Placement::Fixed,
         solved,
-    })
+    }])
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let items = match &args.mode {
-        Mode::Order {
+fn run() -> Result<bool, Exit> {
+    let args = CERT.args()?;
+    let job = Job::from_args(&args)?;
+    let budget = args
+        .num("--budget")
+        .map_or_else(Budget::default, Budget::nodes);
+    let items = match job {
+        Job::Order {
             layers,
             k,
             sync,
             policy,
-        } => run_order_mode(*layers, *k, *sync, *policy, &args.budget).map(|i| vec![i]),
-        Mode::Bundle {
+        } => certify_order_instance(layers, k, sync, policy, &budget),
+        Job::Bundle {
             path,
             schedule,
             policy,
-        } => run_bundle_mode(path, schedule.as_deref(), *policy, &args.budget),
-        Mode::Pipeline {
+        } => certify_bundle(&path, schedule.as_deref(), policy, &budget),
+        Job::Pipeline {
             layers,
             devices,
             strategy,
             group,
-        } => run_pipeline_mode(*layers, *devices, *strategy, *group, &args.budget).map(|i| vec![i]),
+        } => certify_pipeline(layers, devices, strategy, group, &budget),
     };
-    let items = match items {
-        Ok(items) => items,
-        Err(msg) => {
-            eprintln!("ooo-cert: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let json_output = || {
-        let docs: Vec<String> = items.iter().map(|i| item_to_json(i).to_pretty()).collect();
-        if docs.len() == 1 {
-            docs[0].clone()
-        } else {
-            format!("[\n{}\n]", docs.join(",\n"))
-        }
-    };
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, json_output() + "\n") {
-            eprintln!("ooo-cert: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if args.json {
-        println!("{}", json_output());
-    } else {
-        for i in &items {
-            print!("{}", item_to_human(i));
-        }
-    }
-
+    let items = items.map_err(|e| CERT.fail(2, e))?;
+    args.write_report(&items, |i| item_to_json(i).to_pretty(), item_to_human)?;
     // A proven-improvable schedule is a finding; optimal and
     // budget-exhausted certificates are clean runs.
-    if items
+    Ok(items
         .iter()
-        .any(|i| matches!(i.solved.certificate, Certificate::Improvable { .. }))
-    {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+        .any(|i| matches!(i.solved.certificate, Certificate::Improvable { .. })))
+}
+
+fn main() -> ExitCode {
+    finish(run())
 }

@@ -55,6 +55,7 @@
 
 pub mod arena;
 pub mod bounds;
+pub mod cli;
 pub mod combined;
 pub mod cost;
 pub mod datapar;

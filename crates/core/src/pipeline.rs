@@ -128,8 +128,9 @@ impl Strategy {
     ];
 
     /// The name table: `(wire name, label)`. The wire name (`pipe2`) is
-    /// what `--strategy` and the `ooo-serve` protocol accept and echo;
-    /// the label (`ooo-pipe2`) names the strategy in rendered output.
+    /// what the `ooo-serve` protocol echoes; the label (`ooo-pipe2`)
+    /// names the strategy in rendered output. `--strategy` and the
+    /// protocol accept both.
     fn names(self) -> (&'static str, &'static str) {
         match self {
             Strategy::ModelParallel => ("mp", "model-parallel"),
@@ -152,8 +153,9 @@ impl Strategy {
         self.names().1
     }
 
-    /// Parses a wire name; `modelparallel` is accepted as an alias of
-    /// `mp`.
+    /// Parses a wire name or a label; `modelparallel` is accepted as an
+    /// alias of `mp`. Wire names are looked up first: the daemon's
+    /// requests use them.
     ///
     /// # Errors
     ///
@@ -163,6 +165,7 @@ impl Strategy {
         Strategy::ALL
             .into_iter()
             .find(|s| s.wire_name() == wire)
+            .or_else(|| Strategy::ALL.into_iter().find(|s| s.label() == name))
             .ok_or_else(|| format!("unknown strategy: {name:?}"))
     }
 
@@ -983,6 +986,7 @@ mod tests {
     fn strategy_names_round_trip() {
         for s in Strategy::ALL {
             assert_eq!(Strategy::parse(s.wire_name()), Ok(s));
+            assert_eq!(Strategy::parse(s.label()), Ok(s));
         }
         assert_eq!(
             Strategy::parse("modelparallel"),

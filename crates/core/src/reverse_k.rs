@@ -9,11 +9,56 @@
 //! order — so their synchronizations start as early as possible and
 //! overlap the remaining backward computation.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, LayerCost, TableCost};
 use crate::error::{Error, Result};
 use crate::graph::TrainGraph;
 use crate::memory::reverse_k_peak_estimate;
 use crate::op::{LayerId, Op};
+use crate::SimTime;
+
+/// The largest `S[dW]` duration an order instance may be asked for, on
+/// the command line (`--sync`) or in an `ooo-serve` request (`sync`):
+/// it keeps every timing sum of an instance far from overflow.
+pub const MAX_SYNC: SimTime = 1 << 20;
+
+/// A reverse-first-k instance: the data-parallel graph, the uniform
+/// cost table whose `S[dW]` lasts `sync`, and the Algorithm 2 order.
+#[derive(Debug, Clone)]
+pub struct OrderInstance {
+    /// `reverse-first-k(l=<layers>, k=<k>)`.
+    pub name: String,
+    /// Data-parallel graph of `layers` layers.
+    pub graph: TrainGraph,
+    /// Uniform costs with `sync_weight = sync`.
+    pub cost: TableCost,
+    /// The reverse-first-k backward order.
+    pub order: Vec<Op>,
+}
+
+/// Builds the instance of an `order` request: `ooo-tune order`,
+/// `ooo-cert order`, `ooo-memcheck order` and their `ooo-serve`
+/// commands.
+///
+/// # Errors
+///
+/// Propagates [`reverse_first_k`] errors.
+pub fn order_instance(layers: usize, k: usize, sync: SimTime) -> Result<OrderInstance> {
+    let graph = TrainGraph::data_parallel(layers);
+    let cost = TableCost::uniform(
+        layers,
+        LayerCost {
+            sync_weight: sync,
+            ..LayerCost::default()
+        },
+    );
+    let order = reverse_first_k(&graph, k, None::<(u64, &TableCost)>)?;
+    Ok(OrderInstance {
+        name: format!("reverse-first-k(l={layers}, k={k})"),
+        graph,
+        cost,
+        order,
+    })
+}
 
 /// Builds the backward-pass order of Algorithm 2 for the given `k`.
 ///
@@ -124,7 +169,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{LayerCost, TableCost, UnitCost};
+    use crate::cost::UnitCost;
     use crate::schedule::validate_partial_order;
 
     #[test]

@@ -17,125 +17,43 @@
 //! invariant is violated, `2` on usage or I/O problems. Never panics.
 //! The same seed always produces a byte-identical report.
 
+use ooo_core::cli::{finish, Exit, CHAOS};
 use ooo_faults::campaign::run_campaign;
 use ooo_faults::fault::generate;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: ooo-chaos <run|list> [--seed N] [--scenarios N] [--json] [--out FILE]";
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum Cmd {
-    Run,
-    List,
-}
-
-struct Args {
-    cmd: Cmd,
-    seed: u64,
-    scenarios: usize,
-    json: bool,
-    out: Option<String>,
-}
-
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    argv.next(); // program name
-    let cmd = match argv.next().as_deref() {
-        Some("run") => Cmd::Run,
-        Some("list") => Cmd::List,
-        Some("--help") | Some("-h") | None => return Err(USAGE.to_string()),
-        Some(other) => return Err(format!("unknown command: {other}\n{USAGE}")),
-    };
-    let mut args = Args {
-        cmd,
-        seed: 42,
-        scenarios: 10,
-        json: false,
-        out: None,
-    };
-    let need_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let v = need_value(&mut argv, "--seed")?;
-                args.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed: not a number: {v:?}"))?;
-            }
-            "--scenarios" => {
-                let v = need_value(&mut argv, "--scenarios")?;
-                args.scenarios = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--scenarios: not a count: {v:?}"))?;
-            }
-            "--json" => args.json = true,
-            "--out" => args.out = Some(need_value(&mut argv, "--out")?),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument: {other}\n{USAGE}")),
-        }
+fn run() -> Result<bool, Exit> {
+    let args = CHAOS.args()?;
+    let seed = args.num("--seed").unwrap_or(42);
+    let scenarios = args.count("--scenarios").unwrap_or(10);
+    if scenarios == 0 {
+        return Err(Exit::usage("--scenarios must be at least 1".to_string()));
     }
-    if args.scenarios == 0 {
-        return Err("--scenarios must be at least 1".to_string());
-    }
-    Ok(args)
-}
-
-fn emit(text: &str, out: &Option<String>) -> Result<(), String> {
-    match out {
-        Some(path) => std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}")),
-        None => {
-            print!("{text}");
-            Ok(())
+    if args.mode() == "list" {
+        println!("seed {seed} — {scenarios} scenario(s):");
+        for sc in generate(seed, scenarios) {
+            println!(
+                "{:<4} {:<20} {}",
+                sc.id,
+                sc.fault.family(),
+                sc.fault.detail()
+            );
         }
+        return Ok(false);
+    }
+    let report = run_campaign(seed, scenarios).map_err(|e| CHAOS.fail(1, e))?;
+    args.emit(&if args.switch("--json") {
+        report.to_json().to_pretty() + "\n"
+    } else {
+        report.render()
+    })?;
+    if report.all_pass() {
+        Ok(false)
+    } else {
+        Err(CHAOS.fail(1, "invariant violation (see report)"))
     }
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    match args.cmd {
-        Cmd::List => {
-            println!("seed {} — {} scenario(s):", args.seed, args.scenarios);
-            for sc in generate(args.seed, args.scenarios) {
-                println!(
-                    "{:<4} {:<20} {}",
-                    sc.id,
-                    sc.fault.family(),
-                    sc.fault.detail()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Cmd::Run => {
-            let report = match run_campaign(args.seed, args.scenarios) {
-                Ok(r) => r,
-                Err(msg) => {
-                    eprintln!("ooo-chaos: {msg}");
-                    return ExitCode::from(1);
-                }
-            };
-            let text = if args.json {
-                report.to_json().to_pretty() + "\n"
-            } else {
-                report.render()
-            };
-            if let Err(msg) = emit(&text, &args.out) {
-                eprintln!("ooo-chaos: {msg}");
-                return ExitCode::from(2);
-            }
-            if report.all_pass() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("ooo-chaos: invariant violation (see report)");
-                ExitCode::from(1)
-            }
-        }
-    }
+    finish(run())
 }

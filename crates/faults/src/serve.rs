@@ -86,8 +86,9 @@ impl ServeTrace {
 
 /// Hostile lines: unparsable, structurally wrong, or over-limit — each
 /// must draw a structured error, never a panic, and never desync the
-/// one-response-per-line protocol.
-const HOSTILE: [&str; 8] = [
+/// one-response-per-line protocol. The CLI parser's hostile-argument
+/// test draws them as flag values too.
+pub const HOSTILE: [&str; 8] = [
     "",
     "not json at all",
     "[1,2,3]",

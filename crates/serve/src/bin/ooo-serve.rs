@@ -16,73 +16,14 @@
 //! any other status (error, unsafe, timeout, overloaded), `2` on usage
 //! errors — the same contract as the one-shot CLIs.
 
+use ooo_core::cli::{finish, Exit, SERVE};
 use ooo_serve::{serve, ServeConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: ooo-serve --daemon  [--workers N] [--queue N] [--cache N] \
-                     [--retries N] [--max-request-bytes N] [--max-layers N] \
-                     [--degrade-hot N] [--socket PATH]\n\
-                     \x20      ooo-serve --oneshot [same flags]";
-
-enum Mode {
-    Daemon,
-    Oneshot,
-}
-
-struct Args {
-    mode: Mode,
-    config: ServeConfig,
-    socket: Option<String>,
-}
-
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    let _ = argv.next();
-    let mut mode = None;
-    let mut config = ServeConfig::default();
-    let mut socket = None;
-    let next_num = |argv: &mut std::env::Args, flag: &str| -> Result<usize, String> {
-        argv.next()
-            .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))?
-            .parse::<usize>()
-            .map_err(|_| format!("{flag} needs a non-negative integer\n{USAGE}"))
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--daemon" => mode = Some(Mode::Daemon),
-            "--oneshot" => mode = Some(Mode::Oneshot),
-            "--workers" => config.workers = next_num(&mut argv, "--workers")?.max(1),
-            "--queue" => config.queue = next_num(&mut argv, "--queue")?.max(1),
-            "--cache" => config.cache = next_num(&mut argv, "--cache")?,
-            "--retries" => config.retries = next_num(&mut argv, "--retries")? as u32,
-            "--max-request-bytes" => {
-                config.limits.max_request_bytes = next_num(&mut argv, "--max-request-bytes")?
-            }
-            "--max-layers" => config.limits.max_layers = next_num(&mut argv, "--max-layers")?,
-            "--degrade-hot" => config.degrade_hot = Some(next_num(&mut argv, "--degrade-hot")?),
-            "--socket" => {
-                socket = Some(
-                    argv.next()
-                        .ok_or_else(|| format!("--socket needs a path\n{USAGE}"))?,
-                )
-            }
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
-        }
-    }
-    let mode = mode.ok_or_else(|| USAGE.to_string())?;
-    if socket.is_some() && matches!(mode, Mode::Oneshot) {
-        return Err(format!("--socket only applies to --daemon\n{USAGE}"));
-    }
-    Ok(Args {
-        mode,
-        config,
-        socket,
-    })
-}
-
 /// Serves stdin to stdout until EOF; used by both modes (oneshot
 /// simply truncates the input to its first line).
-fn serve_stdio(config: &ServeConfig, oneshot: bool) -> std::io::Result<ExitCode> {
+fn serve_stdio(config: &ServeConfig, oneshot: bool) -> std::io::Result<bool> {
     let stdin = std::io::stdin();
     // `StdoutLock` is not `Send` (the writer runs on its own thread),
     // so buffer over the `Send` handle instead.
@@ -95,21 +36,12 @@ fn serve_stdio(config: &ServeConfig, oneshot: bool) -> std::io::Result<ExitCode>
         serve(stdin.lock(), &mut out, config)?
     };
     out.flush()?;
-    if oneshot {
-        Ok(
-            if summary.responses == summary.ok && summary.responses > 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            },
-        )
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
+    // Oneshot exits 1 unless it answered, and answered `ok`.
+    Ok(oneshot && (summary.responses == 0 || summary.ok != summary.responses))
 }
 
 #[cfg(unix)]
-fn serve_socket(config: &ServeConfig, path: &str) -> std::io::Result<ExitCode> {
+fn serve_socket(config: &ServeConfig, path: &str) -> std::io::Result<bool> {
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)?;
     for stream in listener.incoming() {
@@ -119,32 +51,37 @@ fn serve_socket(config: &ServeConfig, path: &str) -> std::io::Result<ExitCode> {
         // A connection-level I/O failure drops that client only.
         let _ = serve(reader, &mut writer, config);
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(false)
 }
 
 #[cfg(not(unix))]
-fn serve_socket(_config: &ServeConfig, _path: &str) -> std::io::Result<ExitCode> {
+fn serve_socket(_config: &ServeConfig, _path: &str) -> std::io::Result<bool> {
     Err(std::io::Error::other("--socket requires a unix platform"))
 }
 
+fn run() -> Result<bool, Exit> {
+    let args = SERVE.args()?;
+    let base = ServeConfig::default();
+    let config = ServeConfig {
+        workers: args.count("--workers").map_or(base.workers, |n| n.max(1)),
+        queue: args.count("--queue").map_or(base.queue, |n| n.max(1)),
+        cache: args.count("--cache").unwrap_or(base.cache),
+        retries: args.count("--retries").map_or(base.retries, |n| n as u32),
+        limits: ooo_serve::protocol::Limits {
+            max_request_bytes: args
+                .count("--max-request-bytes")
+                .unwrap_or(base.limits.max_request_bytes),
+            max_layers: args.count("--max-layers").unwrap_or(base.limits.max_layers),
+        },
+        degrade_hot: args.count("--degrade-hot").or(base.degrade_hot),
+    };
+    let served = match (args.mode(), args.text("--socket")) {
+        ("--daemon", Some(path)) => serve_socket(&config, path),
+        (mode, _) => serve_stdio(&config, mode == "--oneshot"),
+    };
+    served.map_err(|e| SERVE.fail(2, e))
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let result = match (&args.mode, &args.socket) {
-        (Mode::Daemon, Some(path)) => serve_socket(&args.config, path),
-        (Mode::Daemon, None) => serve_stdio(&args.config, false),
-        (Mode::Oneshot, _) => serve_stdio(&args.config, true),
-    };
-    match result {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("ooo-serve: {e}");
-            ExitCode::from(2)
-        }
-    }
+    finish(run())
 }

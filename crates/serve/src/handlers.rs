@@ -2,7 +2,7 @@
 //!
 //! The tuning commands run the same [`ooo_tune::job`] as the one-shot
 //! `ooo-tune` CLI, and `cert` certifies the same
-//! [`ooo_tune::job::order_instance`] as `ooo-cert order`; a handler
+//! [`ooo_core::reverse_k::order_instance`] as `ooo-cert order`; a handler
 //! returns a [`Payload`] instead of printing, and threads the request's
 //! degradation tier, logical budget, and wall-clock deadline into the
 //! search ([`TuneOptions::budget`] / [`TuneOptions::deadline`] /
@@ -13,8 +13,9 @@ use crate::protocol::{strategy_name, Command, FaultDirective, Payload, Status, T
 use ooo_core::datapar::CommPolicy;
 use ooo_core::export::ScheduleBundle;
 use ooo_core::json::{obj, Value};
+use ooo_core::reverse_k::order_instance;
 use ooo_core::SimTime;
-use ooo_tune::job::{bundle_job, order_instance, order_job, pipeline_job, Outcome};
+use ooo_tune::job::{bundle_job, order_job, pipeline_job, Outcome};
 use ooo_tune::{Error, TuneOptions};
 use std::time::Instant;
 

@@ -37,6 +37,7 @@ use ooo_core::datapar::CommPolicy;
 use ooo_core::export::ScheduleBundle;
 use ooo_core::json::{ParseLimits, Value};
 use ooo_core::pipeline::Strategy;
+use ooo_core::reverse_k::MAX_SYNC;
 use ooo_core::SimTime;
 
 /// Per-request resource limits, enforced during admission — the byte
@@ -363,7 +364,7 @@ pub fn parse_request(line: &str, limits: &Limits) -> Result<Request, String> {
             if k > layers {
                 return Err(format!("k is {k}, above layers {layers}"));
             }
-            let sync = usize_field(&v, "sync", Some(3), 1 << 20)? as SimTime;
+            let sync = usize_field(&v, "sync", Some(3), MAX_SYNC as usize)? as SimTime;
             let policy = policy_of(v.get("policy"))?;
             if cmd_name == "order" {
                 Command::Order {
@@ -563,6 +564,17 @@ mod tests {
         assert_eq!(f.cache_key(Tier::Full), None);
         let t = parse_request(r#"{"cmd":"order","layers":4,"timeout_ms":5}"#, &limits).unwrap();
         assert_eq!(t.cache_key(Tier::Full), None);
+    }
+
+    #[test]
+    fn a_strategy_label_is_the_same_request_as_its_wire_name() {
+        let limits = Limits::default();
+        let line =
+            |s: &str| format!(r#"{{"cmd":"pipeline","layers":4,"devices":2,"strategy":"{s}"}}"#);
+        let wire = parse_request(&line("pipe2"), &limits).unwrap();
+        let label = parse_request(&line("ooo-pipe2"), &limits).unwrap();
+        assert_eq!(format!("{label:?}"), format!("{wire:?}"));
+        assert_eq!(label.cache_key(Tier::Full), wire.cache_key(Tier::Full));
     }
 
     #[test]

@@ -13,12 +13,12 @@ use crate::order::{certify_order, tune_backward_order, KFamily};
 use crate::pipeline::tune_pipeline;
 use crate::{certify_schedule, tune_schedule, AppliedMove, Result, TuneOptions};
 use ooo_core::bounds::schedule_lower_bound;
-use ooo_core::cost::{CostModel, LayerCost, TableCost, UnitCost};
+use ooo_core::cost::{CostModel, UnitCost};
 use ooo_core::datapar::CommPolicy;
 use ooo_core::export::{BundleEntry, ScheduleBundle};
 use ooo_core::json::{obj, Value};
 use ooo_core::pipeline::Strategy;
-use ooo_core::reverse_k::reverse_first_k;
+use ooo_core::reverse_k::order_instance;
 use ooo_core::schedule::Schedule;
 use ooo_core::{Op, SimTime, TrainGraph};
 use ooo_verify::predict::datapar_schedule;
@@ -93,44 +93,6 @@ impl Outcome {
 /// One named job result: a bundle entry's name (or the mode name for
 /// single-instance jobs) with its outcome or error.
 pub type Named = (String, Result<Outcome>);
-
-/// A reverse-first-k instance: the data-parallel graph, the uniform
-/// cost table whose `S[dW]` lasts `sync`, and the Algorithm 2 order.
-#[derive(Debug, Clone)]
-pub struct OrderInstance {
-    /// `reverse-first-k(l=<layers>, k=<k>)`.
-    pub name: String,
-    /// Data-parallel graph of `layers` layers.
-    pub graph: TrainGraph,
-    /// Uniform costs with `sync_weight = sync`.
-    pub cost: TableCost,
-    /// The reverse-first-k backward order.
-    pub order: Vec<Op>,
-}
-
-/// Builds the instance of an `order` request (`ooo-tune order`,
-/// `ooo-cert order` and their `ooo-serve` commands).
-///
-/// # Errors
-///
-/// Propagates [`reverse_first_k`] errors.
-pub fn order_instance(layers: usize, k: usize, sync: SimTime) -> ooo_core::Result<OrderInstance> {
-    let graph = TrainGraph::data_parallel(layers);
-    let cost = TableCost::uniform(
-        layers,
-        LayerCost {
-            sync_weight: sync,
-            ..LayerCost::default()
-        },
-    );
-    let order = reverse_first_k(&graph, k, None::<(u64, &TableCost)>)?;
-    Ok(OrderInstance {
-        name: format!("reverse-first-k(l={layers}, k={k})"),
-        graph,
-        cost,
-        order,
-    })
-}
 
 /// The caller's options with the floor as target, under a memory cap
 /// too. The search stops when its incumbent's score reaches the floor.

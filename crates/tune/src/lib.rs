@@ -1219,7 +1219,7 @@ mod tests {
     #[test]
     fn budgeted_tuning_is_deterministic_parallel_or_not() {
         let (graph, baseline) = lazy_two_lane(6);
-        let inst = job::order_instance(12, 0, 3).unwrap();
+        let inst = ooo_core::reverse_k::order_instance(12, 0, 3).unwrap();
         let runs: [&dyn Fn(&TuneOptions) -> Run; 3] = [
             &|opts| {
                 let t = tune_schedule(&graph, &baseline, &UnitCost, opts).unwrap();

@@ -665,7 +665,7 @@ mod tests {
     /// both halves of the batch and the deadlock rejection are exercised.
     #[test]
     fn relocation_probe_equals_realizing_the_relocated_order() {
-        let inst = crate::job::order_instance(12, 0, 3).unwrap();
+        let inst = ooo_core::reverse_k::order_instance(12, 0, 3).unwrap();
         for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
             let space = OrderSpace {
                 graph: &inst.graph,
@@ -718,7 +718,7 @@ mod tests {
     #[test]
     fn relocation_sweep_peak_equals_the_realized_ledger_peak() {
         use ooo_verify::mem::{ledger_of_schedule, PeakSweep};
-        let inst = crate::job::order_instance(12, 0, 3).unwrap();
+        let inst = ooo_core::reverse_k::order_instance(12, 0, 3).unwrap();
         let (graph, cost) = (&inst.graph, &inst.cost);
         for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
             for k in [0, 4, 12] {
@@ -806,7 +806,7 @@ mod tests {
     #[test]
     fn pruned_relocation_scores_equal_the_unpruned_probe() {
         use ooo_verify::mem::ledger_of_schedule;
-        let inst = crate::job::order_instance(12, 0, 3).unwrap();
+        let inst = ooo_core::reverse_k::order_instance(12, 0, 3).unwrap();
         let (graph, cost) = (&inst.graph, &inst.cost);
         let mut dropped = 0;
         for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {

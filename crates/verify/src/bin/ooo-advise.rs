@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `bundle` runs the [`ooo_verify::perf::PerfAdvisor`] over every order
-//! and schedule in a JSON-exported [`ScheduleBundle`]; flat orders on a
+//! and schedule in a JSON-exported [`ScheduleBundle`](ooo_core::export::ScheduleBundle); flat orders on a
 //! data-parallel graph get the full reverse first-k analysis under the
 //! chosen link policy. `pipeline` renders one strategy's op-level
 //! schedule and evaluates it against the OOO-Pipe2 bubble bound.
@@ -18,123 +18,13 @@
 //! `0` when no advisory fired, `1` when at least one did, `2` on usage,
 //! I/O, or parse problems.
 
+use ooo_core::cli::{finish, load_bundle, Exit, ADVISE};
 use ooo_core::datapar::CommPolicy;
-use ooo_core::export::{BundleEntry, ScheduleBundle};
+use ooo_core::export::BundleEntry;
 use ooo_core::json::{obj, Value};
 use ooo_core::pipeline::Strategy;
-use ooo_core::TrainGraph;
 use ooo_verify::perf::{advise_pipeline, PerfAdvisor, PerfReport};
 use std::process::ExitCode;
-
-const USAGE: &str = "usage: ooo-advise bundle <bundle.json> [--schedule NAME] \
-                     [--policy fifo|bylayer] [--json] [--out FILE]\n\
-                     \x20      ooo-advise pipeline --layers N --devices D --strategy NAME \
-                     [--group G] [--json] [--out FILE]";
-
-enum Mode {
-    Bundle {
-        path: String,
-        schedule: Option<String>,
-        policy: CommPolicy,
-    },
-    Pipeline {
-        layers: usize,
-        devices: usize,
-        strategy: Strategy,
-        group: usize,
-    },
-}
-
-struct Args {
-    mode: Mode,
-    json: bool,
-    out: Option<String>,
-}
-
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    argv.next(); // program name
-    let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
-    let need_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let parse_usize = |flag: &str, v: String| {
-        v.parse::<usize>()
-            .map_err(|_| format!("{flag}: not a count: {v:?}"))
-    };
-    let mut json = false;
-    let mut out = None;
-
-    let mode = match mode_word.as_str() {
-        "bundle" => {
-            let mut path = String::new();
-            let mut schedule = None;
-            let mut policy = CommPolicy::PriorityByLayer;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
-                    "--policy" => policy = CommPolicy::parse(&need_value(&mut argv, "--policy")?)?,
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other if other.starts_with('-') => {
-                        return Err(format!("unknown flag: {other}"))
-                    }
-                    other if path.is_empty() => path = other.to_string(),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if path.is_empty() {
-                return Err(USAGE.to_string());
-            }
-            Mode::Bundle {
-                path,
-                schedule,
-                policy,
-            }
-        }
-        "pipeline" => {
-            let mut layers = None;
-            let mut devices = None;
-            let mut strategy = None;
-            let mut group = 1usize;
-            while let Some(arg) = argv.next() {
-                match arg.as_str() {
-                    "--layers" => {
-                        layers = Some(parse_usize("--layers", need_value(&mut argv, "--layers")?)?)
-                    }
-                    "--devices" => {
-                        devices = Some(parse_usize(
-                            "--devices",
-                            need_value(&mut argv, "--devices")?,
-                        )?)
-                    }
-                    "--strategy" => {
-                        strategy = Some(Strategy::parse(&need_value(&mut argv, "--strategy")?)?)
-                    }
-                    "--group" => group = parse_usize("--group", need_value(&mut argv, "--group")?)?,
-                    "--json" => json = true,
-                    "--out" => out = Some(need_value(&mut argv, "--out")?),
-                    "--help" | "-h" => return Err(USAGE.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            match (layers, devices, strategy) {
-                (Some(layers), Some(devices), Some(strategy)) if layers > 0 && devices > 0 => {
-                    Mode::Pipeline {
-                        layers,
-                        devices,
-                        strategy,
-                        group,
-                    }
-                }
-                _ => return Err(USAGE.to_string()),
-            }
-        }
-        "--help" | "-h" => return Err(USAGE.to_string()),
-        other => return Err(format!("unknown mode: {other:?}\n{USAGE}")),
-    };
-    Ok(Args { mode, json, out })
-}
 
 fn gap_value(gap: Option<f64>) -> Value {
     match gap {
@@ -236,11 +126,7 @@ fn analyze_bundle(
     wanted: Option<&str>,
     policy: CommPolicy,
 ) -> Result<Vec<(String, PerfReport)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let bundle = ScheduleBundle::from_json_lenient(&text)
-        .map_err(|e| format!("cannot parse {path}: {e}"))?;
-    let graph = TrainGraph::new(bundle.graph.clone())
-        .map_err(|e| format!("invalid graph configuration: {e}"))?;
+    let (bundle, graph) = load_bundle(path)?;
     let advisor = PerfAdvisor::new(&graph);
 
     let entries = bundle.select(wanted)?;
@@ -272,72 +158,43 @@ fn analyze_bundle(
     Ok(reports)
 }
 
+fn run() -> Result<bool, Exit> {
+    let args = ADVISE.args()?;
+    let usage = || Exit::usage(ADVISE.usage());
+    let reports = if args.mode() == "bundle" {
+        let path = args
+            .positional()
+            .filter(|p| !p.is_empty())
+            .ok_or_else(usage)?;
+        let policy = args
+            .text("--policy")
+            .map_or(Ok(CommPolicy::PriorityByLayer), CommPolicy::parse);
+        analyze_bundle(path, args.text("--schedule"), policy.map_err(Exit::usage)?)
+            .map_err(|e| ADVISE.fail(2, e))?
+    } else {
+        let strategy = args.text("--strategy").map(Strategy::parse).transpose();
+        let strategy = strategy.map_err(Exit::usage)?.ok_or_else(usage)?;
+        let layers = args
+            .count("--layers")
+            .filter(|&l| l > 0)
+            .ok_or_else(usage)?;
+        let devices = args
+            .count("--devices")
+            .filter(|&d| d > 0)
+            .ok_or_else(usage)?;
+        let group = args.count("--group").unwrap_or(1);
+        let report = advise_pipeline(layers, devices, strategy, group)
+            .map_err(|e| ADVISE.fail(2, format!("pipeline analysis failed: {e}")))?;
+        vec![(strategy.label().to_string(), report)]
+    };
+    args.write_report(
+        &reports,
+        |(name, r)| report_to_json(name, r).to_pretty(),
+        |(name, r)| report_to_human(name, r),
+    )?;
+    Ok(reports.iter().any(|(_, r)| r.has_advice()))
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let reports = match &args.mode {
-        Mode::Bundle {
-            path,
-            schedule,
-            policy,
-        } => match analyze_bundle(path, schedule.as_deref(), *policy) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("ooo-advise: {msg}");
-                return ExitCode::from(2);
-            }
-        },
-        Mode::Pipeline {
-            layers,
-            devices,
-            strategy,
-            group,
-        } => match advise_pipeline(*layers, *devices, *strategy, *group) {
-            Ok(r) => {
-                vec![(strategy.label().to_string(), r)]
-            }
-            Err(e) => {
-                eprintln!("ooo-advise: pipeline analysis failed: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-
-    let any_advice = reports.iter().any(|(_, r)| r.has_advice());
-    let json_output = || {
-        let docs: Vec<String> = reports
-            .iter()
-            .map(|(name, r)| report_to_json(name, r).to_pretty())
-            .collect();
-        if docs.len() == 1 {
-            docs[0].clone()
-        } else {
-            format!("[\n{}\n]", docs.join(",\n"))
-        }
-    };
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, json_output() + "\n") {
-            eprintln!("ooo-advise: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if args.json {
-        println!("{}", json_output());
-    } else {
-        for (name, report) in &reports {
-            print!("{}", report_to_human(name, report));
-        }
-    }
-
-    if any_advice {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    finish(run())
 }

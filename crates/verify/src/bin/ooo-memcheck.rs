@@ -2,7 +2,7 @@
 //!
 //! Runs the exact multi-lane live/peak ledger (`ooo_verify::mem`) and
 //! the OM-series lifetime rules over every order and schedule of a
-//! JSON-exported [`ScheduleBundle`], or over a synthetic reverse-first-k
+//! JSON-exported [`ScheduleBundle`](ooo_core::export::ScheduleBundle), or over a synthetic reverse-first-k
 //! realization built in-process:
 //!
 //! ```text
@@ -17,108 +17,15 @@
 //! in-order schedule. Exit status: `0` when no OM rule fired, `1` when
 //! any finding (error or advice) fired, `2` on usage or I/O problems.
 
-use ooo_core::cost::{CostModel, LayerCost, TableCost, UnitCost};
+use ooo_core::cli::{finish, load_bundle, Args, Exit, MEMCHECK};
+use ooo_core::cost::{CostModel, UnitCost};
 use ooo_core::datapar::CommPolicy;
-use ooo_core::export::ScheduleBundle;
 use ooo_core::json::{obj, Value};
-use ooo_core::reverse_k::reverse_first_k;
+use ooo_core::reverse_k::order_instance;
 use ooo_core::schedule::Schedule;
-use ooo_core::{SimTime, TrainGraph};
+use ooo_core::TrainGraph;
 use ooo_verify::mem::{buffer_name, check_schedule, MemAnalysis, MemCheckOptions};
 use std::process::ExitCode;
-
-enum Mode {
-    Bundle {
-        path: String,
-    },
-    Order {
-        layers: usize,
-        k: usize,
-        sync: SimTime,
-    },
-}
-
-struct Args {
-    mode: Mode,
-    schedule: Option<String>,
-    budget: Option<u64>,
-    baseline: bool,
-    json: bool,
-    out: Option<String>,
-}
-
-const USAGE: &str = "usage: ooo-memcheck bundle <bundle.json> [--schedule NAME] \
-                     [--budget BYTES] [--baseline] [--json] [--out FILE]\n\
-                     \x20      ooo-memcheck order --layers N [--k K] [--sync S] \
-                     [--budget BYTES] [--baseline] [--json] [--out FILE]";
-
-fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
-    argv.next(); // program name
-    let mode_word = argv.next().ok_or_else(|| USAGE.to_string())?;
-    let need_value = |argv: &mut std::env::Args, flag: &str| {
-        argv.next().ok_or_else(|| format!("{flag} needs a value"))
-    };
-    let parse_num = |flag: &str, v: String| {
-        v.parse::<u64>()
-            .map_err(|_| format!("{flag}: not a non-negative integer: {v:?}"))
-    };
-    let mut schedule = None;
-    let mut budget = None;
-    let mut baseline = false;
-    let mut json = false;
-    let mut out = None;
-    let mut path = String::new();
-    let mut layers: Option<usize> = None;
-    let mut k = 0usize;
-    let mut sync: SimTime = 3;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--schedule" => schedule = Some(need_value(&mut argv, "--schedule")?),
-            "--budget" => {
-                budget = Some(parse_num("--budget", need_value(&mut argv, "--budget")?)?);
-            }
-            "--layers" => {
-                layers = Some(parse_num("--layers", need_value(&mut argv, "--layers")?)? as usize);
-            }
-            "--k" => k = parse_num("--k", need_value(&mut argv, "--k")?)? as usize,
-            "--sync" => sync = parse_num("--sync", need_value(&mut argv, "--sync")?)? as SimTime,
-            "--baseline" => baseline = true,
-            "--json" => json = true,
-            "--out" => out = Some(need_value(&mut argv, "--out")?),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with('-') => return Err(format!("unknown flag: {other}")),
-            other if mode_word == "bundle" && path.is_empty() => path = other.to_string(),
-            other => return Err(format!("unexpected argument: {other}")),
-        }
-    }
-    let mode = match mode_word.as_str() {
-        "bundle" => {
-            if path.is_empty() {
-                return Err(USAGE.to_string());
-            }
-            Mode::Bundle { path }
-        }
-        "order" => {
-            let layers = layers.ok_or("order mode needs --layers")?;
-            if layers == 0 {
-                return Err("--layers must be at least 1".to_string());
-            }
-            if k > layers {
-                return Err(format!("--k is {k}, above --layers {layers}"));
-            }
-            Mode::Order { layers, k, sync }
-        }
-        other => return Err(format!("unknown mode: {other}\n{USAGE}")),
-    };
-    Ok(Args {
-        mode,
-        schedule,
-        budget,
-        baseline,
-        json,
-        out,
-    })
-}
 
 /// One analyzed target rendered to the memcheck JSON document: the
 /// ledger summary plus every OM finding.
@@ -180,147 +87,71 @@ fn analysis_to_human(name: &str, analysis: &MemAnalysis) -> String {
     s
 }
 
-/// The named analysis targets of one run: flat orders become
-/// single-lane schedules, multi-lane schedules are checked as-is.
-fn bundle_targets(
-    bundle: &ScheduleBundle,
-    wanted: Option<&str>,
-) -> Result<Vec<(String, Schedule)>, String> {
-    Ok(bundle
-        .select(wanted)?
-        .iter()
-        .map(|e| (e.name().to_string(), e.to_schedule()))
-        .collect())
-}
-
-fn run<C: CostModel>(
+fn check<C: CostModel>(
     args: &Args,
     graph: &TrainGraph,
     cost: &C,
     targets: &[(String, Schedule)],
-) -> ExitCode {
+) -> Result<bool, Exit> {
     let opts = MemCheckOptions {
-        budget: args.budget,
+        budget: args.num("--budget"),
         plan: None,
-        baseline: args.baseline,
+        baseline: args.switch("--baseline"),
     };
-    let mut any_finding = false;
-    let mut json_docs: Vec<String> = Vec::new();
-    let mut human = String::new();
-    for (name, schedule) in targets {
-        let analysis = match check_schedule(graph, schedule, cost, &opts) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("ooo-memcheck: cannot analyze {name:?}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        any_finding |= !analysis.diagnostics.is_empty();
-        if args.json || args.out.is_some() {
-            json_docs.push(analysis_to_json(name, &analysis));
-        }
-        human.push_str(&analysis_to_human(name, &analysis));
-    }
+    let analyses = targets
+        .iter()
+        .map(|(name, schedule)| {
+            check_schedule(graph, schedule, cost, &opts)
+                .map(|a| (name, a))
+                .map_err(|e| MEMCHECK.fail(2, format!("cannot analyze {name:?}: {e}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    args.write_report(
+        &analyses,
+        |(name, a)| analysis_to_json(name, a),
+        |(name, a)| analysis_to_human(name, a),
+    )?;
+    Ok(analyses.iter().any(|(_, a)| !a.diagnostics.is_empty()))
+}
 
-    let json_output = || {
-        if json_docs.len() == 1 {
-            json_docs[0].clone()
-        } else {
-            format!("[\n{}\n]", json_docs.join(",\n"))
-        }
-    };
-    if let Some(path) = &args.out {
-        if let Err(e) = std::fs::write(path, json_output() + "\n") {
-            eprintln!("ooo-memcheck: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
+fn run() -> Result<bool, Exit> {
+    let args = MEMCHECK.args()?;
+    if args.mode() == "bundle" {
+        let path = args.positional().filter(|p| !p.is_empty());
+        let path = path.ok_or_else(|| Exit::usage(MEMCHECK.usage()))?;
+        let (bundle, graph) = load_bundle(path).map_err(|e| MEMCHECK.fail(2, e))?;
+        // Flat orders become single-lane schedules, multi-lane schedules
+        // are checked as-is.
+        let targets: Vec<(String, Schedule)> = bundle
+            .select(args.text("--schedule"))
+            .map_err(|e| MEMCHECK.fail(2, e))?
+            .iter()
+            .map(|e| (e.name().to_string(), e.to_schedule()))
+            .collect();
+        return check(&args, &graph, &UnitCost, &targets);
     }
-    if args.json {
-        println!("{}", json_output());
-    } else {
-        print!("{human}");
+    let layers = args.count("--layers");
+    let layers = layers.ok_or_else(|| Exit::usage("order mode needs --layers".to_string()))?;
+    let k = args.count("--k").unwrap_or(0);
+    if layers == 0 {
+        return Err(Exit::usage("--layers must be at least 1".to_string()));
     }
-
-    if any_finding {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
+    if k > layers {
+        return Err(Exit::usage(format!("--k is {k}, above --layers {layers}")));
     }
+    let sync = args.num("--sync").unwrap_or(3);
+    let inst = order_instance(layers, k, sync)
+        .map_err(|e| MEMCHECK.fail(2, format!("cannot build reverse-first-{k}: {e}")))?;
+    let realized = ooo_verify::predict::datapar_schedule(
+        &inst.graph,
+        &inst.order,
+        &inst.cost,
+        CommPolicy::PriorityByLayer,
+    )
+    .map_err(|e| MEMCHECK.fail(2, format!("cannot realize the order: {e}")))?;
+    check(&args, &inst.graph, &inst.cost, &[(inst.name, realized)])
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args()) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-
-    match &args.mode {
-        Mode::Bundle { path } => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            // Lenient parse: a bundle whose schedule is broken must still
-            // load so the lifetime rules can attribute what is wrong.
-            let bundle = match ScheduleBundle::from_json_lenient(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: cannot parse {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let graph = match TrainGraph::new(bundle.graph.clone()) {
-                Ok(g) => g,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: invalid graph configuration: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let targets = match bundle_targets(&bundle, args.schedule.as_deref()) {
-                Ok(t) => t,
-                Err(msg) => {
-                    eprintln!("ooo-memcheck: {msg}");
-                    return ExitCode::from(2);
-                }
-            };
-            run(&args, &graph, &UnitCost, &targets)
-        }
-        Mode::Order { layers, k, sync } => {
-            let graph = TrainGraph::data_parallel(*layers);
-            let cost = TableCost::uniform(
-                *layers,
-                LayerCost {
-                    sync_weight: *sync,
-                    ..LayerCost::default()
-                },
-            );
-            let order = match reverse_first_k(&graph, *k, None::<(u64, &TableCost)>) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: cannot build reverse-first-{k}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let realized = match ooo_verify::predict::datapar_schedule(
-                &graph,
-                &order,
-                &cost,
-                CommPolicy::PriorityByLayer,
-            ) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("ooo-memcheck: cannot realize the order: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let name = format!("reverse-first-k(l={layers}, k={k})");
-            run(&args, &graph, &cost, &[(name, realized)])
-        }
-    }
+    finish(run())
 }

@@ -47,6 +47,14 @@ cmp /tmp/ooo-chaos-a.json /tmp/ooo-chaos-b.json \
   || { echo "ooo-chaos: same seed produced different reports"; exit 1; }
 rm -f /tmp/ooo-chaos-a.json /tmp/ooo-chaos-b.json
 
+echo "==> ooo-trace smoke (a strategy's label and its wire name name the same run)"
+cargo build -q --release -p ooo-cluster --bin ooo-trace
+./target/release/ooo-trace export --system pipeline --strategy pipe2 --out /tmp/ooo-trace-wire.json
+./target/release/ooo-trace export --system pipeline --strategy ooo-pipe2 --out /tmp/ooo-trace-label.json
+cmp /tmp/ooo-trace-wire.json /tmp/ooo-trace-label.json \
+  || { echo "ooo-trace: --strategy pipe2 and --strategy ooo-pipe2 exported different traces"; exit 1; }
+rm -f /tmp/ooo-trace-wire.json /tmp/ooo-trace-label.json
+
 echo "==> ooo-advise smoke (exit-code contract + determinism)"
 cargo build -q -p ooo-verify --bin ooo-advise
 rc=0; ./target/debug/ooo-advise pipeline --layers 8 --devices 2 --strategy pipe2 || rc=$?

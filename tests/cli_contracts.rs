@@ -19,6 +19,7 @@
 //! advisor through a bundle holding every data-parallel strategy.
 
 use ooo_backprop::cluster::strategy::{zoo, Shape};
+use ooo_backprop::core::cli::{Kind, Spec, TOOLS};
 use ooo_backprop::core::cost::UnitCost;
 use ooo_backprop::core::export::ScheduleBundle;
 use ooo_backprop::core::json::Value;
@@ -26,6 +27,7 @@ use ooo_backprop::core::op::{LayerId, Op};
 use ooo_backprop::core::pipeline::Strategy;
 use ooo_backprop::core::schedule::Schedule;
 use ooo_backprop::core::TrainGraph;
+use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -182,6 +184,93 @@ fn bare_invocations_exit_2_with_usage() {
         let help = run(name, &["--help"]);
         assert_no_panic(name, &help);
         assert_eq!(code(&help), 2, "{name} --help");
+    }
+}
+
+/// An argument that is not UTF-8 is a usage error for every CLI and for
+/// `figures`: exit 2 and no panic.
+#[cfg(unix)]
+#[test]
+fn non_utf8_arguments_exit_2() {
+    use std::os::unix::ffi::OsStrExt;
+    let bad = std::ffi::OsStr::from_bytes(b"\xff");
+    for (name, _) in CLIS.iter().chain([FIGURES].iter()) {
+        let out = Command::new(bin(name))
+            .arg(bad)
+            .output()
+            .unwrap_or_else(|e| panic!("{name} failed to spawn: {e}"));
+        assert_no_panic(name, &out);
+        assert_eq!(code(&out), 2, "{name} with a non-UTF-8 argument");
+    }
+    let out = Command::new(bin("ooo-tune"))
+        .args(["order", "--layers"])
+        .arg(bad)
+        .output()
+        .expect("ooo-tune spawns");
+    assert_no_panic("ooo-tune", &out);
+    assert_eq!(code(&out), 2, "ooo-tune --layers <non-UTF-8>");
+}
+
+/// Words the hostile-argument test draws besides each spec's own modes
+/// and flags: empty, dash-only, negative, 2^64 and `--flag=v` words,
+/// every tool's flags, and the daemon's hostile request lines as values.
+fn hostile_words() -> Vec<String> {
+    let numbers = "-1 0 3 256 257 1048577 18446744073709551615 18446744073709551616";
+    let others = "- -- -h --layers=3 x.json ooo-pipe2 fifo";
+    let mut words: Vec<String> = format!("{numbers} {others}")
+        .split(' ')
+        .map(String::from)
+        .collect();
+    words.push(String::new());
+    words.extend(ooo_faults::serve::HOSTILE.map(String::from));
+    for spec in TOOLS {
+        words.extend(spec.modes.iter().map(|m| m.name.to_string()));
+        words.extend(spec.flags.iter().map(|f| f.name.to_string()));
+    }
+    words
+}
+
+/// The words a `(class, index)` draw adds for `spec`: one of its
+/// modes, one of its flags alone (repeats included), one of its flags
+/// with a value of the flag's kind, or a hostile word.
+fn words(spec: &Spec, hostile: &[String], (class, i): (u8, usize)) -> Vec<String> {
+    let flag = &spec.flags[i % spec.flags.len()];
+    let value = match flag.kind {
+        Kind::Switch => None,
+        Kind::Text => Some(hostile[i % hostile.len()].clone()),
+        _ => Some(["0", "3", "255", "256", "257", "1048576", "1048577"][i % 7].to_string()),
+    };
+    match class {
+        0 => vec![spec.modes[i % spec.modes.len()].name.to_string()],
+        1 => vec![flag.name.to_string()],
+        2..=5 => [flag.name.to_string()].into_iter().chain(value).collect(),
+        _ => vec![hostile[i % hostile.len()].clone()],
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Seeded hostile argument lists against every tool's spec, in
+    /// process: the parser never panics, every rejection is an `Err`,
+    /// and every accepted list renders to words that parse back to the
+    /// same command line.
+    #[test]
+    fn hostile_argv_is_rejected_or_round_trips(
+        tool in 0usize..8,
+        lead in 0usize..4,
+        draws in proptest::collection::vec((0u8..7, 0usize..1000), 0..6),
+    ) {
+        let spec = TOOLS[tool];
+        let hostile = hostile_words();
+        let mut words: Vec<String> = draws.into_iter().flat_map(|d| words(spec, &hostile, d)).collect();
+        // Most lists lead with one of the tool's modes.
+        if lead > 0 {
+            words.insert(0, spec.modes[lead % spec.modes.len()].name.to_string());
+        }
+        if let Ok(args) = spec.parse(&words) {
+            prop_assert_eq!(spec.parse(&args.render()), Ok(args));
+        }
     }
 }
 
