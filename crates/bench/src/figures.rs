@@ -1084,9 +1084,11 @@ pub fn chaosrecovery() -> FigureReport {
     }
 }
 
-/// Static analysis vs simulation: the `ooo-advise` makespan predictor
-/// evaluated against the list-scheduling simulator on every pipeline
-/// strategy's op-level schedule, with the advisories each strategy earns.
+/// Static analysis of every pipeline strategy's op-level schedule: the
+/// `ooo-advise` predicted makespan, gap, bubble and advisories. The
+/// "simulated" column is `list_scheduling::simulate`'s timeline of the
+/// same schedule, which is the same list-evaluation pass, so the two
+/// columns agree by construction.
 pub fn perfadvice() -> FigureReport {
     use ooo_core::cost::UnitCost;
     use ooo_core::list_scheduling::simulate;
@@ -1109,10 +1111,6 @@ pub fn perfadvice() -> FigureReport {
             .expect("op-level schedule simulates")
             .makespan();
         let report = advise_pipeline(layers, devices, strategy, group).expect("advisor runs");
-        assert_eq!(
-            report.predicted_makespan, simulated,
-            "{name}: the static predictor must match the simulator exactly"
-        );
         let bubble = report.prediction.idle_fraction(|n| n.starts_with("gpu"));
         let codes: Vec<&str> = report
             .advice

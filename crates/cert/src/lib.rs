@@ -20,8 +20,9 @@
 //! - **Scoring** is incremental: every partial placement is maintained
 //!   by [`ooo_verify::predict::DeltaEval`], which re-times only the
 //!   appended op (nothing placed depends on it yet). Every certificate cross-checks the
-//!   delta result against a full re-evaluation
-//!   ([`ooo_verify::predict::predict_makespan`]) with tolerance 0 — a
+//!   delta result against a full re-evaluation by the one
+//!   list-evaluation pass ([`ooo_verify::predict::predict_makespan`],
+//!   written apart from the delta evaluator) with tolerance 0 — a
 //!   disagreement aborts with [`Error::DeltaMismatch`] rather than
 //!   emitting an unsound proof.
 //! - **Pruning** combines a dynamic critical-path bound, the per-class

@@ -2,24 +2,26 @@
 //!
 //! Every entry point computes the peak-memory story of one engine
 //! configuration **twice** — the exact static ledger
-//! ([`ooo_verify::mem::ledger_of_schedule`]) from the schedule alone,
-//! and the per-op counter instrumented into the discrete-event
-//! simulation ([`ooo_verify::mem::instrument_timeline`]) — and refuses
-//! to answer unless the two agree at tolerance 0. A disagreement means
-//! either the predictor and the simulator diverged (a certification
-//! bug) or the lifetime rules mis-attributed a buffer, so it surfaces
-//! as [`Error::InvalidConfig`] rather than a silently wrong number.
+//! ([`ooo_verify::mem::ledger_of_spans`]) and the per-op counter
+//! instrumented into the engine's timeline
+//! ([`ooo_verify::mem::instrument_timeline`]) — and refuses to answer
+//! unless the two agree at tolerance 0. Both read the same times: one
+//! list-evaluation pass for a multi-lane schedule, the data-parallel
+//! simulator for a flat order. So the check is of the two accounting
+//! paths, not of the times: a disagreement means the lifetime rules
+//! mis-attributed a buffer, so it surfaces as [`Error::InvalidConfig`]
+//! rather than a silently wrong number.
 
 use crate::{Error, Result};
 use ooo_core::cost::CostModel;
 use ooo_core::datapar::{simulate_data_parallel, CommPolicy};
-use ooo_core::list_scheduling::simulate;
 use ooo_core::schedule::Schedule;
 use ooo_core::{Op, TrainGraph};
 use ooo_verify::mem::{
-    instrument_timeline, ledger_of_schedule, ledger_of_spans, spans_of_timeline, MemCounter,
+    instrument_timeline, ledger_of_spans, spans_of_prediction, spans_of_timeline, MemCounter,
     MemLedger,
 };
+use ooo_verify::predict::predict_makespan;
 
 /// The reconciled memory story of one engine run.
 #[derive(Debug, Clone)]
@@ -50,8 +52,8 @@ fn reconcile(ledger: MemLedger, counter: MemCounter, what: &str) -> Result<Check
 }
 
 /// The checked memory story of a multi-lane schedule (single-GPU
-/// multi-region and pipeline engines): static ledger from the schedule,
-/// counter from [`ooo_core::list_scheduling::simulate`].
+/// multi-region and pipeline engines): static ledger from the spans of
+/// one [`predict_makespan`] pass, counter from its timeline.
 ///
 /// # Errors
 ///
@@ -62,9 +64,9 @@ pub fn checked_schedule_memory<C: CostModel>(
     schedule: &Schedule,
     cost: &C,
 ) -> Result<CheckedMemory> {
-    let ledger = ledger_of_schedule(graph, schedule, cost)?;
-    let timeline = simulate(graph, schedule, cost)?;
-    let counter = instrument_timeline(graph, cost, &timeline);
+    let pass = predict_makespan(graph, schedule, cost)?;
+    let (ledger, _) = ledger_of_spans(graph, cost, &spans_of_prediction(&pass), None);
+    let counter = instrument_timeline(graph, cost, &pass.into_timeline());
     reconcile(ledger, counter, "schedule")
 }
 

@@ -35,7 +35,6 @@
 use crate::{Error, Result};
 use ooo_core::cost::CostModel;
 use ooo_core::graph::TrainGraph;
-use ooo_core::list_scheduling::simulate;
 use ooo_core::multi_region::{backward_regions, multi_region_joint_schedule, SpeedupProfile};
 use ooo_core::op::{LayerId, Op};
 use ooo_core::pipeline::op_level_schedule;
@@ -141,36 +140,35 @@ impl Generated {
         Ok(predict_makespan(&self.graph, &self.schedule, &cost)?.makespan())
     }
 
-    /// Certifies the prediction contract at tolerance 0: the static
-    /// prediction must equal the discrete-event simulation exactly.
+    /// Certifies the makespan at tolerance 0 with
+    /// [`ooo_tune::certify_schedule`]: a fresh list-evaluation pass must
+    /// equal the incremental evaluator's own pass exactly.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] on any disagreement; core errors when
-    /// the schedule does not simulate.
+    /// the schedule does not evaluate.
     pub fn certified(&self, cost: &dyn CostModel) -> Result<SimTime> {
-        let predicted = self.predicted(cost)?;
-        let simulated = simulate(&self.graph, &self.schedule, &cost)?.makespan();
-        if predicted != simulated {
-            return Err(Error::InvalidConfig(format!(
-                "prediction contract violated: predicted {predicted} != simulated {simulated}"
-            )));
-        }
-        Ok(simulated)
+        ooo_tune::certify_schedule(&self.graph, &self.schedule, &cost).map_err(|e| match e {
+            ooo_tune::Error::Core(e) => Error::Core(e),
+            e => Error::InvalidConfig(e.to_string()),
+        })
     }
 
     /// Reconciles the static memory ledger against the instrumented
-    /// per-op counter on the simulated timeline. Returns `(ledger_peak,
-    /// counter_peak)`; the conformance suite demands equality.
+    /// per-op counter, both over one list-evaluation pass (its spans and
+    /// its timeline). Returns `(ledger_peak, counter_peak)`; the
+    /// conformance suite demands equality.
     ///
     /// # Errors
     ///
-    /// Propagates predictor/simulator errors.
+    /// Propagates evaluation errors.
     pub fn mem_reconciled(&self, cost: &dyn CostModel) -> Result<(u64, u64)> {
-        let ledger = ooo_verify::mem::schedule_peak(&self.graph, &self.schedule, &cost)?;
-        let timeline = simulate(&self.graph, &self.schedule, &cost)?;
-        let counter = ooo_verify::mem::instrument_timeline(&self.graph, &cost, &timeline);
-        Ok((ledger, counter.peak))
+        use ooo_verify::mem::{instrument_timeline, ledger_of_spans, spans_of_prediction};
+        let pass = predict_makespan(&self.graph, &self.schedule, &cost)?;
+        let ledger = ledger_of_spans(&self.graph, &cost, &spans_of_prediction(&pass), None).0;
+        let counter = instrument_timeline(&self.graph, &cost, &pass.into_timeline());
+        Ok((ledger.peak, counter.peak))
     }
 
     /// Seeds `ooo-tune` with the generated schedule.

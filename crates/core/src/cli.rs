@@ -23,6 +23,7 @@
 
 use crate::datapar::CommPolicy;
 use crate::export::ScheduleBundle;
+use crate::graph::MAX_LAYERS;
 use crate::pipeline::Strategy;
 use crate::reverse_k::MAX_SYNC;
 use crate::{SimTime, TrainGraph};
@@ -560,17 +561,28 @@ impl Job {
 /// thread.
 const MAX_THREADS: u64 = 256;
 
+/// The most scenarios `ooo-chaos --scenarios` may ask for.
+const MAX_SCENARIOS: u64 = 1 << 16;
+
+/// The deepest job queue `ooo-serve --queue` may ask for: the queue's
+/// slots are allocated up front.
+const MAX_QUEUE: u64 = 1 << 16;
+
+/// The most retries `ooo-serve --retries` may ask for: the daemon counts
+/// them in a `u32`.
+const MAX_RETRIES: u64 = u32::MAX as u64;
+
 const JSON: Flag = Flag::switch("--json");
 const OUT: Flag = Flag::text("--out", "FILE");
 const BUNDLE: Mode = mode("bundle", Some("<bundle.json>"));
 const ORDER_MODES: [Mode; 3] = [mode("order", None), BUNDLE, mode("pipeline", None)];
 const POLICY: Flag = Flag::text("--policy", "fifo|bylayer");
 const SCHEDULE: Flag = Flag::text("--schedule", "NAME");
-const LAYERS: Flag = Flag::count("--layers", "N");
+const LAYERS: Flag = Flag::count("--layers", "N").max(MAX_LAYERS as u64);
 const K: Flag = Flag::count("--k", "K");
-const DEVICES: Flag = Flag::count("--devices", "D");
+const DEVICES: Flag = Flag::count("--devices", "D").max(MAX_LAYERS as u64);
 const STRATEGY: Flag = Flag::text("--strategy", "NAME");
-const GROUP: Flag = Flag::count("--group", "G");
+const GROUP: Flag = Flag::count("--group", "G").max(MAX_LAYERS as u64);
 
 /// The flags of a [`Job`] command line.
 macro_rules! job_flags {
@@ -665,7 +677,7 @@ pub static CHAOS: Spec = Spec {
     modes: &[mode("run", None), mode("list", None)],
     flags: &[
         Flag::u64("--seed", "N"),
-        Flag::count("--scenarios", "N"),
+        Flag::count("--scenarios", "N").max(MAX_SCENARIOS),
         JSON,
         OUT,
     ],
@@ -695,9 +707,9 @@ pub static SERVE: Spec = Spec {
     modes: &[mode("--daemon", None), mode("--oneshot", None)],
     flags: &[
         Flag::count("--workers", "N").max(MAX_THREADS),
-        Flag::count("--queue", "N"),
+        Flag::count("--queue", "N").max(MAX_QUEUE),
         Flag::count("--cache", "N"),
-        Flag::count("--retries", "N"),
+        Flag::count("--retries", "N").max(MAX_RETRIES),
         Flag::count("--max-request-bytes", "N"),
         Flag::count("--max-layers", "N"),
         Flag::count("--degrade-hot", "N"),
@@ -787,28 +799,8 @@ mod tests {
             ),
             (
                 &TUNE,
-                "order --sync 1048577",
-                "--sync: 1048577 is above the limit of 1048576",
-            ),
-            (
-                &CERT,
-                "order --sync 1048577",
-                "--sync: 1048577 is above the limit",
-            ),
-            (
-                &MEMCHECK,
-                "order --sync 1048577",
-                "--sync: 1048577 is above the limit",
-            ),
-            (
-                &TUNE,
-                "order --restarts 257",
-                "--restarts: 257 is above the limit of 256",
-            ),
-            (
-                &SERVE,
-                "--oneshot --workers 257",
-                "--workers: 257 is above the limit of 256",
+                "order --layers 18446744073709551615",
+                "--layers: 18446744073709551615 is above the limit of 4096",
             ),
             (
                 &TUNE,
@@ -824,9 +816,30 @@ mod tests {
             let err = parse(spec, words).expect_err(words);
             assert!(err.starts_with(want), "{} {words}: {err}", spec.tool);
         }
-        // The limits themselves are accepted.
-        assert!(parse(&TUNE, "order --layers 8 --sync 1048576 --restarts 256").is_ok());
-        assert!(parse(&SERVE, "--daemon --workers 256").is_ok());
+        // Each limit is accepted, and one above it is refused, naming it.
+        for (spec, words, max) in [
+            (&TUNE, "order --sync", 1_048_576u64),
+            (&CERT, "order --sync", 1_048_576),
+            (&MEMCHECK, "order --sync", 1_048_576),
+            (&TUNE, "order --restarts", 256),
+            (&SERVE, "--oneshot --workers", 256),
+            (&TUNE, "order --layers", 4096),
+            (&CERT, "pipeline --devices", 4096),
+            (&ADVISE, "pipeline --group", 4096),
+            (&MEMCHECK, "order --layers", 4096),
+            (&CHAOS, "list --scenarios", 65_536),
+            (&SERVE, "--daemon --queue", 65_536),
+            (&SERVE, "--daemon --retries", 4_294_967_295),
+        ] {
+            assert!(
+                parse(spec, &format!("{words} {max}")).is_ok(),
+                "{words} {max}"
+            );
+            let err = parse(spec, &format!("{words} {}", max + 1)).unwrap_err();
+            let flag = words.rsplit(' ').next().unwrap();
+            let want = format!("{flag}: {} is above the limit of {max}", max + 1);
+            assert!(err.starts_with(&want), "{} {words}: {err}", spec.tool);
+        }
     }
 
     #[cfg(unix)]

@@ -31,6 +31,12 @@ use crate::arena::GraphArena;
 use crate::error::{Error, Result};
 use crate::op::{LayerId, Op};
 
+/// The most layers, devices or modulo-group size an instance may be
+/// asked for, on the command line (`--layers`, `--devices`, `--group`)
+/// or in an `ooo-serve` request: it bounds what a request can make the
+/// tools allocate.
+pub const MAX_LAYERS: usize = 4096;
+
 /// Configuration for building a [`TrainGraph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphConfig {

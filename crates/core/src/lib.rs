@@ -19,8 +19,8 @@
 //!
 //! - [`schedule`] — schedule representations and validation against the
 //!   dependency constraints.
-//! - [`list_scheduling`] — a generic list scheduler and a deterministic
-//!   makespan simulator over devices and links.
+//! - [`list_scheduling`] — a generic list scheduler and the one
+//!   evaluator of a fixed multi-lane schedule over devices and links.
 //! - [`multi_region`] — the paper's Algorithm 1 (multi-region joint
 //!   scheduling) for single-GPU multi-stream execution.
 //! - [`reverse_k`] — the paper's Algorithm 2 (reverse first-k scheduling)

@@ -1,16 +1,34 @@
-//! List scheduling and deterministic schedule simulation.
+//! List scheduling and deterministic schedule evaluation.
 //!
 //! The paper reduces all three training modes to one job-shop-style
 //! optimization problem (Section 2) and solves it with variants of list
-//! scheduling. This module provides the two generic building blocks:
+//! scheduling. This module provides the generic building blocks:
 //!
-//! - [`simulate`] — given a fixed multi-lane [`Schedule`], derive exact
-//!   start/finish times (lanes execute in issue order; an op starts when
-//!   its lane is free and all dependencies have finished) and the
-//!   resulting makespan.
+//! - [`predict_makespan`] — the one evaluator of a fixed multi-lane
+//!   [`Schedule`]: a single topological pass over the union of lane
+//!   program order and dependency edges with the recurrence
+//!
+//!   ```text
+//!   start(op)  = max(finish(lane predecessor), max over deps finish(dep))
+//!   finish(op) = start(op) + cost.duration(op)
+//!   ```
+//!
+//!   Dependencies outside the schedule count as finished at time zero,
+//!   supporting the partial schedules of reverse first-k scheduling.
+//! - [`simulate`] — the same pass as a [`Timeline`], ops sorted by start.
 //! - [`list_schedule`] — the classic greedy list scheduler: repeatedly
 //!   dispatch the highest-priority ready operation to the compatible lane
 //!   on which it finishes earliest.
+//!
+//! Nothing else in the workspace evaluates a fixed multi-lane schedule
+//! but the tuner's incremental `DeltaEval` (in `ooo-verify`), which keeps
+//! the same recurrence's times under edits. The two are written apart,
+//! and certification compares them. No independent engine exists for
+//! multi-lane or op-level schedules: the event-driven GPU simulator
+//! shares SM block slots between streams and charges issue overhead, so
+//! it does not compute this recurrence, and the pipeline simulator works
+//! on micro-batches, not ops. Data-parallel backward orders do have one,
+//! [`crate::datapar::simulate_data_parallel`].
 
 use crate::cost::CostModel;
 use crate::error::{Error, Result};
@@ -18,6 +36,8 @@ use crate::graph::TrainGraph;
 use crate::op::Op;
 use crate::schedule::{ResourceId, Schedule};
 use crate::SimTime;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// One executed operation with its simulated interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,105 +130,282 @@ impl Timeline {
     }
 }
 
-/// Simulates a fixed multi-lane schedule under `cost`.
+/// One scheduled operation with its evaluated interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PredictedOp {
+    /// The operation.
+    pub op: Op,
+    /// Index of the lane it is placed on.
+    pub lane: usize,
+    /// Position within the lane.
+    pub index: usize,
+    /// Start time (ns).
+    pub start: SimTime,
+    /// Finish time (ns).
+    pub end: SimTime,
+}
+
+/// The outcome of evaluating one schedule with [`predict_makespan`].
+#[derive(Debug, Clone)]
+pub struct Prediction {
+    lane_names: Vec<String>,
+    ops: Vec<PredictedOp>,
+    /// Op → node index, built on the first [`Prediction::start_of`] /
+    /// [`Prediction::finish_of`]: scoring callers only read the makespan.
+    index: OnceLock<HashMap<Op, usize>>,
+    /// For each op (by node index), the node whose finish bound its start
+    /// (`None` for ops starting at time zero).
+    binding: Vec<Option<usize>>,
+    makespan: SimTime,
+}
+
+impl Prediction {
+    /// The makespan: latest finish across all lanes.
+    pub fn makespan(&self) -> SimTime {
+        self.makespan
+    }
+
+    /// Every op with its interval, in lane-major schedule order.
+    pub fn ops(&self) -> &[PredictedOp] {
+        &self.ops
+    }
+
+    /// The lane names, in schedule order.
+    pub fn lane_names(&self) -> &[String] {
+        &self.lane_names
+    }
+
+    fn node_of(&self, op: Op) -> Option<&PredictedOp> {
+        let index = self.index.get_or_init(|| {
+            self.ops
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.op, i))
+                .collect()
+        });
+        index.get(&op).map(|&i| &self.ops[i])
+    }
+
+    /// Start time of `op`, if scheduled.
+    pub fn start_of(&self, op: Op) -> Option<SimTime> {
+        self.node_of(op).map(|p| p.start)
+    }
+
+    /// Finish time of `op`, if scheduled.
+    pub fn finish_of(&self, op: Op) -> Option<SimTime> {
+        self.node_of(op).map(|p| p.end)
+    }
+
+    /// Total busy time of lane `lane`.
+    pub fn lane_busy(&self, lane: usize) -> SimTime {
+        self.ops
+            .iter()
+            .filter(|p| p.lane == lane)
+            .map(|p| p.end - p.start)
+            .sum()
+    }
+
+    /// The idle (bubble) fraction across the lanes selected by `select`,
+    /// over the full `[0, makespan]` window: `1 - busy / (lanes * makespan)`.
+    pub fn idle_fraction(&self, select: impl Fn(&str) -> bool) -> f64 {
+        let lanes: Vec<usize> = (0..self.lane_names.len())
+            .filter(|&i| select(&self.lane_names[i]))
+            .collect();
+        if lanes.is_empty() || self.makespan == 0 {
+            return 0.0;
+        }
+        let busy: SimTime = lanes.iter().map(|&i| self.lane_busy(i)).sum();
+        1.0 - busy as f64 / (lanes.len() as SimTime * self.makespan) as f64
+    }
+
+    /// The ops as a [`Timeline`], sorted by `(start, lane, end)` (ops
+    /// equal in all three keep their lane order).
+    pub fn into_timeline(self) -> Timeline {
+        let mut entries: Vec<TimedOp> = self
+            .ops
+            .into_iter()
+            .map(|p| TimedOp {
+                op: p.op,
+                resource: ResourceId(p.lane),
+                start: p.start,
+                end: p.end,
+            })
+            .collect();
+        entries.sort_by_key(|e| (e.start, e.resource.0, e.end));
+        Timeline { entries }
+    }
+
+    /// One critical path: a chain of ops, each starting exactly when its
+    /// binding predecessor finishes, ending at the makespan.
+    /// Deterministic (ties resolve to the smallest node index).
+    pub fn critical_ops(&self) -> Vec<Op> {
+        let Some(last) = self
+            .ops
+            .iter()
+            .enumerate()
+            .max_by(|(ia, a), (ib, b)| a.end.cmp(&b.end).then(ib.cmp(ia)))
+            .map(|(i, _)| i)
+        else {
+            return Vec::new();
+        };
+        let mut chain = Vec::new();
+        let mut cur = Some(last);
+        while let Some(i) = cur {
+            chain.push(self.ops[i].op);
+            cur = self.binding[i];
+        }
+        chain.reverse();
+        chain
+    }
+}
+
+/// Marks a graph op that is not in the schedule being evaluated.
+const UNSCHEDULED: usize = usize::MAX;
+
+/// Evaluates a fixed multi-lane schedule under `cost`: a single
+/// topological pass over the union of lane program order and dependency
+/// edges.
 ///
-/// Each lane executes its operations strictly in issue order; an operation
-/// starts at `max(lane_available, max(dep finish times))`. Ops whose
-/// dependencies lie outside the schedule treat those dependencies as
-/// finished at time zero (supporting partial schedules).
+/// Each lane executes its operations strictly in issue order; an
+/// operation starts at `max(lane predecessor's finish, max(dep finish
+/// times))`. Dependencies outside the schedule are treated as finished at
+/// time zero (supporting partial schedules). Nodes are addressed through
+/// the graph's dense op indices ([`TrainGraph::op_index`],
+/// [`TrainGraph::dep_indices`]): a node's union-graph predecessors are
+/// its lane predecessor and its scheduled dependencies, its successors
+/// its lane successor and its scheduled dependents, so the pass needs no
+/// per-call op map or edge tables.
 ///
 /// # Errors
 ///
-/// Returns [`Error::DependencyViolation`] when the lanes deadlock (their
-/// orders plus the dependency DAG contain a cycle) and
-/// [`Error::DuplicateOp`]/[`Error::UnknownOp`] for malformed schedules.
+/// [`Error::UnknownOp`] / [`Error::DuplicateOp`] for malformed schedules
+/// (the first offending op in lane-major order) and
+/// [`Error::DependencyViolation`] when the lanes deadlock: `op` is the
+/// first op in lane-major order that never runs, `missing_dep` its first
+/// scheduled dependency (in graph order) that never finishes.
+pub fn predict_makespan<C: CostModel>(
+    graph: &TrainGraph,
+    schedule: &Schedule,
+    cost: &C,
+) -> Result<Prediction> {
+    let total: usize = schedule.num_ops();
+    // Node index (lane-major) of every scheduled op, by dense op index.
+    let mut node_of: Vec<usize> = vec![UNSCHEDULED; graph.len()];
+    let mut ids: Vec<usize> = Vec::with_capacity(total);
+    let mut nodes: Vec<PredictedOp> = Vec::with_capacity(total);
+    for (li, lane) in schedule.lanes.iter().enumerate() {
+        for (pos, &op) in lane.ops.iter().enumerate() {
+            let v = graph.op_index(op).ok_or(Error::UnknownOp(op))?;
+            if node_of[v] != UNSCHEDULED {
+                return Err(Error::DuplicateOp(op));
+            }
+            node_of[v] = nodes.len();
+            ids.push(v);
+            nodes.push(PredictedOp {
+                op,
+                lane: li,
+                index: pos,
+                start: 0,
+                end: 0,
+            });
+        }
+    }
+
+    // Union-graph in-degree: the lane predecessor plus every *scheduled*
+    // dependency (outside deps are complete at time zero). Nodes are
+    // lane-major, so node `i`'s lane predecessor is `i - 1` whenever its
+    // position is nonzero.
+    let n = nodes.len();
+    let mut indeg: Vec<usize> = (0..n)
+        .map(|i| {
+            let scheduled_deps = graph
+                .dep_indices(ids[i])
+                .iter()
+                .filter(|&&d| node_of[d] != UNSCHEDULED)
+                .count();
+            usize::from(nodes[i].index > 0) + scheduled_deps
+        })
+        .collect();
+
+    let mut binding: Vec<Option<usize>> = vec![None; n];
+    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut done = 0usize;
+    while let Some(i) = queue.pop() {
+        done += 1;
+        // The first predecessor reaching the maximum finish becomes the
+        // binding one (lane predecessor first, then deps in graph order).
+        let mut start: SimTime = 0;
+        if nodes[i].index > 0 && nodes[i - 1].end > start {
+            start = nodes[i - 1].end;
+            binding[i] = Some(i - 1);
+        }
+        for &d in graph.dep_indices(ids[i]) {
+            if node_of[d] == UNSCHEDULED {
+                continue;
+            }
+            let p = node_of[d];
+            if nodes[p].end > start {
+                start = nodes[p].end;
+                binding[i] = Some(p);
+            }
+        }
+        nodes[i].start = start;
+        nodes[i].end = start + cost.duration(nodes[i].op);
+        let lane_succ = (i + 1 < n && nodes[i + 1].index > 0).then_some(i + 1);
+        let dependents = graph
+            .dependent_indices(ids[i])
+            .iter()
+            .filter(|&&s| node_of[s] != UNSCHEDULED)
+            .map(|&s| node_of[s]);
+        for s in lane_succ.into_iter().chain(dependents) {
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
+                queue.push(s);
+            }
+        }
+    }
+    if done < n {
+        // The union graph has a cycle: the lanes deadlock. The ops that
+        // never run are exactly those with inputs left, so the first of
+        // them heads its lane's unrun suffix.
+        let blocked = (0..n).find(|&i| indeg[i] > 0).expect("cycle exists");
+        let op = nodes[blocked].op;
+        let missing = graph
+            .dep_indices(ids[blocked])
+            .iter()
+            .find(|&&d| node_of[d] != UNSCHEDULED && indeg[node_of[d]] > 0)
+            .map_or(op, |&d| graph.ops()[d]);
+        return Err(Error::DependencyViolation {
+            op,
+            missing_dep: missing,
+        });
+    }
+
+    let makespan = nodes.iter().map(|p| p.end).max().unwrap_or(0);
+    Ok(Prediction {
+        lane_names: schedule.lanes.iter().map(|l| l.name.clone()).collect(),
+        ops: nodes,
+        index: OnceLock::new(),
+        binding,
+        makespan,
+    })
+}
+
+/// Evaluates a fixed multi-lane schedule under `cost` as a [`Timeline`]:
+/// [`predict_makespan`]'s pass, then [`Prediction::into_timeline`].
+///
+/// # Errors
+///
+/// As [`predict_makespan`]: [`Error::DependencyViolation`] when the
+/// lanes deadlock (their orders plus the dependency DAG contain a cycle)
+/// and [`Error::DuplicateOp`]/[`Error::UnknownOp`] for malformed
+/// schedules.
 pub fn simulate<C: CostModel>(
     graph: &TrainGraph,
     schedule: &Schedule,
     cost: &C,
 ) -> Result<Timeline> {
-    // Dense op indices per lane, validated in schedule order.
-    let mut scheduled: Vec<bool> = vec![false; graph.len()];
-    let mut lanes: Vec<Vec<usize>> = Vec::with_capacity(schedule.lanes.len());
-    for lane in &schedule.lanes {
-        let mut idxs = Vec::with_capacity(lane.ops.len());
-        for &op in &lane.ops {
-            let idx = graph.op_index(op).ok_or(Error::UnknownOp(op))?;
-            if std::mem::replace(&mut scheduled[idx], true) {
-                return Err(Error::DuplicateOp(op));
-            }
-            idxs.push(idx);
-        }
-        lanes.push(idxs);
-    }
-
-    let mut cursor: Vec<usize> = vec![0; lanes.len()];
-    let mut lane_avail: Vec<SimTime> = vec![0; lanes.len()];
-    let mut finish: Vec<Option<SimTime>> = vec![None; graph.len()];
-    let total: usize = schedule.num_ops();
-    let mut entries = Vec::with_capacity(total);
-
-    // Commit operations one at a time in nondecreasing start order. A lane
-    // head is a candidate once all its dependencies have committed; among
-    // candidates the earliest-starting one is committed (ties by lane id).
-    // Committing never changes another candidate's start time, so this
-    // greedy loop reproduces the true parallel execution exactly.
-    while entries.len() < total {
-        let mut best: Option<(SimTime, usize, usize)> = None;
-        for (li, lane) in lanes.iter().enumerate() {
-            let Some(&idx) = lane.get(cursor[li]) else {
-                continue;
-            };
-            let mut ready_at = lane_avail[li];
-            let mut ok = true;
-            for &dep in graph.dep_indices(idx) {
-                if let Some(f) = finish[dep] {
-                    ready_at = ready_at.max(f);
-                } else if scheduled[dep] {
-                    // Dependency scheduled but not yet committed: not a
-                    // candidate this round.
-                    ok = false;
-                    break;
-                }
-                // Dependencies outside the schedule are assumed complete.
-            }
-            if ok && best.is_none_or(|(s, _, _)| ready_at < s) {
-                best = Some((ready_at, li, idx));
-            }
-        }
-        let Some((start, li, idx)) = best else {
-            // No lane head can make progress: cross-lane cycle.
-            let blocked = lanes
-                .iter()
-                .enumerate()
-                .find_map(|(li, lane)| lane.get(cursor[li]))
-                .copied()
-                .expect("uncommitted ops remain");
-            let missing = graph
-                .dep_indices(blocked)
-                .iter()
-                .copied()
-                .find(|&d| scheduled[d] && finish[d].is_none())
-                .unwrap_or(blocked);
-            return Err(Error::DependencyViolation {
-                op: graph.ops()[blocked],
-                missing_dep: graph.ops()[missing],
-            });
-        };
-        let op = graph.ops()[idx];
-        let end = start + cost.duration(op);
-        finish[idx] = Some(end);
-        entries.push(TimedOp {
-            op,
-            resource: ResourceId(li),
-            start,
-            end,
-        });
-        cursor[li] += 1;
-        lane_avail[li] = end;
-    }
-    entries.sort_by_key(|e| (e.start, e.resource.0 as u64, e.end));
-    Ok(Timeline { entries })
+    predict_makespan(graph, schedule, cost).map(Prediction::into_timeline)
 }
 
 /// Describes one lane available to [`list_schedule`].
@@ -241,7 +438,8 @@ impl<'a> LaneSpec<'a> {
 /// highest `priority` (ties broken by the graph's canonical order) and
 /// place it on the accepting lane where it finishes earliest.
 ///
-/// Returns the produced schedule and its simulated timeline.
+/// Returns the produced schedule and its [`simulate`]d timeline (the
+/// dispatch times are the schedule's own list-evaluation times).
 ///
 /// # Errors
 ///
@@ -263,10 +461,8 @@ where
     let mut lane_avail: Vec<SimTime> = vec![0; lanes.len()];
     let mut lane_ops: Vec<Vec<Op>> = vec![Vec::new(); lanes.len()];
     let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut done = 0usize;
-    let mut entries = Vec::with_capacity(n);
 
-    while done < n {
+    for _ in 0..n {
         if ready.is_empty() {
             return Err(Error::InvalidConfig(
                 "dependency graph did not drain".into(),
@@ -306,13 +502,6 @@ where
         finish[idx] = end;
         lane_avail[li] = end;
         lane_ops[li].push(op);
-        entries.push(TimedOp {
-            op,
-            resource: ResourceId(li),
-            start,
-            end,
-        });
-        done += 1;
         for &j in graph.dependent_indices(idx) {
             indeg[j] -= 1;
             if indeg[j] == 0 {
@@ -325,15 +514,21 @@ where
     for (spec, ops) in lanes.iter().zip(lane_ops) {
         schedule.add_lane(spec.name, ops);
     }
-    entries.sort_by_key(|e| (e.start, e.resource.0 as u64, e.end));
-    Ok((schedule, Timeline { entries }))
+    let timeline = simulate(graph, &schedule, cost)?;
+    Ok((schedule, timeline))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{LayerCost, TableCost, UnitCost};
+    use crate::multi_region::{backward_regions, multi_region_joint_schedule, ConstantProfile};
     use crate::op::LayerId;
+    use crate::pipeline::{op_level_schedule, Strategy};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::result::Result as StdResult;
 
     #[test]
     fn single_lane_conventional_makespan() {
@@ -444,5 +639,211 @@ mod tests {
         let art = t.render_ascii(&["gpu"]);
         assert!(art.contains("w1"));
         assert!(art.contains("F2"));
+    }
+
+    /// A greedy lane-head commit loop, the differential oracle of
+    /// [`predict_makespan`]'s pass: the earliest-starting lane head whose
+    /// scheduled dependencies have all committed commits next (ties by
+    /// lane id). Committing never changes
+    /// another candidate's start time, so the loop reproduces the parallel
+    /// execution exactly.
+    fn commit_loop<C: CostModel>(g: &TrainGraph, s: &Schedule, cost: &C) -> Result<Timeline> {
+        let mut scheduled = vec![false; g.len()];
+        let mut lanes: Vec<Vec<usize>> = Vec::new();
+        for lane in &s.lanes {
+            let mut idxs = Vec::new();
+            for &op in &lane.ops {
+                let idx = g.op_index(op).ok_or(Error::UnknownOp(op))?;
+                if std::mem::replace(&mut scheduled[idx], true) {
+                    return Err(Error::DuplicateOp(op));
+                }
+                idxs.push(idx);
+            }
+            lanes.push(idxs);
+        }
+        let (mut cursor, mut lane_avail) = (vec![0; lanes.len()], vec![0; lanes.len()]);
+        let mut finish: Vec<Option<SimTime>> = vec![None; g.len()];
+        let unfinished = |d: usize, finish: &[Option<SimTime>]| scheduled[d] && finish[d].is_none();
+        let mut entries = Vec::new();
+        while entries.len() < s.num_ops() {
+            let mut best: Option<(SimTime, usize, usize)> = None;
+            for (li, lane) in lanes.iter().enumerate() {
+                let Some(&idx) = lane.get(cursor[li]) else {
+                    continue;
+                };
+                let deps = g.dep_indices(idx);
+                if deps.iter().any(|&d| unfinished(d, &finish)) {
+                    continue;
+                }
+                let ready_at = deps.iter().filter_map(|&d| finish[d]);
+                let ready_at = ready_at.fold(lane_avail[li], SimTime::max);
+                if best.is_none_or(|(s, _, _)| ready_at < s) {
+                    best = Some((ready_at, li, idx));
+                }
+            }
+            let Some((start, li, idx)) = best else {
+                // No lane head can make progress: a cross-lane cycle.
+                let blocked = (0..lanes.len()).find_map(|li| lanes[li].get(cursor[li]));
+                let blocked = *blocked.expect("uncommitted ops remain");
+                let deps = g.dep_indices(blocked);
+                let missing = deps.iter().find(|&&d| unfinished(d, &finish));
+                return Err(Error::DependencyViolation {
+                    op: g.ops()[blocked],
+                    missing_dep: g.ops()[*missing.unwrap_or(&blocked)],
+                });
+            };
+            let (op, end) = (g.ops()[idx], start + cost.duration(g.ops()[idx]));
+            finish[idx] = Some(end);
+            entries.push(TimedOp {
+                op,
+                resource: ResourceId(li),
+                start,
+                end,
+            });
+            cursor[li] += 1;
+            lane_avail[li] = end;
+        }
+        entries.sort_by_key(|e| (e.start, e.resource.0, e.end));
+        Ok(Timeline { entries })
+    }
+
+    /// `simulate` and `predict_makespan` against the commit loop on one
+    /// schedule: equal entries and times, or the equal error. Returns
+    /// whether the schedule ran.
+    fn agrees<C: CostModel>(
+        g: &TrainGraph,
+        s: &Schedule,
+        cost: &C,
+    ) -> StdResult<bool, TestCaseError> {
+        let want = commit_loop(g, s, cost);
+        let sim = simulate(g, s, cost);
+        prop_assert_eq!(
+            sim.as_ref().map(|t| &t.entries),
+            want.as_ref().map(|t| &t.entries)
+        );
+        match (predict_makespan(g, s, cost), &want) {
+            (Ok(p), Ok(t)) => {
+                prop_assert_eq!(p.makespan(), t.makespan());
+                for e in &t.entries {
+                    let times = (p.start_of(e.op), p.finish_of(e.op));
+                    prop_assert_eq!(times, (Some(e.start), Some(e.end)));
+                }
+            }
+            (p, t) => prop_assert_eq!(p.err(), t.clone().err()),
+        }
+        Ok(want.is_ok())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The dense pass (`predict_makespan`, and `simulate` over it)
+        /// equals the commit loop on every schedule: entries, times and
+        /// error values. Under a random cost table (one in four
+        /// all-zero), each case deals a random topological order of each
+        /// graph kind over 1–4 lanes, then runs it, `list_schedule`'s
+        /// timeline under random priorities, a partial copy, a copy
+        /// with two ops swapped (often a cross-lane deadlock), one with an
+        /// op moved before its dependency (a deadlock), one with an op
+        /// repeated and one also holding an op the graph lacks; then every
+        /// pipeline strategy's op-level schedule and a multi-region joint
+        /// schedule.
+        #[test]
+        fn dense_pass_equals_the_commit_loop(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let l = rng.gen_range(2usize..10);
+            let max = if rng.gen_bool(0.25) { 1 } else { rng.gen_range(2..8) };
+            let mut cost = TableCost::uniform(l, LayerCost::default());
+            cost.loss = rng.gen_range(0..max);
+            for i in 1..=l {
+                let c = cost.layer_mut(LayerId(i));
+                for d in [&mut c.forward, &mut c.output_grad, &mut c.weight_grad] {
+                    *d = rng.gen_range(0..max);
+                }
+                for d in [&mut c.update, &mut c.sync_weight, &mut c.sync_output] {
+                    *d = rng.gen_range(0..max);
+                }
+            }
+            for g in [
+                TrainGraph::single_gpu(l),
+                TrainGraph::data_parallel(l),
+                TrainGraph::pipeline_parallel(l),
+            ] {
+                // A random topological order dealt over the lanes runs.
+                let mut indeg: Vec<usize> = (0..g.len()).map(|i| g.dep_indices(i).len()).collect();
+                let mut ready: Vec<usize> = (0..g.len()).filter(|&i| indeg[i] == 0).collect();
+                let mut s = Schedule::new();
+                for li in 0..rng.gen_range(1..=4) {
+                    s.add_lane(&format!("lane{li}"), Vec::new());
+                }
+                let lanes = s.lanes.len();
+                while !ready.is_empty() {
+                    let v = ready.swap_remove(rng.gen_range(0..ready.len()));
+                    s.lanes[rng.gen_range(0..lanes)].ops.push(g.ops()[v]);
+                    for &w in g.dependent_indices(v) {
+                        indeg[w] -= 1;
+                        if indeg[w] == 0 {
+                            ready.push(w);
+                        }
+                    }
+                }
+                prop_assert!(agrees(&g, &s, &cost)?, "a topological deal must run");
+
+                // `list_schedule`'s timeline is its schedule's evaluation.
+                let prio: Vec<i64> = (0..g.len()).map(|_| rng.gen_range(0..4)).collect();
+                let spec = [LaneSpec::compute("a"), LaneSpec::compute("b"), LaneSpec::link("c")];
+                let rank = |op: Op| prio[g.op_index(op).unwrap()];
+                let (listed, t) = list_schedule(&g, &cost, &spec, rank).unwrap();
+                let want = commit_loop(&g, &listed, &cost).map(|t| t.entries);
+                prop_assert_eq!(Ok(t.entries), want);
+
+                let mut partial = s.clone();
+                partial.lanes.iter_mut().for_each(|x| x.ops.retain(|_| rng.gen_bool(0.6)));
+                agrees(&g, &partial, &cost)?;
+
+                let mut swapped = s.clone();
+                let (la, lb) = (rng.gen_range(0..lanes), rng.gen_range(0..lanes));
+                let (na, nb) = (s.lanes[la].ops.len(), s.lanes[lb].ops.len());
+                if na > 0 && nb > 0 {
+                    let (a, b) = (rng.gen_range(0..na), rng.gen_range(0..nb));
+                    swapped.lanes[la].ops[a] = s.lanes[lb].ops[b];
+                    swapped.lanes[lb].ops[b] = s.lanes[la].ops[a];
+                }
+                agrees(&g, &swapped, &cost)?;
+
+                // An op with a dependency, moved to just before it.
+                let mut early = s.clone();
+                let v = (1..g.len()).find(|&i| !g.dep_indices(i).is_empty() && rng.gen_bool(0.3));
+                let v = v.unwrap_or(g.len() - 1);
+                let (op, dep) = (g.ops()[v], g.ops()[g.dep_indices(v)[0]]);
+                early.lanes.iter_mut().for_each(|x| x.ops.retain(|&o| o != op));
+                let lane = early.lanes.iter_mut().find(|x| x.ops.contains(&dep)).unwrap();
+                let at = lane.ops.iter().position(|&o| o == dep).unwrap();
+                lane.ops.insert(at, op);
+                prop_assert!(!agrees(&g, &early, &cost)?, "a dependent before its dependency");
+
+                // A repeated op, then also an op the graph lacks, each at
+                // a random place.
+                for extra in [g.ops()[rng.gen_range(0..g.len())], Op::Forward(LayerId(l + 1))] {
+                    let ops = &mut s.lanes[rng.gen_range(0..lanes)].ops;
+                    ops.insert(rng.gen_range(0..=ops.len()), extra);
+                    prop_assert!(!agrees(&g, &s, &cost)?, "{} must not run", extra);
+                }
+            }
+
+            let devices = rng.gen_range(1usize..=4);
+            for strategy in Strategy::ALL {
+                let (g, s) = op_level_schedule(l, devices, strategy, rng.gen_range(1usize..=3));
+                prop_assert!(agrees(&g, &s, &cost)?, "{:?} must run", strategy);
+            }
+            let g = TrainGraph::single_gpu(l);
+            let (regions, subs) = backward_regions(&g, &cost, rng.gen_range(1usize..=3));
+            let profile = ConstantProfile {
+                speedup: 1.0 + rng.gen_range(0..5) as f64 / 10.0,
+                sub_time: rng.gen_range(1..5),
+            };
+            let mrs = multi_region_joint_schedule(&g, &regions, &subs, &profile).unwrap();
+            prop_assert!(agrees(&g, &mrs.to_schedule(&regions), &cost)?, "multi-region must run");
+        }
     }
 }

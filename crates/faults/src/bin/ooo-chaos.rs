@@ -11,6 +11,8 @@
 //! ooo-chaos list [--seed N] [--scenarios N]
 //! ```
 //!
+//! `--scenarios` is 1 to 65536 (default 10).
+//!
 //! `run` exits `0` when every scenario satisfies all invariants
 //! (recovered schedule passes ooo-verify, timelines validate, each
 //! policy strictly beats no-recovery), `1` when a simulation fails or an

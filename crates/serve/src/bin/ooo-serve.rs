@@ -7,6 +7,9 @@
 //! ooo-serve --oneshot [same flags]
 //! ```
 //!
+//! `--workers` is at most 256, `--queue` at most 65536 (its slots are
+//! allocated up front) and `--retries` at most 4294967295.
+//!
 //! `--daemon` reads line-delimited JSON requests from stdin until EOF
 //! and writes one response line per request to stdout, in request
 //! order (see `ooo_serve::protocol` for the wire format). With

@@ -55,7 +55,7 @@ impl Default for Limits {
     fn default() -> Self {
         Limits {
             max_request_bytes: 1 << 20,
-            max_layers: 4096,
+            max_layers: ooo_core::graph::MAX_LAYERS,
         }
     }
 }

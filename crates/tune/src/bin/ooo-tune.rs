@@ -15,8 +15,11 @@
 //! graph with uniform per-layer costs (`--sync` sets the `S[dW]`
 //! duration). `bundle` tunes every order and schedule of a
 //! JSON-exported [`ScheduleBundle`](ooo_core::export::ScheduleBundle). `pipeline` tunes one strategy's
-//! op-level schedule under unit cost. Every winner is certified:
-//! predicted makespan == simulated makespan, tolerance 0.
+//! op-level schedule under unit cost. `--layers`, `--devices` and
+//! `--group` are at most 4096. Every winner is certified at tolerance 0
+//! and must equal the search's score: an order against the data-parallel
+//! simulator, a schedule (which no engine times independently) by a
+//! fresh list-evaluation pass against the incremental evaluator.
 //!
 //! `--memory-cap BYTES` turns the objective into *min makespan subject
 //! to ledger peak <= cap* ([`TuneOptions::memory_cap`]): candidates over

@@ -4,14 +4,17 @@
 //! Every job builds its instance, computes the certified makespan floor
 //! of the starting schedule
 //! ([`ooo_core::bounds::schedule_lower_bound`]), tunes toward that
-//! floor, certifies the winner (predicted == simulated, tolerance 0), and
-//! returns one [`Outcome`]. The caller supplies the base
-//! [`TuneOptions`] — search effort, window, deadline, memory cap; a job
-//! sets only `require_complete` and `target`.
+//! floor, certifies the winner at tolerance 0 — a backward order against
+//! the data-parallel simulator ([`certify_order`]), a schedule by a fresh
+//! list-evaluation pass against the incremental evaluator's
+//! ([`certify_schedule`]) — demands the certified makespan equal the
+//! search's own score, and returns one [`Outcome`]. The caller supplies
+//! the base [`TuneOptions`] — search effort, window, deadline, memory
+//! cap; a job sets only `require_complete` and `target`.
 
 use crate::order::{certify_order, tune_backward_order, KFamily};
 use crate::pipeline::tune_pipeline;
-use crate::{certify_schedule, tune_schedule, AppliedMove, Result, TuneOptions};
+use crate::{certify_schedule, tune_schedule, AppliedMove, Error, Result, TuneOptions};
 use ooo_core::bounds::schedule_lower_bound;
 use ooo_core::cost::{CostModel, UnitCost};
 use ooo_core::datapar::CommPolicy;
@@ -108,6 +111,18 @@ fn with_floor(base: &TuneOptions, require_complete: bool, floor: SimTime) -> Tun
     }
 }
 
+/// `certified` when it equals the search's own score of the winner.
+fn agreed(certified: SimTime, tuned: SimTime) -> Result<SimTime> {
+    if certified != tuned {
+        return Err(Error::Certification {
+            predicted: certified,
+            checked: tuned,
+            by: "tuned score",
+        });
+    }
+    Ok(certified)
+}
+
 /// Tunes a backward order of a data-parallel graph against the link
 /// lane the engine would add.
 fn backward_order_job<C: CostModel + Sync>(
@@ -123,7 +138,7 @@ fn backward_order_job<C: CostModel + Sync>(
     let floor = schedule_lower_bound(graph, cost, &realized);
     let opts = with_floor(base, true, floor);
     let t = tune_backward_order(graph, order, k, cost, policy, KFamily::ReverseFirstK, &opts)?;
-    let certified = certify_order(graph, &t.order, cost, policy)?;
+    let certified = agreed(certify_order(graph, &t.order, cost, policy)?, t.predicted)?;
     Ok(Outcome {
         name,
         kind: "order",
@@ -151,7 +166,10 @@ fn schedule_job(
 ) -> Result<Outcome> {
     let floor = schedule_lower_bound(graph, &UnitCost, schedule);
     let t = tune_schedule(graph, schedule, &UnitCost, &with_floor(base, false, floor))?;
-    let certified = certify_schedule(graph, &t.schedule, &UnitCost)?;
+    let certified = agreed(
+        certify_schedule(graph, &t.schedule, &UnitCost)?,
+        t.predicted,
+    )?;
     Ok(Outcome {
         name,
         kind: "schedule",
@@ -255,7 +273,10 @@ pub fn pipeline_job(
     let floor = schedule_lower_bound(&graph, &UnitCost, &schedule);
     let opts = with_floor(base, true, floor);
     let t = tune_pipeline(layers, devices, strategy, group, &UnitCost, &opts)?;
-    let certified = certify_schedule(&t.graph, &t.schedule, &UnitCost)?;
+    let certified = agreed(
+        certify_schedule(&t.graph, &t.schedule, &UnitCost)?,
+        t.predicted,
+    )?;
     Ok(Outcome {
         name: strategy.label().to_string(),
         kind: "pipeline",

@@ -9,8 +9,11 @@
 //! closes that loop: a local-search autotuner whose move set is exactly
 //! the freedom out-of-order backprop licenses, whose every accepted move
 //! is gated by the [`ooo_verify::Verifier`] safety analyzer, and whose
-//! winner is certified by running the real simulator once at the end
-//! (predicted == simulated, tolerance 0).
+//! winner is certified once at the end at tolerance 0: a backward order
+//! against the data-parallel simulator ([`order::certify_order`]), a
+//! multi-lane or op-level schedule — which no engine times independently
+//! — by a fresh list-evaluation pass against the incremental evaluator's
+//! own pass ([`certify_schedule`]).
 //!
 //! # Move set
 //!
@@ -99,14 +102,18 @@ pub enum Error {
     /// The *input* schedule failed the safety gate; the tuner refuses to
     /// optimize an unsafe starting point. Carries the verifier report.
     Unsafe(Report),
-    /// End-of-run certification failed: the predicted makespan of the
-    /// winner disagreed with its simulated makespan. This indicates a
-    /// predictor/simulator divergence and should never happen.
+    /// End-of-run certification failed: a fresh list-evaluation pass
+    /// over the winner disagreed with a second makespan of it. This
+    /// indicates an evaluator divergence and should never happen.
     Certification {
-        /// Statically predicted makespan of the winner.
+        /// The winner's makespan by a fresh [`predict_makespan`] pass.
         predicted: SimTime,
-        /// Simulated makespan of the winner.
-        simulated: SimTime,
+        /// The makespan it was checked against.
+        checked: SimTime,
+        /// What computed `checked`: `"incremental evaluation"`
+        /// ([`DeltaEval::new`]), `"data-parallel simulation"` or
+        /// `"tuned score"` (the search's own score of the winner).
+        by: &'static str,
     },
 }
 
@@ -121,10 +128,11 @@ impl fmt::Display for Error {
             ),
             Error::Certification {
                 predicted,
-                simulated,
+                checked,
+                by,
             } => write!(
                 f,
-                "certification failed: predicted {predicted} != simulated {simulated}"
+                "certification failed: predicted {predicted} != {by} {checked}"
             ),
         }
     }
@@ -1095,28 +1103,33 @@ pub fn tune_schedule<C: CostModel + Sync>(
     })
 }
 
-/// Certifies a tuned schedule: runs the discrete-event simulator once
-/// and demands the statically predicted makespan match **exactly**
-/// (tolerance 0). Returns the certified makespan.
+/// Certifies a tuned schedule: evaluates it afresh with the one
+/// list-evaluation pass ([`predict_makespan`]) and demands the makespan
+/// of the incremental evaluator's own, separately written pass
+/// ([`DeltaEval::new`]) match **exactly** (tolerance 0). Returns the
+/// certified makespan. No engine times a multi-lane or op-level
+/// schedule independently (see [`ooo_core::list_scheduling`]), so this
+/// checks the two evaluators the tuner relies on, not the recurrence.
 ///
 /// # Errors
 ///
 /// [`Error::Certification`] on any disagreement; [`Error::Core`] when
-/// the schedule does not simulate.
+/// the schedule does not evaluate.
 pub fn certify_schedule<C: CostModel>(
     graph: &TrainGraph,
     schedule: &Schedule,
     cost: &C,
 ) -> Result<SimTime> {
     let predicted = predict_makespan(graph, schedule, cost)?.makespan();
-    let simulated = ooo_core::list_scheduling::simulate(graph, schedule, cost)?.makespan();
-    if predicted != simulated {
+    let checked = DeltaEval::new(graph, schedule, cost)?.makespan();
+    if predicted != checked {
         return Err(Error::Certification {
             predicted,
-            simulated,
+            checked,
+            by: "incremental evaluation",
         });
     }
-    Ok(simulated)
+    Ok(predicted)
 }
 
 #[cfg(test)]

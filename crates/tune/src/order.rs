@@ -496,9 +496,9 @@ pub fn tune_backward_order<C: CostModel + Sync>(
 }
 
 /// Certifies a tuned backward order: runs the data-parallel
-/// discrete-event simulator and demands it match the static prediction
-/// of the reconstructed schedule exactly. Returns the certified
-/// makespan.
+/// discrete-event simulator, an engine written apart from the
+/// list-evaluation pass, and demands it match the static prediction of
+/// the reconstructed schedule exactly. Returns the certified makespan.
 ///
 /// # Errors
 ///
@@ -516,7 +516,8 @@ pub fn certify_order<C: CostModel>(
     if predicted != simulated {
         return Err(Error::Certification {
             predicted,
-            simulated,
+            checked: simulated,
+            by: "data-parallel simulation",
         });
     }
     Ok(simulated)

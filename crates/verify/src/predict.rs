@@ -1,23 +1,21 @@
 //! Static makespan prediction by cost-model list evaluation.
 //!
-//! [`predict_makespan`] derives exact start/finish times for every op of
-//! a fixed multi-lane [`Schedule`] without running a discrete-event
-//! simulation: the union graph (per-lane program order plus the
-//! dependency edges between scheduled ops) is evaluated once in
-//! topological order with the recurrence
+//! [`predict_makespan`] (with [`Prediction`] and [`PredictedOp`]) is
+//! re-exported from [`ooo_core::list_scheduling`], where it is the one
+//! evaluator of a fixed multi-lane [`Schedule`]: a single topological
+//! pass over the union graph (per-lane program order plus the
+//! dependency edges between scheduled ops) with the recurrence
 //!
 //! ```text
 //! start(op) = max(finish(lane predecessor), max over deps finish(dep))
 //! finish(op) = start(op) + cost.duration(op)
 //! ```
 //!
-//! which is the same recurrence [`ooo_core::list_scheduling::simulate`]
-//! resolves event by event — so for any fixed schedule the prediction
-//! matches the simulated timeline **exactly** (tolerance 0). Dependencies
-//! outside the schedule are treated as finished at time zero, supporting
-//! the partial schedules of reverse first-k scheduling. The pass indexes
-//! ops through the graph's dense op ids, so it builds no per-call op map
-//! or edge tables.
+//! [`ooo_core::list_scheduling::simulate`] is the same pass sorted into
+//! a timeline, so a prediction and a "simulation" of one schedule are one
+//! computation, not two that check each other. Dependencies outside the
+//! schedule are treated as finished at time zero, supporting the partial
+//! schedules of reverse first-k scheduling.
 //!
 //! [`DeltaEval`] keeps that timing state for a schedule under edit, plus
 //! a topological rank of the union graph. An edit repairs the rank
@@ -32,11 +30,16 @@
 //! of the state untouched — then the batch cannot shorten the schedule —
 //! and [`DeltaEval::certainly_deadlocks`] whether a single move or a
 //! `[dW_i, U_i]` block closes a cycle through the state's own paths.
+//! [`DeltaEval::new`] times its input in its own pass, ordered by a heap
+//! on start times: `ooo_tune::certify_schedule` compares it with the
+//! dense pass at tolerance 0.
 //!
 //! [`datapar_schedule`] statically reconstructs the two-lane schedule
 //! realized by [`ooo_core::datapar::simulate_data_parallel`] for a given
 //! backward order and communication policy; predicting it reproduces the
 //! data-parallel simulator's makespan exactly (zero latency tail).
+
+pub use ooo_core::list_scheduling::{predict_makespan, PredictedOp, Prediction};
 
 use ooo_core::cost::CostModel;
 use ooo_core::datapar::CommPolicy;
@@ -44,246 +47,7 @@ use ooo_core::op::LayerId;
 use ooo_core::schedule::Schedule;
 use ooo_core::{Error, Op, SimTime, TrainGraph};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::OnceLock;
-
-/// One scheduled operation with its predicted interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictedOp {
-    /// The operation.
-    pub op: Op,
-    /// Index of the lane it is placed on.
-    pub lane: usize,
-    /// Position within the lane.
-    pub index: usize,
-    /// Predicted start time (ns).
-    pub start: SimTime,
-    /// Predicted finish time (ns).
-    pub end: SimTime,
-}
-
-/// The outcome of statically evaluating one schedule.
-#[derive(Debug, Clone)]
-pub struct Prediction {
-    lane_names: Vec<String>,
-    ops: Vec<PredictedOp>,
-    /// Op → node index, built on the first [`Prediction::start_of`] /
-    /// [`Prediction::finish_of`]: scoring callers only read the makespan.
-    index: OnceLock<HashMap<Op, usize>>,
-    /// For each op (by node index), the node whose finish bound its start
-    /// (`None` for ops starting at time zero).
-    binding: Vec<Option<usize>>,
-    makespan: SimTime,
-}
-
-impl Prediction {
-    /// The predicted makespan: latest finish across all lanes.
-    pub fn makespan(&self) -> SimTime {
-        self.makespan
-    }
-
-    /// Every op with its predicted interval, in lane-major schedule
-    /// order.
-    pub fn ops(&self) -> &[PredictedOp] {
-        &self.ops
-    }
-
-    /// The lane names, in schedule order.
-    pub fn lane_names(&self) -> &[String] {
-        &self.lane_names
-    }
-
-    fn node_of(&self, op: Op) -> Option<&PredictedOp> {
-        let index = self.index.get_or_init(|| {
-            self.ops
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.op, i))
-                .collect()
-        });
-        index.get(&op).map(|&i| &self.ops[i])
-    }
-
-    /// Predicted start time of `op`, if scheduled.
-    pub fn start_of(&self, op: Op) -> Option<SimTime> {
-        self.node_of(op).map(|p| p.start)
-    }
-
-    /// Predicted finish time of `op`, if scheduled.
-    pub fn finish_of(&self, op: Op) -> Option<SimTime> {
-        self.node_of(op).map(|p| p.end)
-    }
-
-    /// Total predicted busy time of lane `lane`.
-    pub fn lane_busy(&self, lane: usize) -> SimTime {
-        self.ops
-            .iter()
-            .filter(|p| p.lane == lane)
-            .map(|p| p.end - p.start)
-            .sum()
-    }
-
-    /// The idle (bubble) fraction across the lanes selected by `select`,
-    /// over the full `[0, makespan]` window: `1 - busy / (lanes * makespan)`.
-    pub fn idle_fraction(&self, select: impl Fn(&str) -> bool) -> f64 {
-        let lanes: Vec<usize> = (0..self.lane_names.len())
-            .filter(|&i| select(&self.lane_names[i]))
-            .collect();
-        if lanes.is_empty() || self.makespan == 0 {
-            return 0.0;
-        }
-        let busy: SimTime = lanes.iter().map(|&i| self.lane_busy(i)).sum();
-        1.0 - busy as f64 / (lanes.len() as SimTime * self.makespan) as f64
-    }
-
-    /// One predicted critical path: a chain of ops, each starting exactly
-    /// when its binding predecessor finishes, ending at the makespan.
-    /// Deterministic (ties resolve to the smallest node index).
-    pub fn critical_ops(&self) -> Vec<Op> {
-        let Some(last) = self
-            .ops
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| a.end.cmp(&b.end).then(ib.cmp(ia)))
-            .map(|(i, _)| i)
-        else {
-            return Vec::new();
-        };
-        let mut chain = Vec::new();
-        let mut cur = Some(last);
-        while let Some(i) = cur {
-            chain.push(self.ops[i].op);
-            cur = self.binding[i];
-        }
-        chain.reverse();
-        chain
-    }
-}
-
-/// Marks a graph op that is not in the schedule being predicted.
-const UNSCHEDULED: usize = usize::MAX;
-
-/// Statically evaluates `schedule` under `cost`: a single topological
-/// pass over the union of lane program order and dependency edges.
-///
-/// Nodes are addressed through the graph's dense op indices
-/// ([`TrainGraph::op_index`], [`TrainGraph::dep_indices`]): a node's
-/// union-graph predecessors are its lane predecessor and its scheduled
-/// dependencies, its successors its lane successor and its scheduled
-/// dependents, so the pass needs no per-call op map or edge tables.
-///
-/// # Errors
-///
-/// Mirrors [`ooo_core::list_scheduling::simulate`]:
-/// [`Error::UnknownOp`] / [`Error::DuplicateOp`] for malformed schedules
-/// and [`Error::DependencyViolation`] when the lanes deadlock.
-pub fn predict_makespan<C: CostModel>(
-    graph: &TrainGraph,
-    schedule: &Schedule,
-    cost: &C,
-) -> Result<Prediction, Error> {
-    let total: usize = schedule.lanes.iter().map(|l| l.ops.len()).sum();
-    // Node index (lane-major) of every scheduled op, by dense op index.
-    let mut node_of: Vec<usize> = vec![UNSCHEDULED; graph.len()];
-    let mut ids: Vec<usize> = Vec::with_capacity(total);
-    let mut nodes: Vec<PredictedOp> = Vec::with_capacity(total);
-    for (li, lane) in schedule.lanes.iter().enumerate() {
-        for (pos, &op) in lane.ops.iter().enumerate() {
-            let v = graph.op_index(op).ok_or(Error::UnknownOp(op))?;
-            if node_of[v] != UNSCHEDULED {
-                return Err(Error::DuplicateOp(op));
-            }
-            node_of[v] = nodes.len();
-            ids.push(v);
-            nodes.push(PredictedOp {
-                op,
-                lane: li,
-                index: pos,
-                start: 0,
-                end: 0,
-            });
-        }
-    }
-
-    // Union-graph in-degree: the lane predecessor plus every *scheduled*
-    // dependency (outside deps are complete at time zero). Nodes are
-    // lane-major, so node `i`'s lane predecessor is `i - 1` whenever its
-    // position is nonzero.
-    let n = nodes.len();
-    let mut indeg: Vec<usize> = (0..n)
-        .map(|i| {
-            let scheduled_deps = graph
-                .dep_indices(ids[i])
-                .iter()
-                .filter(|&&d| node_of[d] != UNSCHEDULED)
-                .count();
-            usize::from(nodes[i].index > 0) + scheduled_deps
-        })
-        .collect();
-
-    let mut binding: Vec<Option<usize>> = vec![None; n];
-    let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut done = 0usize;
-    while let Some(i) = queue.pop() {
-        done += 1;
-        // The first predecessor reaching the maximum finish becomes the
-        // binding one (lane predecessor first, then deps in graph order).
-        let mut start: SimTime = 0;
-        if nodes[i].index > 0 && nodes[i - 1].end > start {
-            start = nodes[i - 1].end;
-            binding[i] = Some(i - 1);
-        }
-        for &d in graph.dep_indices(ids[i]) {
-            if node_of[d] == UNSCHEDULED {
-                continue;
-            }
-            let p = node_of[d];
-            if nodes[p].end > start {
-                start = nodes[p].end;
-                binding[i] = Some(p);
-            }
-        }
-        nodes[i].start = start;
-        nodes[i].end = start + cost.duration(nodes[i].op);
-        let lane_succ = (i + 1 < n && nodes[i + 1].index > 0).then_some(i + 1);
-        let dependents = graph
-            .dependent_indices(ids[i])
-            .iter()
-            .filter(|&&s| node_of[s] != UNSCHEDULED)
-            .map(|&s| node_of[s]);
-        for s in lane_succ.into_iter().chain(dependents) {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                queue.push(s);
-            }
-        }
-    }
-    if done < n {
-        // The union graph has a cycle: the lanes deadlock. Report one
-        // blocked op with a scheduled-but-unfinished dependency, the way
-        // the simulator does.
-        let blocked = (0..n).find(|&i| indeg[i] > 0).expect("cycle exists");
-        let op = nodes[blocked].op;
-        let missing = graph
-            .dep_indices(ids[blocked])
-            .iter()
-            .find(|&&d| node_of[d] != UNSCHEDULED && indeg[node_of[d]] > 0)
-            .map_or(op, |&d| graph.ops()[d]);
-        return Err(Error::DependencyViolation {
-            op,
-            missing_dep: missing,
-        });
-    }
-
-    let makespan = nodes.iter().map(|p| p.end).max().unwrap_or(0);
-    Ok(Prediction {
-        lane_names: schedule.lanes.iter().map(|l| l.name.clone()).collect(),
-        ops: nodes,
-        index: OnceLock::new(),
-        binding,
-        makespan,
-    })
-}
+use std::collections::BinaryHeap;
 
 /// Statically reconstructs the two-lane schedule the data-parallel
 /// simulator realizes for `backward` under `policy`: the compute lane
@@ -1745,9 +1509,13 @@ mod tests {
     use super::*;
     use ooo_core::cost::{LayerCost, TableCost, UnitCost};
     use ooo_core::datapar::simulate_data_parallel;
-    use ooo_core::list_scheduling::simulate;
     use ooo_core::reverse_k::reverse_first_k;
 
+    /// A two-stream schedule: the prediction and `simulate`'s timeline
+    /// solve the list-evaluation recurrence op by op (each op starts at
+    /// the latest finish of its lane predecessor and its dependencies,
+    /// and runs for its cost), which has one solution on a schedule that
+    /// runs. Its makespan is pinned too.
     #[test]
     fn prediction_matches_simulation_exactly_on_multi_lane_schedules() {
         let g = TrainGraph::single_gpu(7);
@@ -1766,9 +1534,28 @@ mod tests {
         let mut s = Schedule::new();
         s.add_lane("main", main);
         s.add_lane("sub", sub);
-        let sim = simulate(&g, &s, &UnitCost).unwrap();
+        let sim = ooo_core::list_scheduling::simulate(&g, &s, &UnitCost).unwrap();
         let pred = predict_makespan(&g, &s, &UnitCost).unwrap();
-        assert_eq!(pred.makespan(), sim.makespan());
+        let mut last = 0;
+        for lane in &s.lanes {
+            let mut lane_free = 0;
+            for &op in &lane.ops {
+                let deps = g.deps(op).unwrap().into_iter();
+                let deps_done = deps.filter_map(|d| pred.finish_of(d)).max();
+                let start = lane_free.max(deps_done.unwrap_or(0));
+                let end = start + UnitCost.duration(op);
+                assert_eq!(pred.start_of(op), Some(start), "{op}");
+                assert_eq!(pred.finish_of(op), Some(end), "{op}");
+                lane_free = end;
+                last = last.max(lane_free);
+            }
+        }
+        // dO_7..dO_2 fill 0..6 on main, dW_1 follows dO_2 on sub (6..7),
+        // so F_1..F_7 run 7..14.
+        assert_eq!(last, 14);
+        assert_eq!(pred.makespan(), last);
+        assert_eq!(sim.makespan(), last);
+        assert_eq!(sim.entries.len(), s.num_ops());
         for e in &sim.entries {
             assert_eq!(pred.start_of(e.op), Some(e.start), "{}", e.op);
             assert_eq!(pred.finish_of(e.op), Some(e.end), "{}", e.op);

@@ -214,4 +214,16 @@ for run in "tune_order_48.json:order --layers 48 --k 0 --sync 3" \
 done
 rm -f /tmp/ooo-tune-scale.json
 
+echo "==> flag limits (an instance size above its limit exits 2 at once, naming the limit)"
+cargo build -q --release -p ooo-faults --bin ooo-chaos
+for run in "ooo-tune:order --layers 4097:--layers: 4097 is above the limit of 4096" \
+  "ooo-chaos:list --scenarios 65537:--scenarios: 65537 is above the limit of 65536"; do
+  tool=${run%%:*}; rest=${run#*:}; args=${rest%%:*}; want=${rest#*:}
+  rc=0; timeout 10 "./target/release/$tool" $args > /dev/null 2> /tmp/ooo-limit.err || rc=$?
+  [ "$rc" -eq 2 ] || { echo "$tool $args: expected exit 2 (got $rc)"; exit 1; }
+  grep -qF -- "$want" /tmp/ooo-limit.err \
+    || { echo "$tool $args: stderr does not name the limit"; cat /tmp/ooo-limit.err; exit 1; }
+done
+rm -f /tmp/ooo-limit.err
+
 echo "All checks passed."

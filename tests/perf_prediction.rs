@@ -1,13 +1,16 @@
 //! Differential validation of the static makespan predictor and the
-//! `OP`-series performance advisories against the discrete-event
-//! simulators: for every engine (single-GPU multi-region, data-parallel,
-//! pipeline, hybrid) the predictor must reproduce the simulated timeline
-//! *exactly* (tolerance 0), and every applied advisory fix must stay
-//! verify-clean while being strictly faster.
+//! `OP`-series performance advisories: for the engines with a simulator
+//! of their own (data-parallel, hybrid) the predictor must reproduce the
+//! simulated timeline *exactly* (tolerance 0), and every applied
+//! advisory fix must stay verify-clean while being strictly faster.
+//! Multi-lane and op-level schedules have no independent engine: there
+//! the prediction and `simulate`'s timeline are held op by op to the
+//! list-evaluation recurrence they solve (`ooo-core`'s `list_scheduling`
+//! tests also hold them to a commit-loop oracle).
 
 use ooo_backprop::core::bounds::lower_bound;
 use ooo_backprop::core::combined::combined_backward_order;
-use ooo_backprop::core::cost::{LayerCost, TableCost, UnitCost};
+use ooo_backprop::core::cost::{CostModel, LayerCost, TableCost, UnitCost};
 use ooo_backprop::core::datapar::{simulate_data_parallel, CommPolicy};
 use ooo_backprop::core::list_scheduling::simulate;
 use ooo_backprop::core::multi_region::{
@@ -73,6 +76,56 @@ fn datapar_prediction_matches_simulation_exactly() {
     }
 }
 
+/// Holds `predict_makespan` and `simulate` to the list-evaluation
+/// recurrence, op by op: every scheduled op starts at the latest finish
+/// among its lane predecessor and its scheduled dependencies (those
+/// outside the schedule are done at time zero) and ends its cost later,
+/// and the makespan is the last finish. A schedule that runs has exactly
+/// one solution of the recurrence, so this checks the pass without a
+/// second evaluator. `simulate`'s timeline must carry the same times,
+/// sorted by `(start, lane, end)`.
+fn assert_solves_the_recurrence<C: CostModel>(
+    graph: &TrainGraph,
+    schedule: &Schedule,
+    cost: &C,
+    ctx: &str,
+) {
+    let pred = predict_makespan(graph, schedule, cost).unwrap();
+    let sim = simulate(graph, schedule, cost).unwrap();
+    let mut last = 0;
+    for lane in &schedule.lanes {
+        let mut lane_free = 0;
+        for &op in &lane.ops {
+            let deps_done = graph.deps(op).unwrap().into_iter();
+            let deps_done = deps_done.filter_map(|d| pred.finish_of(d)).max();
+            let start = lane_free.max(deps_done.unwrap_or(0));
+            let end = start + cost.duration(op);
+            assert_eq!(pred.start_of(op), Some(start), "{ctx} {op} start");
+            assert_eq!(pred.finish_of(op), Some(end), "{ctx} {op} end");
+            lane_free = end;
+            last = last.max(end);
+        }
+    }
+    assert_eq!(pred.makespan(), last, "{ctx} makespan");
+    assert_eq!(sim.makespan(), last, "{ctx} simulated makespan");
+    assert_eq!(sim.entries.len(), schedule.num_ops(), "{ctx} entries");
+    for e in &sim.entries {
+        let lane = &schedule.lanes[e.resource.0];
+        assert!(lane.ops.contains(&e.op), "{ctx} {} lane", e.op);
+        assert_eq!(pred.start_of(e.op), Some(e.start), "{ctx} {}", e.op);
+        assert_eq!(pred.finish_of(e.op), Some(e.end), "{ctx} {}", e.op);
+    }
+    let keys: Vec<_> = sim
+        .entries
+        .iter()
+        .map(|e| (e.start, e.resource.0, e.end))
+        .collect();
+    assert!(
+        keys.windows(2).all(|w| w[0] <= w[1]),
+        "{ctx} timeline order"
+    );
+}
+
 /// Seeds 1–30: every pipeline strategy's op-level schedule is predicted
 /// exactly, op for op, at random layer/device counts.
 #[test]
@@ -91,27 +144,8 @@ fn pipeline_prediction_matches_simulation_exactly() {
         let devices = rng.gen_range(1usize..=4);
         let strategy = strategies[rng.gen_range(0..strategies.len())];
         let (graph, schedule) = op_level_schedule(layers, devices, strategy, 1);
-        let sim = simulate(&graph, &schedule, &UnitCost).unwrap();
-        let pred = predict_makespan(&graph, &schedule, &UnitCost).unwrap();
-        assert_eq!(
-            pred.makespan(),
-            sim.makespan(),
-            "seed {seed} {strategy:?} l={layers} d={devices}"
-        );
-        for e in &sim.entries {
-            assert_eq!(
-                pred.start_of(e.op),
-                Some(e.start),
-                "seed {seed} {strategy:?} {}",
-                e.op
-            );
-            assert_eq!(
-                pred.finish_of(e.op),
-                Some(e.end),
-                "seed {seed} {strategy:?} {}",
-                e.op
-            );
-        }
+        let ctx = format!("seed {seed} {strategy:?} l={layers} d={devices}");
+        assert_solves_the_recurrence(&graph, &schedule, &UnitCost, &ctx);
     }
 }
 
@@ -133,16 +167,8 @@ fn multi_region_prediction_matches_simulation_exactly() {
         };
         let mrs = multi_region_joint_schedule(&graph, &regions, &subs, &profile).unwrap();
         let schedule = mrs.to_schedule(&regions);
-        let sim = simulate(&graph, &schedule, &cost).unwrap();
-        let pred = predict_makespan(&graph, &schedule, &cost).unwrap();
-        assert_eq!(
-            pred.makespan(),
-            sim.makespan(),
-            "seed {seed} l={l} per={per}"
-        );
-        for e in &sim.entries {
-            assert_eq!(pred.finish_of(e.op), Some(e.end), "seed {seed} {}", e.op);
-        }
+        let ctx = format!("seed {seed} l={l} per={per}");
+        assert_solves_the_recurrence(&graph, &schedule, &cost, &ctx);
     }
 }
 

@@ -1,9 +1,9 @@
 //! Cross-strategy conformance suite for the scheduling-strategy zoo
 //! (`ooo_cluster::strategy`): across seeds 1-30 and every engine shape,
 //! every applicable strategy's output must (a) pass the `ooo-verify`
-//! analyzer with zero diagnostics, (b) certify — static makespan
-//! prediction equals the discrete-event simulation exactly, tolerance 0
-//! — (c) reconcile its static memory ledger against the instrumented
+//! analyzer with zero diagnostics, (b) certify — a fresh list-evaluation
+//! pass equals the incremental evaluator exactly, tolerance 0 — (c)
+//! reconcile its static memory ledger against the instrumented
 //! per-op counter exactly, and (d) regenerate byte-identically on a
 //! second run. The heterogeneous device model is pinned by its own
 //! differential: a uniform fleet must reproduce the homogeneous
@@ -84,7 +84,7 @@ fn strategy_zoo_conforms_on_seeds_1_to_30() {
                     shape.kind()
                 );
 
-                // (b) prediction == simulation at tolerance 0.
+                // (b) fresh pass == incremental evaluator at tolerance 0.
                 g.certified(&cost).unwrap_or_else(|e| {
                     panic!("seed {seed}: {} on {}: {e}", s.name(), shape.kind())
                 });

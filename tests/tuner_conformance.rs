@@ -1,8 +1,10 @@
 //! Conformance layer for the `ooo-tune` autotuner: across seeds 1-30 and
 //! all four cluster engine shapes (single-GPU multi-region, data-parallel,
 //! pipeline, hybrid), every tuned schedule must (a) pass the `ooo-verify`
-//! safety analyzer with zero diagnostics, (b) certify — static prediction
-//! equals the discrete-event simulation exactly, tolerance 0 — and (c)
+//! safety analyzer with zero diagnostics, (b) certify at tolerance 0 — a
+//! backward order against the data-parallel simulator, a multi-lane
+//! schedule by a fresh list-evaluation pass against the incremental
+//! evaluator — and (c)
 //! never be worse than the engine's own heuristic baseline, with a strict
 //! improvement on at least one seed per engine.
 
