@@ -572,6 +572,25 @@ const MAX_QUEUE: u64 = 1 << 16;
 /// them in a `u32`.
 const MAX_RETRIES: u64 = u32::MAX as u64;
 
+/// The largest batch `ooo-trace --batch` may ask for. The cost tables
+/// scale each layer's activation bytes with the batch in `u64`; at this
+/// batch no zoo model's buffers, nor the 1.1× memory budget over them,
+/// overflow it (a unit test of `ooo-models` checks every zoo model).
+pub const MAX_BATCH: u64 = 1 << 20;
+
+/// The most micro-batches `ooo-trace --micro` may ask for: each one is
+/// simulated as its own ops, and the simulation's time grows about with
+/// their square (`densenet121` at 256 takes ~54 s on 2 vCPUs).
+const MAX_MICRO: u64 = 256;
+
+/// The most GPUs or replicas `ooo-trace --gpus` and `--replicas` may ask
+/// for: aggregation latencies and global batches grow linearly with them.
+const MAX_GPUS: u64 = 1 << 16;
+
+/// The longest request line `ooo-serve --max-request-bytes` may allow: a
+/// line is buffered whole up to it.
+const MAX_REQUEST_BYTES: u64 = 1 << 30;
+
 const JSON: Flag = Flag::switch("--json");
 const OUT: Flag = Flag::text("--out", "FILE");
 const BUNDLE: Mode = mode("bundle", Some("<bundle.json>"));
@@ -579,7 +598,7 @@ const ORDER_MODES: [Mode; 3] = [mode("order", None), BUNDLE, mode("pipeline", No
 const POLICY: Flag = Flag::text("--policy", "fifo|bylayer");
 const SCHEDULE: Flag = Flag::text("--schedule", "NAME");
 const LAYERS: Flag = Flag::count("--layers", "N").max(MAX_LAYERS as u64);
-const K: Flag = Flag::count("--k", "K");
+const K: Flag = Flag::count("--k", "K").max(MAX_LAYERS as u64);
 const DEVICES: Flag = Flag::count("--devices", "D").max(MAX_LAYERS as u64);
 const STRATEGY: Flag = Flag::text("--strategy", "NAME");
 const GROUP: Flag = Flag::count("--group", "G").max(MAX_LAYERS as u64);
@@ -661,12 +680,12 @@ pub static TRACE: Spec = Spec {
         Flag::text("--engine", "NAME"),
         Flag::text("--comm", "NAME"),
         STRATEGY,
-        Flag::count("--batch", "N"),
-        Flag::count("--micro", "N"),
-        Flag::count("--gpus", "N"),
-        Flag::count("--devices", "N"),
-        Flag::count("--replicas", "N"),
-        Flag::count("--k", "N"),
+        Flag::count("--batch", "N").max(MAX_BATCH),
+        Flag::count("--micro", "N").max(MAX_MICRO),
+        Flag::count("--gpus", "N").max(MAX_GPUS),
+        Flag::count("--devices", "N").max(MAX_LAYERS as u64),
+        Flag::count("--replicas", "N").max(MAX_GPUS),
+        Flag::count("--k", "N").max(MAX_LAYERS as u64),
         OUT,
     ],
 };
@@ -710,8 +729,8 @@ pub static SERVE: Spec = Spec {
         Flag::count("--queue", "N").max(MAX_QUEUE),
         Flag::count("--cache", "N"),
         Flag::count("--retries", "N").max(MAX_RETRIES),
-        Flag::count("--max-request-bytes", "N"),
-        Flag::count("--max-layers", "N"),
+        Flag::count("--max-request-bytes", "N").max(MAX_REQUEST_BYTES),
+        Flag::count("--max-layers", "N").max(MAX_LAYERS as u64),
         Flag::count("--degrade-hot", "N"),
         Flag::text("--socket", "PATH").only(&["--daemon"]),
     ],
@@ -816,30 +835,46 @@ mod tests {
             let err = parse(spec, words).expect_err(words);
             assert!(err.starts_with(want), "{} {words}: {err}", spec.tool);
         }
-        // Each limit is accepted, and one above it is refused, naming it.
-        for (spec, words, max) in [
-            (&TUNE, "order --sync", 1_048_576u64),
-            (&CERT, "order --sync", 1_048_576),
-            (&MEMCHECK, "order --sync", 1_048_576),
-            (&TUNE, "order --restarts", 256),
-            (&SERVE, "--oneshot --workers", 256),
-            (&TUNE, "order --layers", 4096),
-            (&CERT, "pipeline --devices", 4096),
-            (&ADVISE, "pipeline --group", 4096),
-            (&MEMCHECK, "order --layers", 4096),
-            (&CHAOS, "list --scenarios", 65_536),
-            (&SERVE, "--daemon --queue", 65_536),
-            (&SERVE, "--daemon --retries", 4_294_967_295),
-        ] {
-            assert!(
-                parse(spec, &format!("{words} {max}")).is_ok(),
-                "{words} {max}"
-            );
-            let err = parse(spec, &format!("{words} {}", max + 1)).unwrap_err();
-            let flag = words.rsplit(' ').next().unwrap();
-            let want = format!("{flag}: {} is above the limit of {max}", max + 1);
-            assert!(err.starts_with(&want), "{} {words}: {err}", spec.tool);
+    }
+
+    /// The `Count` and `U64` flags with no limit, each with why none is
+    /// needed: the value is only compared, never allocated, summed or
+    /// scaled.
+    const UNBOUNDED: [(&str, &str); 8] = [
+        ("ooo-lint", "--budget"),       // bytes compared with a ledger peak
+        ("ooo-memcheck", "--budget"),   // bytes compared with a ledger peak
+        ("ooo-chaos", "--seed"),        // a value, not a size
+        ("ooo-tune", "--window"),       // a distance compared with position gaps
+        ("ooo-tune", "--memory-cap"),   // bytes compared with a ledger peak
+        ("ooo-cert", "--budget"),       // a node count the search stops at
+        ("ooo-serve", "--cache"),       // an entry count compared with the cache's
+        ("ooo-serve", "--degrade-hot"), // a queue depth compared with the queue's
+    ];
+
+    /// Every `Count` and `U64` flag of every tool has a limit or sits on
+    /// [`UNBOUNDED`], and every limit parses while one above it is
+    /// refused, naming the limit.
+    #[test]
+    fn every_size_flag_has_a_limit_or_a_reason() {
+        let mut unbounded = Vec::new();
+        for spec in TOOLS {
+            for flag in spec.flags {
+                if !matches!(flag.kind, Kind::Count | Kind::U64) {
+                    continue;
+                }
+                let Some(max) = flag.max else {
+                    unbounded.push((spec.tool, flag.name));
+                    continue;
+                };
+                let mode = flag.modes.first().copied().unwrap_or(spec.modes[0].name);
+                let words = format!("{mode} {} {max}", flag.name);
+                assert!(parse(spec, &words).is_ok(), "{} {words}", spec.tool);
+                let err = parse(spec, &format!("{mode} {} {}", flag.name, max + 1));
+                let want = format!("{}: {} is above the limit of {max}", flag.name, max + 1);
+                assert!(err.unwrap_err().starts_with(&want), "{} {words}", spec.tool);
+            }
         }
+        assert_eq!(unbounded, UNBOUNDED);
     }
 
     #[cfg(unix)]

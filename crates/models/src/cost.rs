@@ -171,6 +171,24 @@ mod tests {
     use super::*;
     use crate::zoo::{densenet121, resnet};
 
+    /// At `ooo-trace`'s largest batch ([`ooo_core::cli::MAX_BATCH`]), the
+    /// bytes of every buffer a zoo model's cost table holds — each
+    /// layer's activation, output gradient and weight gradient, which
+    /// bound any ledger peak — sum, plus the 1.1× budget's tenth, to no
+    /// more than `u64::MAX`, counted in `u128`.
+    #[test]
+    fn batch_limit_keeps_every_zoo_models_bytes_in_u64() {
+        let batch = u128::from(ooo_core::cli::MAX_BATCH);
+        for (model, ..) in crate::zoo::table1() {
+            let bytes: u128 = (model.layers.iter())
+                .map(|l| 2 * u128::from(l.activation_bytes_per_sample) * batch)
+                .chain(model.layers.iter().map(|l| u128::from(l.param_bytes)))
+                .sum();
+            let budget = bytes + bytes / 10;
+            assert!(budget <= u128::from(u64::MAX), "{}: {budget}", model.name);
+        }
+    }
+
     #[test]
     fn densenet_late_dw_kernels_underutilize_v100() {
         // The calibration target from the paper's Section 8.2 discussion:

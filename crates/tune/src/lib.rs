@@ -44,37 +44,33 @@
 //!
 //! # Scoring
 //!
-//! Neighborhoods are enumerated as move descriptors and scored against
-//! one [`DeltaEval`] of the incumbent per scan: every relocation, in
-//! every space, is at most one [`DeltaEval::probe`] batch. Two exact
-//! lower bounds drop a relocation unprobed when they already reach its
-//! *raw cutoff* — the raw makespan it must stay below to rank (the
-//! score to beat, less the cap penalty when the carried-in floor
-//! already exceeds the cap): a batch
-//! that moves no op of the incumbent's critical path
-//! ([`DeltaEval::keeps_critical_path`]) makes at least the incumbent's
-//! makespan, and in the order space a candidate's own link plan plus
-//! the unmoved compute-lane tail waiting on each sync bounds its
-//! makespan (see [`order`]). That plan resumes the incumbent's recorded
-//! link plan at the first service step the move can change and stops
-//! at the step where its running bound reaches the raw cutoff. A single move or `[dW_i, U_i]` block that
-//! closes a cycle through the incumbent's own paths — read off per-lane
-//! ancestry clocks ([`DeltaEval::certainly_deadlocks`]) — is dropped
-//! too: it has no score. The probe repairs the evaluator's topological
-//! rank locally, on one side of each new edge where it can, re-times
-//! only the ops whose inputs changed (a moved `dW` shifts its lane's
-//! tail until the first slack absorbs it) and restores the incumbent
-//! from an undo log. An order-space relocation that reorders the link
-//! lane probes the moved syncs in the same batch, so no candidate is
-//! realized and predicted in full; a `dW` moved past its own dependency
-//! or dependent there is a certain deadlock, read off the evaluator's
-//! positions without a probe. Perturbations score only the candidates
-//! they draw.
-//! A candidate is cloned and described only when it is gated, accepted
-//! or drawn. Under a memory cap a relocation's peak is read off the
-//! probe's own times, before the restore, by one [`PeakSweep`] built per
-//! search — and only when its raw makespan is below the score it must
-//! beat and the carried-in floor does not already exceed the cap.
+//! Neighborhoods are enumerated as move descriptors and scored once per
+//! scan against the incumbent, with no candidate realized in full. A
+//! relocation is dropped unscored when an exact lower bound already
+//! reaches its *raw cutoff* — the raw makespan it must stay below to rank
+//! (the score to beat, less the cap penalty when the carried-in floor
+//! already exceeds the cap) — or when it certainly deadlocks.
+//!
+//! - In the order space ([`order`]) a relocation's makespan is closed
+//!   form: its link plan, resumed from the incumbent's at the first
+//!   service step the move can change, plus the compute lane that never
+//!   waits before its update/forward chain. The plan stops at the step
+//!   where its running makespan reaches the raw cutoff.
+//! - In the other spaces a relocation is one [`DeltaEval::probe`] batch
+//!   on the incumbent's evaluator. A batch that moves no op of the
+//!   incumbent's critical path ([`DeltaEval::keeps_critical_path`])
+//!   makes at least the incumbent's makespan, and a single move or
+//!   `[dW_i, U_i]` block that closes a cycle through the incumbent's own
+//!   paths ([`DeltaEval::certainly_deadlocks`]) has no score. The probe
+//!   repairs the evaluator's rank locally, re-times only the ops whose
+//!   inputs changed and restores the incumbent from an undo log.
+//!
+//! Perturbations score only the candidates they draw, and a candidate is
+//! cloned and described only when it is gated, accepted or drawn. Under a
+//! memory cap a relocation's peak is read off its times (closed-form or
+//! probed) by one [`PeakSweep`] built per search — only when its raw
+//! makespan is below the score it must beat and the carried-in floor does
+//! not already exceed the cap.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -341,8 +337,8 @@ pub(crate) trait SearchSpace: Sync {
     type State: Clone + Send;
     /// One candidate move out of a state.
     type Move;
-    /// Per-state scoring context, built once per neighborhood scan (for
-    /// relocation moves, a [`DeltaEval`] carrying the state's timing).
+    /// Per-state scoring context, built once per neighborhood scan: the
+    /// incumbent's [`DeltaEval`], or in the order space its link plan.
     type Scorer;
 
     /// The `ooo-verify` gate: `true` iff the state produces zero
@@ -449,14 +445,19 @@ impl MemoryCap {
         self.bytes
     }
 
-    /// The peak of the relocated state `de` holds (the search's op set,
-    /// probed times), or the floor when that alone exceeds the cap:
-    /// either one is over the cap exactly when the peak is.
-    fn relocated_peak(&self, de: &DeltaEval<'_>, events: &mut PeakEvents) -> u64 {
+    /// The peak of a relocated state (the search's op set, at the times
+    /// `span` gives by dense op index), or the floor when that alone
+    /// exceeds the cap: either one is over the cap exactly when the peak
+    /// is.
+    pub(crate) fn relocated_peak(
+        &self,
+        span: impl Fn(usize) -> (SimTime, SimTime),
+        events: &mut PeakEvents,
+    ) -> u64 {
         if self.floor > self.bytes {
             self.floor
         } else {
-            self.sweep.peak(|v| de.span_at(v), events)
+            self.sweep.peak(span, events)
         }
     }
 }
@@ -473,28 +474,6 @@ pub(crate) fn raw_cutoff(cutoff: SimTime, cap: Option<&MemoryCap>) -> SimTime {
     }
 }
 
-/// The capped score below `cutoff` (see [`SearchSpace::score`]) of the
-/// relocation batch `batch` on the incumbent's evaluator. Two checks drop
-/// a batch unprobed: one that keeps the incumbent's critical path
-/// ([`DeltaEval::keeps_critical_path`]) makes at least the incumbent's
-/// makespan, so when that already reaches the [`raw_cutoff`] it cannot
-/// rank; and a single move or `[dW_i, U_i]` block that closes a cycle
-/// through the incumbent's own paths
-/// ([`DeltaEval::certainly_deadlocks`]) has no score. Every other batch
-/// is [`probe_score`]d.
-pub(crate) fn probe_capped(
-    de: &mut DeltaEval<'_>,
-    batch: &[(ooo_core::Op, usize, usize)],
-    cutoff: SimTime,
-    cap: Option<&MemoryCap>,
-    events: &mut PeakEvents,
-) -> Option<SimTime> {
-    if cannot_rank(de, batch, cutoff, cap) || de.certainly_deadlocks(batch) {
-        return None;
-    }
-    probe_score(de, batch, cutoff, cap, events)
-}
-
 /// `true` when the relocation batch `batch` keeps the incumbent's
 /// critical path and the incumbent's makespan already reaches the
 /// [`raw_cutoff`]: the batch then scores at or above `cutoff`.
@@ -505,28 +484,6 @@ fn cannot_rank(
     cap: Option<&MemoryCap>,
 ) -> bool {
     de.makespan() >= raw_cutoff(cutoff, cap) && de.keeps_critical_path(batch)
-}
-
-/// The capped score below `cutoff` of the relocation batch `batch`: one
-/// [`DeltaEval::probe_with`], which re-times only what the batch
-/// changes, reading the candidate's peak ([`MemoryCap::relocated_peak`])
-/// off the probed times before the restore — only when its raw makespan
-/// is below the cutoff ([`capped_below`]). `None` also when the batch
-/// deadlocks.
-pub(crate) fn probe_score(
-    de: &mut DeltaEval<'_>,
-    batch: &[(ooo_core::Op, usize, usize)],
-    cutoff: SimTime,
-    cap: Option<&MemoryCap>,
-    events: &mut PeakEvents,
-) -> Option<SimTime> {
-    de.probe_with(batch, |de, raw| {
-        capped_below(raw, cutoff, cap.map(MemoryCap::bytes), || {
-            cap.map(|cap| cap.relocated_peak(de, events))
-        })
-    })
-    .ok()
-    .flatten()
 }
 
 /// Cooperative cancellation state for one search (or one restart
@@ -831,9 +788,14 @@ pub(crate) const SEARCH_STATES_EVALUATE: &str =
     "search states evaluate: each was scored before it was accepted";
 
 /// Scores one relocation of the scorer's state below `cutoff` (see
-/// [`SearchSpace::score`]): one [`probe_capped`] batch, so no candidate
-/// is materialized. Shared by the bundle space above and the pipeline
-/// space's in-lane moves.
+/// [`SearchSpace::score`]) as one [`DeltaEval::probe_with`] batch, which
+/// re-times only what the batch changes, reading the candidate's peak
+/// ([`MemoryCap::relocated_peak`]) off the probed times before the
+/// restore when its raw makespan is below the cutoff ([`capped_below`]).
+/// Two checks drop a batch unprobed: [`cannot_rank`], and a single move
+/// or `[dW_i, U_i]` block that closes a cycle through the incumbent's own
+/// paths ([`DeltaEval::certainly_deadlocks`]), which has no score. Shared
+/// by the bundle space above and the pipeline space's in-lane moves.
 pub(crate) fn score_relocation(
     cap: Option<&MemoryCap>,
     sc: &mut RelocationScorer<'_>,
@@ -841,7 +803,17 @@ pub(crate) fn score_relocation(
     cutoff: SimTime,
 ) -> Option<SimTime> {
     let (batch, len) = mv.batch();
-    probe_capped(&mut sc.de, &batch[..len], cutoff, cap, &mut sc.events)
+    let (de, batch, events) = (&mut sc.de, &batch[..len], &mut sc.events);
+    if cannot_rank(de, batch, cutoff, cap) || de.certainly_deadlocks(batch) {
+        return None;
+    }
+    de.probe_with(batch, |de, raw| {
+        capped_below(raw, cutoff, cap.map(MemoryCap::bytes), || {
+            cap.map(|cap| cap.relocated_peak(|v| de.span_at(v), events))
+        })
+    })
+    .ok()
+    .flatten()
 }
 
 /// A whole-state replacement move (a k-jump, a regroup). Its target does
@@ -1425,23 +1397,13 @@ mod tests {
     /// relocation of op-level gpipe and pipe2 at 8×4 (in-lane, as the
     /// pipeline space moves them) and of the strategy zoo's multi-region
     /// schedule of 8 layers under unit cost (cross-lane and block moves
-    /// too; a partial schedule, so weight gradients are retained). Its
-    /// capped score is the raw makespan plus the penalty exactly when that
-    /// peak is over the cap, for caps from below the carried-in floor
-    /// (settled without a sweep) through the peaks.
+    /// too; a partial schedule, so weight gradients are retained). The
+    /// capped scores built on that peak are checked, cap by cap, by
+    /// `pruned_relocation_scores_equal_the_unpruned_probe`.
     #[test]
     fn relocation_sweep_peak_equals_the_materialized_ledger_peak() {
         for (graph, state, cross_lane) in &relocation_cases() {
-            let base = ledger_of_schedule(graph, state, &UnitCost).unwrap();
-            let raw = predict_makespan(graph, state, &UnitCost)
-                .unwrap()
-                .makespan();
-            let caps: Vec<(Option<MemoryCap>, u64)> = (base.initial - 1..=base.peak + 2)
-                .map(|bytes| {
-                    let cap = MemoryCap::of_baseline(graph, &UnitCost, state, Some(bytes), raw);
-                    (cap.unwrap().0, bytes)
-                })
-                .collect();
+            let base = schedule_peak(graph, state, &UnitCost).unwrap();
             let sweep = PeakSweep::new(graph, &UnitCost, state);
             let mut sc = RelocationScorer::new(graph, state, &UnitCost);
             let mut events = PeakEvents::default();
@@ -1457,19 +1419,10 @@ mod tests {
                     .ok();
                 let at = mv.describe(state);
                 assert_eq!(swept, want, "{at}");
-                let raw = score_relocation(None, &mut sc, &mv, SimTime::MAX);
-                for (cap, bytes) in &caps {
-                    let penalty = |p: u64| if p > *bytes { MEMORY_CAP_PENALTY } else { 0 };
-                    assert_eq!(
-                        score_relocation(cap.as_ref(), &mut sc, &mv, SimTime::MAX),
-                        raw.zip(want).map(|(m, p)| m + penalty(p)),
-                        "cap {bytes}: {at}"
-                    );
-                }
                 peaks.extend(want);
             }
             assert!(
-                peaks.iter().any(|&p| p != base.peak),
+                peaks.iter().any(|&p| p != base),
                 "every relocation keeps the peak"
             );
         }
@@ -1506,8 +1459,9 @@ mod tests {
     /// Dropping a relocation unprobed never changes a score: on every
     /// relocation case, uncapped and under every cap from below the
     /// carried-in floor through the peaks, and at cutoffs around the
-    /// incumbent's score, [`score_relocation`] equals the plain
-    /// [`probe_score`] with no pre-check. Some relocations are dropped,
+    /// incumbent's score, [`score_relocation`] equals [`capped_below`] of
+    /// the materialized candidate's makespan and ledger peak. Some
+    /// relocations are dropped,
     /// and under a cap below the floor exactly those are dropped that
     /// the uncapped search drops at the incumbent's raw makespan: the
     /// penalty every relocated state pays comes off the cutoff first.
@@ -1522,6 +1476,13 @@ mod tests {
             let caps = (base.initial - 1..=base.peak + 2).map(Some);
             let mut sc = RelocationScorer::new(graph, state, &UnitCost);
             let moves = schedule_relocations(graph, state, *cross_lane, None);
+            let materialized: Vec<Option<(SimTime, u64)>> = (moves.iter())
+                .map(|mv| {
+                    let s = mv.apply(state);
+                    let m = predict_makespan(graph, &s, &UnitCost).ok()?.makespan();
+                    Some((m, schedule_peak(graph, &s, &UnitCost).ok()?))
+                })
+                .collect();
             fn pruned_at(
                 sc: &mut RelocationScorer<'_>,
                 moves: &[Relocation],
@@ -1549,12 +1510,10 @@ mod tests {
                     );
                 }
                 for cutoff in [inc - 1, inc, inc + 1, SimTime::MAX] {
-                    for mv in &moves {
-                        let (batch, len) = mv.batch();
-                        let (sc, events) = (&mut sc, &mut PeakEvents::default());
+                    for (mv, want) in moves.iter().zip(&materialized) {
                         assert_eq!(
-                            score_relocation(cap, sc, mv, cutoff),
-                            probe_score(&mut sc.de, &batch[..len], cutoff, cap, events),
+                            score_relocation(cap, &mut sc, mv, cutoff),
+                            want.and_then(|(m, p)| capped_below(m, cutoff, bytes, || Some(p))),
                             "cap {bytes:?} cutoff {cutoff}: {}",
                             mv.describe(state)
                         );

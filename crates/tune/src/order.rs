@@ -10,32 +10,33 @@
 //! heuristic can stop at on non-concave cost surfaces.
 //!
 //! Scoring is the exact predictor on the realized two-lane schedule of
-//! [`ooo_verify::predict::datapar_schedule`]: a relocation is one
-//! [`DeltaEval::probe`] of the incumbent's realization (under a memory
-//! cap, its peak is read off the probed times), k-jumps are realized
-//! once per run; the safety gate verifies that same reconstruction. A
-//! relocation plans its candidate's link service before any probe, and
-//! that plan is the realized candidate's exact `S[dW]` times: each
-//! sync's finish plus the compute-lane tail that waits on it (never
-//! moved by a relocation) bounds the candidate's makespan from below,
-//! so a relocation whose bound already reaches the score to beat is
-//! dropped unprobed. The plan is not made from scratch: the scorer
-//! records the incumbent's plan with the planner's state before every
-//! step ([`SyncTrail`]), a relocation resumes it at the first step that
-//! starts at or after the earliest `dW` finish it changes, and the
-//! running bound drops the move at the step where it reaches the score
-//! to beat.
+//! [`ooo_verify::predict::datapar_schedule`], which the safety gate
+//! verifies too. k-jumps are realized once per run; a relocation is
+//! scored in closed form. The compute lane runs the backward order, which
+//! never waits, then the `U_i`/`F_i` chain, whose ops wait only on their
+//! lane predecessor and on `S[dW_i]`; the link lane is the service plan of
+//! the `dW` finish times, each planned `(layer, start, end)` the realized
+//! `S[dW_i]` interval. So a candidate's makespan is
+//! `max(C, max_i(end_i + tail_i))`, with `C` the compute lane's total
+//! duration and `tail_i` the chain's time after `S[dW_i]` finishes, both
+//! fixed by the op set; under a memory cap its peak is swept over
+//! closed-form op times. The candidate's plan resumes the incumbent's
+//! recorded plan ([`SyncTrail`]) at the first step that starts at or
+//! after the earliest `dW` finish the move changes, and the move is
+//! dropped at the step where its running makespan reaches the score to
+//! beat.
 
 use crate::{
-    local_search, probe_capped, raw_cutoff, AppliedMove, Error, Jump, MemoryCap, Result,
-    SearchSpace, TuneOptions, SEARCH_STATES_EVALUATE,
+    capped_below, local_search, raw_cutoff, AppliedMove, Error, Jump, MemoryCap, Result,
+    SearchSpace, TuneOptions,
 };
 use ooo_core::cost::CostModel;
 use ooo_core::datapar::{simulate_data_parallel, CommPolicy, SyncPlanner, SyncTrail};
 use ooo_core::op::LayerId;
+use ooo_core::schedule::Schedule;
 use ooo_core::{Op, SimTime, TrainGraph};
 use ooo_verify::mem::{schedule_peak, PeakEvents};
-use ooo_verify::predict::{datapar_schedule, predict_makespan, DeltaEval};
+use ooo_verify::predict::{datapar_schedule, predict_makespan};
 use ooo_verify::Verifier;
 use std::sync::OnceLock;
 
@@ -102,36 +103,37 @@ struct OrderSpace<'g, C: CostModel> {
     window: Option<usize>,
     memory_cap: Option<MemoryCap>,
     k_jumps: OnceLock<Vec<Jump<Vec<Op>>>>,
-    /// Per layer `i`, the compute-lane time after `S[dW_i]` finishes
-    /// ([`link_tail`]); no relocation moves it, so it is set on the first
-    /// scan.
-    link_tail: OnceLock<Vec<SimTime>>,
+    /// The realized compute lane after the backward order ([`chain_of`]).
+    chain: Vec<(usize, SimTime, Option<usize>)>,
 }
 
-/// The incumbent's scoring context: its realized schedule's evaluator
-/// plus what it takes to turn a relocation into one probe batch.
-struct OrderScorer<'g> {
-    de: DeltaEval<'g>,
+/// The incumbent's scoring context: what a relocation's closed-form
+/// score starts from.
+struct OrderScorer {
+    /// Each op's position in the incumbent order, by dense index
+    /// (`usize::MAX` off the order).
+    pos: Vec<usize>,
     /// Sequential finish time of each backward position.
     finish: Vec<SimTime>,
     /// Sequential finish of each layer's `dW` (index 0 unused).
     dw_finish: Vec<SimTime>,
-    /// The link lane and the incumbent's link plan, recorded with the
-    /// planner's state before every step so a candidate resumes it, when
-    /// the graph syncs.
-    link: Option<(usize, SyncTrail)>,
-    /// `reach[s]`: the largest `end + tail[layer]` over the incumbent
-    /// plan's first `s` steps — a candidate's bound on the steps it
-    /// shares (one entry, 0, without a link lane).
+    /// Per layer `i` (index 0 unused), the compute-lane time after
+    /// `S[dW_i]` finishes: the chain from the first op that waits on it,
+    /// 0 when none does.
+    after_sync: Vec<SimTime>,
+    /// The incumbent's link plan, recorded with the planner's state
+    /// before every step so a candidate resumes it, when the graph syncs.
+    link: Option<SyncTrail>,
+    /// `reach[s]`: the largest of `C` and `end + after_sync[layer]` over
+    /// the incumbent plan's first `s` steps.
     reach: Vec<SimTime>,
-    /// The search's [`link_tail`].
-    tail: Vec<SimTime>,
     /// Work state for a candidate: its `dw_finish`, the link planner it
-    /// resumes, its probe batch, and the events a capped search reads
-    /// its peak with.
+    /// resumes and the steps it plans from there, and under a memory cap
+    /// its op times by dense index and the events its peak is swept with.
     buf: Vec<SimTime>,
     planner: SyncPlanner,
-    batch: Vec<(Op, usize, usize)>,
+    steps: Vec<(usize, SimTime, SimTime)>,
+    spans: Vec<(SimTime, SimTime)>,
     events: PeakEvents,
 }
 
@@ -180,71 +182,56 @@ impl<C: CostModel> OrderSpace<'_, C> {
         next
     }
 
-    /// Fills the scorer's batch with the relocation as one probe batch
-    /// on the incumbent's [`DeltaEval`], with no allocation, unless its
-    /// link plan's bound reaches `cutoff` (the [`raw_cutoff`]). The
-    /// realized schedule of the relocated order runs the incumbent's
-    /// compute lane with one `dW` moved, and a link lane planned from the
-    /// shifted `dW` finish times, which are computed here from the
-    /// incumbent's without realizing the candidate. The batch is that
-    /// compute-lane move plus each `S[dW]` whose service position
-    /// changed, at its new position: the unmoved syncs keep their slots,
-    /// and the batch inserts in ascending position, so the probed link
-    /// lane is the candidate's, and probing it gives the exact
-    /// predictor's times on the identical realized schedule.
+    /// The exact raw makespan of the realized relocated order, unless it
+    /// reaches `cutoff` (the [`raw_cutoff`]): `max(C, max_i(end_i +
+    /// after_sync_i))` over the candidate's link plan (see the module
+    /// docs), `C` without a link lane. The plan runs on the shifted `dW`
+    /// finish times, computed from the incumbent's, and its steps are
+    /// left in the scorer for [`OrderSpace::relocated_spans`]. A `dW`
+    /// moved past one of its own dependencies or dependents is `None`
+    /// before any planning: its realization would deadlock.
     ///
     /// The link plan is the incumbent's up to the first step that starts
     /// at or after `t0`, the earliest old or new finish of a `dW` the
     /// move shifts: every earlier step admitted only unshifted layers. So
     /// the candidate [`SyncPlanner::resume`]s the incumbent's recorded
-    /// plan there and steps on from it.
-    ///
-    /// Returns a lower bound on the candidate's makespan read off its
-    /// link plan: each planned `(layer, start, end)` is the realized
-    /// candidate's exact `S[dW_i]` interval, and the compute-lane tail
-    /// that waits on it ([`link_tail`]) runs after it, unmoved — so
-    /// `max_i(end_i + tail_i)` (0 without a link lane). The running
-    /// maximum only grows, so the move is dropped with `None` at the
-    /// first step (the incumbent's shared steps count as one) where it
-    /// reaches `cutoff`, before the rest of the plan or the batch is
-    /// built: exactly the moves whose whole-plan bound reaches it. A `dW`
-    /// moved past one of its own dependencies or dependents on its lane
-    /// ([`passes_own_edge`]) leaves the batch empty and returns `None`
-    /// before any planning: its probe would deadlock.
-    fn relocation_batch(
+    /// plan there. The running maximum only grows, so the move is dropped
+    /// at the first step (the shared steps count as one) where it reaches
+    /// `cutoff`.
+    fn relocated_makespan(
         &self,
-        sc: &mut OrderScorer<'_>,
+        sc: &mut OrderScorer,
         order: &[Op],
         (op, from, to): (Op, usize, usize),
         cutoff: SimTime,
     ) -> Option<SimTime> {
         let OrderScorer {
-            de,
+            pos,
             finish,
             dw_finish,
+            after_sync,
             link,
             reach,
-            tail,
             buf,
             planner,
-            batch,
+            steps,
             ..
         } = sc;
-        let (lane, _) = de.position_of(op).expect("dW is scheduled");
-        batch.clear();
-        if passes_own_edge(self.graph, de, op, (lane, from), to) {
+        let v = self.graph.op_index(op).expect("movers are in the graph");
+        let d = self.cost.duration(op);
+        let (shifted, passed, own) = if from < to {
+            let deps = self.graph.dependent_indices(v);
+            (from + 1..to + 1, deps, finish[to])
+        } else {
+            let start = to.checked_sub(1).map_or(0, |p| finish[p]);
+            (to..from, self.graph.dep_indices(v), start + d)
+        };
+        if passed.iter().any(|&w| shifted.contains(&pos[w])) {
             return None;
         }
-        batch.push((op, lane, to));
-        let Some((link_lane, trail)) = link else {
-            // No link lane: the bound is 0.
-            return (0 < cutoff).then_some(0);
-        };
-        let d = self.cost.duration(op);
-        let (shifted, own) = if from < to {
-            (from + 1..to + 1, finish[to])
-        } else {
-            (to..from, to.checked_sub(1).map_or(0, |p| finish[p]) + d)
+        steps.clear();
+        let Some(trail) = link else {
+            return (reach[0] < cutoff).then_some(reach[0]);
         };
         buf.clone_from(dw_finish);
         let mut t0 = SimTime::MAX;
@@ -268,31 +255,79 @@ impl<C: CostModel> OrderSpace<'_, C> {
             set(i, own);
         }
         let first = trail.first_step_at(t0);
-        let mut bound = reach[first];
-        if bound >= cutoff {
+        let mut makespan = reach[first];
+        if makespan >= cutoff {
             return None;
         }
         planner.resume(trail, first, buf);
-        for (pos, &(old, _, _)) in trail.service().iter().enumerate().skip(first) {
-            let (pick, _, end) = planner
+        for _ in first..trail.service().len() {
+            let step = planner
                 .step(buf, self.policy, |i| self.sync_ns(i))
                 .expect("one step per layer");
-            bound = bound.max(end + tail[pick]);
-            if bound >= cutoff {
+            makespan = makespan.max(step.2 + after_sync[step.0]);
+            if makespan >= cutoff {
                 return None;
             }
-            if pick != old {
-                batch.push((Op::SyncWeightGrad(LayerId(pick)), *link_lane, pos));
+            steps.push(step);
+        }
+        Some(makespan)
+    }
+
+    /// Fills the scorer's `spans` with every op's `(start, finish)` in the
+    /// realized schedule of `order` with the `dW` at `from` moved to `to`,
+    /// whose makespan [`OrderSpace::relocated_makespan`] just returned:
+    /// the backward ops run back to back in the relocated order, each
+    /// `S[dW_i]` over its planned interval, and each chain op starts at
+    /// its lane predecessor's finish or, when it waits on `S[dW_i]`, at
+    /// that sync's end if later.
+    fn relocated_spans(&self, sc: &mut OrderScorer, order: &[Op], from: usize, to: usize) {
+        let OrderScorer {
+            finish,
+            link,
+            steps,
+            spans,
+            ..
+        } = sc;
+        let index = |op| {
+            self.graph
+                .op_index(op)
+                .expect("ordered ops are in the graph")
+        };
+        spans.resize(self.graph.len(), (0, 0));
+        let runs = if from < to {
+            [
+                0..from,
+                from + 1..to + 1,
+                from..from + 1,
+                to + 1..order.len(),
+            ]
+        } else {
+            [0..to, from..from + 1, to..from, from + 1..order.len()]
+        };
+        let mut t = 0;
+        for p in runs.into_iter().flatten() {
+            let start = t;
+            t += finish[p] - p.checked_sub(1).map_or(0, |q| finish[q]);
+            spans[index(order[p])] = (start, t);
+        }
+        if let Some(trail) = link {
+            let shared = &trail.service()[..trail.service().len() - steps.len()];
+            for &(i, start, end) in shared.iter().chain(steps.iter()) {
+                spans[index(Op::SyncWeightGrad(LayerId(i)))] = (start, end);
             }
         }
-        Some(bound)
+        for &(v, d, wait) in &self.chain {
+            let start = wait.map_or(t, |w| t.max(spans[w].1));
+            t = start + d;
+            spans[v] = (start, t);
+        }
     }
 }
 
 impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
     type State = OrderState;
     type Move = OrderMove;
-    type Scorer = OrderScorer<'g>;
+    type Scorer = OrderScorer;
 
     fn clean(&self, state: &OrderState) -> bool {
         match datapar_schedule(self.graph, &state.order, self.cost, self.policy) {
@@ -326,63 +361,65 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
         out
     }
 
-    fn scorer(&self, state: &OrderState) -> OrderScorer<'g> {
-        let s0 = datapar_schedule(self.graph, &state.order, self.cost, self.policy)
-            .expect(SEARCH_STATES_EVALUATE);
-        let tail = self.link_tail.get_or_init(|| {
-            let compute = &s0.lanes[0].ops[state.order.len()..];
-            link_tail(self.graph, self.cost, compute)
-        });
-        let de = DeltaEval::new(self.graph, &s0, self.cost).expect(SEARCH_STATES_EVALUATE);
+    fn scorer(&self, state: &OrderState) -> OrderScorer {
+        let mut pos = vec![usize::MAX; self.graph.len()];
+        let mut dw_finish = vec![0; self.graph.layers() + 1];
         let mut t: SimTime = 0;
-        let finish: Vec<SimTime> = state
-            .order
-            .iter()
-            .map(|&op| {
+        let finish: Vec<SimTime> = (state.order.iter().enumerate())
+            .map(|(p, &op)| {
+                pos[self
+                    .graph
+                    .op_index(op)
+                    .expect("ordered ops are in the graph")] = p;
                 t += self.cost.duration(op);
+                if let Op::WeightGrad(LayerId(i)) = op {
+                    dw_finish[i] = t;
+                }
                 t
             })
             .collect();
-        let mut dw_finish = vec![0; self.graph.layers() + 1];
-        for (&op, &f) in state.order.iter().zip(&finish) {
-            if let Op::WeightGrad(LayerId(i)) = op {
-                dw_finish[i] = f;
+        let (mut after_sync, mut chain_ns) = (vec![0; self.graph.layers() + 1], 0);
+        for &(_, d, wait) in self.chain.iter().rev() {
+            chain_ns += d;
+            if let Some(Op::SyncWeightGrad(LayerId(i))) = wait.map(|w| self.graph.ops()[w]) {
+                after_sync[i] = chain_ns;
             }
         }
         let mut planner = SyncPlanner::default();
-        let link = de
-            .position_of(Op::SyncWeightGrad(LayerId(1)))
-            .map(|(lane, _)| {
-                let mut trail = SyncTrail::default();
-                planner.record(&dw_finish, self.policy, |i| self.sync_ns(i), &mut trail);
-                (lane, trail)
-            });
-        let mut reach = vec![0];
-        for &(pick, _, end) in link.iter().flat_map(|(_, trail)| trail.service()) {
-            reach.push(reach[reach.len() - 1].max(end + tail[pick]));
+        let link = (self.graph.contains(Op::SyncWeightGrad(LayerId(1)))).then(|| {
+            let mut trail = SyncTrail::default();
+            planner.record(&dw_finish, self.policy, |i| self.sync_ns(i), &mut trail);
+            trail
+        });
+        let mut reach = vec![t + chain_ns];
+        for &(pick, _, end) in link.iter().flat_map(SyncTrail::service) {
+            reach.push(reach[reach.len() - 1].max(end + after_sync[pick]));
         }
         OrderScorer {
-            de,
+            pos,
             finish,
             dw_finish,
+            after_sync,
             link,
             reach,
-            tail: tail.clone(),
             buf: Vec::new(),
             planner,
-            batch: Vec::new(),
+            steps: Vec::new(),
+            spans: Vec::new(),
             events: PeakEvents::default(),
         }
     }
 
     /// k-jumps carry their scores from the k-jump table, under a memory
     /// cap realizing a target for its ledger the first time its raw
-    /// makespan is below the cutoff; relocations are one
-    /// [`probe_capped`] batch ([`OrderSpace::relocation_batch`]), unless
-    /// the batch's link-plan bound already reaches the [`raw_cutoff`].
+    /// makespan is below the cutoff; relocations are scored in closed
+    /// form ([`OrderSpace::relocated_makespan`]), under a memory cap with
+    /// the peak swept over their closed-form times
+    /// ([`OrderSpace::relocated_spans`]) when the raw makespan is below
+    /// the cutoff.
     fn score(
         &self,
-        sc: &mut OrderScorer<'g>,
+        sc: &mut OrderScorer,
         state: &OrderState,
         mv: &OrderMove,
         cutoff: SimTime,
@@ -397,8 +434,12 @@ impl<'g, C: CostModel + Sync> SearchSpace for OrderSpace<'g, C> {
             }
             OrderMove::Relocate { op, from, to } => {
                 let raw = raw_cutoff(cutoff, cap);
-                self.relocation_batch(sc, &state.order, (op, from, to), raw)?;
-                probe_capped(&mut sc.de, &sc.batch, cutoff, cap, &mut sc.events)
+                let raw = self.relocated_makespan(sc, &state.order, (op, from, to), raw)?;
+                capped_below(raw, cutoff, cap.map(MemoryCap::bytes), || {
+                    let cap = cap?;
+                    self.relocated_spans(sc, &state.order, from, to);
+                    Some(cap.relocated_peak(|v| sc.spans[v], &mut sc.events))
+                })
             }
         }
     }
@@ -465,7 +506,7 @@ pub fn tune_backward_order<C: CostModel + Sync>(
         window: opts.window,
         memory_cap,
         k_jumps: OnceLock::new(),
-        link_tail: OnceLock::new(),
+        chain: chain_of(graph, cost, &realized, baseline.len()),
     };
     let init = OrderState {
         order: baseline.to_vec(),
@@ -523,107 +564,86 @@ pub fn certify_order<C: CostModel>(
     Ok(simulated)
 }
 
-/// Exhaustive predictor sweep over every combined split depth `k`:
-/// returns the `(k, makespan)` minimizing the predicted makespan (ties
-/// to the smallest `k`). This is the tuner's k-move restricted to the
-/// combined family — the hybrid engine's exact alternative to the
-/// concave [`ooo_core::combined::choose_split_k`] heuristic.
+/// Exhaustive predictor sweep over the order family `order_of` (say
+/// reverse-first-k, or the combined split-k orders of the hybrid engine):
+/// the `(k, makespan)` minimizing the predicted makespan of
+/// `order_of(k)` over every depth `k`, ties to the smallest `k`. Over the
+/// combined family this is the tuner's k-move restricted to it — the
+/// exact alternative to the concave
+/// [`ooo_core::combined::choose_split_k`] heuristic.
 ///
 /// # Errors
 ///
 /// Propagates order-construction and prediction errors.
-pub fn best_combined_k<C: CostModel>(
+pub fn best_k<C: CostModel>(
     graph: &TrainGraph,
     cost: &C,
     policy: CommPolicy,
+    order_of: impl Fn(usize) -> ooo_core::Result<Vec<Op>>,
 ) -> Result<(usize, SimTime)> {
-    let mut best: Option<(SimTime, usize)> = None;
-    for k in 0..=graph.layers() {
-        let order = ooo_core::combined::combined_backward_order(graph, k)?;
-        let s = datapar_schedule(graph, &order, cost, policy)?;
-        let m = predict_makespan(graph, &s, cost)?.makespan();
-        if best.is_none_or(|(bm, _)| m < bm) {
-            best = Some((m, k));
-        }
-    }
+    let scored = (0..=graph.layers()).map(|k| {
+        let s = datapar_schedule(graph, &order_of(k)?, cost, policy)?;
+        Ok((predict_makespan(graph, &s, cost)?.makespan(), k))
+    });
+    let best = scored.collect::<Result<Vec<_>>>()?.into_iter().min();
     let (m, k) = best.expect("graphs have at least one layer");
     Ok((k, m))
 }
 
-/// Exhaustive predictor sweep over every reverse-first-k depth:
-/// returns the `(k, makespan)` minimizing the predicted makespan (ties
-/// to the smallest `k`).
+/// The compute lane of `realized`, the realized schedule of `backward`
+/// ops, after those ops — the `U_i`/`F_i` chain, which no relocation
+/// moves: each op's dense index and duration, and the dense index of the
+/// `S[dW_i]` it waits on.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates order-construction and prediction errors.
-pub fn best_reverse_k<C: CostModel>(
+/// When a cross-lane edge is not `dW_i → S[dW_i]` or `S[dW_i] →` a chain
+/// op that waits on no other sync: the closed-form score would not be the
+/// realized makespan.
+fn chain_of<C: CostModel>(
     graph: &TrainGraph,
     cost: &C,
-    policy: CommPolicy,
-) -> Result<(usize, SimTime)> {
-    let mut best: Option<(SimTime, usize)> = None;
-    for k in 0..=graph.layers() {
-        let order = ooo_core::reverse_k::reverse_first_k(graph, k, None::<(u64, &C)>)?;
-        let s = datapar_schedule(graph, &order, cost, policy)?;
-        let m = predict_makespan(graph, &s, cost)?.makespan();
-        if best.is_none_or(|(bm, _)| m < bm) {
-            best = Some((m, k));
+    realized: &Schedule,
+    backward: usize,
+) -> Vec<(usize, SimTime, Option<usize>)> {
+    let index = |op| graph.op_index(op).expect("realized ops are in the graph");
+    for &s in realized.lanes.iter().skip(1).flat_map(|lane| &lane.ops) {
+        let Op::SyncWeightGrad(i) = s else {
+            panic!("the link lane runs only S[dW], not {s}")
+        };
+        let own = [index(Op::WeightGrad(i))];
+        assert_eq!(
+            graph.dep_indices(index(s)),
+            own,
+            "{s} waits on its dW alone"
+        );
+    }
+    let mut chain = Vec::new();
+    for (pos, &op) in realized.lanes[0].ops.iter().enumerate() {
+        let deps = graph.dep_indices(index(op)).iter().copied();
+        let mut waits = deps.filter(|&w| matches!(graph.ops()[w], Op::SyncWeightGrad(_)));
+        let wait = waits.next();
+        let once = waits.next().is_none() && (wait.is_none() || pos >= backward);
+        assert!(
+            once,
+            "{op} waits on the link lane before the chain or twice"
+        );
+        if pos >= backward {
+            chain.push((index(op), cost.duration(op), wait));
         }
     }
-    let (m, k) = best.expect("graphs have at least one layer");
-    Ok((k, m))
-}
-
-/// Per layer `i` (index 0 unused), the duration of the realized compute
-/// lane from the first op of `compute` — the ops after the backward
-/// order — that depends on `S[dW_i]` through the lane's end: the time
-/// the lane still runs after `S[dW_i]` finishes, 0 when no op waits on
-/// it.
-fn link_tail<C: CostModel>(graph: &TrainGraph, cost: &C, compute: &[Op]) -> Vec<SimTime> {
-    let mut tail = vec![0; graph.layers() + 1];
-    let mut suffix = 0;
-    for &op in compute.iter().rev() {
-        suffix += cost.duration(op);
-        let v = graph.op_index(op).expect("realized ops are in the graph");
-        for &d in graph.dep_indices(v) {
-            if let Op::SyncWeightGrad(LayerId(i)) = graph.ops()[d] {
-                tail[i] = suffix;
-            }
-        }
-    }
-    tail
-}
-
-/// `true` when moving `op` within its lane from `(lane, from)` to
-/// position `to` (remove, then insert at `to`) places it before one of
-/// its own dependencies or after one of its own dependents on that lane.
-/// Such a move deadlocks the lanes, so its probe would fail; this reads
-/// the answer off the evaluator's positions in O(degree).
-fn passes_own_edge(
-    graph: &TrainGraph,
-    de: &DeltaEval<'_>,
-    op: Op,
-    (lane, from): (usize, usize),
-    to: usize,
-) -> bool {
-    let v = graph.op_index(op).expect("movers are in the graph");
-    let (passed, between) = if to < from {
-        (graph.dep_indices(v), to..from)
-    } else {
-        (graph.dependent_indices(v), from + 1..to + 1)
-    };
-    passed.iter().any(|&w| {
-        de.position_of(graph.ops()[w])
-            .is_some_and(|(l, p)| l == lane && between.contains(&p))
-    })
+    chain
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ooo_core::combined::combined_backward_order;
     use ooo_core::cost::{LayerCost, TableCost};
     use ooo_core::reverse_k::reverse_first_k;
+    use ooo_verify::mem::{ledger_of_schedule, MemLedger};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn sync_heavy(l: usize) -> TableCost {
         TableCost::uniform(
@@ -633,6 +653,166 @@ mod tests {
                 ..LayerCost::default()
             },
         )
+    }
+
+    /// The relocation tests' instances, each with its start orders:
+    /// - the 12-layer sync-3 order from three reverse-first-k states and
+    ///   two combined split-k states;
+    /// - 70 layers (two ready-set words) with random per-layer `dO`, `dW`
+    ///   and sync durations from 0, from three reverse-first-k states and
+    ///   one combined split-k state;
+    /// - 24 layers with every duration random from 0 and random buffer
+    ///   sizes, from three reverse-first-k and two combined split-k states;
+    /// - the 12-layer single-GPU graph (no link lane) from three
+    ///   reverse-first-k states.
+    ///
+    /// Each instance also starts from a seeded random walk of up to eight
+    /// relocations away from its first start order.
+    fn relocation_cases() -> Vec<(TrainGraph, TableCost, Vec<Vec<Op>>)> {
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut varied = TableCost::uniform(70, LayerCost::default());
+        for i in 1..=70 {
+            let c = varied.layer_mut(LayerId(i));
+            c.output_grad = rng.gen_range(0..3);
+            c.weight_grad = rng.gen_range(0..3);
+            c.sync_weight = rng.gen_range(0..6);
+        }
+        let mut spiky = TableCost::uniform(24, LayerCost::default());
+        for i in 1..=24 {
+            *spiky.layer_mut(LayerId(i)) = LayerCost {
+                forward: rng.gen_range(0..4),
+                output_grad: rng.gen_range(0..4),
+                weight_grad: rng.gen_range(0..3),
+                update: rng.gen_range(0..2),
+                sync_weight: rng.gen_range(0..8),
+                sync_output: 0,
+                activation_bytes: rng.gen_range(1..4),
+                out_grad_bytes: rng.gen_range(1..4),
+                weight_bytes: rng.gen_range(1..12),
+            };
+        }
+        let cases = [
+            (
+                TrainGraph::data_parallel(12),
+                sync_heavy(12),
+                [0, 4, 12],
+                [3, 8],
+            ),
+            (TrainGraph::data_parallel(70), varied, [0, 9, 70], [9, 9]),
+            (TrainGraph::data_parallel(24), spiky, [0, 6, 24], [6, 12]),
+            (
+                TrainGraph::single_gpu(12),
+                sync_heavy(12),
+                [0, 4, 12],
+                [0, 0],
+            ),
+        ];
+        let mut out = Vec::new();
+        for (graph, cost, ks, splits) in cases {
+            let reverse = ks.map(|k| reverse_first_k(&graph, k, None::<(u64, &TableCost)>));
+            let mut starts: Vec<Vec<Op>> = reverse.into_iter().map(|o| o.unwrap()).collect();
+            if graph.contains(Op::SyncWeightGrad(LayerId(1))) {
+                starts.extend(splits.map(|k| combined_backward_order(&graph, k).unwrap()));
+                starts.dedup();
+            }
+            let mut walk = starts[0].clone();
+            for _ in 0..8 {
+                let (from, to) = (rng.gen_range(0..walk.len()), rng.gen_range(0..walk.len()));
+                let next = OrderSpace::<TableCost>::relocated(&walk, from, to);
+                let policy = CommPolicy::FifoCompletion;
+                if walk[from].is_weight_grad()
+                    && datapar_schedule(&graph, &next, &cost, policy).is_ok()
+                {
+                    walk = next;
+                }
+            }
+            starts.push(walk);
+            out.push((graph, cost, starts));
+        }
+        out
+    }
+
+    /// The order space of `graph` under `policy` and `memory_cap`, with no
+    /// k-jumps and no window.
+    fn space<'g>(
+        graph: &'g TrainGraph,
+        cost: &'g TableCost,
+        policy: CommPolicy,
+        memory_cap: Option<MemoryCap>,
+    ) -> OrderSpace<'g, TableCost> {
+        let order = reverse_first_k(graph, 0, None::<(u64, &TableCost)>).unwrap();
+        let realized = datapar_schedule(graph, &order, cost, policy).unwrap();
+        OrderSpace {
+            graph,
+            cost,
+            policy,
+            family: KFamily::None,
+            verifier: Verifier::new(graph).with_cost(cost),
+            window: None,
+            memory_cap,
+            k_jumps: OnceLock::new(),
+            chain: chain_of(graph, cost, &realized, order.len()),
+        }
+    }
+
+    /// Runs `check` on every start state of [`relocation_cases`] under
+    /// both policies, with its uncapped space, its realized schedule and
+    /// the relocations to check: every one, or with `sample` a seeded
+    /// sample of 100 beyond 12 layers.
+    fn each_start(
+        sample: bool,
+        mut check: impl FnMut(&OrderSpace<'_, TableCost>, &OrderState, &Schedule, &[(Op, usize, usize)]),
+    ) {
+        let mut rng = StdRng::seed_from_u64(26);
+        for (graph, cost, starts) in &relocation_cases() {
+            for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
+                let space = space(graph, cost, policy, None);
+                for order in starts {
+                    let state = OrderState {
+                        order: order.clone(),
+                        k: None,
+                    };
+                    let realized = datapar_schedule(graph, order, cost, policy).unwrap();
+                    let mut moves: Vec<(Op, usize, usize)> = (space.moves(&state).into_iter())
+                        .filter_map(|mv| match mv {
+                            OrderMove::Relocate { op, from, to } => Some((op, from, to)),
+                            OrderMove::KJump(_) => None,
+                        })
+                        .collect();
+                    if sample && graph.layers() > 12 {
+                        moves = (0..100)
+                            .map(|_| moves[rng.gen_range(0..moves.len())])
+                            .collect();
+                    }
+                    check(&space, &state, &realized, &moves);
+                }
+            }
+        }
+    }
+
+    /// The caps a test tries on a start state whose ledger is `base`:
+    /// below the carried-in floor, at it, and through the peaks' range —
+    /// every byte of a small range, about 8 steps of a larger one.
+    fn caps(base: &MemLedger) -> impl Iterator<Item = u64> {
+        let step = ((base.peak + 3 - base.initial) / 8).max(1);
+        std::iter::once(base.initial - 1)
+            .chain((base.initial..=base.peak + 2).step_by(step as usize))
+    }
+
+    /// The full-realization reference of moving the `dW` at `from` to
+    /// `to`: the relocated order's realized schedule, its prediction and
+    /// its ledger peak, or `None` when it does not realize or evaluate.
+    fn realized(
+        space: &OrderSpace<'_, TableCost>,
+        order: &[Op],
+        (from, to): (usize, usize),
+    ) -> Option<(Schedule, ooo_verify::predict::Prediction, u64)> {
+        let (graph, cost) = (space.graph, space.cost);
+        let relocated = OrderSpace::<TableCost>::relocated(order, from, to);
+        let s = datapar_schedule(graph, &relocated, cost, space.policy).ok()?;
+        let prediction = predict_makespan(graph, &s, cost).ok()?;
+        let peak = schedule_peak(graph, &s, cost).ok()?;
+        Some((s, prediction, peak))
     }
 
     #[test]
@@ -657,349 +837,198 @@ mod tests {
         assert_eq!(certified, tuned.predicted);
     }
 
-    /// Every relocation of the 12-layer order under sync 3, from three
-    /// reverse-first-k states and under both policies: the one-batch
-    /// probe scores exactly what realizing the relocated order and a full
-    /// prediction give, `None` (a deadlock or an invalid order) included.
-    /// Some relocations reorder the link lane and some deadlock (each of
-    /// those is scored out by [`passes_own_edge`] before any probe), so
-    /// both halves of the batch and the deadlock rejection are exercised.
+    /// Every relocation from every start state of [`relocation_cases`]
+    /// (a seeded sample on 24 and 70 layers), under both policies: the
+    /// closed-form score is exactly the predicted makespan of
+    /// `datapar_schedule` of the relocated order, `None` (a deadlock or
+    /// an invalid order) included. From every start state some
+    /// relocations deadlock and, when the graph syncs, some reorder the
+    /// link lane.
     #[test]
     fn relocation_probe_equals_realizing_the_relocated_order() {
-        let inst = ooo_core::reverse_k::order_instance(12, 0, 3).unwrap();
-        for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
-            let space = OrderSpace {
-                graph: &inst.graph,
-                cost: &inst.cost,
-                policy,
-                family: KFamily::None,
-                verifier: Verifier::new(&inst.graph).with_cost(&inst.cost),
-                window: None,
-                memory_cap: None,
-                k_jumps: OnceLock::new(),
-                link_tail: OnceLock::new(),
-            };
-            let (mut reordered, mut unprobed) = (0, 0);
-            for k in [0, 4, 12] {
-                let state = OrderState {
-                    order: reverse_first_k(&inst.graph, k, None::<(u64, &TableCost)>).unwrap(),
-                    k: Some(k),
-                };
-                let mut sc = space.scorer(&state);
-                for mv in space.moves(&state) {
-                    let OrderMove::Relocate { op, from, to } = mv else {
-                        continue;
-                    };
-                    let probed = space.score(&mut sc, &state, &mv, SimTime::MAX);
-                    let relocated = OrderSpace::<TableCost>::relocated(&state.order, from, to);
-                    assert_eq!(
-                        probed,
-                        space.realize(&relocated),
-                        "{policy:?} k={k}: {op} {from} -> {to}"
-                    );
-                    reordered += usize::from(sc.batch.len() > 1);
-                    unprobed += usize::from(sc.batch.is_empty());
-                }
+        each_start(true, |space, state, incumbent, moves| {
+            let mut sc = space.scorer(state);
+            let (mut reordered, mut deadlocked) = (0, 0);
+            for &(op, from, to) in moves {
+                let at = format!(
+                    "{:?} l={}: {op} {from} -> {to}",
+                    space.policy,
+                    space.graph.layers()
+                );
+                let mv = OrderMove::Relocate { op, from, to };
+                let want = realized(space, &state.order, (from, to));
+                let m = want.as_ref().map(|(_, p, _)| p.makespan());
+                assert_eq!(space.score(&mut sc, state, &mv, SimTime::MAX), m, "{at}");
+                let link = |s: &Schedule| s.lanes.get(1).map(|lane| lane.ops.clone());
+                reordered += usize::from(want.is_some_and(|(s, ..)| link(&s) != link(incumbent)));
+                deadlocked += usize::from(m.is_none());
             }
+            let synced = space.graph.contains(Op::SyncWeightGrad(LayerId(1)));
             assert!(
-                reordered > 0 && unprobed > 0,
-                "{policy:?}: {reordered} reordered, {unprobed} unprobed"
+                (reordered > 0) == synced && deadlocked > 0,
+                "{:?}: {reordered} reordered, {deadlocked} deadlocked",
+                state.order
             );
-        }
+        });
     }
 
-    /// The peak a capped search reads off a relocation's probed times
-    /// ([`ooo_verify::mem::PeakSweep`]) is exactly the ledger peak of the
-    /// realized relocated order, over every relocation of the 12-layer
-    /// order under sync 3 from three reverse-first-k states and under
-    /// both policies (a deadlock reads no peak and realizes none). And a
-    /// capped score is the raw makespan plus the penalty exactly when
-    /// that peak is over the cap, for caps below the carried-in floor
-    /// (settled without a sweep), at it, and through the peaks' range.
+    /// Every op time a capped search sweeps a relocation's peak over is
+    /// exactly the prediction's for the realized relocated order, and the
+    /// swept peak ([`ooo_verify::mem::PeakSweep`]) is exactly that
+    /// order's ledger peak, over every relocation from every start state
+    /// of [`relocation_cases`] (a seeded sample on 24 and 70 layers) under
+    /// both policies (a deadlock reads no peak and realizes none). The
+    /// capped scores built on that peak are checked, cap by cap, by
+    /// `pruned_relocation_scores_equal_the_unpruned_probe`.
     #[test]
     fn relocation_sweep_peak_equals_the_realized_ledger_peak() {
-        use ooo_verify::mem::{ledger_of_schedule, PeakSweep};
-        let inst = ooo_core::reverse_k::order_instance(12, 0, 3).unwrap();
-        let (graph, cost) = (&inst.graph, &inst.cost);
-        for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
-            for k in [0, 4, 12] {
-                let order = reverse_first_k(graph, k, None::<(u64, &TableCost)>).unwrap();
-                let realized = datapar_schedule(graph, &order, cost, policy).unwrap();
-                let base = ledger_of_schedule(graph, &realized, cost).unwrap();
-                let raw = predict_makespan(graph, &realized, cost).unwrap().makespan();
-                let sweep = PeakSweep::new(graph, cost, &realized);
-                let state = OrderState { order, k: Some(k) };
-                let space = |memory_cap| OrderSpace {
-                    graph,
-                    cost,
-                    policy,
-                    family: KFamily::None,
-                    verifier: Verifier::new(graph).with_cost(cost),
-                    window: None,
-                    memory_cap,
-                    k_jumps: OnceLock::new(),
-                    link_tail: OnceLock::new(),
-                };
-                let caps: Vec<(OrderSpace<'_, TableCost>, u64)> = (base.initial - 1
-                    ..=base.peak + 2)
-                    .map(|bytes| {
-                        let cap = MemoryCap::of_baseline(graph, cost, &realized, Some(bytes), raw);
-                        (space(cap.unwrap().0), bytes)
-                    })
-                    .collect();
-                let plain = space(None);
-                let mut sc = plain.scorer(&state);
-                let mut events = PeakEvents::default();
-                let mut peaks = Vec::new();
-                for mv in plain.moves(&state) {
-                    let OrderMove::Relocate { op, from, to } = mv else {
-                        continue;
-                    };
-                    let relocated = OrderSpace::<TableCost>::relocated(&state.order, from, to);
-                    let want = datapar_schedule(graph, &relocated, cost, policy)
-                        .and_then(|s| schedule_peak(graph, &s, cost))
-                        .ok();
-                    let batch =
-                        plain.relocation_batch(&mut sc, &state.order, (op, from, to), SimTime::MAX);
-                    let swept = if batch.is_some() {
-                        sc.de
-                            .probe_with(&sc.batch, |de, _| {
-                                sweep.peak(|v| de.span_at(v), &mut events)
-                            })
-                            .ok()
-                    } else {
-                        None
-                    };
-                    assert_eq!(swept, want, "{policy:?} k={k}: {op} {from} -> {to}");
-                    let raw = plain.score(&mut sc, &state, &mv, SimTime::MAX);
-                    for (capped, bytes) in &caps {
-                        let penalty = |p: u64| {
-                            if p > *bytes {
-                                crate::MEMORY_CAP_PENALTY
-                            } else {
-                                0
-                            }
-                        };
-                        assert_eq!(
-                            capped.score(&mut sc, &state, &mv, SimTime::MAX),
-                            raw.zip(want).map(|(m, p)| m + penalty(p)),
-                            "{policy:?} k={k} cap {bytes}: {op} {from} -> {to}"
-                        );
-                    }
-                    peaks.extend(want);
-                }
-                assert!(
-                    peaks.iter().any(|&p| p != base.peak),
-                    "{policy:?} k={k}: every relocation keeps the peak"
+        use ooo_verify::mem::PeakSweep;
+        each_start(true, |plain, state, incumbent, moves| {
+            let (graph, cost) = (plain.graph, plain.cost);
+            let base = schedule_peak(graph, incumbent, cost).unwrap();
+            let sweep = PeakSweep::new(graph, cost, incumbent);
+            let (mut sc, mut events, mut moved) = (plain.scorer(state), PeakEvents::default(), 0);
+            for &(op, from, to) in moves {
+                let at = format!(
+                    "{:?} l={}: {op} {from} -> {to}",
+                    plain.policy,
+                    graph.layers()
                 );
+                let want = realized(plain, &state.order, (from, to));
+                let swept =
+                    (plain.relocated_makespan(&mut sc, &state.order, (op, from, to), SimTime::MAX))
+                        .map(|_| {
+                            plain.relocated_spans(&mut sc, &state.order, from, to);
+                            sweep.peak(|v| sc.spans[v], &mut events)
+                        });
+                assert_eq!(swept, want.as_ref().map(|&(.., p)| p), "{at}");
+                for o in want.iter().flat_map(|(_, p, _)| p.ops()) {
+                    let v = graph.op_index(o.op).unwrap();
+                    assert_eq!(sc.spans[v], (o.start, o.end), "{at}: {}", o.op);
+                }
+                moved += usize::from(want.is_some_and(|(.., p)| p != base));
             }
-        }
+            assert!(
+                moved > 0,
+                "{:?}: every relocation keeps the peak",
+                state.order
+            );
+        });
     }
 
-    /// Dropping an order relocation unprobed never changes a score, and
-    /// the link-plan bound never exceeds the probed makespan: over every
-    /// relocation of the 12-layer order under sync 3, from three
-    /// reverse-first-k states and under both policies, uncapped and under
-    /// every cap from below the carried-in floor through the peaks, and at
-    /// cutoffs around the incumbent's score, [`OrderSpace::score`] equals
-    /// the batch's plain [`crate::probe_score`] with no pre-check. The
-    /// link plan drops some relocations at the incumbent's makespan.
+    /// Dropping an order relocation early never changes a score: over
+    /// every relocation from every start state of [`relocation_cases`] (a
+    /// seeded sample on 24 and 70 layers) under both policies, uncapped
+    /// and under every cap from below the carried-in floor through the
+    /// peaks, and at cutoffs around the incumbent's score,
+    /// [`OrderSpace::score`] equals [`capped_below`] of the relocated
+    /// order's realized makespan and ledger peak. Some relocations are
+    /// dropped at the incumbent's score.
     #[test]
     fn pruned_relocation_scores_equal_the_unpruned_probe() {
-        use ooo_verify::mem::ledger_of_schedule;
-        let inst = ooo_core::reverse_k::order_instance(12, 0, 3).unwrap();
-        let (graph, cost) = (&inst.graph, &inst.cost);
         let mut dropped = 0;
-        for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
-            let space = |memory_cap| OrderSpace {
-                graph,
-                cost,
-                policy,
-                family: KFamily::None,
-                verifier: Verifier::new(graph).with_cost(cost),
-                window: None,
-                memory_cap,
-                k_jumps: OnceLock::new(),
-                link_tail: OnceLock::new(),
-            };
-            for k in [0, 4, 12] {
-                let order = reverse_first_k(graph, k, None::<(u64, &TableCost)>).unwrap();
-                let realized = datapar_schedule(graph, &order, cost, policy).unwrap();
-                let base = ledger_of_schedule(graph, &realized, cost).unwrap();
-                let raw = predict_makespan(graph, &realized, cost).unwrap().makespan();
-                let state = OrderState { order, k: Some(k) };
-                let plain = space(None);
-                let mut sc = plain.scorer(&state);
-                let moves: Vec<(Op, usize, usize)> = plain
-                    .moves(&state)
-                    .into_iter()
-                    .filter_map(|mv| match mv {
-                        OrderMove::Relocate { op, from, to } => Some((op, from, to)),
-                        OrderMove::KJump(_) => None,
-                    })
-                    .collect();
-                for &mv in &moves {
-                    let Some(bound) =
-                        plain.relocation_batch(&mut sc, &state.order, mv, SimTime::MAX)
-                    else {
-                        continue;
-                    };
-                    let probed = sc.de.probe(&sc.batch).unwrap();
-                    assert!(
-                        bound <= probed,
-                        "{policy:?} k={k}: {mv:?}: {bound} > {probed}"
-                    );
-                    dropped += usize::from(bound >= raw);
-                }
-                let caps = (base.initial - 1..=base.peak + 2).map(Some);
-                for bytes in std::iter::once(None).chain(caps) {
-                    let (cap, inc) =
-                        MemoryCap::of_baseline(graph, cost, &realized, bytes, raw).unwrap();
-                    let capped = space(cap);
-                    let mut events = PeakEvents::default();
-                    for cutoff in [inc - 1, inc, inc + 1, SimTime::MAX] {
-                        for &(op, from, to) in &moves {
-                            let mv = OrderMove::Relocate { op, from, to };
-                            let pruned = capped.score(&mut sc, &state, &mv, cutoff);
-                            let cap = capped.memory_cap.as_ref();
-                            let unpruned = capped
-                                .relocation_batch(
-                                    &mut sc,
-                                    &state.order,
-                                    (op, from, to),
-                                    SimTime::MAX,
-                                )
-                                .and_then(|_| {
-                                    crate::probe_score(
-                                        &mut sc.de,
-                                        &sc.batch,
-                                        cutoff,
-                                        cap,
-                                        &mut events,
-                                    )
-                                });
-                            assert_eq!(
-                                pruned, unpruned,
-                                "{policy:?} k={k} cap {bytes:?} cutoff {cutoff}: {op} {from} -> {to}"
-                            );
-                        }
+        each_start(true, |plain, state, incumbent, moves| {
+            let (graph, cost) = (plain.graph, plain.cost);
+            let base = ledger_of_schedule(graph, incumbent, cost).unwrap();
+            let raw = predict_makespan(graph, incumbent, cost).unwrap().makespan();
+            let mut sc = plain.scorer(state);
+            let moves: Vec<_> = (moves.iter())
+                .map(|&(op, from, to)| {
+                    let want = realized(plain, &state.order, (from, to));
+                    (
+                        OrderMove::Relocate { op, from, to },
+                        want.map(|(_, m, p)| (m.makespan(), p)),
+                    )
+                })
+                .collect();
+            for bytes in std::iter::once(None).chain(caps(&base).map(Some)) {
+                let (cap, inc) =
+                    MemoryCap::of_baseline(graph, cost, incumbent, bytes, raw).unwrap();
+                let capped = space(graph, cost, plain.policy, cap);
+                for cutoff in [inc - 1, inc, inc + 1, SimTime::MAX] {
+                    for (mv, want) in &moves {
+                        let pruned = capped.score(&mut sc, state, mv, cutoff);
+                        let unpruned =
+                            want.and_then(|(m, p)| capped_below(m, cutoff, bytes, || Some(p)));
+                        let OrderMove::Relocate { op, from, to } = mv else {
+                            unreachable!()
+                        };
+                        assert_eq!(
+                            pruned,
+                            unpruned,
+                            "{:?} l={} cap {bytes:?} cutoff {cutoff}: {op} {from} -> {to}",
+                            plain.policy,
+                            graph.layers()
+                        );
+                        dropped += usize::from(cutoff == raw && pruned.is_none() && want.is_some());
                     }
                 }
             }
-        }
-        assert!(dropped > 0, "the link plan drops no relocation");
+        });
+        assert!(dropped > 0, "no relocation is dropped");
     }
 
     /// The resumed, early-dropping link plan of
-    /// [`OrderSpace::relocation_batch`] against planning each relocated
-    /// order from scratch, under both policies, on the 12-layer sync-3
-    /// order and on 70 layers (two ready-set words) with random per-layer
-    /// `dO`, `dW` and sync durations from 0, from three reverse-first-k
-    /// states each, at random cutoffs around each candidate's bound. A
-    /// relocation past its own edge is `None` with an empty batch; any
-    /// other is dropped exactly when the from-scratch bound reaches the
-    /// cutoff, and otherwise returns that bound with the from-scratch
-    /// batch: the compute move plus every sync at a changed service
-    /// position.
+    /// [`OrderSpace::relocated_makespan`] against planning each relocated
+    /// order from scratch, on every relocation from every start state of
+    /// [`relocation_cases`] under both policies, at random cutoffs around
+    /// the makespan read off that plan (`C` without a link lane). A
+    /// relocation whose order does not realize is `None`; any other is
+    /// dropped exactly when the from-scratch makespan reaches the cutoff,
+    /// and otherwise returns it.
     #[test]
     fn resumed_relocation_batches_equal_the_from_scratch_plan() {
         use ooo_core::datapar::plan_sync_service;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(22);
-        let mut varied = TableCost::uniform(70, LayerCost::default());
-        for i in 1..=70 {
-            let c = varied.layer_mut(LayerId(i));
-            c.output_grad = rng.gen_range(0..3);
-            c.weight_grad = rng.gen_range(0..3);
-            c.sync_weight = rng.gen_range(0..6);
-        }
-        let cases = [
-            (TrainGraph::data_parallel(12), sync_heavy(12), [0, 4, 12]),
-            (TrainGraph::data_parallel(70), varied, [0, 9, 70]),
-        ];
         let (mut planner, mut plan) = (SyncPlanner::default(), Vec::new());
         let (mut dropped, mut kept) = (0, 0);
-        for (graph, cost, ks) in &cases {
-            for policy in [CommPolicy::FifoCompletion, CommPolicy::PriorityByLayer] {
-                let space = OrderSpace {
-                    graph,
-                    cost,
-                    policy,
-                    family: KFamily::None,
-                    verifier: Verifier::new(graph).with_cost(cost),
-                    window: None,
-                    memory_cap: None,
-                    k_jumps: OnceLock::new(),
-                    link_tail: OnceLock::new(),
-                };
-                let sync_ns = |i: usize| space.sync_ns(i);
-                for &k in ks {
-                    let order = reverse_first_k(graph, k, None::<(u64, &TableCost)>).unwrap();
-                    let state = OrderState { order, k: Some(k) };
-                    let mut sc = space.scorer(&state);
-                    let link_lane = sc.de.position_of(Op::SyncWeightGrad(LayerId(1))).unwrap().0;
-                    let dw_of = |order: &[Op]| {
-                        let (mut t, mut dw) = (0, vec![0; graph.layers() + 1]);
-                        for &op in order {
-                            t += cost.duration(op);
-                            if let Op::WeightGrad(LayerId(i)) = op {
-                                dw[i] = t;
-                            }
-                        }
-                        dw
-                    };
+        each_start(false, |space, state, incumbent, moves| {
+            let (graph, cost) = (space.graph, space.cost);
+            let compute = incumbent.lanes[0]
+                .ops
+                .iter()
+                .map(|&o| cost.duration(o))
+                .sum();
+            let mut sc = space.scorer(state);
+            for &(op, from, to) in moves {
+                let relocated = OrderSpace::<TableCost>::relocated(&state.order, from, to);
+                let (mut t, mut dw) = (0, vec![0; graph.layers() + 1]);
+                for &o in &relocated {
+                    t += cost.duration(o);
+                    if let Op::WeightGrad(LayerId(i)) = o {
+                        dw[i] = t;
+                    }
+                }
+                plan.clear();
+                if graph.contains(Op::SyncWeightGrad(LayerId(1))) {
                     plan_sync_service(
-                        &dw_of(&state.order),
-                        policy,
-                        sync_ns,
+                        &dw,
+                        space.policy,
+                        |i| space.sync_ns(i),
                         &mut planner,
                         &mut plan,
                     );
-                    let incumbent: Vec<usize> = plan.iter().map(|&(pick, _, _)| pick).collect();
-                    for mv in space.moves(&state) {
-                        let OrderMove::Relocate { op, from, to } = mv else {
-                            continue;
-                        };
-                        let relocated = OrderSpace::<TableCost>::relocated(&state.order, from, to);
-                        plan_sync_service(
-                            &dw_of(&relocated),
-                            policy,
-                            sync_ns,
-                            &mut planner,
-                            &mut plan,
-                        );
-                        let ends = plan.iter().map(|&(pick, _, end)| end + sc.tail[pick]);
-                        let bound = ends.max().unwrap();
-                        let lane = sc.de.position_of(op).unwrap().0;
-                        let mut batch = vec![(op, lane, to)];
-                        for (pos, (&(pick, _, _), &old)) in plan.iter().zip(&incumbent).enumerate()
-                        {
-                            if pick != old {
-                                batch.push((Op::SyncWeightGrad(LayerId(pick)), link_lane, pos));
-                            }
-                        }
-                        let cutoff = rng.gen_range(bound.saturating_sub(3)..bound + 4);
-                        let got =
-                            space.relocation_batch(&mut sc, &state.order, (op, from, to), cutoff);
-                        let at = format!(
-                            "{policy:?} l={} k={k} cutoff {cutoff}: {op} {from} -> {to}",
-                            graph.layers()
-                        );
-                        if passes_own_edge(graph, &sc.de, op, (lane, from), to) {
-                            assert_eq!((got, sc.batch.len()), (None, 0), "{at}");
-                        } else if bound >= cutoff {
-                            assert_eq!(got, None, "{at}: bound {bound}");
-                            dropped += 1;
-                        } else {
-                            assert_eq!(got, Some(bound), "{at}");
-                            assert_eq!(sc.batch, batch, "{at}");
-                            kept += 1;
-                        }
-                    }
+                }
+                let ends = plan.iter().map(|&(pick, _, end)| end + sc.after_sync[pick]);
+                let makespan = ends.fold(compute, SimTime::max);
+                let cutoff = rng.gen_range(makespan.saturating_sub(3)..makespan + 4);
+                let got = space.relocated_makespan(&mut sc, &state.order, (op, from, to), cutoff);
+                let at = format!(
+                    "{:?} l={} cutoff {cutoff}: {op} {from} -> {to}",
+                    space.policy,
+                    graph.layers()
+                );
+                if datapar_schedule(graph, &relocated, cost, space.policy).is_err() {
+                    assert_eq!(got, None, "{at}");
+                } else if makespan >= cutoff {
+                    assert_eq!(got, None, "{at}: makespan {makespan}");
+                    dropped += 1;
+                } else {
+                    assert_eq!(got, Some(makespan), "{at}");
+                    kept += 1;
                 }
             }
-        }
+        });
         assert!(dropped > 0 && kept > 0, "{dropped} dropped, {kept} kept");
     }
 
@@ -1008,7 +1037,8 @@ mod tests {
         let l = 6;
         let graph = TrainGraph::data_parallel(l);
         let cost = sync_heavy(l);
-        let (k, m) = best_reverse_k(&graph, &cost, CommPolicy::FifoCompletion).unwrap();
+        let reverse = |k| reverse_first_k(&graph, k, None::<(u64, &TableCost)>);
+        let (k, m) = best_k(&graph, &cost, CommPolicy::FifoCompletion, reverse).unwrap();
         let mut sim_best = SimTime::MAX;
         for kk in 0..=l {
             let order = reverse_first_k(&graph, kk, None::<(u64, &TableCost)>).unwrap();

@@ -197,8 +197,6 @@ struct RepairCounts {
     forward: u32,
     /// One-sided repairs that re-ranked the backward set (below `y`).
     backward: u32,
-    /// Multi-edge batches settled by the span re-deal.
-    redealt: u32,
     /// Edges whose searches met: a cycle.
     cycle: u32,
     /// Edges whose re-ranked side needed an endpoint off the stride.
@@ -273,8 +271,7 @@ impl Scratch {
 ///
 /// Committed ranks are strided: [`DeltaEval::new`], the Kahn pass and
 /// [`DeltaEval::place`] hand out multiples of `RANK_STRIDE` (2^16), and
-/// the Pearce–Kelly repair and the span re-deal only deal existing values
-/// out again, so after every committed edit each rank sits on the stride
+/// the Pearce–Kelly repair only deals existing values out again, so after every committed edit each rank sits on the stride
 /// and the values between two ranks are free. A probe uses them: its
 /// per-edge repair searches forward from `y` and backward from `x` in
 /// lockstep, one node each in turn, and re-ranks only the side that
@@ -1102,40 +1099,12 @@ impl<'g> DeltaEval<'g> {
 
     /// Restores the rank order after [`DeltaEval::edit`]: the only new
     /// edges are those from each seed's new lane predecessor, and each
-    /// one that runs against the order is repaired by
+    /// one that runs against the order is repaired in turn by
     /// [`DeltaEval::order_edge`] — in a probe (`one_sided`) first by
-    /// [`DeltaEval::order_edge_one_sided`]. A batch that reorders a lane
-    /// in several places (the order tuner's link lane) would search the
-    /// same stretch once per such edge, so when there are two or more,
-    /// [`DeltaEval::redeal_spans`] is tried first.
+    /// [`DeltaEval::order_edge_one_sided`]. A probe's batch that closes a
+    /// cycle is repaired again two-sided from the restored ranks, so its
+    /// error is the one a committed edit reports.
     fn order_seeds(&mut self, one_sided: bool) -> Result<(), Error> {
-        let against = |y: &usize| {
-            self.lane_pred(*y)
-                .is_some_and(|x| self.rank[x] > self.rank[*y])
-        };
-        if self
-            .scratch
-            .seeds
-            .iter()
-            .filter(|y| against(y))
-            .nth(1)
-            .is_some()
-            && self.redeal_spans()
-        {
-            #[cfg(test)]
-            {
-                self.scratch.repairs.redealt += 1;
-            }
-            return Ok(());
-        }
-        self.order_seed_edges(one_sided)
-    }
-
-    /// Repairs the rank for each seed's new lane edge in turn. A probe's
-    /// batch that closes a cycle is repaired again two-sided from the
-    /// restored ranks, so its error is the one a committed edit reports
-    /// (whose span re-deal, if tried, failed the same way).
-    fn order_seed_edges(&mut self, one_sided: bool) -> Result<(), Error> {
         for i in 0..self.scratch.seeds.len() {
             let y = self.scratch.seeds[i];
             let Some(x) = self.lane_pred(y) else {
@@ -1149,50 +1118,10 @@ impl<'g> DeltaEval<'g> {
                     return Err(err);
                 }
                 self.restore_ranks();
-                return self.order_seed_edges(false);
+                return self.order_seeds(false);
             }
         }
         Ok(())
-    }
-
-    /// When every op of the batch stayed on its lane, each touched span
-    /// holds the same ops as before, in a new order: deals the span's own
-    /// ranks out again in that order. Keeps the result and returns `true`
-    /// iff every union-graph edge at a span op then runs up the order
-    /// (edges elsewhere did not change); otherwise restores the ranks and
-    /// returns `false`.
-    fn redeal_spans(&mut self) -> bool {
-        let mut s = std::mem::take(&mut self.scratch);
-        if s.before
-            .iter()
-            .any(|&(v, lane, _, _)| self.nodes[v].lane != lane)
-        {
-            self.scratch = s;
-            return false;
-        }
-        for &sp in &s.spans {
-            let ops = lane_span(&self.lanes, sp);
-            s.ranks.clear();
-            s.ranks.extend(ops.iter().map(|&v| self.rank[v]));
-            s.ranks.sort_unstable();
-            for (&v, &r) in ops.iter().zip(&s.ranks) {
-                if self.rank[v] != r {
-                    s.rank_undo.push((v, self.rank[v]));
-                    self.rank[v] = r;
-                }
-            }
-        }
-        let ordered = s.spans.iter().all(|&sp| {
-            lane_span(&self.lanes, sp).iter().all(|&v| {
-                let r = self.rank[v];
-                self.preds(v).all(|p| self.rank[p] < r) && self.succs(v).all(|w| self.rank[w] > r)
-            })
-        });
-        self.scratch = s;
-        if !ordered {
-            self.restore_ranks();
-        }
-        ordered
     }
 
     /// Adds the union-graph edge `x → y` to the rank order (Pearce &
@@ -1810,7 +1739,7 @@ mod tests {
     /// included), and every edit, failed edit and probe checks on the
     /// way out that the rank is a valid topological order. Half the
     /// batches reverse a stretch of one lane, which runs several edges
-    /// against the order at once: the span re-deal and its fallback.
+    /// against the order at once.
     #[test]
     fn delta_eval_keeps_a_valid_rank_through_random_edits() {
         let mut seed = 7u64;
@@ -1918,9 +1847,8 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
 
-        /// A probe's rank repair — one-sided where it can be, the span
-        /// re-deal for a lane reordered in several places, the two-sided
-        /// repair on every fallback — over random batches on data-parallel,
+        /// A probe's rank repair — one-sided where it can be, the
+        /// two-sided repair on every fallback — over random batches on data-parallel,
         /// GPipe, OOO-Pipe2 and two-lane single-GPU schedules with
         /// durations from 0: the probe scores the full prediction of the
         /// applied schedule (a deadlock as the same error a committed edit
@@ -1971,14 +1899,13 @@ mod tests {
                 let r = de.scratch.repairs;
                 seen.forward += r.forward;
                 seen.backward += r.backward;
-                seen.redealt += r.redealt;
                 seen.cycle += r.cycle;
                 seen.off_stride += r.off_stride;
                 seen.gap_taken += r.gap_taken;
             }
-            let RepairCounts { forward, backward, redealt, cycle, off_stride, .. } = seen;
+            let RepairCounts { forward, backward, cycle, off_stride, .. } = seen;
             proptest::prop_assert!(
-                [forward, backward, redealt, cycle, off_stride].iter().all(|&c| c > 0),
+                [forward, backward, cycle, off_stride].iter().all(|&c| c > 0),
                 "{seen:?}"
             );
         }
@@ -2076,10 +2003,10 @@ mod tests {
 
     /// A random probe batch over `s`: a single op to any lane and
     /// position, a `[dW_i, U_i]` block, a reversed stretch of one lane
-    /// (several new edges against the order at once; with one op of the
-    /// stretch sent to another lane, the span re-deal does not apply and
-    /// each edge is repaired on its own, so a later edge can find its
-    /// endpoint re-ranked by an earlier one) or two or three random ops.
+    /// (several new edges against the order at once, each repaired on its
+    /// own, so a later edge can find its endpoint re-ranked by an earlier
+    /// one; sometimes with one op of the stretch sent to another lane) or
+    /// two or three random ops.
     /// Many deadlock.
     fn probe_batch(g: &TrainGraph, s: &Schedule, seed: &mut u64) -> Vec<(Op, usize, usize)> {
         let busy: Vec<usize> = (0..s.lanes.len())

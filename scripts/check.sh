@@ -88,11 +88,11 @@ grep -q '"cap_met": true' /tmp/ooo-tune-cap.json \
 rm -f /tmp/ooo-tune-cap.json
 # A binding cap (the heuristic's own ledger peak, which the uncapped tune
 # exceeds), a cap between the 32-layer order's carried-in floor (32) and
-# its peak (35), where every candidate's peak is read off its probe, a
-# 48-layer order whose link serves first-come-first-served, where every
-# relocation resumes the incumbent's link plan under that policy, and a
-# capless pipeline tune, each run twice with parallel restart threads:
-# the lazily scored candidates must give the same bytes.
+# its peak (35), where every candidate's peak is read off its closed-form
+# op times, a 48-layer order whose link serves first-come-first-served,
+# where every relocation resumes the incumbent's link plan under that
+# policy, and a capless pipeline tune, each run twice with parallel
+# restart threads: the lazily scored candidates must give the same bytes.
 for args in "order --layers 12 --k 0 --sync 3 --memory-cap 15" \
             "order --layers 32 --k 0 --sync 3 --memory-cap 34" \
             "order --layers 48 --k 0 --sync 3 --policy fifo" \
@@ -217,7 +217,8 @@ rm -f /tmp/ooo-tune-scale.json
 echo "==> flag limits (an instance size above its limit exits 2 at once, naming the limit)"
 cargo build -q --release -p ooo-faults --bin ooo-chaos
 for run in "ooo-tune:order --layers 4097:--layers: 4097 is above the limit of 4096" \
-  "ooo-chaos:list --scenarios 65537:--scenarios: 65537 is above the limit of 65536"; do
+  "ooo-chaos:list --scenarios 65537:--scenarios: 65537 is above the limit of 65536" \
+  "ooo-trace:summarize --system single --batch 1000000000000:--batch: 1000000000000 is above the limit of 1048576"; do
   tool=${run%%:*}; rest=${run#*:}; args=${rest%%:*}; want=${rest#*:}
   rc=0; timeout 10 "./target/release/$tool" $args > /dev/null 2> /tmp/ooo-limit.err || rc=$?
   [ "$rc" -eq 2 ] || { echo "$tool $args: expected exit 2 (got $rc)"; exit 1; }

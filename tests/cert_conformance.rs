@@ -185,9 +185,10 @@ fn certificates_bracket_the_tuning_trajectory_across_engines() {
         let k0 = ooo_backprop::core::combined::combined_backward_order(&graph, 0).unwrap();
         let heuristic =
             ooo_backprop::tune::order::certify_order(&graph, &k0, &cost, policy).unwrap();
+        let combined = |k| ooo_backprop::core::combined::combined_backward_order(&graph, k);
         let (k, predicted) =
-            ooo_backprop::tune::order::best_combined_k(&graph, &cost, policy).unwrap();
-        let order = ooo_backprop::core::combined::combined_backward_order(&graph, k).unwrap();
+            ooo_backprop::tune::order::best_k(&graph, &cost, policy, combined).unwrap();
+        let order = combined(k).unwrap();
         let (_, solved) = certify_order(&graph, &order, &cost, policy, &budget).unwrap();
         total += 1;
         if assert_bracket(

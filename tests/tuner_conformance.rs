@@ -19,7 +19,7 @@ use ooo_backprop::core::op::LayerId;
 use ooo_backprop::core::pipeline::Strategy;
 use ooo_backprop::core::reverse_k::{reverse_first_k, search_optimal_k};
 use ooo_backprop::core::TrainGraph;
-use ooo_backprop::tune::order::{best_reverse_k, certify_order, tune_backward_order, KFamily};
+use ooo_backprop::tune::order::{best_k, certify_order, tune_backward_order, KFamily};
 use ooo_backprop::tune::pipeline::tune_pipeline;
 use ooo_backprop::tune::{certify_schedule, tune_schedule, TuneOptions};
 use ooo_backprop::verify::{Verifier, VerifyConfig};
@@ -285,7 +285,8 @@ fn tuner_k_move_escapes_search_optimal_k_local_minimum() {
         sim_k(heuristic_k)
     );
     // The tuner's exhaustive sweep agrees with brute force...
-    let (swept_k, swept_ms) = best_reverse_k(&graph, &cost, policy).unwrap();
+    let reverse = |k| reverse_first_k(&graph, k, None::<(u64, &TableCost)>);
+    let (swept_k, swept_ms) = best_k(&graph, &cost, policy, reverse).unwrap();
     assert_eq!((swept_k, swept_ms), (true_k, true_ms));
     // ...and tuning *from* the heuristic's local minimum escapes it.
     let baseline = reverse_first_k(&graph, heuristic_k, None::<(u64, &TableCost)>).unwrap();
