@@ -44,33 +44,51 @@
 //!
 //! # Scoring
 //!
-//! Neighborhoods are enumerated as move descriptors and scored once per
-//! scan against the incumbent, with no candidate realized in full. A
-//! relocation is dropped unscored when an exact lower bound already
-//! reaches its *raw cutoff* — the raw makespan it must stay below to rank
-//! (the score to beat, less the cap penalty when the carried-in floor
-//! already exceeds the cap) — or when it certainly deadlocks.
+//! Neighborhoods are enumerated as move descriptors and ranked once per
+//! scan against the incumbent, with no candidate realized in full. Each
+//! greedy scan is lazy and best-first, the way job-shop local search
+//! ranks its neighbours by a heads-and-tails estimate instead of timing
+//! each one: every candidate gets a bound — its exact score, or a
+//! *floor* no greater than it — and sits in a min-heap keyed `(bound,
+//! enumeration index)`. A popped floor is probed and pushed back with its
+//! exact score; a popped exact score goes through the gate, and the
+//! first candidate that passes is accepted. Floors tie on the index and
+//! never exceed the score, so the scan accepts the candidate that scoring
+//! everything and sorting by `(score, index)` accepts, and probes only
+//! the candidates whose floor is below that score. A relocation is
+//! dropped unscored when an exact lower bound already reaches its *raw
+//! cutoff* — the raw makespan it must stay below to rank (the score to
+//! beat, less the cap penalty when the carried-in floor already exceeds
+//! the cap) — or when it certainly deadlocks.
 //!
 //! - In the order space ([`order`]) a relocation's makespan is closed
-//!   form: its link plan, resumed from the incumbent's at the first
-//!   service step the move can change, plus the compute lane that never
-//!   waits before its update/forward chain. The plan stops at the step
-//!   where its running makespan reaches the raw cutoff.
-//! - In the other spaces a relocation is one [`DeltaEval::probe`] batch
-//!   on the incumbent's evaluator. A batch that moves no op of the
-//!   incumbent's critical path ([`DeltaEval::keeps_critical_path`])
-//!   makes at least the incumbent's makespan, and a single move or
-//!   `[dW_i, U_i]` block that closes a cycle through the incumbent's own
-//!   paths ([`DeltaEval::certainly_deadlocks`]) has no score. The probe
-//!   repairs the evaluator's rank locally, re-times only the ops whose
-//!   inputs changed and restores the incumbent from an undo log.
+//!   form, and its bound is that exact score: its link plan, resumed from
+//!   the incumbent's at the first service step the move can change, plus
+//!   the compute lane that never waits before its update/forward chain.
+//!   The plan stops at the step where its running makespan reaches the
+//!   raw cutoff.
+//! - In the other spaces a relocation's bound is a floor: the longest
+//!   path through the moved ops and the lane stretch between their old
+//!   and new slots, from the incumbent's start times and tails
+//!   ([`DeltaEval::relocation_floor`]), plus the cap penalty when every
+//!   relocated state pays it. Its score is one [`DeltaEval::probe`] batch
+//!   on the incumbent's evaluator, which repairs the rank locally,
+//!   re-times only the ops whose inputs changed and restores the
+//!   incumbent from an undo log. Before the floor, a batch that moves no
+//!   op of the incumbent's critical path
+//!   ([`DeltaEval::keeps_critical_path`]) makes at least the incumbent's
+//!   makespan, and a single move or `[dW_i, U_i]` block that closes a
+//!   cycle through the incumbent's own paths
+//!   ([`DeltaEval::certainly_deadlocks`]) has no score.
+//! - Whole-state jumps (k-jumps, regroups) are scored once per run and
+//!   ranked by that exact score.
 //!
 //! Perturbations score only the candidates they draw, and a candidate is
 //! cloned and described only when it is gated, accepted or drawn. Under a
 //! memory cap a relocation's peak is read off its times (closed-form or
-//! probed) by one [`PeakSweep`] built per search — only when its raw
-//! makespan is below the score it must beat and the carried-in floor does
-//! not already exceed the cap.
+//! probed) by one [`PeakSweep`] built per search — only when it is scored
+//! exactly, its raw makespan is below the score it must beat and the
+//! carried-in floor does not already exceed the cap.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -87,6 +105,8 @@ use ooo_verify::predict::{predict_makespan, DeltaEval};
 use ooo_verify::{Report, Verifier, VerifyConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -210,13 +230,17 @@ pub struct TuneOptions {
     /// the probe's own times by a [`PeakSweep`] built once per search (no
     /// ledger); when the input's carried-in bytes — the same for every
     /// relocated state, and a floor on its peak — already exceed the cap,
-    /// every relocation is over it and no peak is read at all. A
-    /// relocation gets a probe only when neither lower bound (the
-    /// incumbent's critical path, the order space's link plan) reaches
-    /// the raw makespan it must stay below — the score to beat, less the
-    /// penalty when the floor already exceeds the cap — and it is not a
-    /// certain deadlock ([`DeltaEval::certainly_deadlocks`]). Whole-state
-    /// jumps build their target's ledger once each.
+    /// every relocation is over it and no peak is read at all, and every
+    /// relocation's floor carries the penalty. A relocation is scored
+    /// exactly only when no lower bound (the incumbent's critical path,
+    /// the order space's link plan, the relocation floor of
+    /// [`DeltaEval::relocation_floor`]) reaches the raw makespan it must
+    /// stay below — the score to beat, less the penalty when the floor
+    /// already exceeds the cap — it is not a certain deadlock
+    /// ([`DeltaEval::certainly_deadlocks`]), and, in greedy descent, its
+    /// `(floor, index)` comes before the `(score, index)` of the
+    /// candidate the scan accepts.
+    /// Whole-state jumps build their target's ledger once each.
     pub memory_cap: Option<u64>,
     /// Optional certified target makespan (a proven lower bound, e.g.
     /// from `ooo_core::bounds::lower_bound` or an `ooo-cert`
@@ -358,8 +382,9 @@ pub(crate) trait SearchSpace: Sync {
     /// Scores below the cutoff are exact — the same number a full
     /// [`predict_makespan`] (and ledger) pass over the materialized
     /// candidate gives — which is all the `(score, index)` ranking needs:
-    /// greedy descent passes the incumbent's score as the cutoff, restart
-    /// perturbations `SimTime::MAX`.
+    /// restart perturbations score the candidates they draw against
+    /// `SimTime::MAX`, and greedy descent reaches the same scores through
+    /// [`SearchSpace::bound`] against the incumbent's score.
     fn score(
         &self,
         scorer: &mut Self::Scorer,
@@ -368,9 +393,46 @@ pub(crate) trait SearchSpace: Sync {
         cutoff: SimTime,
     ) -> Option<SimTime>;
 
+    /// What greedy descent ranks `mv` by before it probes anything:
+    /// [`Bound::Exact`] — its [`SearchSpace::score`] — or a
+    /// [`Bound::Floor`] at most that score, settled by
+    /// [`SearchSpace::settle`] only if the candidate can still win. `None`
+    /// only when the score is `None`. The default is the exact score.
+    fn bound(
+        &self,
+        scorer: &mut Self::Scorer,
+        state: &Self::State,
+        mv: &Self::Move,
+        cutoff: SimTime,
+    ) -> Option<Bound> {
+        self.score(scorer, state, mv, cutoff).map(Bound::Exact)
+    }
+
+    /// The score of a move whose [`SearchSpace::bound`] was a floor below
+    /// `cutoff`, without the checks the bound already passed.
+    fn settle(
+        &self,
+        scorer: &mut Self::Scorer,
+        state: &Self::State,
+        mv: &Self::Move,
+        cutoff: SimTime,
+    ) -> Option<SimTime> {
+        self.score(scorer, state, mv, cutoff)
+    }
+
     /// Materializes `mv` applied to `state`, with a human-readable
     /// description of the move.
     fn apply(&self, state: &Self::State, mv: &Self::Move) -> (Self::State, String);
+}
+
+/// What a candidate is ranked by before it is probed (see
+/// [`SearchSpace::bound`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bound {
+    /// The candidate's exact score.
+    Exact(SimTime),
+    /// A lower bound on the candidate's score.
+    Floor(SimTime),
 }
 
 /// The penalized score of a candidate with raw makespan `raw`, when
@@ -542,19 +604,7 @@ fn greedy<S: SearchSpace>(
             break;
         }
         budget.charge();
-        let cands = space.moves(&cur);
-        let mut scorer = space.scorer(&cur);
-        let mut scored: Vec<(SimTime, usize)> = cands
-            .iter()
-            .enumerate()
-            .filter_map(|(i, mv)| space.score(&mut scorer, &cur, mv, cur_m).map(|m| (m, i)))
-            .collect();
-        scored.sort_unstable();
-        let accepted = scored.into_iter().find_map(|(m, i)| {
-            let (state, description) = space.apply(&cur, &cands[i]);
-            space.clean(&state).then_some((state, description, m))
-        });
-        let Some((state, description, m)) = accepted else {
+        let Some((state, description, m)) = best_move(space, &cur, cur_m) else {
             break;
         };
         moves.push(AppliedMove {
@@ -566,6 +616,51 @@ fn greedy<S: SearchSpace>(
         cur_m = m;
     }
     (cur, cur_m)
+}
+
+/// One greedy scan: the gate-clean candidate out of `cur` with the least
+/// `(score, enumeration index)` among those scoring below `cur_m`,
+/// materialized with its description and score. Lazy best-first: every
+/// candidate enters a min-heap keyed `(key, index, exact)` under its
+/// [`SearchSpace::bound`]; a popped floor is settled and pushed back
+/// with its exact score, and a popped exact entry goes through the gate.
+/// A floor is at most its exact score and keys tie on the index, so an
+/// exact entry pops only once no other candidate can rank before it:
+/// candidates pass through the gate in `(score, index)` order, as if
+/// every one were scored and sorted, while only those that can still win
+/// are probed.
+fn best_move<S: SearchSpace>(
+    space: &S,
+    cur: &S::State,
+    cur_m: SimTime,
+) -> Option<(S::State, String, SimTime)> {
+    let cands = space.moves(cur);
+    let mut scorer = space.scorer(cur);
+    let mut heap: BinaryHeap<Reverse<(SimTime, usize, bool)>> = (cands.iter().enumerate())
+        .filter_map(|(i, mv)| match space.bound(&mut scorer, cur, mv, cur_m)? {
+            Bound::Exact(m) => Some(Reverse((m, i, true))),
+            Bound::Floor(f) => Some(Reverse((f, i, false))),
+        })
+        .collect();
+    let accepted = loop {
+        let Some(Reverse((key, i, exact))) = heap.pop() else {
+            break None;
+        };
+        if !exact {
+            if let Some(m) = space.settle(&mut scorer, cur, &cands[i], cur_m) {
+                debug_assert!(key <= m, "floor {key} above score {m}");
+                heap.push(Reverse((m, i, true)));
+            }
+            continue;
+        }
+        let (state, description) = space.apply(cur, &cands[i]);
+        if space.clean(&state) {
+            break Some((state, description, key, i));
+        }
+    };
+    #[cfg(test)]
+    let accepted = tests::check_scan(space, cur, cur_m, &cands, accepted);
+    accepted.map(|(state, description, m, _)| (state, description, m))
 }
 
 /// Applies up to `perturb_moves` random gate-clean moves drawn from a
@@ -776,6 +871,26 @@ impl<'g, C: CostModel + Sync> SearchSpace for ScheduleSpace<'g, C> {
         score_relocation(self.memory_cap.as_ref(), sc, mv, cutoff)
     }
 
+    fn bound(
+        &self,
+        sc: &mut RelocationScorer<'g>,
+        _: &Schedule,
+        mv: &Relocation,
+        cutoff: SimTime,
+    ) -> Option<Bound> {
+        bound_relocation(self.memory_cap.as_ref(), sc, mv, cutoff)
+    }
+
+    fn settle(
+        &self,
+        sc: &mut RelocationScorer<'g>,
+        _: &Schedule,
+        mv: &Relocation,
+        cutoff: SimTime,
+    ) -> Option<SimTime> {
+        probe_relocation(self.memory_cap.as_ref(), sc, mv, cutoff)
+    }
+
     fn apply(&self, state: &Schedule, mv: &Relocation) -> (Schedule, String) {
         (mv.apply(state), mv.describe(state))
     }
@@ -788,14 +903,9 @@ pub(crate) const SEARCH_STATES_EVALUATE: &str =
     "search states evaluate: each was scored before it was accepted";
 
 /// Scores one relocation of the scorer's state below `cutoff` (see
-/// [`SearchSpace::score`]) as one [`DeltaEval::probe_with`] batch, which
-/// re-times only what the batch changes, reading the candidate's peak
-/// ([`MemoryCap::relocated_peak`]) off the probed times before the
-/// restore when its raw makespan is below the cutoff ([`capped_below`]).
-/// Two checks drop a batch unprobed: [`cannot_rank`], and a single move
-/// or `[dW_i, U_i]` block that closes a cycle through the incumbent's own
-/// paths ([`DeltaEval::certainly_deadlocks`]), which has no score. Shared
-/// by the bundle space above and the pipeline space's in-lane moves.
+/// [`SearchSpace::score`]) as one [`probe_relocation`], unless
+/// [`unprobed`] drops it. Shared by the bundle space above and the
+/// pipeline space's in-lane moves.
 pub(crate) fn score_relocation(
     cap: Option<&MemoryCap>,
     sc: &mut RelocationScorer<'_>,
@@ -803,11 +913,64 @@ pub(crate) fn score_relocation(
     cutoff: SimTime,
 ) -> Option<SimTime> {
     let (batch, len) = mv.batch();
-    let (de, batch, events) = (&mut sc.de, &batch[..len], &mut sc.events);
-    if cannot_rank(de, batch, cutoff, cap) || de.certainly_deadlocks(batch) {
+    if unprobed(cap, &mut sc.de, &batch[..len], cutoff) {
         return None;
     }
-    de.probe_with(batch, |de, raw| {
+    probe_relocation(cap, sc, mv, cutoff)
+}
+
+/// The [`SearchSpace::bound`] of one relocation of the scorer's state,
+/// unless [`unprobed`] drops it: the batch's
+/// [`DeltaEval::relocation_floor`], plus the cap penalty when the
+/// carried-in floor already exceeds the cap ([`raw_cutoff`]). A floor at
+/// the raw cutoff drops the batch too.
+pub(crate) fn bound_relocation(
+    cap: Option<&MemoryCap>,
+    sc: &mut RelocationScorer<'_>,
+    mv: &Relocation,
+    cutoff: SimTime,
+) -> Option<Bound> {
+    let (batch, len) = mv.batch();
+    let (de, batch) = (&mut sc.de, &batch[..len]);
+    if unprobed(cap, de, batch, cutoff) {
+        return None;
+    }
+    let raw = raw_cutoff(cutoff, cap);
+    let floor = de.relocation_floor(batch).unwrap_or(0);
+    // Below a positive raw cutoff, `cutoff - raw` is the penalty every
+    // relocated state pays, or 0.
+    (floor < raw).then(|| Bound::Floor(floor + (cutoff - raw)))
+}
+
+/// The two checks that drop a relocation batch unprobed: [`cannot_rank`],
+/// and a single move or `[dW_i, U_i]` block that closes a cycle through
+/// the incumbent's own paths ([`DeltaEval::certainly_deadlocks`]), which
+/// has no score.
+fn unprobed(
+    cap: Option<&MemoryCap>,
+    de: &mut DeltaEval<'_>,
+    batch: &[(ooo_core::Op, usize, usize)],
+    cutoff: SimTime,
+) -> bool {
+    cannot_rank(de, batch, cutoff, cap) || de.certainly_deadlocks(batch)
+}
+
+/// The score of one relocation of the scorer's state below `cutoff`, as
+/// one [`DeltaEval::probe_with`] batch, which re-times only what the
+/// batch changes, reading the candidate's peak
+/// ([`MemoryCap::relocated_peak`]) off the probed times before the
+/// restore when its raw makespan is below the cutoff ([`capped_below`]).
+pub(crate) fn probe_relocation(
+    cap: Option<&MemoryCap>,
+    sc: &mut RelocationScorer<'_>,
+    mv: &Relocation,
+    cutoff: SimTime,
+) -> Option<SimTime> {
+    #[cfg(test)]
+    tests::PROBES.with(|p| p.set(p.get() + 1));
+    let (batch, len) = mv.batch();
+    let (de, events) = (&mut sc.de, &mut sc.events);
+    de.probe_with(&batch[..len], |de, raw| {
         capped_below(raw, cutoff, cap.map(MemoryCap::bytes), || {
             cap.map(|cap| cap.relocated_peak(|v| de.span_at(v), events))
         })
@@ -1109,6 +1272,77 @@ mod tests {
     use super::*;
     use ooo_core::cost::UnitCost;
     use ooo_core::Op;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The relocation probes [`probe_relocation`] ran on this thread.
+        pub(super) static PROBES: Cell<u64> = const { Cell::new(0) };
+        /// What [`check_scan`] does with each greedy scan on this thread.
+        static SCAN: Cell<Scan> = const { Cell::new(Scan::Lazy) };
+        /// Scans [`check_scan`] compared, and how many of them put a
+        /// best-ranked candidate that fails the gate first.
+        static COMPARED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// How greedy scans run on a thread.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Scan {
+        /// The lazy best-first scan alone.
+        Lazy,
+        /// The lazy scan, asserted equal to [`sorted_scan`] at every scan.
+        Checked,
+        /// [`sorted_scan`]'s pick replaces the lazy scan's.
+        Sorted,
+    }
+
+    /// The eager scan the lazy one replaced: every candidate scored
+    /// against `cur_m` by [`SearchSpace::score`] and sorted by `(score,
+    /// index)`, then put through the gate in that order. Returns the first
+    /// that passes, and whether the best-ranked candidate failed the gate.
+    fn sorted_scan<S: SearchSpace>(
+        space: &S,
+        cur: &S::State,
+        cur_m: SimTime,
+        cands: &[S::Move],
+    ) -> (Option<(SimTime, usize)>, bool) {
+        let mut scorer = space.scorer(cur);
+        let mut scored: Vec<(SimTime, usize)> = (cands.iter().enumerate())
+            .filter_map(|(i, mv)| space.score(&mut scorer, cur, mv, cur_m).map(|m| (m, i)))
+            .collect();
+        scored.sort_unstable();
+        let pick =
+            (scored.iter().copied()).find(|&(_, i)| space.clean(&space.apply(cur, &cands[i]).0));
+        (pick, scored.first().is_some_and(|&best| Some(best) != pick))
+    }
+
+    /// The greedy-scan hook: under [`Scan::Checked`] asserts that the
+    /// lazy scan accepted the `(score, index)` of [`sorted_scan`], under
+    /// [`Scan::Sorted`] returns the sorted scan's pick instead.
+    pub(super) fn check_scan<S: SearchSpace>(
+        space: &S,
+        cur: &S::State,
+        cur_m: SimTime,
+        cands: &[S::Move],
+        lazy: Option<(S::State, String, SimTime, usize)>,
+    ) -> Option<(S::State, String, SimTime, usize)> {
+        let mode = SCAN.with(Cell::get);
+        if mode == Scan::Lazy {
+            return lazy;
+        }
+        let (sorted, gated) = sorted_scan(space, cur, cur_m, cands);
+        COMPARED.with(|c| {
+            let (scans, gated_first) = c.get();
+            c.set((scans + 1, gated_first + u64::from(gated)));
+        });
+        if mode == Scan::Checked {
+            assert_eq!(lazy.as_ref().map(|l| (l.2, l.3)), sorted);
+            return lazy;
+        }
+        sorted.map(|(m, i)| {
+            let (state, description) = space.apply(cur, &cands[i]);
+            (state, description, m, i)
+        })
+    }
 
     /// A two-lane single-GPU schedule with all dW/U work appended to the
     /// end of the sub lane: the tuner should interleave it.
@@ -1266,6 +1500,139 @@ mod tests {
                 assert_eq!(run(&par), run(&seq), "space {space}, budget {budget:?}");
             }
         }
+    }
+
+    /// Runs `tune` under scan mode `mode` on this thread, returning its
+    /// result and the `(scans, gated first)` tally of [`check_scan`].
+    fn scanned<R>(mode: Scan, tune: impl FnOnce() -> R) -> (R, (u64, u64)) {
+        SCAN.with(|s| s.set(mode));
+        COMPARED.with(|c| c.set((0, 0)));
+        let out = tune();
+        SCAN.with(|s| s.set(Scan::Lazy));
+        (out, COMPARED.with(Cell::get))
+    }
+
+    /// The lazy best-first scan accepts exactly what scoring every
+    /// candidate and sorting by `(score, index)` accepts, at every scan
+    /// of sequential tunes: the order space (uncapped and under a binding
+    /// cap), the multi-lane space with cross-lane moves (uncapped, under
+    /// a cap, and under a verifier memory budget whose gate turns down
+    /// best-ranked candidates), and the pipeline space (uncapped, a cap
+    /// between the carried-in floor and the peak, and a cap below the
+    /// floor, where floors carry the penalty). Each tune's result and
+    /// trajectory under the sorted scan equal those under the lazy one.
+    #[test]
+    fn lazy_scans_accept_what_sorted_scans_accept() {
+        use ooo_core::cost::{LayerCost, TableCost};
+        use ooo_core::pipeline::Strategy;
+        let (graph, baseline) = lazy_two_lane(6);
+        let bytes = TableCost::uniform(
+            6,
+            LayerCost {
+                weight_bytes: 10,
+                out_grad_bytes: 3,
+                ..LayerCost::default()
+            },
+        );
+        let peak = ooo_verify::mem::schedule_peak(&graph, &baseline, &bytes).unwrap();
+        let inst = ooo_core::reverse_k::order_instance(12, 0, 3).unwrap();
+        let opts = |memory_cap, memory_budget| TuneOptions {
+            memory_cap,
+            memory_budget,
+            parallel: false,
+            ..TuneOptions::default()
+        };
+        let order = |cap| {
+            let t = order::tune_backward_order(
+                &inst.graph,
+                &inst.order,
+                Some(0),
+                &inst.cost,
+                ooo_core::datapar::CommPolicy::PriorityByLayer,
+                order::KFamily::ReverseFirstK,
+                &opts(cap, None),
+            )
+            .unwrap();
+            run_of(&t.order, t.predicted, &t.moves, t.restarts_adopted, t.peak)
+        };
+        let lanes = |cap, budget| {
+            let t = tune_schedule(&graph, &baseline, &bytes, &opts(cap, budget)).unwrap();
+            run_of(
+                &t.schedule,
+                t.predicted,
+                &t.moves,
+                t.restarts_adopted,
+                t.peak,
+            )
+        };
+        let pipe = |layers, strategy, cap, budget| {
+            let opts = opts(cap, budget);
+            let t = pipeline::tune_pipeline(layers, 4, strategy, 1, &UnitCost, &opts).unwrap();
+            run_of(
+                &t.schedule,
+                t.predicted,
+                &t.moves,
+                t.restarts_adopted,
+                t.peak,
+            )
+        };
+        let megatron = Strategy::MegatronInterleaved { chunks: 2 };
+        let cases: [(&str, &dyn Fn() -> Run); 10] = [
+            ("order", &|| order(None)),
+            ("order cap 15", &|| order(Some(15))),
+            ("lanes", &|| lanes(None, None)),
+            ("lanes cap", &|| lanes(Some(peak - 1), None)),
+            ("lanes budget 34", &|| lanes(None, Some(34))),
+            ("gpipe 12x4", &|| pipe(12, Strategy::GPipe, None, None)),
+            ("gpipe 12x4 budget 15", &|| {
+                pipe(12, Strategy::GPipe, None, Some(15))
+            }),
+            ("pipe2 8x4 cap 12", &|| {
+                pipe(8, Strategy::OooPipe2, Some(12), None)
+            }),
+            ("gpipe 12x4 cap 1", &|| {
+                pipe(12, Strategy::GPipe, Some(1), None)
+            }),
+            ("megatron 8x4", &|| pipe(8, megatron, None, None)),
+        ];
+        let mut gated_first = 0;
+        for (name, tune) in cases {
+            let (sorted, _) = scanned(Scan::Sorted, tune);
+            let (lazy, (scans, gated)) = scanned(Scan::Checked, tune);
+            assert!(scans > 0, "{name}: no scan compared");
+            assert_eq!(lazy, sorted, "{name}");
+            gated_first += gated;
+        }
+        assert!(gated_first > 0, "no best-ranked candidate failed the gate");
+    }
+
+    /// A deterministic work guard on the lazy scan: a sequential-restart
+    /// tune of GPipe 48x8, as the CLI runs it, probes at most 500
+    /// relocations (scoring every candidate probed 24,186).
+    #[test]
+    fn gpipe_48x8_tune_probes_few_relocations() {
+        let (graph, schedule) =
+            ooo_core::pipeline::op_level_schedule(48, 8, ooo_core::pipeline::Strategy::GPipe, 1);
+        let opts = TuneOptions {
+            parallel: false,
+            target: Some(ooo_core::bounds::schedule_lower_bound(
+                &graph, &UnitCost, &schedule,
+            )),
+            ..TuneOptions::default()
+        };
+        PROBES.with(|p| p.set(0));
+        let t = pipeline::tune_pipeline(
+            48,
+            8,
+            ooo_core::pipeline::Strategy::GPipe,
+            1,
+            &UnitCost,
+            &opts,
+        )
+        .unwrap();
+        let probes = PROBES.with(Cell::get);
+        assert!(t.improved());
+        assert!(probes <= 500, "{probes} probes");
     }
 
     #[test]
@@ -1460,7 +1827,9 @@ mod tests {
     /// relocation case, uncapped and under every cap from below the
     /// carried-in floor through the peaks, and at cutoffs around the
     /// incumbent's score, [`score_relocation`] equals [`capped_below`] of
-    /// the materialized candidate's makespan and ledger peak. Some
+    /// the materialized candidate's makespan and ledger peak, and
+    /// [`bound_relocation`] is a floor at most that score (penalty
+    /// included) or no bound only where there is no score. Some
     /// relocations are dropped,
     /// and under a cap below the floor exactly those are dropped that
     /// the uncapped search drops at the incumbent's raw makespan: the
@@ -1511,12 +1880,19 @@ mod tests {
                 }
                 for cutoff in [inc - 1, inc, inc + 1, SimTime::MAX] {
                     for (mv, want) in moves.iter().zip(&materialized) {
-                        assert_eq!(
-                            score_relocation(cap, &mut sc, mv, cutoff),
-                            want.and_then(|(m, p)| capped_below(m, cutoff, bytes, || Some(p))),
-                            "cap {bytes:?} cutoff {cutoff}: {}",
-                            mv.describe(state)
-                        );
+                        let want =
+                            want.and_then(|(m, p)| capped_below(m, cutoff, bytes, || Some(p)));
+                        let at =
+                            || format!("cap {bytes:?} cutoff {cutoff}: {}", mv.describe(state));
+                        assert_eq!(score_relocation(cap, &mut sc, mv, cutoff), want, "{}", at());
+                        // The bound is a floor on the score, and none
+                        // only when there is no score.
+                        match bound_relocation(cap, &mut sc, mv, cutoff) {
+                            Some(Bound::Floor(f)) => {
+                                assert!(want.is_none_or(|m| f <= m), "floor {f}: {}", at())
+                            }
+                            bound => assert_eq!((bound, want), (None, None), "{}", at()),
+                        }
                     }
                 }
             }

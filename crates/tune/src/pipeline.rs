@@ -17,8 +17,9 @@
 //! or a memory cap needs its peak.
 
 use crate::{
-    local_search, schedule_relocations, score_relocation, AppliedMove, Error, Jump, MemoryCap,
-    Relocation, RelocationScorer, Result, SearchSpace, TuneOptions,
+    bound_relocation, local_search, probe_relocation, schedule_relocations, score_relocation,
+    AppliedMove, Bound, Error, Jump, MemoryCap, Relocation, RelocationScorer, Result, SearchSpace,
+    TuneOptions,
 };
 use ooo_core::cost::CostModel;
 use ooo_core::pipeline::{op_level_lanes, op_level_schedule, Strategy};
@@ -207,6 +208,34 @@ impl<'g, C: CostModel + Sync> SearchSpace for PipeSpace<'g, C> {
                 })
             }
             PipeMove::Relocate(r) => score_relocation(cap, sc, r, cutoff),
+        }
+    }
+
+    /// Regroups rank by their exact scores; relocations by their floors
+    /// ([`bound_relocation`]).
+    fn bound(
+        &self,
+        sc: &mut RelocationScorer<'g>,
+        state: &PipeState,
+        mv: &PipeMove,
+        cutoff: SimTime,
+    ) -> Option<Bound> {
+        match mv {
+            PipeMove::Regroup(_) => self.score(sc, state, mv, cutoff).map(Bound::Exact),
+            PipeMove::Relocate(r) => bound_relocation(self.memory_cap.as_ref(), sc, r, cutoff),
+        }
+    }
+
+    fn settle(
+        &self,
+        sc: &mut RelocationScorer<'g>,
+        state: &PipeState,
+        mv: &PipeMove,
+        cutoff: SimTime,
+    ) -> Option<SimTime> {
+        match mv {
+            PipeMove::Regroup(_) => self.score(sc, state, mv, cutoff),
+            PipeMove::Relocate(r) => probe_relocation(self.memory_cap.as_ref(), sc, r, cutoff),
         }
     }
 

@@ -28,8 +28,11 @@
 //! log — the tuner's per-candidate score. [`DeltaEval::keeps_critical_path`]
 //! answers, before any probe, whether a batch leaves one critical path
 //! of the state untouched — then the batch cannot shorten the schedule —
-//! and [`DeltaEval::certainly_deadlocks`] whether a single move or a
-//! `[dW_i, U_i]` block closes a cycle through the state's own paths.
+//! [`DeltaEval::certainly_deadlocks`] whether a single move or a
+//! `[dW_i, U_i]` block closes a cycle through the state's own paths, and
+//! [`DeltaEval::relocation_floor`] a lower bound on such a batch's
+//! makespan from the state's start times and tails, which the tuner ranks
+//! candidates by before it probes any.
 //! [`DeltaEval::new`] times its input in its own pass, ordered by a heap
 //! on start times: `ooo_tune::certify_schedule` compares it with the
 //! dense pass at tolerance 0.
@@ -317,6 +320,14 @@ impl Scratch {
 /// moves the test is also complete: every cycle the move closes runs
 /// through one of those two edges.
 ///
+/// The same pass fills every op's tail, the longest union-graph path after
+/// it finishes. With the start times they bound the makespan of a single
+/// move or block before it is probed ([`DeltaEval::relocation_floor`]):
+/// the edit deletes only the lane edges at the moved ops' old slots and
+/// lengthens others into chains, so an op that does not descend from the
+/// block starts no earlier than now, and one that is not an ancestor of
+/// it keeps at least its tail.
+///
 /// The evaluator keeps two work counters — [`DeltaEval::rescored`]
 /// (nodes re-timed: the seeds plus every node with a changed input) and
 /// [`DeltaEval::full_equivalent`] (nodes a full re-evaluation would have
@@ -350,9 +361,9 @@ pub struct DeltaEval<'g> {
 }
 
 /// Per-lane ancestry clocks of a [`DeltaEval`]'s current state, stored
-/// row-major by node (`row = v * lanes`). Built on first use after a
-/// committed edit; probes restore the state they read, so they leave
-/// them valid.
+/// row-major by node (`row = v * lanes`), and every node's tail. Built on
+/// first use after a committed edit; probes restore the state they read,
+/// so they leave them valid.
 #[derive(Debug, Clone, Default)]
 struct LaneClocks {
     fresh: bool,
@@ -362,8 +373,35 @@ struct LaneClocks {
     /// `desc[v * lanes + l]`: the first position on lane `l` of a
     /// descendant-or-self of `v` (`u32::MAX`: none).
     desc: Vec<u32>,
+    /// `tail[v]`: the longest union-graph path after `v` finishes, the
+    /// durations of the ops on it summed (`0`: no successor).
+    tail: Vec<SimTime>,
     /// The scheduled nodes in rank order.
     order: Vec<usize>,
+}
+
+/// A lane with a moved block's ops taken out: kept index `i` is the `i`th
+/// op of the lane that stays put.
+struct KeptLane {
+    /// The block's current positions on the lane, ascending
+    /// (`usize::MAX`: not on it).
+    gone: [usize; 2],
+    /// The number of ops that stay.
+    len: usize,
+}
+
+impl KeptLane {
+    /// The current position of kept op `i`: past every removed position
+    /// at or before it.
+    fn position(&self, i: usize) -> usize {
+        self.gone.iter().fold(i, |i, &p| i + usize::from(p <= i))
+    }
+
+    /// The number of kept ops at current positions below `p`, a position
+    /// of the lane or its length.
+    fn index(&self, p: usize) -> usize {
+        p - self.gone.iter().filter(|&&g| g < p).count()
+    }
 }
 
 /// One critical path of a [`DeltaEval`]'s current state, marked by node:
@@ -781,26 +819,10 @@ impl<'g> DeltaEval<'g> {
         if !self.clocks.fresh {
             self.build_clocks();
         }
-        // The block's new lane neighbours, at their current positions:
-        // index `i` of the lane without the block's ops is past every
-        // removed position at or before it.
-        let mut gone = [src, sink].map(|v| {
-            let st = self.nodes[v];
-            if st.lane == lane {
-                st.pos
-            } else {
-                usize::MAX
-            }
-        });
-        if src == sink {
-            gone[1] = usize::MAX;
-        }
-        gone.sort_unstable();
-        let kept = self.lanes[lane].len() - gone.iter().filter(|&&p| p != usize::MAX).count();
-        let current = |i: usize| gone.iter().fold(i, |i, &p| i + usize::from(p <= i)) as u32;
-        let slot = to.min(kept);
-        let pred = (slot > 0).then(|| current(slot - 1));
-        let succ = (slot < kept).then(|| current(slot));
+        let kept = self.kept_lane(src, sink, lane);
+        let slot = to.min(kept.len);
+        let pred = (slot > 0).then(|| kept.position(slot - 1) as u32);
+        let succ = (slot < kept.len).then(|| kept.position(slot) as u32);
         let k = self.lanes.len();
         let (graph, nodes, clocks) = (self.graph, &self.nodes, &self.clocks);
         let scheduled = |v: &&usize| nodes[**v].scheduled;
@@ -817,6 +839,139 @@ impl<'g> DeltaEval<'g> {
                 .filter(scheduled)
                 .any(|&e| clocks.desc[e * k + lane] <= p)
         })
+    }
+
+    /// A lower bound on the makespan of the relocation batch `moves`, a
+    /// single move or a `[dW_i, U_i]` block landing contiguously (the
+    /// batches [`DeltaEval::certainly_deadlocks`] reads), or `None` for
+    /// any other batch: the longest path of the edited schedule through
+    /// the moved ops and through the target lane's stretch between their
+    /// old and new slots, with every op's start and tail (the longest
+    /// union-graph path after its finish) bounded from the current state.
+    /// A batch that deadlocks has no makespan; its floor is meaningless.
+    ///
+    /// Why the current times bound the edited ones: a move deletes only
+    /// the lane edges at the moved ops' old slots, and an op inserted
+    /// between two lane neighbours only lengthens their edge into a
+    /// chain. A longest path into an op that does not descend from the
+    /// block's source (`anc[v][lane(src)] <= pos(src)` on the ancestry
+    /// clocks) avoids the moved ops, so it survives and the op starts no
+    /// earlier than now; likewise a longest path out of an op that is not
+    /// an ancestor of the block's sink (`desc[v][lane(sink)] > pos(sink)`)
+    /// survives, and the op keeps at least its current tail. Every other
+    /// op starts no earlier than 0 and has a tail of at least 0, except
+    /// on the stretch, which is walked: forward from its first descendant
+    /// of the source up to the block's new lane predecessor, backward from
+    /// its last ancestor of the sink down to the new lane successor,
+    /// each step taking the larger of its lane neighbour's walked value
+    /// and its bounded dependencies (dependents). The clocks (with tails)
+    /// are built on the first call after a committed edit, as for
+    /// [`DeltaEval::certainly_deadlocks`]; each call is then O(stretch ×
+    /// degree).
+    pub fn relocation_floor(&mut self, moves: &[(Op, usize, usize)]) -> Option<SimTime> {
+        let (src, sink, lane, to) = self.block_of(moves)?;
+        if !self.clocks.fresh {
+            self.build_clocks();
+        }
+        let kept = self.kept_lane(src, sink, lane);
+        let slot = to.min(kept.len);
+        let k = self.lanes.len();
+        let (graph, nodes, dur, c) = (self.graph, &self.nodes, &self.dur, &self.clocks);
+        let ops = &self.lanes[lane];
+        let (from, into) = (nodes[src], nodes[sink]);
+        // `v` descends from the source, or is an ancestor of the sink.
+        let after = |v: usize| c.anc[v * k + from.lane] > from.pos as u32;
+        let before = |v: usize| c.desc[v * k + into.lane] <= into.pos as u32;
+        // Bounds on `v`'s finish, and on its duration plus tail.
+        let end = |v: usize| if after(v) { dur[v] } else { nodes[v].end };
+        let reach = |v: usize| dur[v] + if before(v) { 0 } else { c.tail[v] };
+        let scheduled = |v: &&usize| nodes[**v].scheduled;
+        let ends = |v: usize| {
+            graph
+                .dep_indices(v)
+                .iter()
+                .filter(scheduled)
+                .map(|&d| end(d))
+        };
+        let reaches = |v: usize| {
+            (graph.dependent_indices(v).iter())
+                .filter(scheduled)
+                .map(|&e| reach(e))
+        };
+        let at = |i: usize| ops[kept.position(i)];
+        let mut floor = 0;
+        // Forward over the stretch the source leaves or lands past: from
+        // its first descendant on the lane to the new lane predecessor.
+        let mut head = 0;
+        if slot > 0 {
+            let np = at(slot - 1);
+            head = nodes[np].end;
+            if after(np) {
+                let first = kept.index(c.desc[src * k + lane] as usize);
+                head = first.checked_sub(1).map_or(0, |i| nodes[at(i)].end);
+                for i in first..slot {
+                    let w = at(i);
+                    let start = ends(w).fold(head, SimTime::max);
+                    let rest = if before(w) { 0 } else { c.tail[w] };
+                    floor = floor.max(start + dur[w] + rest);
+                    head = start + dur[w];
+                }
+            }
+        }
+        // Backward over the stretch the sink leaves or lands before: from
+        // its last ancestor on the lane down to the new lane successor.
+        let mut tail = 0;
+        if slot < kept.len {
+            let ns = at(slot);
+            tail = reach(ns);
+            if before(ns) {
+                let last = kept.index(c.anc[sink * k + lane] as usize);
+                tail = if last < kept.len { reach(at(last)) } else { 0 };
+                for i in (slot..last).rev() {
+                    let w = at(i);
+                    let rest = reaches(w).fold(tail, SimTime::max);
+                    let start = if after(w) { 0 } else { nodes[w].start };
+                    floor = floor.max(start + dur[w] + rest);
+                    tail = dur[w] + rest;
+                }
+            }
+        }
+        // The block itself: the source after its new lane predecessor and
+        // its dependencies, the sink before its new lane successor and
+        // its dependents.
+        let src_start = ends(src).fold(head, SimTime::max);
+        let sink_tail = reaches(sink).fold(tail, SimTime::max);
+        let (sink_start, src_tail) = if src == sink {
+            (src_start, sink_tail)
+        } else {
+            (
+                ends(sink).fold(src_start + dur[src], SimTime::max),
+                reaches(src).fold(dur[sink] + sink_tail, SimTime::max),
+            )
+        };
+        Some(
+            floor
+                .max(src_start + dur[src] + src_tail)
+                .max(sink_start + dur[sink] + sink_tail),
+        )
+    }
+
+    /// Lane `lane` with the block `src`..`sink` taken out of it.
+    fn kept_lane(&self, src: usize, sink: usize, lane: usize) -> KeptLane {
+        let mut gone = [src, sink].map(|v| {
+            let st = self.nodes[v];
+            if st.lane == lane {
+                st.pos
+            } else {
+                usize::MAX
+            }
+        });
+        if src == sink {
+            gone[1] = usize::MAX;
+        }
+        gone.sort_unstable();
+        let len = self.lanes[lane].len() - gone.iter().filter(|&&p| p != usize::MAX).count();
+        KeptLane { gone, len }
     }
 
     /// The batch as a block `(source, sink, lane, position)` landing
@@ -839,9 +994,9 @@ impl<'g> DeltaEval<'g> {
         (pair && lane < self.lanes.len()).then_some((src, sink, lane, to))
     }
 
-    /// Fills the lane clocks: ancestors in rank order, descendants in
-    /// reverse rank order, each row the lane-wise extreme over the node's
-    /// union-graph neighbours and its own position.
+    /// Fills the lane clocks: ancestors in rank order, descendants and
+    /// tails in reverse rank order, each row the lane-wise extreme over
+    /// the node's union-graph neighbours and its own position.
     fn build_clocks(&mut self) {
         let k = self.lanes.len();
         let mut c = std::mem::take(&mut self.clocks);
@@ -861,13 +1016,16 @@ impl<'g> DeltaEval<'g> {
             let st = self.nodes[v];
             c.anc[row + st.lane] = st.pos as u32 + 1;
         }
+        c.tail.resize(self.graph.len(), 0);
         for &v in c.order.iter().rev() {
             let row = v * k;
             c.desc[row..row + k].fill(u32::MAX);
+            c.tail[v] = 0;
             for w in self.succs(v) {
                 for l in 0..k {
                     c.desc[row + l] = c.desc[row + l].min(c.desc[w * k + l]);
                 }
+                c.tail[v] = c.tail[v].max(self.dur[w] + c.tail[w]);
             }
             let st = self.nodes[v];
             c.desc[row + st.lane] = st.pos as u32;
@@ -1908,6 +2066,88 @@ mod tests {
                 [forward, backward, cycle, off_stride].iter().all(|&c| c > 0),
                 "{seen:?}"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+
+        /// [`DeltaEval::relocation_floor`] is a lower bound: on the
+        /// op-level schedule of every strategy and on two-lane single-GPU
+        /// schedules (backward on one lane, `[dW_i, U_i]` on the other),
+        /// under random costs with zero durations, along a seeded random
+        /// walk of committed relocations, every `[dW_i, U_i]` block to
+        /// every slot of every lane and random single moves of any op to
+        /// any lane that the probe evaluates have a floor at most the
+        /// probed makespan. Blocks whose ops were not adjacent before the
+        /// move are covered, and some floors equal the makespan.
+        #[test]
+        fn relocation_floor_never_exceeds_the_probe(case in 0u64..1_000_000) {
+            use ooo_core::pipeline::{op_level_schedule, Strategy};
+            let mut seed = case;
+            let (l, devices) = (4 + next(&mut seed) % 4, 2 + next(&mut seed) % 3);
+            let mut cost = TableCost::uniform(l, LayerCost::default());
+            for i in 1..=l {
+                let c = cost.layer_mut(LayerId(i));
+                c.forward = (next(&mut seed) % 3) as SimTime;
+                c.output_grad = (next(&mut seed) % 3) as SimTime;
+                c.weight_grad = (next(&mut seed) % 3) as SimTime;
+                c.update = (next(&mut seed) % 2) as SimTime;
+                c.sync_output = (next(&mut seed) % 2) as SimTime;
+            }
+            let mut cases: Vec<(TrainGraph, Schedule)> = Strategy::ALL
+                .into_iter()
+                .map(|strategy| op_level_schedule(l, devices, strategy, 1))
+                .collect();
+            cases.push(probe_family(3, l, devices, &cost));
+            let (mut apart, mut tight, mut probed) = (0, 0, 0);
+            for (g, s0) in &cases {
+                let mut de = DeltaEval::new(g, s0, &cost).unwrap();
+                for _ in 0..6 {
+                    let s = de.to_schedule();
+                    let mut batches = Vec::new();
+                    for (dw_lane, lane) in s.lanes.iter().enumerate() {
+                        for (p, &op) in lane.ops.iter().enumerate() {
+                            let Op::WeightGrad(i) = op else { continue };
+                            let Some((u_lane, u_pos)) = de.position_of(Op::Update(i)) else {
+                                continue;
+                            };
+                            let adjacent = u_lane == dw_lane && u_pos == p + 1;
+                            for (to_lane, to) in s.lanes.iter().enumerate() {
+                                for at in 0..=to.ops.len() {
+                                    let block = vec![(op, to_lane, at), (Op::Update(i), to_lane, at + 1)];
+                                    batches.push((block, u_lane == dw_lane && !adjacent));
+                                }
+                            }
+                        }
+                    }
+                    let all: Vec<Op> = s.lanes.iter().flat_map(|l| l.ops.clone()).collect();
+                    for _ in 0..60 {
+                        let op = all[next(&mut seed) % all.len()];
+                        let to = next(&mut seed) % s.lanes.len();
+                        let at = next(&mut seed) % (s.lanes[to].ops.len() + 1);
+                        batches.push((vec![(op, to, at)], false));
+                    }
+                    let mut legal = Vec::new();
+                    for (batch, split) in batches {
+                        let Ok(m) = de.probe(&batch) else { continue };
+                        let floor = de.relocation_floor(&batch);
+                        proptest::prop_assert!(
+                            floor.is_some_and(|f| f <= m),
+                            "{batch:?}: floor {floor:?} above probe {m}\n{s:?}"
+                        );
+                        probed += 1;
+                        tight += usize::from(floor == Some(m));
+                        apart += usize::from(split);
+                        legal.push(batch);
+                    }
+                    // Walk on: commit a random relocation that evaluates.
+                    if !legal.is_empty() {
+                        de.relocate_many(&legal[next(&mut seed) % legal.len()]).unwrap();
+                    }
+                }
+            }
+            proptest::prop_assert!(apart > 0 && tight > 0, "{apart} apart, {tight} tight of {probed}");
         }
     }
 

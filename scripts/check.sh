@@ -196,12 +196,15 @@ echo "1000-stage tune: $(( ($(date +%s%N) - start) / 1000000 )) ms"
 [ "$rc" -eq 0 ] || { echo "ooo-tune: 1000-stage pipeline tune failed (got $rc)"; exit 1; }
 cmp /tmp/ooo-tune-scale.json tests/fixtures/cli_golden/tune_pipeline_pipe2_1000.json \
   || { echo "ooo-tune: 1000-stage tune differs from its golden"; exit 1; }
-# The perfbench tune_large sizes (full neighbourhoods, parallel restarts)
+# The perfbench tune_large sizes (full neighbourhoods, parallel restarts),
+# gpipe 48x8 under a cap below its carried-in floor, megatron 32x4,
 # and two tunes that accept a regroup: each wall time is printed, and
 # each output must equal its golden.
 for run in "tune_order_48.json:order --layers 48 --k 0 --sync 3" \
   "tune_pipeline_gpipe_48x8.json:pipeline --layers 48 --devices 8 --strategy gpipe" \
   "tune_pipeline_pipe2_128x8_w4.json:pipeline --layers 128 --devices 8 --strategy pipe2 --window 4" \
+  "tune_pipeline_gpipe_48x8_cap.json:pipeline --layers 48 --devices 8 --strategy gpipe --memory-cap 1" \
+  "tune_pipeline_megatron_32x4.json:pipeline --layers 32 --devices 4 --strategy megatron" \
   "tune_pipeline_pipe2_regroup.json:pipeline --layers 16 --devices 4 --strategy pipe2 --group 3" \
   "tune_pipeline_pipe2_regroup_w4.json:pipeline --layers 24 --devices 4 --strategy pipe2 --group 3 --window 4"; do
   fixture=${run%%:*}; args=${run#*:}

@@ -649,7 +649,7 @@ const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cl
 /// invocation, exit code)`. A `.json` fixture holds the invocation's
 /// stdout, an `.err` fixture its stderr; `{F}` in an invocation is the
 /// fixture directory.
-const GOLDEN: [(&str, &str, i32); 33] = [
+const GOLDEN: [(&str, &str, i32); 35] = [
     (
         "tune_order.json",
         "ooo-tune order --layers 8 --k 0 --sync 3 --json",
@@ -753,6 +753,18 @@ const GOLDEN: [(&str, &str, i32); 33] = [
     (
         "tune_pipeline_pipe2_128x8_w4.json",
         "ooo-tune pipeline --layers 128 --devices 8 --strategy pipe2 --window 4 --json",
+        0,
+    ),
+    // A cap below gpipe 48x8's carried-in floor: every relocation pays
+    // the penalty, so greedy descent ranks penalty-shifted floors.
+    (
+        "tune_pipeline_gpipe_48x8_cap.json",
+        "ooo-tune pipeline --layers 48 --devices 8 --strategy gpipe --memory-cap 1 --json",
+        0,
+    ),
+    (
+        "tune_pipeline_megatron_32x4.json",
+        "ooo-tune pipeline --layers 32 --devices 4 --strategy megatron --json",
         0,
     ),
     // Binding: the uncapped tune reaches makespan 26 at peak 18.
