@@ -21,6 +21,7 @@
 //!   simulator.
 
 use crate::{Error, Result, SimTime};
+use ooo_core::cost::TableCost;
 use ooo_core::graph::TrainGraph;
 use ooo_core::memory::{memory_profile, MemoryProfile};
 use ooo_core::multi_region::{
@@ -33,6 +34,8 @@ use ooo_gpusim::spec::GpuSpec;
 use ooo_gpusim::trace::Trace;
 use ooo_models::cost::{model_kernels, to_table_cost, LayerKernels};
 use ooo_models::{GpuProfile, ModelSpec};
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 
 /// Single-GPU training engine under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,39 +133,89 @@ pub fn memory_estimate(model: &ModelSpec, batch: usize, engine: Engine) -> u64 {
     (base as f64 * engine.memory_factor()) as u64
 }
 
+/// A kernel's shape, `(blocks, block_time_ns)`: all a co-run simulation
+/// reads of it. Names only label the trace, and `issue_ns` is unused
+/// under pre-compiled issue.
+type Shape = (u32, SimTime);
+
+fn shape(k: &Kernel) -> Shape {
+    (k.blocks, k.block_time_ns)
+}
+
+/// The co-run speedups Algorithm 1 reads, as a dense `[region][layer]`
+/// table of `dW` speedups filled on first use. A miss is memoized by
+/// shape: the region's kernel shapes (one class per distinct list) and
+/// the `dW`'s shape. Repeated blocks thus share one simulation, and a
+/// table entry holds the value a direct [`co_run_speedup`] call gives.
 struct SimSpeedupProfile<'a> {
     spec: &'a GpuSpec,
     region_kernels: Vec<Vec<Kernel>>,
-    dw_kernels: &'a [(Op, Kernel)],
-    // Algorithm 1 queries each (kernel, region) pair many times while it
-    // fills regions; co-run simulations are memoized to keep planning
-    // linear in practice.
-    cache: std::cell::RefCell<std::collections::HashMap<(Op, usize), f64>>,
+    /// Shape class of each region: the first region with its shape list.
+    region_class: Vec<usize>,
+    /// `dw_kernels[i - 1]` is `dW_i`'s kernel.
+    dw_kernels: Vec<Kernel>,
+    /// `table[region * layers + i - 1]`: `dW_i`'s speedup in `region`.
+    table: Vec<Cell<Option<f64>>>,
+    memo: RefCell<HashMap<(usize, Shape), f64>>,
+}
+
+impl<'a> SimSpeedupProfile<'a> {
+    fn new(spec: &'a GpuSpec, region_kernels: Vec<Vec<Kernel>>, dw_kernels: Vec<Kernel>) -> Self {
+        let shapes: Vec<Vec<Shape>> = region_kernels
+            .iter()
+            .map(|ks| ks.iter().map(shape).collect())
+            .collect();
+        let region_class = shapes
+            .iter()
+            .map(|s| shapes.iter().position(|t| t == s).expect("present"))
+            .collect();
+        let table = vec![Cell::new(None); region_kernels.len() * dw_kernels.len()];
+        SimSpeedupProfile {
+            spec,
+            region_kernels,
+            region_class,
+            dw_kernels,
+            table,
+            memo: RefCell::new(HashMap::new()),
+        }
+    }
+
+    /// `dW_i`'s kernel with its layer index `i - 1`, for a weight
+    /// gradient of the model.
+    fn dw(&self, op: Op) -> Option<(usize, &Kernel)> {
+        let Op::WeightGrad(LayerId(i)) = op else {
+            return None;
+        };
+        let j = i.checked_sub(1)?;
+        self.dw_kernels.get(j).map(|k| (j, k))
+    }
 }
 
 impl SpeedupProfile for SimSpeedupProfile<'_> {
     fn speedup(&self, op: Op, region: usize) -> f64 {
-        if let Some(&cached) = self.cache.borrow().get(&(op, region)) {
-            return cached;
-        }
-        let Some((_, k)) = self.dw_kernels.iter().find(|(o, _)| *o == op) else {
+        let Some((j, k)) = self.dw(op) else {
             return 1.0;
         };
-        let s = co_run_speedup(
-            self.spec,
-            &self.region_kernels[region],
-            std::slice::from_ref(k),
-        )
-        .map(|(_, _, s)| s)
-        .unwrap_or(1.0);
-        self.cache.borrow_mut().insert((op, region), s);
+        let entry = &self.table[region * self.dw_kernels.len() + j];
+        if let Some(s) = entry.get() {
+            return s;
+        }
+        let key = (self.region_class[region], shape(k));
+        let s = *self.memo.borrow_mut().entry(key).or_insert_with(|| {
+            co_run_speedup(
+                self.spec,
+                &self.region_kernels[region],
+                std::slice::from_ref(k),
+            )
+            .map(|(_, _, s)| s)
+            .unwrap_or(1.0)
+        });
+        entry.set(Some(s));
         s
     }
 
     fn sub_time(&self, op: Op, _region: usize) -> ooo_core::SimTime {
-        self.dw_kernels
-            .iter()
-            .find(|(o, _)| *o == op)
+        self.dw(op)
             .map(|(_, k)| k.isolated_exec_ns(self.spec.block_slots()) + self.spec.kernel_setup_ns)
             .unwrap_or(1)
     }
@@ -211,9 +264,9 @@ pub fn run(
     let streams = if engine == Engine::OooXla {
         // Two prioritized streams; the sub-stream order comes from
         // Algorithm 1 with simulator-measured co-run profiles.
-        let (regions, schedule) = plan_multi_region(model, &kernels, &spec, batch, gpu)?;
-        let sub_order: Vec<Op> = schedule.per_region.iter().flatten().copied().collect();
-        plan = Some((regions, schedule));
+        let p = plan_multi_region(model, &kernels, &spec, batch, gpu)?;
+        let sub_order: Vec<Op> = p.schedule.per_region.iter().flatten().copied().collect();
+        plan = Some(p);
         build_ooo_streams(&kernels, &sub_order)
     } else {
         let mut cmds: Vec<Command> = Vec::new();
@@ -247,12 +300,11 @@ pub fn run(
         }]
     };
     let mut report = simulate(spec, issue_mode, streams, &kernels, batch, required)?;
-    if let Some((regions, schedule)) = &plan {
+    if let Some(plan) = &plan {
         // Peak memory: the engine estimate plus the delayed-dW overhead
         // of the out-of-order schedule over the conventional one
         // (Figure 9's delta; ~0.1% in the paper).
-        let (ooo, conv) = memory_profiles(model, batch, gpu, regions, schedule)?;
-        report.peak_mem += ooo.peak.saturating_sub(conv.peak);
+        report.peak_mem += plan.ooo_memory()?.peak.saturating_sub(plan.conv.peak);
     }
     Ok(report)
 }
@@ -396,6 +448,26 @@ pub fn run_ooo_with_sub_order(
     )
 }
 
+/// Algorithm 1's plan, with the graph, cost table and conventional
+/// memory profile it was budgeted against (built once per run and shared
+/// with the memory accounting).
+struct Plan {
+    graph: TrainGraph,
+    cost: TableCost,
+    /// Memory profile of the conventional schedule.
+    conv: MemoryProfile,
+    regions: Vec<RegionSpec>,
+    schedule: MultiRegionSchedule,
+}
+
+impl Plan {
+    /// Memory profile of the planned out-of-order schedule.
+    fn ooo_memory(&self) -> Result<MemoryProfile> {
+        let order = merged_order(&self.regions, &self.schedule);
+        Ok(memory_profile(&self.graph, &order, &self.cost)?)
+    }
+}
+
 /// Runs Algorithm 1 for a model and returns its regions with the
 /// sub-stream schedule, constrained to 1.1x the conventional schedule's
 /// peak memory — the budget the paper uses throughout its single-GPU
@@ -406,28 +478,15 @@ fn plan_multi_region(
     spec: &GpuSpec,
     batch: usize,
     gpu: &GpuProfile,
-) -> Result<(Vec<RegionSpec>, MultiRegionSchedule)> {
+) -> Result<Plan> {
     let l = kernels.len();
     let graph = TrainGraph::single_gpu(l);
     let (regions, region_kernels) = build_regions(model, kernels, spec);
-    let dw_kernels: Vec<(Op, Kernel)> = (1..=l)
-        .map(|i| {
-            (
-                Op::WeightGrad(LayerId(i)),
-                to_kernel(&kernels[i - 1].weight_grad, 1.0),
-            )
-        })
-        .collect();
-    let profile = SimSpeedupProfile {
-        spec,
-        region_kernels,
-        dw_kernels: &dw_kernels,
-        cache: std::cell::RefCell::new(std::collections::HashMap::new()),
-    };
+    let profile = SimSpeedupProfile::new(spec, region_kernels, dw_kernels(kernels));
     let subs: Vec<Op> = graph.weight_grads();
     let cost = to_table_cost(model, batch, gpu);
-    let conv_peak = memory_profile(&graph, &graph.conventional_backprop(), &cost)?.peak;
-    let budget = conv_peak + conv_peak / 10;
+    let conv = memory_profile(&graph, &graph.conventional_backprop(), &cost)?;
+    let budget = conv.peak + conv.peak / 10;
     let schedule = schedule_with_memory_budget(&graph, &regions, &subs, &profile, &cost, budget)?;
     // Debug builds re-check the two-stream plan with the static analyzer:
     // no race between the streams, no deadlock, within the memory budget,
@@ -444,7 +503,21 @@ fn plan_multi_region(
         || (graph.clone(), schedule.to_schedule(&regions)),
         "multi-region joint schedule",
     );
-    Ok((regions, schedule))
+    Ok(Plan {
+        graph,
+        cost,
+        conv,
+        regions,
+        schedule,
+    })
+}
+
+/// The weight-gradient kernels, `dW_1..dW_L` in layer order.
+fn dw_kernels(kernels: &[LayerKernels]) -> Vec<Kernel> {
+    kernels
+        .iter()
+        .map(|k| to_kernel(&k.weight_grad, 1.0))
+        .collect()
 }
 
 /// Splits the backward critical path plus the next forward pass into
@@ -511,22 +584,6 @@ fn build_regions(
     (regions, region_kernels)
 }
 
-/// Memory profiles of a planned out-of-order schedule and of the
-/// conventional one: `(ooo, conventional)`.
-fn memory_profiles(
-    model: &ModelSpec,
-    batch: usize,
-    gpu: &GpuProfile,
-    regions: &[RegionSpec],
-    schedule: &MultiRegionSchedule,
-) -> Result<(MemoryProfile, MemoryProfile)> {
-    let graph = TrainGraph::single_gpu(model.num_layers());
-    let cost = to_table_cost(model, batch, gpu);
-    let ooo = memory_profile(&graph, &merged_order(regions, schedule), &cost)?;
-    let conv = memory_profile(&graph, &graph.conventional_backprop(), &cost)?;
-    Ok((ooo, conv))
-}
-
 /// The Figure 8 view: which weight-gradient kernels Algorithm 1 assigns
 /// to each region of the main-stream timeline.
 ///
@@ -539,10 +596,11 @@ pub fn region_plan(
     gpu: &GpuProfile,
 ) -> Result<Vec<(String, Vec<String>)>> {
     let kernels = model_kernels(model, batch, gpu);
-    let (regions, schedule) = plan_multi_region(model, &kernels, &gpuspec(gpu), batch, gpu)?;
-    Ok(regions
+    let plan = plan_multi_region(model, &kernels, &gpuspec(gpu), batch, gpu)?;
+    Ok(plan
+        .regions
         .iter()
-        .zip(&schedule.per_region)
+        .zip(&plan.schedule.per_region)
         .map(|(r, ops)| {
             let names = ops
                 .iter()
@@ -572,15 +630,15 @@ pub fn memory_series(
     gpu: &GpuProfile,
 ) -> Result<(MemorySeries, MemorySeries)> {
     let kernels = model_kernels(model, batch, gpu);
-    let (regions, schedule) = plan_multi_region(model, &kernels, &gpuspec(gpu), batch, gpu)?;
-    let (ooo, conv) = memory_profiles(model, batch, gpu, &regions, &schedule)?;
+    let plan = plan_multi_region(model, &kernels, &gpuspec(gpu), batch, gpu)?;
+    let (ooo, conv) = (plan.ooo_memory()?, &plan.conv);
     let series = |p: &MemoryProfile| {
         p.at_output_grads()
             .into_iter()
             .map(|(lid, m)| (lid.0, m))
             .collect::<Vec<_>>()
     };
-    Ok((series(&conv), series(&ooo)))
+    Ok((series(conv), series(&ooo)))
 }
 
 /// Per-kernel `(name, issue-gap, exec)` series of the backward+forward
@@ -733,6 +791,40 @@ mod tests {
         let ooo = run(&m, 128, &gpu, Engine::OooXla).unwrap().throughput;
         let s = ooo / xla;
         assert!((1.0..1.35).contains(&s), "MobileNet b=128 speedup {s}");
+    }
+
+    #[test]
+    fn speedup_table_holds_direct_co_run_profiles() {
+        // Every (dW, region) pair of the three zoo CNNs: the shape-shared
+        // table gives the bits of a direct `co_run_speedup` call. Pairs
+        // are read last-first, so shared entries are filled by a different
+        // pair than in planning order.
+        let gpu = GpuProfile::v100();
+        let spec = gpuspec(&gpu);
+        for m in [resnet(50), densenet121(12, 32), mobilenet_v3_large(1.0)] {
+            let kernels = model_kernels(&m, m.default_batch, &gpu);
+            let (_, region_kernels) = build_regions(&m, &kernels, &spec);
+            let dws = dw_kernels(&kernels);
+            let profile = SimSpeedupProfile::new(&spec, region_kernels.clone(), dws.clone());
+            for (r, main) in region_kernels.iter().enumerate().rev() {
+                for (j, k) in dws.iter().enumerate().rev() {
+                    let direct = co_run_speedup(&spec, main, std::slice::from_ref(k))
+                        .map(|(_, _, s)| s)
+                        .unwrap_or(1.0);
+                    let got = profile.speedup(Op::WeightGrad(LayerId(j + 1)), r);
+                    assert_eq!(
+                        got.to_bits(),
+                        direct.to_bits(),
+                        "{} region {r} dW_{}",
+                        m.name,
+                        j + 1
+                    );
+                }
+            }
+            // Repeated blocks share their simulations.
+            let pairs = region_kernels.len() * dws.len();
+            assert!(profile.memo.borrow().len() < pairs, "{}", m.name);
+        }
     }
 
     #[test]

@@ -98,18 +98,30 @@ impl MultiRegionSchedule {
     }
 }
 
-/// Finish time of every main-stream op under sequential execution,
-/// indexed by op. Used to decide when a weight gradient becomes runnable.
-fn main_finish_times(regions: &[RegionSpec]) -> Vec<(Op, SimTime)> {
+/// When each of `ops` becomes runnable: the latest finish, under
+/// sequential main-stream execution, of its dependencies among the
+/// regions' ops (0 when it has none there). Computed once per schedule,
+/// parallel to `ops`.
+fn ready_times(graph: &TrainGraph, regions: &[RegionSpec], ops: &[Op]) -> Vec<SimTime> {
     let mut t = 0;
-    let mut out = Vec::new();
+    let mut finishes: Vec<(Op, SimTime)> = Vec::new();
     for r in regions {
         for &(op, d) in &r.entries {
             t += d;
-            out.push((op, t));
+            finishes.push((op, t));
         }
     }
-    out
+    ops.iter()
+        .map(|&op| {
+            graph
+                .deps(op)
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|d| finishes.iter().find(|(o, _)| o == d).map(|&(_, t)| t))
+                .max()
+                .unwrap_or(0)
+        })
+        .collect()
 }
 
 /// Absolute start time of each region under sequential main-stream
@@ -151,19 +163,14 @@ pub fn multi_region_joint_schedule<P: SpeedupProfile>(
         }
         return Err(Error::InvalidConfig("no regions to schedule into".into()));
     }
-    let finishes = main_finish_times(regions);
-    let dep_finish = |op: Op| -> SimTime {
-        let deps = graph.deps(op).unwrap_or_default();
-        deps.iter()
-            .filter_map(|d| finishes.iter().find(|(o, _)| o == d).map(|&(_, t)| t))
-            .max()
-            .unwrap_or(0)
-    };
     let starts = region_starts(regions);
     let n = regions.len();
     let mut now: Vec<SimTime> = vec![0; n];
     let mut per_region: Vec<Vec<Op>> = vec![Vec::new(); n];
     let mut unscheduled: Vec<Op> = sub_kernels.to_vec();
+    // `ready[i]` is when `unscheduled[i]` becomes runnable; the two
+    // vectors shrink together.
+    let mut ready = ready_times(graph, regions, &unscheduled);
     let mut candidates: Vec<usize> = (0..n).collect();
 
     while !unscheduled.is_empty() {
@@ -175,7 +182,7 @@ pub fn multi_region_joint_schedule<P: SpeedupProfile>(
             let slot = starts[ri] + now[ri];
             let mut region_best: Option<(f64, usize)> = None;
             for (ki, &k) in unscheduled.iter().enumerate() {
-                if dep_finish(k) > slot {
+                if ready[ki] > slot {
                     continue;
                 }
                 let p = profile.speedup(k, ri);
@@ -192,6 +199,7 @@ pub fn multi_region_joint_schedule<P: SpeedupProfile>(
         match best {
             Some((_, ri, ki)) => {
                 let k = unscheduled.remove(ki);
+                ready.remove(ki);
                 per_region[ri].push(k);
                 now[ri] += profile.sub_time(k, ri);
                 if now[ri] >= regions[ri].main_time() {
@@ -201,19 +209,17 @@ pub fn multi_region_joint_schedule<P: SpeedupProfile>(
             None => {
                 if candidates.is_empty() {
                     // All regions exhausted: overflow into the last region
-                    // in readiness order so nothing is dropped.
-                    let mut rest = std::mem::take(&mut unscheduled);
-                    rest.sort_by_key(|&k| dep_finish(k));
-                    per_region[n - 1].extend(rest);
+                    // in readiness order so nothing is dropped (a stable
+                    // sort: ties keep their sub-kernel order).
+                    let mut rest: Vec<(SimTime, Op)> =
+                        ready.drain(..).zip(unscheduled.drain(..)).collect();
+                    rest.sort_by_key(|&(r, _)| r);
+                    per_region[n - 1].extend(rest.into_iter().map(|(_, k)| k));
                 } else {
                     // No kernel is runnable yet in any open region: the
                     // earliest-start open region is advanced to the next
                     // readiness point.
-                    let next_ready = unscheduled
-                        .iter()
-                        .map(|&k| dep_finish(k))
-                        .min()
-                        .expect("non-empty");
+                    let next_ready = *ready.iter().min().expect("non-empty");
                     let ri = *candidates
                         .iter()
                         .min_by_key(|&&c| starts[c] + now[c])
@@ -288,22 +294,14 @@ fn eager_prefix_schedule<P: SpeedupProfile>(
     profile: &P,
     k: usize,
 ) -> Result<MultiRegionSchedule> {
-    let finishes = main_finish_times(regions);
-    let dep_finish = |op: Op| -> SimTime {
-        graph
-            .deps(op)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|d| finishes.iter().find(|(o, _)| o == d).map(|&(_, t)| t))
-            .max()
-            .unwrap_or(0)
-    };
     let starts = region_starts(regions);
     let k = k.min(regions.len());
     let mut eager: Vec<Vec<Op>> = vec![Vec::new(); k];
     let mut rest: Vec<Op> = Vec::new();
-    for &op in sub_kernels {
-        let ready = dep_finish(op);
+    for (&op, ready) in sub_kernels
+        .iter()
+        .zip(ready_times(graph, regions, sub_kernels))
+    {
         // First of the k prefix regions whose span begins at or after the
         // kernel's readiness (so the kernel runs as soon as possible).
         let region = (0..k).find(|&ri| {

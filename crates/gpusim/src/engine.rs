@@ -10,7 +10,7 @@
 
 use crate::kernel::Kernel;
 use crate::spec::GpuSpec;
-use crate::trace::{KernelRecord, Trace, WaveRecord};
+use crate::trace::{KernelRecord, Trace};
 use crate::{Error, Result, SimTime};
 use std::collections::{BinaryHeap, HashMap};
 
@@ -203,7 +203,6 @@ impl GpuSim {
         let slots_total = self.spec.block_slots();
         let mut slots_free = slots_total;
         let mut records: Vec<KernelRecord> = Vec::new();
-        let mut waves: Vec<WaveRecord> = Vec::new();
         // `(time, slots in use)` samples, one per simulated instant at
         // which the in-use count changed.
         let mut occupancy: Vec<(SimTime, u32)> = Vec::new();
@@ -307,6 +306,7 @@ impl GpuSim {
                                     name: k.name.clone(),
                                     stream: si,
                                     blocks: k.blocks,
+                                    waves: 0,
                                     issue_end,
                                     exec_start: 0,
                                     exec_end: 0,
@@ -363,13 +363,7 @@ impl GpuSim {
                     } else {
                         active.block_time
                     };
-                    waves.push(WaveRecord {
-                        kernel: active.kernel_idx,
-                        stream: si,
-                        blocks: n,
-                        start: t,
-                        end: t + block_time,
-                    });
+                    records[active.kernel_idx].waves += 1;
                     completions.push(std::cmp::Reverse((t + block_time, si, n)));
                     changed = true;
                 }
@@ -390,23 +384,12 @@ impl GpuSim {
             }
         }
 
-        // Records are reported sorted by `(exec_start, stream)`; remap the
-        // wave records' kernel indices through the same permutation.
-        let mut perm: Vec<usize> = (0..records.len()).collect();
-        perm.sort_by_key(|&i| (records[i].exec_start, records[i].stream, i));
-        let mut new_index = vec![0usize; records.len()];
-        for (new, &old) in perm.iter().enumerate() {
-            new_index[old] = new;
-        }
-        let records: Vec<KernelRecord> = perm.iter().map(|&i| records[i].clone()).collect();
-        for w in &mut waves {
-            w.kernel = new_index[w.kernel];
-        }
-        waves.sort_by_key(|w| (w.start, w.stream, w.kernel));
+        // Records are reported sorted by `(exec_start, stream)`, ties in
+        // launch order (the sort is stable).
+        records.sort_by_key(|r| (r.exec_start, r.stream));
         Ok(Trace {
             records,
             slots: slots_total,
-            waves,
             occupancy,
         })
     }
@@ -417,28 +400,30 @@ impl GpuSim {
 /// sequentially on one stream — the profiling step feeding the paper's
 /// Algorithm 1.
 ///
+/// Only the co-run is simulated. The sequential time is the closed form
+/// of the one-stream run under `PreCompiled { launch_ns: 0 }`, `Σ
+/// (kernel_setup_ns + isolated_exec_ns)`: each kernel becomes ready one
+/// setup gap after its predecessor completes, then runs `⌈blocks /
+/// slots⌉` full-device waves, since nothing else holds a slot.
+///
 /// Returns `(sequential_ns, corun_ns, speedup)`.
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates simulator errors. A kernel with no blocks deadlocks the
+/// co-run exactly as it deadlocks the one-stream run (its stream never
+/// completes it), so it still yields [`Error::Deadlock`].
 pub fn co_run_speedup(
     spec: &GpuSpec,
     main: &[Kernel],
     sub: &[Kernel],
 ) -> Result<(SimTime, SimTime, f64)> {
-    let seq_cmds: Vec<Command> = main
+    let slots = spec.block_slots();
+    let s: SimTime = main
         .iter()
         .chain(sub)
-        .cloned()
-        .map(Command::Launch)
-        .collect();
-    let seq = GpuSim::new(spec.clone(), IssueMode::PreCompiled { launch_ns: 0 }).run(vec![
-        StreamSpec {
-            priority: 0,
-            commands: seq_cmds,
-        },
-    ])?;
+        .map(|k| spec.kernel_setup_ns + k.isolated_exec_ns(slots))
+        .sum();
     let corun = GpuSim::new(spec.clone(), IssueMode::PreCompiled { launch_ns: 0 }).run(vec![
         StreamSpec {
             priority: 1,
@@ -449,7 +434,6 @@ pub fn co_run_speedup(
             commands: sub.iter().cloned().map(Command::Launch).collect(),
         },
     ])?;
-    let s = seq.makespan();
     let c = corun.makespan();
     let speedup = if c == 0 { 1.0 } else { s as f64 / c as f64 };
     Ok((s, c, speedup))
@@ -674,41 +658,85 @@ mod tests {
     }
 
     #[test]
-    fn timeline_occupancy_integral_matches_wave_ledger() {
+    fn timeline_occupancy_integral_matches_launched_block_time() {
         // Two streams with partial overlap: the occupancy counter's
-        // integral over time must equal the total block·time booked in
-        // the wave ledger (each in-use slot belongs to exactly one wave).
+        // integral over time must equal the block·time of the launched
+        // kernels, `Σ blocks × block_time_ns`, tallied from the inputs
+        // (each in-use slot runs exactly one block; no slowdown here).
+        let kernels = [
+            (1, Kernel::new("main1", 6, 100, 0)),
+            (1, Kernel::new("main2", 12, 80, 0)),
+            (0, Kernel::new("sub", 5, 120, 0)),
+        ];
+        let launched: f64 = kernels
+            .iter()
+            .map(|(_, k)| k.blocks as f64 * k.block_time_ns as f64)
+            .sum();
+        let stream = |priority: i32| StreamSpec {
+            priority,
+            commands: kernels
+                .iter()
+                .filter(|(p, _)| *p == priority)
+                .map(|(_, k)| Command::Launch(k.clone()))
+                .collect(),
+        };
         let sim = GpuSim::new(tiny_spec(8, 10), IssueMode::PreCompiled { launch_ns: 0 });
-        let trace = sim
-            .run(vec![
-                StreamSpec {
-                    priority: 1,
-                    commands: vec![launch("main1", 6, 100, 0), launch("main2", 12, 80, 0)],
-                },
-                StreamSpec {
-                    priority: 0,
-                    commands: vec![launch("sub", 5, 120, 0)],
-                },
-            ])
-            .unwrap();
+        let trace = sim.run(vec![stream(1), stream(0)]).unwrap();
         let tl = trace.to_timeline("test");
         tl.validate().unwrap();
         let counter = &tl.counters[0];
         let integral = ooo_core::trace::counter_integral(counter, tl.horizon_ns());
-        let wave_block_time: f64 = trace
-            .waves
-            .iter()
-            .map(|w| w.blocks as f64 * (w.end - w.start) as f64)
-            .sum();
         assert!(
-            (integral - wave_block_time).abs() < 1e-6,
-            "integral {integral} != wave ledger {wave_block_time}"
+            (integral - launched).abs() < 1e-6,
+            "integral {integral} != launched block-time {launched}"
         );
-        // Wave kernel indices survived the record sort.
-        for w in &trace.waves {
-            let r = &trace.records[w.kernel];
-            assert_eq!(r.stream, w.stream);
-            assert!(w.start >= r.exec_start && w.end <= r.exec_end);
+        // Per-record wave counts. main1 runs its 6 blocks in one wave at
+        // t=10 and sub takes the 2 slots left over. main2's 12 blocks go
+        // out as 6 at 120, 2 when sub's first wave ends at 130, and the
+        // last 4 when its first wave ends at 200; sub's remaining 3 blocks
+        // run as 2 at 200 and 1 at 210.
+        let waves = |name: &str| {
+            trace
+                .records
+                .iter()
+                .find(|r| r.name == name)
+                .map(|r| r.waves)
+                .unwrap()
+        };
+        assert_eq!([waves("main1"), waves("main2"), waves("sub")], [1, 3, 3]);
+        // The timeline's span argument carries the same counts.
+        let span_waves: Vec<(String, f64)> = tl
+            .lanes
+            .iter()
+            .flat_map(|l| &l.spans)
+            .filter(|s| s.cat == "kernel")
+            .map(|s| {
+                let w = s.args.iter().find(|(k, _)| k == "waves").unwrap().1;
+                (s.name.clone(), w)
+            })
+            .collect();
+        for (name, w) in span_waves {
+            assert_eq!(w, waves(&name) as f64, "{name}");
+        }
+    }
+
+    #[test]
+    fn solo_kernel_runs_ceil_blocks_over_slots_waves() {
+        for (blocks, slots) in [(1, 4), (4, 4), (5, 4), (10, 4), (64, 7), (3, 100)] {
+            let sim = GpuSim::new(tiny_spec(slots, 5), IssueMode::PreCompiled { launch_ns: 0 });
+            let trace = sim
+                .run(vec![StreamSpec {
+                    priority: 0,
+                    commands: vec![launch("a", blocks, 10, 0), launch("b", blocks, 10, 0)],
+                }])
+                .unwrap();
+            for r in &trace.records {
+                assert_eq!(
+                    r.waves,
+                    blocks.div_ceil(slots),
+                    "{blocks} blocks on {slots} slots"
+                );
+            }
         }
     }
 
@@ -779,7 +807,6 @@ mod tests {
                 .with_slowdown(s)
                 .run(streams())
                 .unwrap();
-            assert_eq!(base.waves, faulted.waves);
             assert_eq!(base.records, faulted.records);
             assert_eq!(base.occupancy, faulted.occupancy);
         }

@@ -12,6 +12,11 @@ pub struct KernelRecord {
     pub stream: usize,
     /// Thread blocks in the grid.
     pub blocks: u32,
+    /// Block waves the kernel ran: the number of instants at which some
+    /// of its blocks were granted slots together. A kernel alone on the
+    /// device runs `⌈blocks / slots⌉`; one sharing slots with another
+    /// stream may run more, smaller waves.
+    pub waves: u32,
     /// When the CPU finished issuing the kernel.
     pub issue_end: SimTime,
     /// First block launch.
@@ -27,26 +32,6 @@ impl KernelRecord {
     }
 }
 
-/// One block wave: a set of thread blocks of a kernel granted slots at
-/// the same instant and completing together.
-///
-/// Waves of *different* kernels (or even of one kernel whose tail wave
-/// co-runs with a later grant) may overlap in time; they are raw slot
-/// ledger entries, not lane spans.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WaveRecord {
-    /// Index into [`Trace::records`] of the kernel the wave belongs to.
-    pub kernel: usize,
-    /// Stream index the kernel ran on.
-    pub stream: usize,
-    /// Thread blocks in the wave.
-    pub blocks: u32,
-    /// When the wave's blocks were granted slots.
-    pub start: SimTime,
-    /// When the wave's blocks completed.
-    pub end: SimTime,
-}
-
 /// A completed simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -54,9 +39,6 @@ pub struct Trace {
     pub records: Vec<KernelRecord>,
     /// Total block slots of the simulated GPU.
     pub slots: u32,
-    /// Every block wave, sorted by `(start, stream)`; wave `kernel`
-    /// indices point into [`Trace::records`].
-    pub waves: Vec<WaveRecord>,
     /// `(time, block slots in use)` samples at every instant the in-use
     /// count changed — the SM occupancy counter.
     pub occupancy: Vec<(SimTime, u32)>,
@@ -139,25 +121,18 @@ impl Trace {
         if let Some(max_stream) = max_stream {
             for stream in 0..=max_stream {
                 let lane = tl.lane_mut(&format!("stream{stream}"));
-                let mut recs: Vec<(usize, &KernelRecord)> = self
-                    .records
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.stream == stream)
-                    .collect();
-                recs.sort_by_key(|(_, r)| r.exec_start);
+                let mut recs: Vec<&KernelRecord> =
+                    self.records.iter().filter(|r| r.stream == stream).collect();
+                recs.sort_by_key(|r| r.exec_start);
                 let mut prev_end: SimTime = 0;
-                for (idx, r) in recs {
+                for r in recs {
                     if r.exec_start > prev_end {
                         lane.spans
                             .push(Span::new("stall", CAT_STALL, prev_end, r.exec_start));
                     }
                     let mut span = Span::new(r.name.clone(), "kernel", r.exec_start, r.exec_end);
                     span.args.push(("blocks".into(), r.blocks as f64));
-                    span.args.push((
-                        "waves".into(),
-                        self.waves.iter().filter(|w| w.kernel == idx).count() as f64,
-                    ));
+                    span.args.push(("waves".into(), r.waves as f64));
                     span.args.push(("issue_end_ns".into(), r.issue_end as f64));
                     lane.spans.push(span);
                     prev_end = prev_end.max(r.exec_end);
@@ -202,6 +177,7 @@ mod tests {
             name: name.into(),
             stream,
             blocks: 1,
+            waves: 1,
             issue_end: 0,
             exec_start: start,
             exec_end: end,
@@ -299,6 +275,7 @@ mod chrome_tests {
                 name: "conv\"x\"".into(),
                 stream: 1,
                 blocks: 7,
+                waves: 1,
                 issue_end: 500,
                 exec_start: 1_000,
                 exec_end: 3_000,

@@ -1,6 +1,6 @@
 //! Property-based tests of the GPU simulator's conservation laws.
 
-use ooo_gpusim::engine::{Command, GpuSim, IssueMode, StreamSpec};
+use ooo_gpusim::engine::{co_run_speedup, Command, GpuSim, IssueMode, StreamSpec};
 use ooo_gpusim::kernel::Kernel;
 use ooo_gpusim::spec::GpuSpec;
 use proptest::prelude::*;
@@ -40,6 +40,37 @@ proptest! {
         prop_assert!(block_time <= slots as u64 * makespan);
         let longest = kernels.iter().map(|k| k.isolated_exec_ns(slots)).max().unwrap_or(0);
         prop_assert!(makespan >= longest);
+    }
+
+    /// `co_run_speedup`'s closed-form sequential time equals the makespan
+    /// of the one-stream run it replaces, for any split of the kernels
+    /// into main and sub lists; with an empty grid among them both the
+    /// one-stream run and `co_run_speedup` fail with the same error.
+    #[test]
+    fn closed_form_sequential_time_equals_one_stream_run(
+        shapes in proptest::collection::vec((0u32..40, 1u64..500, 0u64..2_000), 1..12),
+        split in 0usize..12,
+        slots in 1u32..64,
+        setup in 0u64..3_000,
+    ) {
+        let kernels: Vec<Kernel> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(blocks, bt, issue))| Kernel::new(&format!("k{i}"), blocks, bt, issue))
+            .collect();
+        let (main, sub) = kernels.split_at(split.min(kernels.len()));
+        let one_stream = GpuSim::new(spec(slots, setup), IssueMode::PreCompiled { launch_ns: 0 })
+            .run(vec![StreamSpec {
+                priority: 0,
+                commands: kernels.iter().cloned().map(Command::Launch).collect(),
+            }]);
+        let profiled = co_run_speedup(&spec(slots, setup), main, sub);
+        if kernels.iter().any(|k| k.blocks == 0) {
+            prop_assert!(one_stream.is_err());
+            prop_assert_eq!(profiled.unwrap_err(), one_stream.unwrap_err());
+        } else {
+            prop_assert_eq!(profiled.unwrap().0, one_stream.unwrap().makespan());
+        }
     }
 
     /// Single-stream kernels execute strictly in order and without

@@ -4,8 +4,8 @@
 //! [`ooo_core::trace::Timeline`] must be structurally well-formed
 //! (ordered, non-overlapping per-lane spans), its per-lane busy time must
 //! equal the kernel records' execution time, and the occupancy counter's
-//! integral must equal the block-slot ledger's — the counters may never
-//! disagree with the spans they summarize.
+//! integral must equal the launched kernels' block-time — the counters
+//! may never disagree with the work they summarize.
 
 use ooo_core::trace::counter_integral;
 use ooo_gpusim::engine::{Command, GpuSim, IssueMode, StreamSpec};
@@ -85,14 +85,24 @@ proptest! {
         }
     }
 
-    /// The occupancy counter is consistent with the span/wave ledger: its
-    /// integral equals total executed block-time, and it never exceeds the
-    /// device's slot count.
+    /// The occupancy counter is consistent with the launched work: its
+    /// integral equals `Σ blocks × block_time_ns` over the launched
+    /// kernels, tallied from the inputs, and it never exceeds the device's
+    /// slot count. Each kernel runs at least its solo `⌈blocks / slots⌉`
+    /// waves and at most one wave per block.
     #[test]
-    fn occupancy_counter_matches_wave_ledger(
+    fn occupancy_counter_matches_launched_block_time(
         streams in streams_strategy(),
         slots in 4u32..64,
     ) {
+        let launched: f64 = streams
+            .iter()
+            .flat_map(|s| &s.commands)
+            .filter_map(|c| match c {
+                Command::Launch(k) => Some(k.blocks as f64 * k.block_time_ns as f64),
+                _ => None,
+            })
+            .sum();
         let sim = GpuSim::new(spec(slots, 0), IssueMode::PreCompiled { launch_ns: 0 });
         let trace = sim.run(streams).unwrap();
         let tl = trace.to_timeline("prop");
@@ -104,17 +114,22 @@ proptest! {
             .unwrap();
         prop_assert!(counter.samples.iter().all(|&(_, v)| v <= slots as f64));
         let from_counter = counter_integral(counter, horizon);
-        let from_waves: f64 = trace
-            .waves
-            .iter()
-            .map(|w| w.blocks as f64 * (w.end - w.start) as f64)
-            .sum();
         prop_assert!(
-            (from_counter - from_waves).abs() < 1e-6 * from_waves.max(1.0),
-            "counter integral {} != wave ledger {}",
+            (from_counter - launched).abs() < 1e-6 * launched.max(1.0),
+            "counter integral {} != launched block-time {}",
             from_counter,
-            from_waves
+            launched
         );
+        for r in &trace.records {
+            prop_assert!(
+                r.blocks.div_ceil(slots) <= r.waves && r.waves <= r.blocks,
+                "{}: {} waves of {} blocks on {} slots",
+                r.name,
+                r.waves,
+                r.blocks,
+                slots
+            );
+        }
     }
 
     /// Chrome-JSON round trip is the identity for simulator-produced

@@ -55,6 +55,20 @@ cmp /tmp/ooo-trace-wire.json /tmp/ooo-trace-label.json \
   || { echo "ooo-trace: --strategy pipe2 and --strategy ooo-pipe2 exported different traces"; exit 1; }
 rm -f /tmp/ooo-trace-wire.json /tmp/ooo-trace-label.json
 
+echo "==> ooo-trace single-GPU release smoke (Algorithm 1's shared co-run profiles give order-free output)"
+# Each OOO-XLA export plans with the shape-memoized speedup table; two
+# runs per model must export the same bytes. Each wall time is printed.
+for model in resnet50 densenet121 mobilenet; do
+  for run in a b; do
+    start=$(date +%s%N)
+    ./target/release/ooo-trace export --system single --model "$model" --out "/tmp/ooo-trace-single-$run.json"
+    echo "ooo-trace export --system single --model $model: $(( ($(date +%s%N) - start) / 1000000 )) ms"
+  done
+  cmp /tmp/ooo-trace-single-a.json /tmp/ooo-trace-single-b.json \
+    || { echo "ooo-trace: two single-GPU exports of $model differ"; exit 1; }
+done
+rm -f /tmp/ooo-trace-single-a.json /tmp/ooo-trace-single-b.json
+
 echo "==> ooo-advise smoke (exit-code contract + determinism)"
 cargo build -q -p ooo-verify --bin ooo-advise
 rc=0; ./target/debug/ooo-advise pipeline --layers 8 --devices 2 --strategy pipe2 || rc=$?

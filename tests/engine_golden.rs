@@ -13,7 +13,7 @@ use ooo_backprop::core::hash::fnv64;
 use ooo_backprop::core::op::{LayerId, Op};
 use ooo_backprop::core::pipeline::Strategy;
 use ooo_backprop::core::trace::Timeline;
-use ooo_backprop::models::zoo::{bert, ffnn16, mobilenet_v3_large, resnet};
+use ooo_backprop::models::zoo::{bert, densenet121, ffnn16, mobilenet_v3_large, resnet};
 use ooo_backprop::models::GpuProfile;
 use ooo_backprop::netsim::commsim::{LinkFault, LossHandling};
 use ooo_backprop::netsim::link::LinkSpec;
@@ -133,6 +133,44 @@ fn single_gpu_engine_paths_are_pinned() {
         ));
     }
     assert_lines(&got, SINGLE);
+}
+
+const ALGORITHM1: &str = "
+run ResNet-50 b=64 OOO-XLA: iter_ns=234602790 throughput=40710cd310e0f3e8 peak_mem=6423927737 timeline=26ad0e6d54477418
+region_plan ResNet-50: regions=11 per_region=1,9,18,12,0,0,0,0,0,9,1 digest=494025407cda8682
+run DenseNet-121 (k=12) b=32 OOO-XLA: iter_ns=4875710 throughput=40b9a3258e2d1724 peak_mem=278302297 timeline=f15b0cbe6bc556b7
+region_plan DenseNet-121 (k=12): regions=17 per_region=1,32,1,48,1,24,1,0,0,0,0,0,2,0,3,7,1 digest=586e5f4c987b4ee2
+run MobileNetV3-Large (a=1) b=32 OOO-XLA: iter_ns=5658359 throughput=40b6175992fd9abd peak_mem=1264480633 timeline=675d77b1900abb1f
+region_plan MobileNetV3-Large (a=1): regions=33 per_region=2,3,3,3,3,3,3,3,3,3,3,3,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,4,3,0,5 digest=fe1d65f4cde84475
+";
+
+/// Algorithm 1's plans on the three zoo CNNs at their default batches:
+/// the OOO-XLA runs (DenseNet-121's and MobileNetV3's budget loops
+/// pre-schedule 7 and 12 regions eagerly) with their timelines, and the
+/// Figure 8 region plans.
+#[test]
+fn algorithm1_plans_are_pinned() {
+    let gpu = GpuProfile::v100();
+    let mut got = Vec::new();
+    for m in [resnet(50), densenet121(12, 32), mobilenet_v3_large(1.0)] {
+        let r = single::run(&m, m.default_batch, &gpu, Engine::OooXla).unwrap();
+        let tl = r.trace.to_timeline(&format!("single/OOO-XLA/{}", m.name));
+        got.push(format!(
+            "{} timeline={}",
+            single_line(&format!("run {} b={} OOO-XLA", m.name, m.default_batch), &r),
+            digest(&tl)
+        ));
+        let plan = single::region_plan(&m, m.default_batch, &gpu).unwrap();
+        let counts: Vec<String> = plan.iter().map(|(_, dws)| dws.len().to_string()).collect();
+        got.push(format!(
+            "region_plan {}: regions={} per_region={} digest={:016x}",
+            m.name,
+            plan.len(),
+            counts.join(","),
+            fnv64(format!("{plan:?}").as_bytes())
+        ));
+    }
+    assert_lines(&got, ALGORITHM1);
 }
 
 const DATAPAR: &str = "
